@@ -88,4 +88,11 @@ QrStats run_tiled(sim::Device& dev, sim::HostMutRef a, sim::HostMutRef r,
 std::vector<QrStats> run_fused_batch(sim::Device& dev,
                                      const std::vector<BatchJob>& jobs);
 
+/// One member's share of a fused window: the volume aggregates (busy
+/// seconds, bytes, flops) divide by `members`; the span fields
+/// (first_start/last_end/total_seconds), event and panel counts and the
+/// device peak stay whole — the member occupied the device for the whole
+/// window, as in the colocated per-member attribution.
+QrStats split_fused_stats(QrStats whole, size_t members);
+
 } // namespace rocqr::qr::detail

@@ -68,9 +68,9 @@ bool colocatable_algorithm(const std::string& algorithm) {
 }
 
 /// Inverse of snapshot_host: writes a checkpoint payload back into the
-/// job's host ref (no-op for phantom refs). The colocated batch path
-/// restores here because qr::detail::run_batch — unlike qr::resume —
-/// takes already-restored host data plus per-job resume_units.
+/// job's host ref (no-op for phantom refs). Colocated and fused dispatches
+/// restore here because qr::detail::run_batch and run_fused_batch — unlike
+/// qr::resume — take already-restored host data plus resume_units.
 void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
   if (dst.data == nullptr) return;
   for (index_t j = 0; j < dst.cols; ++j) {
@@ -86,29 +86,6 @@ void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
 /// (device time consumed, including work a preemption discarded) rather
 /// than re-deriving last_end - first_start across attempts, which would
 /// count the queued gaps between them.
-/// Even 1/K attribution of a fused window (mirrors the split
-/// qr::detail::run_fused_batch returns): volume aggregates divide by K,
-/// span fields and the device peak stay whole — the member occupied the
-/// device for the whole fused window, matching the colocated path's
-/// per-member attribution semantics.
-qr::QrStats split_fused_stats(qr::QrStats whole, int members) {
-  const auto k = static_cast<double>(members);
-  whole.panel_seconds /= k;
-  whole.gemm_seconds /= k;
-  whole.d2d_seconds /= k;
-  whole.h2d_seconds /= k;
-  whole.d2h_seconds /= k;
-  whole.compute_seconds /= k;
-  whole.bytes_h2d =
-      static_cast<bytes_t>(static_cast<double>(whole.bytes_h2d) / k);
-  whole.bytes_d2h =
-      static_cast<bytes_t>(static_cast<double>(whole.bytes_d2h) / k);
-  whole.bytes_d2d =
-      static_cast<bytes_t>(static_cast<double>(whole.bytes_d2d) / k);
-  whole.flops = static_cast<flops_t>(static_cast<double>(whole.flops) / k);
-  return whole;
-}
-
 void accumulate_stats(qr::QrStats& into, const qr::QrStats& s) {
   const bool had_events = into.events > 0;
   into.panel_seconds += s.panel_seconds;
@@ -150,11 +127,6 @@ struct Scheduler::Job {
   int retries = 0;
   int migrations = 0;
   int last_device = -1;
-  /// Gang only: the (alive) devices acquired at the current dispatch.
-  std::vector<int> gang_devices;
-  /// Per-attempt trace cursor(s) for the watchdog scan: one entry on
-  /// last_device for solo/colocated attempts, one per gang member.
-  std::vector<size_t> watch_from;
   /// Arrival gate opened (arrival_after_units reached).
   bool arrived = false;
   /// Set under the scheduler mutex; the job's sink observes it at its next
@@ -163,7 +135,7 @@ struct Scheduler::Job {
   bool has_checkpoint = false;
   /// Latest consistent state: the initial snapshot before the first
   /// dispatch, then every checkpoint the driver writes. All attempts start
-  /// from here via qr::resume (or, colocated, run_batch with
+  /// from here via qr::resume (or, colocated and fused, a batch with
   /// resume_units).
   qr::Checkpoint checkpoint;
   qr::QrStats stats{};
@@ -173,6 +145,37 @@ struct Scheduler::Job {
   /// published availability bound at that moment. Dispatch charges
   /// max(0, device bound - ready_sim) as the queueing episode's exact wait.
   double ready_sim = 0;
+
+  bool ready() const {
+    return (state == JobState::Queued && arrived) ||
+           state == JobState::Preempted;
+  }
+  index_t units_done() const {
+    return has_checkpoint ? checkpoint.units_done : 0;
+  }
+  /// run_fused_batch's contract: deadline- and abft-free "blocking" jobs
+  /// (the batched GEMM carries no per-job checksum) of one shape,
+  /// blocksize, precision, panel options and checkpoint position.
+  bool fuses_with(const Job& o) const {
+    return spec.algorithm == "blocking" && o.spec.algorithm == "blocking" &&
+           spec.deadline_seconds <= 0 && o.spec.deadline_seconds <= 0 &&
+           !spec.options.abft && !o.spec.options.abft && spec.m == o.spec.m &&
+           spec.n == o.spec.n && blocksize == o.blocksize &&
+           spec.precision == o.spec.precision &&
+           spec.options.panel_algorithm == o.spec.options.panel_algorithm &&
+           spec.options.panel_base == o.spec.options.panel_base &&
+           units_done() == o.units_done();
+  }
+  /// run_batch's contract: single-device node programs (tiled, blocking or
+  /// left, mixed freely) of one precision — the graph-level knobs come
+  /// from one options set. Deadline jobs keep a dedicated device: their
+  /// admission prediction assumed one.
+  bool colocates_with(const Job& o) const {
+    return colocatable_algorithm(spec.algorithm) &&
+           colocatable_algorithm(o.spec.algorithm) &&
+           spec.deadline_seconds <= 0 && o.spec.deadline_seconds <= 0 &&
+           spec.precision == o.spec.precision;
+  }
 };
 
 /// Per-attempt checkpoint sink: records progress on the job and doubles as
@@ -181,13 +184,15 @@ struct Scheduler::Job {
 /// prefix).
 class Scheduler::PreemptSink : public qr::CheckpointSink {
  public:
-  PreemptSink(Scheduler& sched, Job& job) : sched_(sched), job_(job) {}
+  PreemptSink(Scheduler& sched, Dispatch& dispatch, Job& job)
+      : sched_(sched), dispatch_(dispatch), job_(job) {}
   void write(const qr::Checkpoint& cp) override {
-    sched_.on_unit_completed(job_, cp);
+    sched_.on_unit_completed(dispatch_, job_, cp);
   }
 
  private:
   Scheduler& sched_;
+  Dispatch& dispatch_;
   Job& job_;
 };
 
@@ -353,9 +358,7 @@ Scheduler::Job* Scheduler::pick_locked() const {
   Job* best = nullptr;
   for (const auto& up : jobs_) {
     Job& job = *up;
-    const bool ready = (job.state == JobState::Queued && job.arrived) ||
-                       job.state == JobState::Preempted;
-    if (!ready) continue;
+    if (!job.ready()) continue;
     if (best == nullptr) {
       best = &job;
       continue;
@@ -385,19 +388,20 @@ Scheduler::Job* Scheduler::dispatchable_locked() const {
   // would starve it).
   Job* top = pick_locked();
   if (top == nullptr) return nullptr;
-  if (top->gang && (running_ > 0 || gang_active_)) return nullptr;
+  if (top->gang && running_ > 0) return nullptr;
   return top;
 }
 
-bool Scheduler::may_act_locked(int device_index, double t) const {
+bool Scheduler::may_act_locked(const std::vector<int>& own, double t) const {
   // A dispatchable job would be started by the earliest-available idle
   // device, so idle devices behind `t` only matter while one exists. (This
   // must be "dispatchable", not merely "ready": while a gang pick drains
   // the fleet, idle devices cannot act, and making running jobs wait on
-  // them would deadlock the drain.)
+  // them would deadlock the drain.) A dispatch never waits on its own
+  // devices — a gang's are all of the surviving fleet.
   const bool ready = dispatchable_locked() != nullptr;
   for (int e = 0; e < cfg_.devices; ++e) {
-    if (e == device_index) continue;
+    if (std::find(own.begin(), own.end(), e) != own.end()) continue;
     const auto eu = static_cast<size_t>(e);
     // A dead device can never act again: waiting on it would deadlock.
     if (device_health_[eu] == DeviceHealth::Dead) continue;
@@ -549,29 +553,20 @@ void Scheduler::migrate_locked(Job& job, const std::string& failure) {
   job.ready_sim = sim_now_locked();
 }
 
-int Scheduler::watchdog_tripped_locked(Job& job) {
-  if (cfg_.watchdog_timeout <= 0 || job.watch_from.empty()) return -1;
-  const auto scan = [&](int device, size_t& from) {
+int Scheduler::watchdog_tripped_locked(Dispatch& d) {
+  if (cfg_.watchdog_timeout <= 0) return -1;
+  for (size_t g = 0; g < d.devices.size(); ++g) {
     const auto& events =
-        devices_[static_cast<size_t>(device)]->trace().events();
-    for (size_t i = from; i < events.size(); ++i) {
-      if (events[i].end - events[i].start > cfg_.watchdog_timeout) {
-        from = i + 1;
-        return true;
+        devices_[static_cast<size_t>(d.devices[g])]->trace().events();
+    size_t& from = d.watch_from[g];
+    for (; from < events.size(); ++from) {
+      if (events[from].end - events[from].start > cfg_.watchdog_timeout) {
+        ++from;
+        return d.devices[g];
       }
     }
-    from = events.size();
-    return false;
-  };
-  if (job.gang) {
-    for (size_t g = 0; g < job.gang_devices.size(); ++g) {
-      if (scan(job.gang_devices[g], job.watch_from[g])) {
-        return job.gang_devices[g];
-      }
-    }
-    return -1;
   }
-  return scan(job.last_device, job.watch_from[0]) ? job.last_device : -1;
+  return -1;
 }
 
 void Scheduler::maybe_preempt_locked() {
@@ -612,93 +607,69 @@ void Scheduler::maybe_preempt_locked() {
   if (victim != nullptr) victim->preempt_requested = true;
 }
 
-void Scheduler::on_unit_completed(Job& job, const qr::Checkpoint& cp) {
+void Scheduler::on_unit_completed(Dispatch& d, Job& job,
+                                  const qr::Checkpoint& cp) {
   // Copy the (possibly large, Real-mode) snapshot outside the lock; the
   // sink contract requires a copy anyway, the driver reuses its buffers.
   qr::Checkpoint copy = cp;
   bool unwind = false;
   int wd = -1;
-  if (job.gang) {
-    // The gang owns every device, so there is no concurrent activity to
-    // order against: publish all the availability bounds and act at once
-    // (waiting on may_act here would deadlock — the "other" devices are
-    // this very job's).
+  {
     std::unique_lock<std::mutex> lk(mutex_);
-    for (int e = 0; e < cfg_.devices; ++e) {
+    // The driver synchronized before checkpointing, so each trace end is
+    // that device's simulated "now". Publish the new bounds first (they let
+    // devices waiting on us proceed), then wait for our turn in global
+    // simulated-time order before acting on the event.
+    double t = 0;
+    for (const int e : d.devices) {
       const auto eu = static_cast<size_t>(e);
-      const double t =
-          qr::stats_from_trace(devices_[eu]->trace(), 0, 0).last_end;
-      device_avail_[eu] = std::max(device_avail_[eu], t);
+      device_avail_[eu] = std::max(
+          device_avail_[eu],
+          qr::stats_from_trace(devices_[eu]->trace(), 0, 0).last_end);
+      t = std::max(t, device_avail_[eu]);
     }
     job.checkpoint = std::move(copy);
     job.has_checkpoint = true;
-    ++fleet_units_;
-    release_arrivals_locked();
-    maybe_preempt_locked();
-    // tsqr checkpoints are per-leaf (columns_done == 0 until the driver
-    // returns), so a requested preemption always unwinds: the reduction
-    // tree and reconstruction sweep still lie ahead.
-    unwind = job.preempt_requested;
-    wd = watchdog_tripped_locked(job);
-    lk.unlock();
-    counter("serve.units_completed").increment();
     cv_.notify_all();
-    // A watchdog trip outranks a preemption: the attempt must unwind as a
-    // device failure, not park as resumable-by-priority.
-    if (wd >= 0) throw WatchdogTrip{wd};
-    if (unwind) throw PreemptRequest{};
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lk(mutex_);
-    const int d = job.last_device;
-    const auto du = static_cast<size_t>(d);
-    // The driver synchronized before checkpointing, so the trace end is
-    // this device's simulated "now". Publish the new bound first (it lets
-    // devices waiting on us proceed), then wait for our turn in global
-    // simulated-time order before acting on the event.
-    const double t = qr::stats_from_trace(devices_[du]->trace(), 0, 0).last_end;
-    device_avail_[du] = std::max(device_avail_[du], t);
-    job.checkpoint = std::move(copy);
-    job.has_checkpoint = true;
-    cv_.notify_all();
-    while (!may_act_locked(d, device_avail_[du])) cv_.wait(lk);
+    while (!may_act_locked(d.devices, t)) cv_.wait(lk);
     ++fleet_units_;
     release_arrivals_locked();
     maybe_preempt_locked();
     // Never yield on the final checkpoint: the factorization is complete,
-    // preempting would only discard a finished job.
+    // preempting would only discard a finished job. (tsqr checkpoints are
+    // per-leaf with columns_done == 0, so a gang always yields: the
+    // reduction tree and reconstruction sweep still lie ahead.)
     unwind = job.preempt_requested && cp.columns_done < cp.n;
-    wd = watchdog_tripped_locked(job);
+    wd = watchdog_tripped_locked(d);
   }
   counter("serve.units_completed").increment();
   cv_.notify_all();
+  // A watchdog trip outranks a preemption: the attempt must unwind as a
+  // device failure, not park as resumable-by-priority.
   if (wd >= 0) throw WatchdogTrip{wd};
   if (unwind) throw PreemptRequest{};
 }
 
 void Scheduler::worker(int device_index) {
   const auto du = static_cast<size_t>(device_index);
+  const std::vector<int> own{device_index};
   for (;;) {
-    Job* job = nullptr;
-    std::vector<Job*> batch;
-    bool fused = false;
+    Dispatch d;
     {
       std::unique_lock<std::mutex> lk(mutex_);
+      Job* job = nullptr;
       for (;;) {
         // A dead device never hosts work again; its worker retires. The
         // surviving workers keep draining the queue (including whatever
         // migrated off this device).
         if (device_health_[du] == DeviceHealth::Dead) return;
         release_arrivals_locked();
-        Job* candidate = dispatchable_locked();
-        if (candidate != nullptr &&
-            may_act_locked(device_index, device_avail_[du])) {
-          job = candidate;
-          break;
-        }
+        // A device held by a live dispatch (a running gang) is not ours to
+        // claim until that dispatch finishes.
+        job = device_busy_[du] == 0 ? dispatchable_locked() : nullptr;
+        if (job != nullptr && may_act_locked(own, device_avail_[du])) break;
         if (!work_pending_locked()) return;
-        if (candidate == nullptr && running_ == 0) {
+        if (job == nullptr && running_ == 0) {
           // Nothing running, nothing dispatchable, but jobs pending: the
           // only work left is behind arrival gates that can no longer open
           // (no units will complete). Force the earliest gate so the batch
@@ -707,116 +678,36 @@ void Scheduler::worker(int device_index) {
         }
         cv_.wait(lk);
       }
-      batch.push_back(job);
-      if (!job->gang && job->spec.algorithm == "blocking" &&
-          job->spec.deadline_seconds <= 0 && !job->spec.options.abft &&
-          cfg_.max_fused_jobs > 1) {
-        // Batched small-QR coalescing: claim further ready jobs identical
-        // to the primary (shape, blocksize, precision, panel options,
-        // checkpoint position — run_fused_batch's fusion contract) and
-        // dispatch them as ONE block-diagonal batched node program, paying
-        // each round's fixed per-op latencies once instead of once per
-        // job. Same guards as colocation: deadline-free members only, the
-        // summed predicted peaks must fit the admission budget, and only
-        // when the ready queue outnumbers the idle devices. ABFT jobs
-        // cannot fuse (the batched GEMM carries no per-job checksum).
-        int ready_jobs = 0;
-        for (const auto& up : jobs_) {
-          const Job& j = *up;
-          if ((j.state == JobState::Queued && j.arrived) ||
-              j.state == JobState::Preempted) {
-            ++ready_jobs;
+      d.members = {job};
+      d.devices = {device_index};
+      if (job->gang) {
+        // Atomic acquisition of the surviving fleet: dispatchable_locked
+        // only returned the gang with every device idle. Dead devices are
+        // excluded — a re-planned gang runs on the survivors.
+        d.kind = DispatchKind::Gang;
+        d.devices.clear();
+        for (int e = 0; e < cfg_.devices; ++e) {
+          if (device_health_[static_cast<size_t>(e)] != DeviceHealth::Dead) {
+            d.devices.push_back(e);
           }
         }
-        int idle_devices = 0;
-        for (const char busy : device_busy_) idle_devices += busy == 0;
-        int surplus = ready_jobs - idle_devices;
-        const auto budget = static_cast<bytes_t>(
-            cfg_.admission_memory_fraction *
-            static_cast<double>(cfg_.spec.memory_capacity));
-        bytes_t used = job->predicted_peak_bytes;
-        const index_t units0 =
-            job->has_checkpoint ? job->checkpoint.units_done : 0;
-        for (const auto& up : jobs_) {
-          if (static_cast<int>(batch.size()) >= cfg_.max_fused_jobs ||
-              surplus <= 0) {
-            break;
-          }
-          Job& extra = *up;
-          if (&extra == job || extra.spec.algorithm != "blocking") continue;
-          if (extra.spec.deadline_seconds > 0 || extra.spec.options.abft) {
-            continue;
-          }
-          const bool ready =
-              (extra.state == JobState::Queued && extra.arrived) ||
-              extra.state == JobState::Preempted;
-          if (!ready) continue;
-          if (extra.spec.m != job->spec.m || extra.spec.n != job->spec.n ||
-              extra.blocksize != job->blocksize ||
-              extra.spec.precision != job->spec.precision ||
-              extra.spec.options.panel_algorithm !=
-                  job->spec.options.panel_algorithm ||
-              extra.spec.options.panel_base != job->spec.options.panel_base) {
-            continue;
-          }
-          const index_t eunits =
-              extra.has_checkpoint ? extra.checkpoint.units_done : 0;
-          if (eunits != units0) continue;
-          if (used + extra.predicted_peak_bytes > budget) continue;
-          used += extra.predicted_peak_bytes;
-          --surplus;
-          batch.push_back(&extra);
-        }
-        fused = batch.size() > 1;
-      }
-      if (!fused && !job->gang &&
-          colocatable_algorithm(job->spec.algorithm) &&
-          job->spec.deadline_seconds <= 0 && cfg_.max_colocated_jobs > 1) {
-        // DAG multi-tenancy: claim further ready single-device jobs
-        // (tiled, blocking, or left — mixed freely) for the same device
-        // while their summed predicted peaks fit the admission budget.
-        // They run as one task graph (run_batch), so they must share the
-        // primary's precision (the graph-level knobs come from one options
-        // set). Only pack when the queue outnumbers the idle devices —
-        // with a free device per ready job, exclusive ownership is
-        // strictly faster — and leave deadline jobs alone (their admission
-        // prediction assumed a dedicated device).
-        int ready_jobs = 0;
-        for (const auto& up : jobs_) {
-          const Job& j = *up;
-          if ((j.state == JobState::Queued && j.arrived) ||
-              j.state == JobState::Preempted) {
-            ++ready_jobs;
-          }
-        }
-        int idle_devices = 0;
-        for (const char busy : device_busy_) idle_devices += busy == 0;
-        int surplus = ready_jobs - idle_devices;
-        const auto budget = static_cast<bytes_t>(
-            cfg_.admission_memory_fraction *
-            static_cast<double>(cfg_.spec.memory_capacity));
-        bytes_t used = job->predicted_peak_bytes;
-        for (const auto& up : jobs_) {
-          if (static_cast<int>(batch.size()) >= cfg_.max_colocated_jobs ||
-              surplus <= 0) {
-            break;
-          }
-          Job& extra = *up;
-          if (&extra == job || !colocatable_algorithm(extra.spec.algorithm)) {
-            continue;
-          }
-          if (extra.spec.deadline_seconds > 0) continue;
-          const bool ready =
-              (extra.state == JobState::Queued && extra.arrived) ||
-              extra.state == JobState::Preempted;
-          if (!ready || extra.spec.precision != job->spec.precision) continue;
-          if (used + extra.predicted_peak_bytes > budget) continue;
-          used += extra.predicted_peak_bytes;
-          --surplus;
-          batch.push_back(&extra);
+      } else {
+        // Batched small-QR fusion is tried before colocation.
+        d.members = claim_locked(*job, cfg_.max_fused_jobs,
+                                 [job](const Job& x) {
+                                   return job->fuses_with(x);
+                                 });
+        if (d.members.size() > 1) {
+          d.kind = DispatchKind::Fused;
+        } else {
+          d.members = claim_locked(*job, cfg_.max_colocated_jobs,
+                                   [job](const Job& x) {
+                                     return job->colocates_with(x);
+                                   });
+          if (d.members.size() > 1) d.kind = DispatchKind::Colocated;
         }
       }
-      for (Job* member : batch) {
+      for (Job* member : d.members) {
         member->state = JobState::Running;
         member->preempt_requested = false;
         ++member->attempts;
@@ -833,436 +724,246 @@ void Scheduler::worker(int device_index) {
             .histogram("serve.queue_wait_us")
             .observe(static_cast<std::int64_t>(waited * 1e6));
       }
-      if (job->gang) {
-        // Atomic acquisition of the surviving fleet: dispatchable_locked
-        // only returned the gang with every device idle, so marking them
-        // all busy under this lock cannot race another dispatch. Dead
-        // devices are excluded — a re-planned gang runs on the survivors.
-        gang_active_ = true;
-        job->gang_devices.clear();
-        for (int e = 0; e < cfg_.devices; ++e) {
-          if (device_health_[static_cast<size_t>(e)] == DeviceHealth::Dead) {
-            continue;
-          }
-          job->gang_devices.push_back(e);
-          device_busy_[static_cast<size_t>(e)] = 1;
-        }
-        running_ += static_cast<int>(job->gang_devices.size());
+      for (const int e : d.devices) device_busy_[static_cast<size_t>(e)] = 1;
+      running_ += static_cast<int>(d.devices.size());
+    }
+    cv_.notify_all();
+    run_dispatch(d);
+  }
+}
+
+std::vector<Scheduler::Job*> Scheduler::claim_locked(
+    Job& primary, int limit,
+    const std::function<bool(const Job&)>& compatible) const {
+  std::vector<Job*> members{&primary};
+  if (limit <= 1 || !compatible(primary)) return members;
+  // Pack only while the ready queue outnumbers the idle devices — with a
+  // free device per ready job, exclusive ownership is strictly faster.
+  int surplus = 0;
+  for (const auto& up : jobs_) surplus += up->ready() ? 1 : 0;
+  for (const char busy : device_busy_) surplus -= busy == 0 ? 1 : 0;
+  const auto budget = static_cast<bytes_t>(
+      cfg_.admission_memory_fraction *
+      static_cast<double>(cfg_.spec.memory_capacity));
+  bytes_t used = primary.predicted_peak_bytes;
+  for (const auto& up : jobs_) {
+    if (static_cast<int>(members.size()) >= limit || surplus <= 0) break;
+    Job& extra = *up;
+    if (&extra == &primary || !extra.ready() || !compatible(extra)) continue;
+    if (used + extra.predicted_peak_bytes > budget) continue;
+    used += extra.predicted_peak_bytes;
+    --surplus;
+    members.push_back(&extra);
+  }
+  return members;
+}
+
+void Scheduler::run_dispatch(Dispatch& d) {
+  std::vector<sim::Device*> fleet;
+  for (const int e : d.devices) {
+    fleet.push_back(devices_[static_cast<size_t>(e)].get());
+  }
+  std::vector<qr::detail::BatchJob> jobs;
+  std::string names;
+  for (const Job* member : d.members) {
+    const JobSpec& spec = member->spec;
+    jobs.push_back(qr::detail::BatchJob{
+        spec.algorithm,
+        spec.a.data != nullptr ? spec.a
+                               : sim::HostMutRef::phantom(spec.m, spec.n),
+        spec.r.data != nullptr ? spec.r
+                               : sim::HostMutRef::phantom(spec.n, spec.n),
+        spec.options, "j" + std::to_string(member->id) + "."});
+    names += (names.empty() ? "" : "+") + spec.name;
+  }
+  // Per-member sinks: each member checkpoints (and can be preempted) under
+  // its own identity even when it shares a task graph or batched ops.
+  std::vector<std::unique_ptr<PreemptSink>> sinks;
+  const bool batched =
+      d.kind == DispatchKind::Colocated || d.kind == DispatchKind::Fused;
+  qr::Checkpoint start; // qr::resume's starting point (solo and gang)
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    for (const sim::Device* dev : fleet) {
+      d.windows.push_back(dev->trace().size());
+    }
+    d.watch_from = d.windows;
+    for (size_t i = 0; i < d.members.size(); ++i) {
+      Job& job = *d.members[i];
+      // Every attempt — including the first — starts from the job's latest
+      // consistent state, so preemption resumes, fault retries and
+      // migrations share one path. The unit-0 "checkpoint" snapshots the
+      // pristine inputs: a Real-mode retry must not re-factor a
+      // half-mutated A.
+      if (!job.has_checkpoint) {
+        qr::Checkpoint cp0;
+        cp0.driver = job.spec.algorithm;
+        cp0.m = job.spec.m;
+        cp0.n = job.spec.n;
+        cp0.blocksize = job.blocksize;
+        cp0.columns_done = 0;
+        cp0.units_done = 0;
+        cp0.a = snapshot_host(jobs[i].a);
+        cp0.r = snapshot_host(jobs[i].r);
+        job.checkpoint = std::move(cp0);
+        job.has_checkpoint = true;
+      }
+      if (batched) {
+        restore_host(jobs[i].a, job.checkpoint.a);
+        restore_host(jobs[i].r, job.checkpoint.r);
       } else {
-        ++running_;
-        device_busy_[du] = 1;
+        start = job.checkpoint;
       }
-      cv_.notify_all();
-    }
-    if (job->gang) {
-      run_gang_attempt(*job);
-    } else if (fused) {
-      run_fused_attempt(device_index, batch);
-    } else if (batch.size() > 1) {
-      run_colocated_attempt(device_index, batch);
-    } else {
-      run_attempt(device_index, *job);
+      sinks.push_back(std::make_unique<PreemptSink>(*this, d, job));
+      qr::QrOptions& opts = jobs[i].opts;
+      opts.blocksize = job.blocksize;
+      opts.precision = job.spec.precision;
+      opts.checkpoint_sink = sinks.back().get();
+      opts.checkpoint_every = cfg_.checkpoint_every;
+      opts.resume_units = job.checkpoint.units_done;
     }
   }
-}
-
-void Scheduler::run_attempt(int device_index, Job& job) {
-  sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  const size_t window = dev.trace().size();
-  PreemptSink sink(*this, job);
-
-  qr::QrOptions opts = job.spec.options;
-  opts.blocksize = job.blocksize;
-  opts.precision = job.spec.precision;
-  opts.checkpoint_sink = &sink;
-  opts.checkpoint_every = cfg_.checkpoint_every;
-  opts.resume_units = 0;
-
-  sim::HostMutRef a = job.spec.a.data != nullptr
-                          ? job.spec.a
-                          : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-  sim::HostMutRef r = job.spec.r.data != nullptr
-                          ? job.spec.r
-                          : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-
-  // Every attempt — including the first — starts from the job's latest
-  // consistent state via qr::resume, so preemption resumes and fault
-  // retries share one path. The unit-0 "checkpoint" snapshots the pristine
-  // inputs: a Real-mode retry must not re-factor a half-mutated A.
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!job.has_checkpoint) {
-      qr::Checkpoint cp0;
-      cp0.driver = job.spec.algorithm;
-      cp0.m = job.spec.m;
-      cp0.n = job.spec.n;
-      cp0.blocksize = job.blocksize;
-      cp0.columns_done = 0;
-      cp0.units_done = 0;
-      cp0.a = snapshot_host(a);
-      cp0.r = snapshot_host(r);
-      job.checkpoint = std::move(cp0);
-      job.has_checkpoint = true;
-    }
-    job.watch_from.assign(1, window);
+  std::string span;
+  switch (d.kind) {
+  case DispatchKind::Solo:
+  case DispatchKind::Gang:
+    span = "serve.job " + names + " attempt " +
+           std::to_string(d.members.front()->attempts);
+    break;
+  case DispatchKind::Colocated:
+    span = "serve.batch " + names;
+    break;
+  case DispatchKind::Fused:
+    span = "serve.fused " + names;
+    break;
   }
 
+  JobState state = JobState::Completed;
+  std::string failure;
+  AttemptOutcome outcome = AttemptOutcome::Clean;
+  int struck = -1;
   try {
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      start = job.checkpoint;
+    std::vector<std::unique_ptr<sim::TraceSpan>> spans;
+    for (const sim::Device* dev : fleet) {
+      spans.push_back(std::make_unique<sim::TraceSpan>(*dev, span));
     }
-    sim::TraceSpan span(dev, "serve.job " + job.spec.name + " attempt " +
-                                 std::to_string(job.attempts));
-    qr::resume(qr::QrProblem{{&dev}, a, r, qr::Algorithm::Recursive, opts},
-               start);
-    finish_attempt(job, window, device_index, JobState::Completed, "",
-                   AttemptOutcome::Clean);
+    switch (d.kind) {
+    case DispatchKind::Solo:
+    case DispatchKind::Gang:
+      qr::resume(qr::QrProblem{fleet, jobs[0].a, jobs[0].r,
+                               *qr::parse_algorithm(jobs[0].algorithm),
+                               jobs[0].opts},
+                 start);
+      break;
+    case DispatchKind::Colocated:
+      qr::detail::run_batch(*fleet[0], jobs);
+      break;
+    case DispatchKind::Fused:
+      qr::detail::run_fused_batch(*fleet[0], jobs);
+      break;
+    }
   } catch (const PreemptRequest&) {
-    // The sink threw right after a checkpoint write, which had already
-    // synchronized the device; RAII unwound every driver allocation.
-    dev.synchronize();
-    finish_attempt(job, window, device_index, JobState::Preempted, "",
-                   AttemptOutcome::Clean);
-  } catch (const WatchdogTrip&) {
-    dev.synchronize();
-    const bool retry = job.retries < cfg_.max_job_retries;
-    finish_attempt(job, window, device_index,
-                   retry ? JobState::Queued : JobState::Failed,
-                   "watchdog: an operation exceeded the " +
-                       std::to_string(cfg_.watchdog_timeout) +
-                       "s simulated timeout",
-                   AttemptOutcome::DeviceFailure);
+    // A member's sink threw right after a checkpoint write; RAII unwound
+    // every driver allocation. Every member requeues from its own latest
+    // checkpoint — one that had already finished resumes into a no-op.
+    state = JobState::Preempted;
+  } catch (const WatchdogTrip& w) {
+    state = JobState::Queued;
+    failure = "watchdog: an operation exceeded the " +
+              std::to_string(cfg_.watchdog_timeout) + "s simulated timeout";
+    outcome = AttemptOutcome::DeviceFailure;
+    struck = w.device;
   } catch (const Error& e) {
-    // Dead-device RAII contract: free/synchronize stay usable after a
-    // fatal fault, so this unwind leaks nothing even on a lost device.
-    dev.synchronize();
-    if (dev.dead()) {
-      finish_attempt(job, window, device_index, JobState::Queued, e.what(),
-                     AttemptOutcome::DeviceLoss);
-    } else {
-      const bool retry = job.retries < cfg_.max_job_retries;
-      finish_attempt(job, window, device_index,
-                     retry ? JobState::Queued : JobState::Failed, e.what(),
-                     AttemptOutcome::DeviceFailure);
+    // A dead device makes this a device loss. Otherwise the dispatch's
+    // only device takes the strike; a gang's error is unattributable.
+    state = JobState::Queued;
+    failure = e.what();
+    outcome = AttemptOutcome::DeviceFailure;
+    struck = d.kind == DispatchKind::Gang ? -1 : d.devices.front();
+    for (size_t g = 0; g < fleet.size(); ++g) {
+      if (fleet[g]->dead()) {
+        outcome = AttemptOutcome::DeviceLoss;
+        struck = d.devices[g];
+        break;
+      }
     }
   }
+  // Dead-device RAII contract: free/synchronize stay usable after a fatal
+  // fault, so this unwind leaks nothing even on a lost device.
+  if (state != JobState::Completed) sim::synchronize_all(fleet);
+  finish_dispatch(d, state, failure, outcome, struck);
 }
 
-void Scheduler::finish_attempt(Job& job, size_t window, int device_index,
-                               JobState state, const std::string& failure,
-                               AttemptOutcome outcome) {
-  const sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
+void Scheduler::finish_dispatch(const Dispatch& d, JobState state,
+                                const std::string& failure,
+                                AttemptOutcome outcome, int struck_device) {
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    const qr::QrStats attempt =
-        qr::stats_from_trace(dev.trace(), window, dev.memory_peak());
-    accumulate_stats(job.stats, attempt);
-    const auto du = static_cast<size_t>(device_index);
-    if (attempt.events > 0) {
-      device_avail_[du] = std::max(device_avail_[du], attempt.last_end);
+    std::vector<qr::QrStats> per_device;
+    for (size_t g = 0; g < d.devices.size(); ++g) {
+      const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[g])];
+      per_device.push_back(
+          qr::stats_from_trace(dev.trace(), d.windows[g], dev.memory_peak()));
     }
-    device_busy_[du] = 0;
-    --running_;
+    // Per-member attribution: a solo job takes its whole window, a gang its
+    // per-device windows rolled up, a colocated member the shared window
+    // filtered by its "j<id>." op-name prefix, and a fused member an even
+    // 1/K split (the batched ops carry no per-job prefix).
+    for (Job* member : d.members) {
+      switch (d.kind) {
+      case DispatchKind::Solo:
+        accumulate_stats(member->stats, per_device[0]);
+        break;
+      case DispatchKind::Gang:
+        accumulate_stats(member->stats, qr::combine_device_stats(per_device));
+        break;
+      case DispatchKind::Colocated: {
+        const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[0])];
+        accumulate_stats(member->stats,
+                         qr::stats_from_trace(
+                             dev.trace(), d.windows[0], dev.memory_peak(),
+                             "j" + std::to_string(member->id) + "."));
+        break;
+      }
+      case DispatchKind::Fused:
+        accumulate_stats(member->stats, qr::detail::split_fused_stats(
+                                            per_device[0], d.members.size()));
+        break;
+      }
+    }
+    for (size_t g = 0; g < d.devices.size(); ++g) {
+      const auto e = static_cast<size_t>(d.devices[g]);
+      if (per_device[g].events > 0) {
+        device_avail_[e] = std::max(device_avail_[e], per_device[g].last_end);
+      }
+      device_busy_[e] = 0;
+    }
+    running_ -= static_cast<int>(d.devices.size());
     bool newly_dead = false;
     switch (outcome) {
     case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(device_index);
+      newly_dead = declare_dead_locked(struck_device);
       break;
     case AttemptOutcome::DeviceFailure:
-      newly_dead = note_device_failure_locked(device_index);
-      break;
-    case AttemptOutcome::Clean:
-      note_device_success_locked(device_index);
-      break;
-    }
-    if (newly_dead && state != JobState::Completed &&
-        state != JobState::Preempted) {
-      // The device died under this job: migrate (re-quote + requeue from
-      // the latest checkpoint), not a retry.
-      migrate_locked(job, failure);
-    } else {
-      record_outcome_locked(job, state, failure);
-    }
-  }
-  cv_.notify_all();
-}
-
-void Scheduler::run_colocated_attempt(int device_index,
-                                      const std::vector<Job*>& batch) {
-  sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  const size_t window = dev.trace().size();
-
-  // Per-job sinks: each member checkpoints (and can be preempted) under
-  // its own identity even though all of them share one task graph.
-  std::vector<std::unique_ptr<PreemptSink>> sinks;
-  std::vector<qr::detail::BatchJob> bjobs;
-  sinks.reserve(batch.size());
-  bjobs.reserve(batch.size());
-  std::string names;
-  for (Job* member : batch) {
-    Job& job = *member;
-    sim::HostMutRef a =
-        job.spec.a.data != nullptr
-            ? job.spec.a
-            : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-    sim::HostMutRef r =
-        job.spec.r.data != nullptr
-            ? job.spec.r
-            : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!job.has_checkpoint) {
-        qr::Checkpoint cp0;
-        cp0.driver = job.spec.algorithm;
-        cp0.m = job.spec.m;
-        cp0.n = job.spec.n;
-        cp0.blocksize = job.blocksize;
-        cp0.columns_done = 0;
-        cp0.units_done = 0;
-        cp0.a = snapshot_host(a);
-        cp0.r = snapshot_host(r);
-        job.checkpoint = std::move(cp0);
-        job.has_checkpoint = true;
+      if (struck_device >= 0) {
+        newly_dead = note_device_failure_locked(struck_device);
       }
-      job.watch_from.assign(1, window);
-      start = job.checkpoint;
-    }
-    // run_batch expects restored host data + resume_units (the batch
-    // equivalent of what qr::resume does for a solo job).
-    if (a.data != nullptr) {
-      restore_host(a, start.a);
-      restore_host(r, start.r);
-    }
-    sinks.push_back(std::make_unique<PreemptSink>(*this, job));
-    qr::QrOptions opts = job.spec.options;
-    opts.blocksize = job.blocksize;
-    opts.precision = job.spec.precision;
-    opts.checkpoint_sink = sinks.back().get();
-    opts.checkpoint_every = cfg_.checkpoint_every;
-    opts.resume_units = start.units_done;
-    bjobs.push_back(qr::detail::BatchJob{
-        job.spec.algorithm, a, r, opts,
-        "j" + std::to_string(job.id) + "."});
-    names += (names.empty() ? "" : "+") + job.spec.name;
-  }
-
-  try {
-    sim::TraceSpan span(dev, "serve.batch " + names);
-    qr::detail::run_batch(dev, bjobs);
-    finish_colocated_attempt(batch, window, device_index,
-                             JobState::Completed, "", AttemptOutcome::Clean);
-  } catch (const PreemptRequest&) {
-    // One member's sink threw at a checkpoint boundary; the whole graph
-    // unwound. Every member requeues from its own latest checkpoint — a
-    // member that had already finished resumes into an immediate no-op.
-    dev.synchronize();
-    finish_colocated_attempt(batch, window, device_index,
-                             JobState::Preempted, "", AttemptOutcome::Clean);
-  } catch (const WatchdogTrip&) {
-    dev.synchronize();
-    finish_colocated_attempt(batch, window, device_index, JobState::Queued,
-                             "watchdog: an operation exceeded the " +
-                                 std::to_string(cfg_.watchdog_timeout) +
-                                 "s simulated timeout",
-                             AttemptOutcome::DeviceFailure);
-  } catch (const Error& e) {
-    dev.synchronize();
-    finish_colocated_attempt(batch, window, device_index, JobState::Queued,
-                             e.what(),
-                             dev.dead() ? AttemptOutcome::DeviceLoss
-                                        : AttemptOutcome::DeviceFailure);
-  }
-}
-
-void Scheduler::finish_colocated_attempt(const std::vector<Job*>& batch,
-                                         size_t window, int device_index,
-                                         JobState state,
-                                         const std::string& failure,
-                                         AttemptOutcome outcome) {
-  const sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    const auto du = static_cast<size_t>(device_index);
-    const qr::QrStats whole =
-        qr::stats_from_trace(dev.trace(), window, dev.memory_peak());
-    if (whole.events > 0) {
-      device_avail_[du] = std::max(device_avail_[du], whole.last_end);
-    }
-    device_busy_[du] = 0;
-    --running_;
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(device_index);
-      break;
-    case AttemptOutcome::DeviceFailure:
-      newly_dead = note_device_failure_locked(device_index);
       break;
     case AttemptOutcome::Clean:
-      note_device_success_locked(device_index);
+      for (const int e : d.devices) note_device_success_locked(e);
       break;
     }
-    for (Job* member : batch) {
-      // Per-job attribution: the shared window filtered by the member's
-      // "j<id>." op-name prefix.
-      accumulate_stats(member->stats,
-                       qr::stats_from_trace(
-                           dev.trace(), window, dev.memory_peak(),
-                           "j" + std::to_string(member->id) + "."));
+    for (Job* member : d.members) {
       if (newly_dead && state != JobState::Completed &&
           state != JobState::Preempted) {
-        // The shared device died: every member migrates from its own
-        // latest checkpoint (no retry charged).
+        // The device died under this dispatch: every member migrates
+        // (re-quote + requeue from its latest checkpoint), not a retry. A
+        // gang's checkpoint pins its leaf layout, so on the survivors it
+        // reproduces the clean result bit for bit.
         migrate_locked(*member, failure);
-        continue;
+      } else {
+        record_outcome_locked(*member, state, failure);
       }
-      JobState member_state = state;
-      if (state == JobState::Queued &&
-          member->retries >= cfg_.max_job_retries) {
-        member_state = JobState::Failed;
-      }
-      record_outcome_locked(*member, member_state, failure);
-    }
-  }
-  cv_.notify_all();
-}
-
-void Scheduler::run_fused_attempt(int device_index,
-                                  const std::vector<Job*>& batch) {
-  sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  const size_t window = dev.trace().size();
-
-  // Per-job sinks, exactly as in the colocated path: each member
-  // checkpoints (and can be preempted) under its own identity even though
-  // every fused round is one shared batched op per engine.
-  std::vector<std::unique_ptr<PreemptSink>> sinks;
-  std::vector<qr::detail::BatchJob> bjobs;
-  sinks.reserve(batch.size());
-  bjobs.reserve(batch.size());
-  std::string names;
-  for (Job* member : batch) {
-    Job& job = *member;
-    sim::HostMutRef a =
-        job.spec.a.data != nullptr
-            ? job.spec.a
-            : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-    sim::HostMutRef r =
-        job.spec.r.data != nullptr
-            ? job.spec.r
-            : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!job.has_checkpoint) {
-        qr::Checkpoint cp0;
-        cp0.driver = job.spec.algorithm;
-        cp0.m = job.spec.m;
-        cp0.n = job.spec.n;
-        cp0.blocksize = job.blocksize;
-        cp0.columns_done = 0;
-        cp0.units_done = 0;
-        cp0.a = snapshot_host(a);
-        cp0.r = snapshot_host(r);
-        job.checkpoint = std::move(cp0);
-        job.has_checkpoint = true;
-      }
-      job.watch_from.assign(1, window);
-      start = job.checkpoint;
-    }
-    // run_fused_batch expects restored host data + resume_units; the
-    // coalescer only fused members at the same checkpoint position, so
-    // every member's resume_units agree (the fusion contract).
-    if (a.data != nullptr) {
-      restore_host(a, start.a);
-      restore_host(r, start.r);
-    }
-    sinks.push_back(std::make_unique<PreemptSink>(*this, job));
-    qr::QrOptions opts = job.spec.options;
-    opts.blocksize = job.blocksize;
-    opts.precision = job.spec.precision;
-    opts.checkpoint_sink = sinks.back().get();
-    opts.checkpoint_every = cfg_.checkpoint_every;
-    opts.resume_units = start.units_done;
-    bjobs.push_back(qr::detail::BatchJob{
-        job.spec.algorithm, a, r, opts,
-        "j" + std::to_string(job.id) + "."});
-    names += (names.empty() ? "" : "+") + job.spec.name;
-  }
-
-  try {
-    sim::TraceSpan span(dev, "serve.fused " + names);
-    qr::detail::run_fused_batch(dev, bjobs);
-    finish_fused_attempt(batch, window, device_index, JobState::Completed,
-                         "", AttemptOutcome::Clean);
-  } catch (const PreemptRequest&) {
-    // One member's sink threw at a fused round boundary; the whole batch
-    // unwound. Every member requeues from its own checkpoint and resumes
-    // solo or in a different fusion — bit-identical either way.
-    dev.synchronize();
-    finish_fused_attempt(batch, window, device_index, JobState::Preempted,
-                         "", AttemptOutcome::Clean);
-  } catch (const WatchdogTrip&) {
-    dev.synchronize();
-    finish_fused_attempt(batch, window, device_index, JobState::Queued,
-                         "watchdog: an operation exceeded the " +
-                             std::to_string(cfg_.watchdog_timeout) +
-                             "s simulated timeout",
-                         AttemptOutcome::DeviceFailure);
-  } catch (const Error& e) {
-    dev.synchronize();
-    finish_fused_attempt(batch, window, device_index, JobState::Queued,
-                         e.what(),
-                         dev.dead() ? AttemptOutcome::DeviceLoss
-                                    : AttemptOutcome::DeviceFailure);
-  }
-}
-
-void Scheduler::finish_fused_attempt(const std::vector<Job*>& batch,
-                                     size_t window, int device_index,
-                                     JobState state,
-                                     const std::string& failure,
-                                     AttemptOutcome outcome) {
-  const sim::Device& dev = *devices_[static_cast<size_t>(device_index)];
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    const auto du = static_cast<size_t>(device_index);
-    const qr::QrStats whole =
-        qr::stats_from_trace(dev.trace(), window, dev.memory_peak());
-    if (whole.events > 0) {
-      device_avail_[du] = std::max(device_avail_[du], whole.last_end);
-    }
-    device_busy_[du] = 0;
-    --running_;
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(device_index);
-      break;
-    case AttemptOutcome::DeviceFailure:
-      newly_dead = note_device_failure_locked(device_index);
-      break;
-    case AttemptOutcome::Clean:
-      note_device_success_locked(device_index);
-      break;
-    }
-    const qr::QrStats per =
-        split_fused_stats(whole, static_cast<int>(batch.size()));
-    for (Job* member : batch) {
-      accumulate_stats(member->stats, per);
-      if (newly_dead && state != JobState::Completed &&
-          state != JobState::Preempted) {
-        migrate_locked(*member, failure);
-        continue;
-      }
-      JobState member_state = state;
-      if (state == JobState::Queued &&
-          member->retries >= cfg_.max_job_retries) {
-        member_state = JobState::Failed;
-      }
-      record_outcome_locked(*member, member_state, failure);
     }
   }
   cv_.notify_all();
@@ -1270,6 +971,10 @@ void Scheduler::finish_fused_attempt(const std::vector<Job*>& batch,
 
 void Scheduler::record_outcome_locked(Job& job, JobState state,
                                       const std::string& failure) {
+  // A fault retry past the cap fails the job instead.
+  if (state == JobState::Queued && job.retries >= cfg_.max_job_retries) {
+    state = JobState::Failed;
+  }
   job.state = state;
   job.preempt_requested = false;
   switch (state) {
@@ -1295,162 +1000,6 @@ void Scheduler::record_outcome_locked(Job& job, JobState state,
     break;
   }
   if (state == JobState::Completed) job.failure.clear();
-}
-
-void Scheduler::run_gang_attempt(Job& job) {
-  // The gang runs on the devices acquired at dispatch (the survivors): a
-  // re-planned attempt after a device loss never touches the dead member.
-  std::vector<sim::Device*> fleet;
-  std::vector<size_t> windows;
-  std::vector<int> gang;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    gang = job.gang_devices;
-    fleet.reserve(gang.size());
-    windows.reserve(gang.size());
-    for (const int d : gang) {
-      fleet.push_back(devices_[static_cast<size_t>(d)].get());
-      windows.push_back(fleet.back()->trace().size());
-    }
-    job.watch_from = windows;
-  }
-  PreemptSink sink(*this, job);
-
-  qr::QrOptions opts = job.spec.options;
-  opts.blocksize = job.blocksize;
-  opts.precision = job.spec.precision;
-  opts.checkpoint_sink = &sink;
-  opts.checkpoint_every = cfg_.checkpoint_every;
-  opts.resume_units = 0;
-
-  sim::HostMutRef a = job.spec.a.data != nullptr
-                          ? job.spec.a
-                          : sim::HostMutRef::phantom(job.spec.m, job.spec.n);
-  sim::HostMutRef r = job.spec.r.data != nullptr
-                          ? job.spec.r
-                          : sim::HostMutRef::phantom(job.spec.n, job.spec.n);
-
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!job.has_checkpoint) {
-      qr::Checkpoint cp0;
-      cp0.driver = job.spec.algorithm;
-      cp0.m = job.spec.m;
-      cp0.n = job.spec.n;
-      cp0.blocksize = job.blocksize;
-      cp0.columns_done = 0;
-      cp0.units_done = 0;
-      cp0.a = snapshot_host(a);
-      cp0.r = snapshot_host(r);
-      job.checkpoint = std::move(cp0);
-      job.has_checkpoint = true;
-    }
-  }
-
-  try {
-    qr::Checkpoint start;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      start = job.checkpoint;
-    }
-    std::vector<std::unique_ptr<sim::TraceSpan>> spans;
-    spans.reserve(fleet.size());
-    for (sim::Device* dev : fleet) {
-      spans.push_back(std::make_unique<sim::TraceSpan>(
-          *dev, "serve.job " + job.spec.name + " attempt " +
-                    std::to_string(job.attempts)));
-    }
-    qr::resume(qr::QrProblem{fleet, a, r, qr::Algorithm::Tsqr, opts}, start);
-    spans.clear();
-    finish_gang_attempt(job, windows, JobState::Completed, "",
-                        AttemptOutcome::Clean, -1);
-  } catch (const PreemptRequest&) {
-    sim::synchronize_all(fleet);
-    finish_gang_attempt(job, windows, JobState::Preempted, "",
-                        AttemptOutcome::Clean, -1);
-  } catch (const WatchdogTrip& w) {
-    sim::synchronize_all(fleet);
-    const bool retry = job.retries < cfg_.max_job_retries;
-    finish_gang_attempt(job, windows,
-                        retry ? JobState::Queued : JobState::Failed,
-                        "watchdog: an operation exceeded the " +
-                            std::to_string(cfg_.watchdog_timeout) +
-                            "s simulated timeout",
-                        AttemptOutcome::DeviceFailure, w.device);
-  } catch (const Error& e) {
-    sim::synchronize_all(fleet);
-    // Attribute the failure: a gang member whose device is dead makes this
-    // a device loss; otherwise the error is unattributable (no strike).
-    int lost = -1;
-    for (size_t g = 0; g < fleet.size(); ++g) {
-      if (fleet[g]->dead()) {
-        lost = gang[g];
-        break;
-      }
-    }
-    if (lost >= 0) {
-      finish_gang_attempt(job, windows, JobState::Queued, e.what(),
-                          AttemptOutcome::DeviceLoss, lost);
-    } else {
-      const bool retry = job.retries < cfg_.max_job_retries;
-      finish_gang_attempt(job, windows,
-                          retry ? JobState::Queued : JobState::Failed,
-                          e.what(), AttemptOutcome::DeviceFailure, -1);
-    }
-  }
-}
-
-void Scheduler::finish_gang_attempt(Job& job,
-                                    const std::vector<size_t>& windows,
-                                    JobState state,
-                                    const std::string& failure,
-                                    AttemptOutcome outcome,
-                                    int failed_device) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::vector<qr::QrStats> per_device;
-    per_device.reserve(job.gang_devices.size());
-    for (size_t g = 0; g < job.gang_devices.size(); ++g) {
-      const auto d = static_cast<size_t>(job.gang_devices[g]);
-      per_device.push_back(qr::stats_from_trace(
-          devices_[d]->trace(), windows[g], devices_[d]->memory_peak()));
-    }
-    accumulate_stats(job.stats, qr::combine_device_stats(per_device));
-    for (size_t g = 0; g < per_device.size(); ++g) {
-      const auto d = static_cast<size_t>(job.gang_devices[g]);
-      if (per_device[g].events > 0) {
-        device_avail_[d] = std::max(device_avail_[d], per_device[g].last_end);
-      }
-      device_busy_[d] = 0;
-    }
-    running_ -= static_cast<int>(job.gang_devices.size());
-    gang_active_ = false;
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(failed_device);
-      break;
-    case AttemptOutcome::DeviceFailure:
-      // A gang failure without an attributable device strikes nobody.
-      if (failed_device >= 0) {
-        newly_dead = note_device_failure_locked(failed_device);
-      }
-      break;
-    case AttemptOutcome::Clean:
-      for (const int d : job.gang_devices) note_device_success_locked(d);
-      break;
-    }
-    if (newly_dead && state != JobState::Completed &&
-        state != JobState::Preempted) {
-      // Gang re-planning: the checkpoint pins the leaf layout, so the
-      // resumed gang on the survivors reproduces the clean result bit for
-      // bit — only the dead member's unfinished leaves re-host.
-      migrate_locked(job, failure);
-    } else {
-      record_outcome_locked(job, state, failure);
-    }
-  }
-  cv_.notify_all();
 }
 
 FleetReport Scheduler::build_report() {

@@ -20,6 +20,12 @@
 // same way: a failed attempt retries from the job's latest checkpoint up
 // to max_job_retries times.
 //
+// Every attempt is one *dispatch* of one of four kinds — solo, colocated,
+// fused or gang — claimed under the lock, run through one preparation and
+// one unwind path, and released by one epilogue that attributes stats per
+// kind and requeues, retries, fails or migrates every member. A device
+// held by a live dispatch is never claimed by another.
+//
 // Single-device jobs (algorithms "tiled", "blocking", "left" — mixed
 // freely) can be *colocated*: when max_colocated_jobs > 1 and the ready
 // queue outnumbers the idle devices, a worker that picks such a job also
@@ -52,7 +58,8 @@
 // backfilling lower-priority work (and, with preemption on, every running
 // job of strictly lower priority is asked to yield) until the fleet is
 // fully idle and the gang dispatches in one step, so backfill can never
-// deadlock or starve it. A running gang checkpoints at leaf-factorization
+// deadlock or starve it, and no worker starts other work on the gang's
+// devices while it runs. A running gang checkpoints at leaf-factorization
 // boundaries ("tsqr" driver tag), preempts and resumes like any other job,
 // and its per-device trace windows roll up through
 // qr::combine_device_stats.
@@ -77,6 +84,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -185,38 +193,40 @@ class Scheduler {
   /// the device's strikes, DeviceFailure adds one (Suspect, then Dead at
   /// the threshold), DeviceLoss kills the device outright.
   enum class AttemptOutcome { Clean, DeviceFailure, DeviceLoss };
+  /// Solo: one job on one device (qr::resume, the paper-faithful driver).
+  /// Colocated: several single-device jobs as one task graph
+  /// (qr::detail::run_batch). Fused: same-shape "blocking" jobs as one
+  /// batched node program (qr::detail::run_fused_batch). Gang: one TSQR job
+  /// across every surviving device (qr::resume).
+  enum class DispatchKind { Solo, Colocated, Fused, Gang };
+  /// One attempt of its members on its devices: claimed atomically under
+  /// the lock, released by finish_dispatch. No other dispatch touches its
+  /// devices in between.
+  struct Dispatch {
+    DispatchKind kind = DispatchKind::Solo;
+    std::vector<Job*> members;
+    std::vector<int> devices;
+    /// Per device (indexed like `devices`): the trace size at dispatch,
+    /// which opens the attempt's stats window, and the watchdog's scan
+    /// cursor.
+    std::vector<size_t> windows;
+    std::vector<size_t> watch_from;
+  };
 
   void worker(int device_index);
-  void run_attempt(int device_index, Job& job);
-  void run_colocated_attempt(int device_index,
-                             const std::vector<Job*>& batch);
-  /// Dispatches a coalesced batch of same-shape "blocking" jobs through
-  /// qr::detail::run_fused_batch (block-diagonal batched ops, one task
-  /// -graph round per fused panel). Same unwind/requeue contract as the
-  /// colocated path.
-  void run_fused_attempt(int device_index, const std::vector<Job*>& batch);
-  void run_gang_attempt(Job& job);
-  void finish_colocated_attempt(const std::vector<Job*>& batch,
-                                size_t window, int device_index,
-                                JobState state, const std::string& failure,
-                                AttemptOutcome outcome);
-  /// Fused epilogue: per-member stats are an even 1/K split of the fused
-  /// window's volume aggregates (the batched ops carry no per-job op-name
-  /// prefix; the split is exact because the members are identical in shape
-  /// and arithmetic).
-  void finish_fused_attempt(const std::vector<Job*>& batch, size_t window,
-                            int device_index, JobState state,
-                            const std::string& failure,
-                            AttemptOutcome outcome);
-  void finish_attempt(Job& job, size_t window, int device_index,
-                      JobState state, const std::string& failure,
-                      AttemptOutcome outcome);
-  void finish_gang_attempt(Job& job, const std::vector<size_t>& windows,
-                           JobState state, const std::string& failure,
-                           AttemptOutcome outcome, int failed_device);
+  /// `primary` followed by further ready jobs `compatible` with it, up to
+  /// `limit` members — only while the ready queue outnumbers the idle
+  /// devices and the summed predicted peaks fit the admission budget.
+  std::vector<Job*>
+  claim_locked(Job& primary, int limit,
+               const std::function<bool(const Job&)>& compatible) const;
+  void run_dispatch(Dispatch& d);
+  void finish_dispatch(const Dispatch& d, JobState state,
+                       const std::string& failure, AttemptOutcome outcome,
+                       int struck_device);
   void record_outcome_locked(Job& job, JobState state,
                              const std::string& failure);
-  void on_unit_completed(Job& job, const qr::Checkpoint& cp);
+  void on_unit_completed(Dispatch& d, Job& job, const qr::Checkpoint& cp);
   // --- Fleet health & failover ---------------------------------------------
   int alive_devices_locked() const;
   /// Adds a strike to the device; returns true if it just became Dead.
@@ -235,11 +245,13 @@ class Scheduler {
   /// charged against max_job_retries; sheds/fails it if no survivor can
   /// take it.
   void migrate_locked(Job& job, const std::string& failure);
-  /// Scans the attempt's new trace events for an op longer than the
+  /// Scans the dispatch's new trace events for an op longer than the
   /// watchdog timeout; returns the offending device or -1. Advances the
-  /// job's scan cursors.
-  int watchdog_tripped_locked(Job& job);
-  bool may_act_locked(int device_index, double t) const;
+  /// dispatch's scan cursors.
+  int watchdog_tripped_locked(Dispatch& d);
+  /// True if no device outside `own` could still act at an earlier
+  /// simulated instant than `t`.
+  bool may_act_locked(const std::vector<int>& own, double t) const;
   /// Latest availability bound published by any alive device — the fleet's
   /// simulated "now" for queue-wait accounting.
   double sim_now_locked() const;
@@ -265,10 +277,8 @@ class Scheduler {
   std::vector<double> device_avail_;
   std::vector<char> device_busy_;
   index_t fleet_units_ = 0;
-  /// Busy devices (a gang job counts as cfg_.devices of them).
+  /// Busy devices (a gang counts every device it holds).
   int running_ = 0;
-  /// A gang job currently owns the whole fleet.
-  bool gang_active_ = false;
   std::int64_t preempt_events_ = 0;
   std::int64_t retry_events_ = 0;
   /// Exact simulated queue wait of every dispatch, in dispatch order

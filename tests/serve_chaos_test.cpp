@@ -2,6 +2,8 @@
 // inject transient transfer faults and a mid-run allocation OOM, and
 // require every admitted job to complete with a numerically correct
 // factorization, no leaked device allocations, and a coherent fleet report.
+// Fused and colocated dispatches that fail retry every member under the
+// retry cap.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -107,6 +109,93 @@ TEST(ServeChaos, FaultyFleetCompletesEveryJob) {
   for (const auto& dev : sched.devices()) {
     EXPECT_EQ(dev->live_allocations(), 0u);
   }
+}
+
+// Fault epilogues of the batched dispatch kinds: a failed fused or
+// colocated dispatch requeues (or, past the retry cap, fails) every member.
+enum class Batching { Fused, Colocated };
+
+/// Eight 2048x512 jobs at b=64 on a fleet that packs up to four per
+/// dispatch: same-shape "blocking" jobs fuse, a tiled/left/blocking mix
+/// colocates.
+FleetReport run_batched(Batching kind, ServeConfig cfg) {
+  if (kind == Batching::Fused) {
+    cfg.max_fused_jobs = 4;
+  } else {
+    cfg.max_colocated_jobs = 4;
+  }
+  Scheduler sched(cfg);
+  const char* mix[] = {"tiled", "left", "blocking"};
+  for (int i = 0; i < 8; ++i) {
+    JobSpec job;
+    job.name = "batched" + std::to_string(i);
+    job.m = 2048;
+    job.n = 512;
+    job.blocksize = 64;
+    job.algorithm = kind == Batching::Fused ? "blocking" : mix[i % 3];
+    EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  FleetReport rep = sched.run();
+  for (const auto& dev : sched.devices()) {
+    EXPECT_EQ(dev->live_allocations(), 0u);
+  }
+  return rep;
+}
+
+/// One device whose first four H2D copies fail: the first dispatch (jobs
+/// 0-3) exhausts the copy-retry budget (4 attempts) once and unwinds.
+ServeConfig exhausted_copy_retries() {
+  ServeConfig cfg;
+  cfg.devices = 1;
+  cfg.device_faults = {"h2d:transient:p=1,count=4"};
+  return cfg;
+}
+
+void expect_batch_retried_once(Batching kind) {
+  const FleetReport rep = run_batched(kind, exhausted_copy_retries());
+  EXPECT_EQ(rep.jobs_completed, 8);
+  EXPECT_EQ(rep.jobs_failed, 0);
+  EXPECT_EQ(rep.job_retries, 4);
+  for (size_t i = 0; i < rep.jobs.size(); ++i) {
+    const JobReport& j = rep.jobs[i];
+    EXPECT_EQ(j.state, JobState::Completed) << j.name;
+    EXPECT_EQ(j.attempts, i < 4 ? 2 : 1) << j.name;
+    EXPECT_EQ(j.retries, i < 4 ? 1 : 0) << j.name;
+  }
+}
+
+void expect_batch_failed_at_retry_cap(Batching kind) {
+  ServeConfig cfg = exhausted_copy_retries();
+  cfg.max_job_retries = 0;
+  const FleetReport rep = run_batched(kind, cfg);
+  EXPECT_EQ(rep.jobs_failed, 4);
+  EXPECT_EQ(rep.jobs_completed, 4);
+  EXPECT_EQ(rep.job_retries, 0);
+  for (size_t i = 0; i < rep.jobs.size(); ++i) {
+    const JobReport& j = rep.jobs[i];
+    EXPECT_EQ(j.state, i < 4 ? JobState::Failed : JobState::Completed)
+        << j.name;
+    EXPECT_EQ(j.attempts, 1) << j.name;
+    if (i < 4) {
+      EXPECT_FALSE(j.failure.empty()) << j.name;
+    }
+  }
+}
+
+TEST(ServeChaos, FusedBatchRetriesEveryMember) {
+  expect_batch_retried_once(Batching::Fused);
+}
+
+TEST(ServeChaos, ColocatedBatchRetriesEveryMember) {
+  expect_batch_retried_once(Batching::Colocated);
+}
+
+TEST(ServeChaos, FusedBatchFailsEveryMemberAtRetryCap) {
+  expect_batch_failed_at_retry_cap(Batching::Fused);
+}
+
+TEST(ServeChaos, ColocatedBatchFailsEveryMemberAtRetryCap) {
+  expect_batch_failed_at_retry_cap(Batching::Colocated);
 }
 
 } // namespace

@@ -255,6 +255,57 @@ TEST(ServeFailover, SuspectDeviceRecoversOnSuccess) {
   EXPECT_EQ(rep.device_health[0], "healthy");
 }
 
+enum class Batching { Fused, Colocated };
+
+/// Eight 2048x512 jobs at b=64 on two devices, device 0 dying at its
+/// fourth H2D copy: the batch of four it holds (fused "blocking" jobs, or
+/// a colocated tiled/left/blocking mix) migrates to the survivor.
+void expect_batch_migrates(Batching kind) {
+  ServeConfig cfg;
+  cfg.devices = 2;
+  cfg.device_faults = {"h2d:fatal:after=3", ""};
+  if (kind == Batching::Fused) {
+    cfg.max_fused_jobs = 4;
+  } else {
+    cfg.max_colocated_jobs = 4;
+  }
+  Scheduler sched(cfg);
+  const char* mix[] = {"tiled", "left", "blocking"};
+  for (int i = 0; i < 8; ++i) {
+    JobSpec job;
+    job.name = "batched" + std::to_string(i);
+    job.m = 2048;
+    job.n = 512;
+    job.blocksize = 64;
+    job.algorithm = kind == Batching::Fused ? "blocking" : mix[i % 3];
+    ASSERT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+
+  const FleetReport rep = sched.run();
+  EXPECT_EQ(rep.devices_lost, 1);
+  EXPECT_EQ(rep.jobs_migrated, 4);
+  EXPECT_EQ(rep.jobs_completed, 8);
+  EXPECT_EQ(rep.jobs_failed, 0);
+  EXPECT_EQ(rep.job_retries, 0); // migration is not charged as a retry
+  ASSERT_EQ(rep.device_health.size(), 2u);
+  EXPECT_EQ(rep.device_health[0], "dead");
+  EXPECT_EQ(rep.device_health[1], "healthy");
+  for (const JobReport& j : rep.jobs) {
+    EXPECT_EQ(j.state, JobState::Completed) << j.name << ": " << j.failure;
+  }
+  for (const auto& dev : sched.devices()) {
+    EXPECT_EQ(dev->live_allocations(), 0u);
+  }
+}
+
+TEST(ServeFailover, FusedBatchMigratesOffDeadDevice) {
+  expect_batch_migrates(Batching::Fused);
+}
+
+TEST(ServeFailover, ColocatedBatchMigratesOffDeadDevice) {
+  expect_batch_migrates(Batching::Colocated);
+}
+
 TEST(ServeFailover, DeadlineGangIsShedAfterFleetShrink) {
   // Phantom gang with a deadline that fits the 4-device quote but not the
   // 3-device one: when a device dies mid-run, the re-quote against the

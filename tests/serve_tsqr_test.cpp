@@ -211,6 +211,60 @@ TEST(ServeTsqr, PreemptedGangResumesBitIdentical) {
   EXPECT_TRUE(bitwise_equal(gang_r, r_ref));
 }
 
+TEST(ServeTsqr, GangsShareTheQueueWithFusedAndColocatedWork) {
+  // Gangs among fused and colocated work, everything behind staggered
+  // arrival gates: work keeps arriving while a gang holds the whole fleet,
+  // and no worker may start it on a device the gang is using (two threads
+  // would append to one device trace). Five runs of the same mix must
+  // agree on every preemption and every queue wait. (Devices with equal
+  // availability bounds may still trade jobs, so last_device is not
+  // compared.)
+  auto run = []() {
+    ServeConfig cfg;
+    cfg.devices = 4;
+    cfg.max_fused_jobs = 8;
+    cfg.max_colocated_jobs = 4;
+    Scheduler sched(cfg);
+    for (int i = 0; i < 48; ++i) {
+      JobSpec job;
+      job.name = "small" + std::to_string(i);
+      job.algorithm = "blocking";
+      job.m = 2048;
+      job.n = 512;
+      job.blocksize = 64;
+      job.arrival_after_units = 4 * i;
+      EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+    }
+    for (int i = 0; i < 6; ++i) {
+      JobSpec job;
+      job.name = "medium" + std::to_string(i);
+      job.algorithm = i % 2 == 0 ? "tiled" : "left";
+      job.m = 8192;
+      job.n = 2048;
+      job.blocksize = 512;
+      job.arrival_after_units = 30 * i;
+      EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+    }
+    for (int i = 0; i < 3; ++i) {
+      JobSpec gang = tsqr_job("gang" + std::to_string(i), 65536, 2048, 512);
+      gang.priority = 1;
+      gang.arrival_after_units = 20 + 60 * i;
+      EXPECT_TRUE(sched.submit(gang).admitted) << gang.name;
+    }
+    return sched.run();
+  };
+
+  const FleetReport first = run();
+  for (int k = 0; k < 5; ++k) {
+    const FleetReport rep = k == 0 ? first : run();
+    EXPECT_EQ(rep.jobs_completed, 57) << "run " << k;
+    EXPECT_EQ(rep.jobs_failed, 0) << "run " << k;
+    EXPECT_EQ(rep.jobs_preempted, first.jobs_preempted) << "run " << k;
+    EXPECT_EQ(rep.queue_waits, first.queue_waits) << "run " << k;
+  }
+  EXPECT_GT(first.jobs_preempted, 0);
+}
+
 TEST(ServeTsqr, MixedBatchWithGangCompletes) {
   // A gang mid-batch among single-device jobs: everything completes and
   // the gang's stats cover more than one device's trace window.
