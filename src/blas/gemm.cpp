@@ -30,29 +30,17 @@ void validate(Op opa, Op opb, index_t m, index_t n, index_t k, const float* a,
   }
 }
 
-float load_rounded(const float* p, GemmPrecision precision) {
-  return precision == GemmPrecision::FP16_FP32
-             ? static_cast<float>(half(*p))
-             : *p;
-}
-
 /// Packs op(X) (rows x cols after the op) into a dense column-major buffer —
 /// the baseline kernel's whole-operand pack.
 void pack_whole(Op op, index_t rows, index_t cols, const float* x, index_t ldx,
                 GemmPrecision precision, float* out) {
-  if (op == Op::NoTrans) {
-    for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        out[i + j * rows] = load_rounded(&x[i + j * ldx], precision);
-      }
-    }
-  } else {
-    for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        out[i + j * rows] = load_rounded(&x[j + i * ldx], precision);
-      }
+  for (index_t j = 0; j < cols; ++j) {
+    for (index_t i = 0; i < rows; ++i) {
+      out[i + j * rows] = *kernel::op_element(op, x, ldx, i, j);
     }
   }
+  const size_t count = static_cast<size_t>(rows) * static_cast<size_t>(cols);
+  kernel::round_and_scale(precision, 1.0f, out, count);
 }
 
 /// Scales C by beta over the pool — shared prologue of both kernels.
@@ -177,13 +165,17 @@ void gemm_reference(Op opa, Op opb, index_t m, index_t n, index_t k,
                     index_t ldb, float beta, float* c, index_t ldc,
                     GemmPrecision precision) {
   validate(opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
+  // Rounds through the half class, not the kernel's round_through_half, so
+  // the oracle stays independent of the fast path it checks.
+  const auto load = [precision](float x) {
+    return precision == GemmPrecision::FP16_FP32 ? static_cast<float>(half(x))
+                                                 : x;
+  };
   const auto load_a = [&](index_t i, index_t l) {
-    const float* p = opa == Op::NoTrans ? &a[i + l * lda] : &a[l + i * lda];
-    return load_rounded(p, precision);
+    return load(opa == Op::NoTrans ? a[i + l * lda] : a[l + i * lda]);
   };
   const auto load_b = [&](index_t l, index_t j) {
-    const float* p = opb == Op::NoTrans ? &b[l + j * ldb] : &b[j + l * ldb];
-    return load_rounded(p, precision);
+    return load(opb == Op::NoTrans ? b[l + j * ldb] : b[j + l * ldb]);
   };
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < m; ++i) {

@@ -31,7 +31,7 @@
 #include <cstddef>
 
 #include "blas/gemm.hpp"
-#include "common/half.hpp"
+#include "blas/half_round.hpp"
 #include "common/types.hpp"
 
 namespace rocqr::blas::kernel {
@@ -41,12 +41,6 @@ inline constexpr index_t kNR = 6;
 inline constexpr index_t kMC = 128;  // multiple of kMR
 inline constexpr index_t kKC = 256;
 inline constexpr index_t kNC = 1536; // multiple of kNR
-
-inline float load_rounded(const float* p, GemmPrecision precision) {
-  return precision == GemmPrecision::FP16_FP32
-             ? static_cast<float>(half(*p))
-             : *p;
-}
 
 /// op(X)(i, j) for X stored column-major with leading dimension ldx.
 inline const float* op_element(Op op, const float* x, index_t ldx, index_t i,
@@ -69,6 +63,21 @@ inline size_t packed_b_size(index_t kb, index_t nb) {
          static_cast<size_t>(kb);
 }
 
+/// p[e] = alpha * fp16(p[e]) on the TensorCore path, alpha * p[e] on the
+/// fp32 one, over a whole packed buffer. Every pack gathers op(X) plain
+/// first: the gathers stride through memory, so rounding there would go
+/// element by element, while over the contiguous buffer it vectorizes.
+/// The pass also scales the zero padding, which no stored element of C
+/// sees: pads only feed the trimmed rows and columns.
+inline void round_and_scale(GemmPrecision precision, float alpha, float* p,
+                            size_t count) {
+  if (precision == GemmPrecision::FP16_FP32) {
+    for (size_t e = 0; e < count; ++e) p[e] = alpha * round_through_half(p[e]);
+  } else if (alpha != 1.0f) {
+    for (size_t e = 0; e < count; ++e) p[e] = alpha * p[e];
+  }
+}
+
 /// Packs op(A)(row0 : row0+mb, col0 : col0+kb) into kMR-row strips:
 /// out[s*kMR*kb + l*kMR + i] = op(A)(row0 + s*kMR + i, col0 + l), rounded
 /// through fp16 on the TensorCore path. Rows past mb are zero-filled.
@@ -83,12 +92,12 @@ inline void pack_a(Op opa, GemmPrecision precision, const float* a,
     for (index_t l = 0; l < kb; ++l) {
       float* dst = strip + l * kMR;
       for (index_t i = 0; i < iv; ++i) {
-        dst[i] = load_rounded(
-            op_element(opa, a, lda, row0 + i0 + i, col0 + l), precision);
+        dst[i] = *op_element(opa, a, lda, row0 + i0 + i, col0 + l);
       }
       for (index_t i = iv; i < kMR; ++i) dst[i] = 0.0f;
     }
   }
+  round_and_scale(precision, 1.0f, out, packed_a_size(mb, kb));
 }
 
 /// Packs alpha * op(B)(row0 : row0+kb, col0 : col0+nb) into kNR-column
@@ -106,13 +115,12 @@ inline void pack_b(Op opb, GemmPrecision precision, float alpha,
     for (index_t l = 0; l < kb; ++l) {
       float* dst = strip + l * kNR;
       for (index_t j = 0; j < jv; ++j) {
-        dst[j] = alpha * load_rounded(
-                             op_element(opb, b, ldb, row0 + l, col0 + j0 + j),
-                             precision);
+        dst[j] = *op_element(opb, b, ldb, row0 + l, col0 + j0 + j);
       }
       for (index_t j = jv; j < kNR; ++j) dst[j] = 0.0f;
     }
   }
+  round_and_scale(precision, alpha, out, packed_b_size(kb, nb));
 }
 
 /// C(0:mv, 0:nv) += Ap_strip * Bp_strip over kb depth steps. Ap/Bp are one

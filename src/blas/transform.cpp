@@ -1,7 +1,7 @@
 #include "blas/transform.hpp"
 
+#include "blas/half_round.hpp"
 #include "common/error.hpp"
-#include "common/half.hpp"
 
 namespace rocqr::blas {
 
@@ -32,7 +32,7 @@ void transpose(index_t m, index_t n, const float* src, index_t ld_src,
 void round_to_half(index_t m, index_t n, float* x, index_t ldx) {
   for (index_t j = 0; j < n; ++j) {
     float* col = x + j * ldx;
-    for (index_t i = 0; i < m; ++i) col[i] = static_cast<float>(half(col[i]));
+    for (index_t i = 0; i < m; ++i) col[i] = round_through_half(col[i]);
   }
 }
 

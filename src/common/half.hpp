@@ -33,8 +33,11 @@ class half {
 
   /// Conversion from float rounds to nearest-even, like cvt.rn.f16.f32.
   explicit half(float f) noexcept : bits_(detail::float_to_half_bits(f)) {}
-  explicit half(double d) noexcept : half(static_cast<float>(d)) {}
-  explicit half(int i) noexcept : half(static_cast<float>(i)) {}
+  /// No double or int conversion: double -> float -> half rounds twice
+  /// (1 + 2^-11 + 2^-40 would become 1, not 1 + 2^-10). Convert to float
+  /// first, where that is what is meant.
+  half(double) = delete;
+  half(int) = delete;
 
   /// Implicit widening to float is safe (exact) and keeps call sites terse.
   operator float() const noexcept { return detail::half_bits_to_float(bits_); }

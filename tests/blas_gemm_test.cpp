@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
 
 #include "blas/gemm.hpp"
 #include "common/half.hpp"
+#include "common/rng.hpp"
 #include "la/generate.hpp"
 #include "la/matrix.hpp"
 #include "la/norms.hpp"
@@ -134,6 +136,85 @@ TEST(Gemm, Fp16PathRoundsInputs) {
              0.0f, c.data(), 1, blas::GemmPrecision::FP16_FP32);
   EXPECT_EQ(c(0, 0), float(half(a(0, 0))));
   EXPECT_NE(c(0, 0), a(0, 0));
+}
+
+/// A stored operand whose entries stress the fp16 input rounding: long
+/// mantissas, half subnormals, exact ties between two adjacent halves
+/// (normal and subnormal), and a few entries at the 65504/65520 overflow
+/// edge.
+la::Matrix fp16_edge_operand(index_t rows, index_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  la::Matrix x(rows, cols);
+  for (index_t j = 0; j < cols; ++j) {
+    for (index_t i = 0; i < rows; ++i) {
+      const float odd = 2.0f * static_cast<float>(rng.below(1024)) + 1.0f;
+      float v = static_cast<float>(rng.uniform(-2.0, 2.0));
+      switch (rng.below(6)) {
+      case 0: // half subnormal
+        v = static_cast<float>(rng.uniform(-1.0, 1.0)) * 0x1.0p-14f;
+        break;
+      case 1: // tie between two subnormal halves (or 2^-14)
+        v = odd * 0x1.0p-25f;
+        break;
+      case 2: // tie between two normal halves in (-2, -1)
+        v = -(1.0f + odd * 0x1.0p-11f);
+        break;
+      default:
+        break;
+      }
+      x(i, j) = v;
+    }
+  }
+  x(0, 0) = 65520.0f;                 // tie; nearest-even is +inf
+  x(rows - 1, cols - 1) = -70000.0f;  // -inf
+  x(rows / 2, cols / 2) = 65519.0f;   // rounds down to 65504
+  x(rows / 3, cols - 1) = 65504.0f;   // half max, exact
+  return x;
+}
+
+la::Matrix rounded_through_half(const la::Matrix& x) {
+  la::Matrix r = la::materialize(x.view());
+  for (index_t j = 0; j < r.cols(); ++j) {
+    for (index_t i = 0; i < r.rows(); ++i) r(i, j) = float(half(r(i, j)));
+  }
+  return r;
+}
+
+// The fp16 contract, bit for bit: FP16_FP32 must give exactly the bytes
+// FP32 gives on operands pre-rounded through float(half(x)). MatchesReference
+// compares against a tolerance and cannot see a one-ulp rounding slip.
+// 130 x 70 x 300 crosses the kMC and kKC cache-block edges.
+TEST(Gemm, Fp16PathEqualsFp32OnPreRoundedOperands) {
+  const index_t m = 130;
+  const index_t n = 70;
+  const index_t k = 300;
+  for (const Op opa : {Op::NoTrans, Op::Trans}) {
+    for (const Op opb : {Op::NoTrans, Op::Trans}) {
+      const la::Matrix a = opa == Op::NoTrans ? fp16_edge_operand(m, k, 1)
+                                              : fp16_edge_operand(k, m, 1);
+      const la::Matrix b = opb == Op::NoTrans ? fp16_edge_operand(k, n, 2)
+                                              : fp16_edge_operand(n, k, 2);
+      const la::Matrix a16 = rounded_through_half(a);
+      const la::Matrix b16 = rounded_through_half(b);
+      using Kernel = decltype(&blas::gemm);
+      for (const Kernel kernel : {&blas::gemm, &blas::gemm_baseline}) {
+        la::Matrix c_fp16 = la::random_uniform(m, n, 3);
+        la::Matrix c_fp32 = la::materialize(c_fp16.view());
+        kernel(opa, opb, m, n, k, 1.25f, a.data(), a.ld(), b.data(), b.ld(),
+               -0.5f, c_fp16.data(), c_fp16.ld(), GemmPrecision::FP16_FP32,
+               nullptr);
+        kernel(opa, opb, m, n, k, 1.25f, a16.data(), a16.ld(), b16.data(),
+               b16.ld(), -0.5f, c_fp32.data(), c_fp32.ld(),
+               GemmPrecision::FP32, nullptr);
+        EXPECT_EQ(std::memcmp(c_fp16.data(), c_fp32.data(),
+                              sizeof(float) * static_cast<size_t>(m * n)),
+                  0)
+            << "opa=" << static_cast<int>(opa)
+            << " opb=" << static_cast<int>(opb)
+            << (kernel == &blas::gemm ? " gemm" : " gemm_baseline");
+      }
+    }
+  }
 }
 
 TEST(Gemm, SubviewLeadingDimensions) {

@@ -2,15 +2,26 @@
 // GEMM inputs must be bit-exact, so these tests pin it down hard.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
+#include <vector>
 
+#include "blas/transform.hpp"
 #include "common/half.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace rocqr {
 namespace {
+
+// double -> float -> half would round twice (1 + 2^-11 + 2^-40 would become
+// 1, not 1 + 2^-10), so half converts from float only.
+static_assert(!std::is_constructible_v<half, double>);
+static_assert(!std::is_constructible_v<half, int>);
 
 TEST(Half, ZeroRoundTrips) {
   EXPECT_EQ(half(0.0f).bits(), 0x0000u);
@@ -160,6 +171,67 @@ TEST(Half, NumericLimits) {
   EXPECT_TRUE(isinf(lim::infinity()));
   EXPECT_TRUE(isnan(lim::quiet_NaN()));
   EXPECT_EQ(lim::digits, 11);
+}
+
+// blas::round_to_half is the rounding every Real-mode path uses: fp16
+// device copies and uploads, fp16 GEMM outputs, round_fp16_block. Feed it
+// every float bit pattern and require exactly the bits float(half(x))
+// gives. That covers NaN payloads, float denormals, ties, the 65504/65520
+// overflow edge and half subnormals. The chunks go through the public
+// entry point, so the library's own build of the kernel is what runs.
+TEST(Half, RoundToHalfMatchesHalfOnEveryFloat) {
+  constexpr index_t kChunk = index_t{1} << 20;
+  constexpr index_t kChunks = (index_t{1} << 32) / kChunk;
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint32_t> first_bad{0xffffffffu};
+  ThreadPool::global().parallel_for(kChunks, [&](index_t c0, index_t c1) {
+    std::vector<float> x(static_cast<size_t>(kChunk));
+    for (index_t c = c0; c < c1; ++c) {
+      const auto base = static_cast<std::uint32_t>(c * kChunk);
+      for (index_t i = 0; i < kChunk; ++i) {
+        x[static_cast<size_t>(i)] =
+            std::bit_cast<float>(base + static_cast<std::uint32_t>(i));
+      }
+      blas::round_to_half(kChunk, 1, x.data(), kChunk);
+      for (index_t i = 0; i < kChunk; ++i) {
+        const std::uint32_t in = base + static_cast<std::uint32_t>(i);
+        const float want = float(half(std::bit_cast<float>(in)));
+        if (std::bit_cast<std::uint32_t>(x[static_cast<size_t>(i)]) !=
+            std::bit_cast<std::uint32_t>(want)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+          std::uint32_t seen = first_bad.load(std::memory_order_relaxed);
+          while (in < seen && !first_bad.compare_exchange_weak(seen, in)) {
+          }
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "lowest mismatching input bits 0x" << std::hex << first_bad.load();
+}
+
+TEST(Half, RoundToHalfLeavesRowsOutsideTheViewUntouched) {
+  constexpr index_t m = 5;
+  constexpr index_t n = 4;
+  constexpr index_t ld = 9;
+  Rng rng(11);
+  std::vector<float> x(static_cast<size_t>(ld * n));
+  // 1 + u * 2^-12 for u in (0, 1) is never an fp16 value, so rounding any
+  // element outside the view would change its bits.
+  for (float& v : x) {
+    v = 1.0f + static_cast<float>(rng.uniform(0.1, 0.9)) * 0x1.0p-12f;
+  }
+  const std::vector<float> before = x;
+  blas::round_to_half(m, n, x.data(), ld);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < ld; ++i) {
+      const auto at = static_cast<size_t>(i + j * ld);
+      const float want = i < m ? float(half(before[at])) : before[at];
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(x[at]),
+                std::bit_cast<std::uint32_t>(want))
+          << "i=" << i << " j=" << j;
+    }
+  }
 }
 
 } // namespace
