@@ -106,56 +106,41 @@ bool abft_check_passes(sim::Device& dev, blas::Op opa, blas::Op opb,
 
 } // namespace
 
-void copy_h2d_retry(sim::Device& dev, sim::DeviceMatrixRef dst,
-                    sim::HostConstRef src, sim::Stream s,
-                    const std::string& name, int max_attempts,
+void copy_h2d_retry(sim::Device& dev,
+                    std::span<const sim::Device::H2dBatchEntry> es,
+                    sim::Stream s, const std::string& name, int max_attempts,
                     double backoff_seconds) {
-  retry_transfer(dev, name, max_attempts, backoff_seconds,
-                 [&] { dev.copy_h2d(dst, src, s, name); });
-}
-
-void copy_d2h_retry(sim::Device& dev, sim::HostMutRef dst,
-                    sim::DeviceMatrixRef src, sim::Stream s,
-                    const std::string& name, int max_attempts,
-                    double backoff_seconds) {
-  retry_transfer(dev, name, max_attempts, backoff_seconds,
-                 [&] { dev.copy_d2h(dst, src, s, name); });
-}
-
-void copy_h2d_batched_retry(sim::Device& dev,
-                            const std::vector<sim::Device::H2dBatchEntry>& es,
-                            sim::Stream s, const std::string& name,
-                            int max_attempts, double backoff_seconds) {
   retry_transfer(dev, name, max_attempts, backoff_seconds,
                  [&] { dev.copy_h2d_batched(es, s, name); });
 }
 
-void copy_d2h_batched_retry(sim::Device& dev,
-                            const std::vector<sim::Device::D2hBatchEntry>& es,
-                            sim::Stream s, const std::string& name,
-                            int max_attempts, double backoff_seconds) {
+void copy_d2h_retry(sim::Device& dev,
+                    std::span<const sim::Device::D2hBatchEntry> es,
+                    sim::Stream s, const std::string& name, int max_attempts,
+                    double backoff_seconds) {
   retry_transfer(dev, name, max_attempts, backoff_seconds,
                  [&] { dev.copy_d2h_batched(es, s, name); });
 }
 
-void checked_gemm(sim::Device& dev, const OocGemmOptions& opts, blas::Op opa,
-                  blas::Op opb, float alpha, sim::DeviceMatrixRef a,
-                  sim::DeviceMatrixRef b, float beta, sim::DeviceMatrixRef c,
+void checked_gemm(sim::Device& dev, const OocGemmOptions& opts,
+                  std::span<const sim::Device::GemmBatchEntry> es,
                   sim::Stream s, const std::string& name) {
   if (!opts.abft || dev.mode() != sim::ExecutionMode::Real) {
-    dev.gemm(opa, opb, alpha, a, b, beta, c, opts.precision, s, name);
+    dev.gemm_batched(es, opts.precision, s, name);
     return;
   }
+  ROCQR_CHECK(es.size() == 1, "abft: the checksum covers one GEMM per launch");
+  const sim::Device::GemmBatchEntry& e = es.front();
   // With beta != 0 the recompute needs the pre-GEMM C restored; snapshot it
   // through the immediate (non-scheduled) download path.
   la::Matrix c_before;
-  const bool need_restore = beta != 0.0f;
-  if (need_restore) c_before = dev.download(c);
+  const bool need_restore = e.beta != 0.0f;
+  if (need_restore) c_before = dev.download(e.c);
 
   constexpr int kAbftMaxAttempts = 3;
-  dev.gemm(opa, opb, alpha, a, b, beta, c, opts.precision, s, name);
+  dev.gemm_batched(es, opts.precision, s, name);
   int attempt = 1;
-  while (!abft_check_passes(dev, opa, opb, alpha, a, b, beta, c,
+  while (!abft_check_passes(dev, e.opa, e.opb, e.alpha, e.a, e.b, e.beta, e.c,
                             need_restore ? &c_before : nullptr)) {
     if (attempt >= kAbftMaxAttempts) {
       throw NumericalError("abft: checksum mismatch persisted after " +
@@ -165,8 +150,8 @@ void checked_gemm(sim::Device& dev, const OocGemmOptions& opts, blas::Op opa,
     ++attempt;
     abft_recomputes_counter().increment();
     sim::TraceSpan span(dev, "abft_recompute " + name);
-    if (need_restore) dev.upload(c, c_before.view());
-    dev.gemm(opa, opb, alpha, a, b, beta, c, opts.precision, s, name);
+    if (need_restore) dev.upload(e.c, c_before.view());
+    dev.gemm_batched(es, opts.precision, s, name);
   }
 }
 

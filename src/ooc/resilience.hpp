@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -20,58 +21,50 @@
 
 namespace rocqr::ooc::detail {
 
-/// Enqueues an H2D copy, retrying injected transient failures. Each retry
-/// advances the simulated host clock by an exponentially growing backoff
-/// (the failed enqueue itself consumed no engine time). Throws
-/// FaultBudgetExhausted once `max_attempts` attempts all failed.
-void copy_h2d_retry(sim::Device& dev, sim::DeviceMatrixRef dst,
-                    sim::HostConstRef src, sim::Stream s,
-                    const std::string& name, int max_attempts,
+/// Enqueues one H2D copy of `es` (a fused transfer of K payloads; a solo
+/// copy is one entry), retrying injected transient failures. A transfer is
+/// one fault site, so a retry replays every payload. Each retry advances
+/// the simulated host clock by an exponentially growing backoff (the failed
+/// enqueue itself consumed no engine time). Throws FaultBudgetExhausted
+/// once `max_attempts` attempts all failed.
+void copy_h2d_retry(sim::Device& dev,
+                    std::span<const sim::Device::H2dBatchEntry> es,
+                    sim::Stream s, const std::string& name, int max_attempts,
                     double backoff_seconds);
 
 /// D2H counterpart of copy_h2d_retry.
-void copy_d2h_retry(sim::Device& dev, sim::HostMutRef dst,
-                    sim::DeviceMatrixRef src, sim::Stream s,
-                    const std::string& name, int max_attempts,
+void copy_d2h_retry(sim::Device& dev,
+                    std::span<const sim::Device::D2hBatchEntry> es,
+                    sim::Stream s, const std::string& name, int max_attempts,
                     double backoff_seconds);
 
-/// Batched counterparts: one fused transfer is one fault site, so a
-/// transient failure aborts (and a retry replays) the whole batch.
-void copy_h2d_batched_retry(sim::Device& dev,
-                            const std::vector<sim::Device::H2dBatchEntry>& es,
-                            sim::Stream s, const std::string& name,
-                            int max_attempts, double backoff_seconds);
-
-void copy_d2h_batched_retry(sim::Device& dev,
-                            const std::vector<sim::Device::D2hBatchEntry>& es,
-                            sim::Stream s, const std::string& name,
-                            int max_attempts, double backoff_seconds);
-
+/// One-entry forms.
 inline void copy_h2d_retry(sim::Device& dev, sim::DeviceMatrixRef dst,
                            sim::HostConstRef src, sim::Stream s,
-                           const std::string& name,
-                           const OocGemmOptions& opts) {
-  copy_h2d_retry(dev, dst, src, s, name, opts.transfer_max_attempts,
-                 opts.transfer_backoff_seconds);
+                           const std::string& name, int max_attempts,
+                           double backoff_seconds) {
+  const sim::Device::H2dBatchEntry e{dst, src};
+  copy_h2d_retry(dev, {&e, 1}, s, name, max_attempts, backoff_seconds);
 }
 
 inline void copy_d2h_retry(sim::Device& dev, sim::HostMutRef dst,
                            sim::DeviceMatrixRef src, sim::Stream s,
-                           const std::string& name,
-                           const OocGemmOptions& opts) {
-  copy_d2h_retry(dev, dst, src, s, name, opts.transfer_max_attempts,
-                 opts.transfer_backoff_seconds);
+                           const std::string& name, int max_attempts,
+                           double backoff_seconds) {
+  const sim::Device::D2hBatchEntry e{dst, src};
+  copy_d2h_retry(dev, {&e, 1}, s, name, max_attempts, backoff_seconds);
 }
 
-/// dev.gemm plus the opt-in ABFT check: in Real mode with opts.abft, the
-/// result is verified against a column-sum check vector computed in double
-/// precision from the operands; on mismatch C is restored, the GEMM
-/// re-enqueued (visible in the trace as an `abft_recompute` span), and a
-/// persistent mismatch throws NumericalError. Phantom mode and abft=false
-/// degenerate to a plain dev.gemm call.
-void checked_gemm(sim::Device& dev, const OocGemmOptions& opts, blas::Op opa,
-                  blas::Op opb, float alpha, sim::DeviceMatrixRef a,
-                  sim::DeviceMatrixRef b, float beta, sim::DeviceMatrixRef c,
+/// dev.gemm_batched plus the opt-in ABFT check: in Real mode with
+/// opts.abft, the result is verified against a column-sum check vector
+/// computed in double precision from the operands; on mismatch C is
+/// restored, the GEMM re-enqueued (visible in the trace as an
+/// `abft_recompute` span), and a persistent mismatch throws NumericalError.
+/// The check covers one product, so under abft `es` must hold one entry
+/// (fused batches reject abft jobs up front). Phantom mode and abft=false
+/// degenerate to a plain dev.gemm_batched call.
+void checked_gemm(sim::Device& dev, const OocGemmOptions& opts,
+                  std::span<const sim::Device::GemmBatchEntry> es,
                   sim::Stream s, const std::string& name);
 
 /// Halves the slab/tile knobs of `opts` one degradation step; returns false

@@ -38,37 +38,19 @@ const char* stage_name(TaskStage s) {
 // hooks (retry, ABFT, sync_if) applied at the single site, mirroring the
 // SlabPipeline stage contexts.
 
-void TaskCtx::h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src,
+void TaskCtx::h2d(std::span<const sim::Device::H2dBatchEntry> es,
                   const std::string& name) {
   if (stage_ != TaskStage::MoveIn) wrong_stage(stage_, "h2d");
-  detail::copy_h2d_retry(g_.dev_, dst, src, g_.in_, name, g_.opts_);
+  detail::copy_h2d_retry(g_.dev_, es, g_.in_, name,
+                         g_.opts_.transfer_max_attempts,
+                         g_.opts_.transfer_backoff_seconds);
   detail::sync_if(g_.dev_, g_.opts_);
 }
 
-void TaskCtx::h2d_batched(
-    const std::vector<sim::Device::H2dBatchEntry>& entries,
-    const std::string& name) {
-  if (stage_ != TaskStage::MoveIn) wrong_stage(stage_, "h2d_batched");
-  detail::copy_h2d_batched_retry(g_.dev_, entries, g_.in_, name,
-                                 g_.opts_.transfer_max_attempts,
-                                 g_.opts_.transfer_backoff_seconds);
-  detail::sync_if(g_.dev_, g_.opts_);
-}
-
-void TaskCtx::gemm(blas::Op opa, blas::Op opb, float alpha,
-                   sim::DeviceMatrixRef a, sim::DeviceMatrixRef b, float beta,
-                   sim::DeviceMatrixRef c, const std::string& name) {
+void TaskCtx::gemm(std::span<const sim::Device::GemmBatchEntry> es,
+                   const std::string& name) {
   if (stage_ != TaskStage::Compute) wrong_stage(stage_, "gemm");
-  detail::checked_gemm(g_.dev_, g_.opts_, opa, opb, alpha, a, b, beta, c,
-                       g_.comp_, name);
-  detail::sync_if(g_.dev_, g_.opts_);
-}
-
-void TaskCtx::gemm_batched(
-    const std::vector<sim::Device::GemmBatchEntry>& entries,
-    const std::string& name) {
-  if (stage_ != TaskStage::Compute) wrong_stage(stage_, "gemm_batched");
-  g_.dev_.gemm_batched(entries, g_.opts_.precision, g_.comp_, name);
+  detail::checked_gemm(g_.dev_, g_.opts_, es, g_.comp_, name);
   detail::sync_if(g_.dev_, g_.opts_);
 }
 
@@ -84,20 +66,12 @@ sim::Stream TaskCtx::stream() const {
   return g_.comp_;
 }
 
-void TaskCtx::d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src,
+void TaskCtx::d2h(std::span<const sim::Device::D2hBatchEntry> es,
                   const std::string& name) {
   if (stage_ != TaskStage::MoveOut) wrong_stage(stage_, "d2h");
-  detail::copy_d2h_retry(g_.dev_, dst, src, g_.out_, name, g_.opts_);
-  detail::sync_if(g_.dev_, g_.opts_);
-}
-
-void TaskCtx::d2h_batched(
-    const std::vector<sim::Device::D2hBatchEntry>& entries,
-    const std::string& name) {
-  if (stage_ != TaskStage::MoveOut) wrong_stage(stage_, "d2h_batched");
-  detail::copy_d2h_batched_retry(g_.dev_, entries, g_.out_, name,
-                                 g_.opts_.transfer_max_attempts,
-                                 g_.opts_.transfer_backoff_seconds);
+  detail::copy_d2h_retry(g_.dev_, es, g_.out_, name,
+                         g_.opts_.transfer_max_attempts,
+                         g_.opts_.transfer_backoff_seconds);
   detail::sync_if(g_.dev_, g_.opts_);
 }
 
@@ -107,7 +81,9 @@ Event TaskCtx::emit(sim::HostMutRef dst, sim::DeviceMatrixRef src,
   Event e = g_.dev_.create_event();
   g_.dev_.record_event(e, g_.comp_);
   g_.dev_.wait_event(g_.out_, e);
-  detail::copy_d2h_retry(g_.dev_, dst, src, g_.out_, name, g_.opts_);
+  detail::copy_d2h_retry(g_.dev_, dst, src, g_.out_, name,
+                         g_.opts_.transfer_max_attempts,
+                         g_.opts_.transfer_backoff_seconds);
   detail::sync_if(g_.dev_, g_.opts_);
   return e;
 }

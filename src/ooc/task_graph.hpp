@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,33 +55,44 @@ using TaskId = index_t;
 /// fails loudly instead of silently racing another engine.
 class TaskCtx {
  public:
-  /// MoveIn: host-to-device transfer with retry + sync_if applied.
-  void h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src,
+  /// MoveIn: one host-to-device transfer of `es` with retry + sync_if
+  /// applied. K > 1 entries are a fused transfer in one link occupancy (the
+  /// batched serving path); one fault site, so a retry replays them all.
+  void h2d(std::span<const sim::Device::H2dBatchEntry> es,
            const std::string& name);
-  /// MoveIn: fused transfer of K payloads in one link occupancy (batched
-  /// serving path). One fault site; a retry replays the whole batch.
-  void h2d_batched(const std::vector<sim::Device::H2dBatchEntry>& entries,
-                   const std::string& name);
-  /// Compute: GEMM with the opt-in ABFT column-sum check.
+  /// MoveIn: the one-entry transfer.
+  void h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src,
+           const std::string& name) {
+    const sim::Device::H2dBatchEntry e{dst, src};
+    h2d({&e, 1}, name);
+  }
+  /// Compute: one GEMM launch over `es` (block-diagonal for K > 1) with the
+  /// opt-in ABFT column-sum check, which covers one-entry launches (the
+  /// fused serving path rejects abft jobs up front).
+  void gemm(std::span<const sim::Device::GemmBatchEntry> es,
+            const std::string& name);
+  /// Compute: the one-entry GEMM.
   void gemm(blas::Op opa, blas::Op opb, float alpha, sim::DeviceMatrixRef a,
             sim::DeviceMatrixRef b, float beta, sim::DeviceMatrixRef c,
-            const std::string& name);
-  /// Compute: block-diagonal batched GEMM (no ABFT — the batched serving
-  /// path rejects abft jobs up front).
-  void gemm_batched(const std::vector<sim::Device::GemmBatchEntry>& entries,
-                    const std::string& name);
+            const std::string& name) {
+    const sim::Device::GemmBatchEntry e{opa, opb, alpha, a, b, beta, c};
+    gemm({&e, 1}, name);
+  }
   /// Compute: triangular solve.
   void trsm(sim::Device::TrsmKind kind, sim::DeviceMatrixRef tri,
             sim::DeviceMatrixRef b, const std::string& name);
   /// Compute: the stream, for panel kernels (panel_qr_device & co.) that
   /// enqueue their own custom ops.
   sim::Stream stream() const;
-  /// MoveOut: device-to-host transfer with retry + sync_if applied.
-  void d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src,
+  /// MoveOut: one device-to-host transfer of `es` (symmetric to h2d).
+  void d2h(std::span<const sim::Device::D2hBatchEntry> es,
            const std::string& name);
-  /// MoveOut: fused transfer of K payloads (symmetric to h2d_batched).
-  void d2h_batched(const std::vector<sim::Device::D2hBatchEntry>& entries,
-                   const std::string& name);
+  /// MoveOut: the one-entry transfer.
+  void d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src,
+           const std::string& name) {
+    const sim::Device::D2hBatchEntry e{dst, src};
+    d2h({&e, 1}, name);
+  }
   /// Compute: records an event on the compute stream, fences the move-out
   /// stream on it, and enqueues the device-to-host copy there — the "drain
   /// an intermediate while compute continues" idiom of the recursive

@@ -8,65 +8,30 @@ namespace rocqr::qr {
 void panel_qr_device(sim::Device& dev, sim::DeviceMatrixRef aq,
                      sim::DeviceMatrixRef r, sim::Stream stream,
                      const QrOptions& opts, const std::string& name_prefix) {
-  ROCQR_CHECK(aq.matrix.valid() && r.matrix.valid(),
-              "panel_qr_device: invalid matrix");
-  const index_t m = aq.rows;
-  const index_t w = aq.cols;
-  ROCQR_CHECK(m >= w && w >= 1, "panel_qr_device: need m >= w >= 1");
-  ROCQR_CHECK(r.rows == w && r.cols == w, "panel_qr_device: R must be w x w");
-
-  // CGS2 and CholeskyQR2 orthogonalize twice: double the panel flops at the
-  // same sustained rate.
-  const double flops_factor =
-      opts.panel_algorithm == PanelAlgorithm::RecursiveCgs ? 1.0 : 2.0;
-  const sim_time_t seconds = dev.model().panel_seconds(m, w) * flops_factor;
-  const flops_t flops =
-      static_cast<flops_t>(flops_factor * 2.0 * static_cast<double>(m) * w * w);
-  dev.custom_compute(
-      stream, seconds, flops, sim::OpKind::Panel,
-      name_prefix + "panel_qr " + std::to_string(m) + "x" + std::to_string(w),
-      [&]() {
-        la::Matrix host_panel = dev.download(aq);
-        la::Matrix host_r(w, w);
-        switch (opts.panel_algorithm) {
-          case PanelAlgorithm::RecursiveCgs:
-            recursive_cgs_inplace(host_panel.view(), host_r.view(),
-                                  opts.panel_base, opts.precision);
-            break;
-          case PanelAlgorithm::Cgs2: {
-            QrFactors f = cgs2(host_panel.view());
-            host_panel = std::move(f.q);
-            host_r = std::move(f.r);
-            break;
-          }
-          case PanelAlgorithm::CholeskyQr2: {
-            QrFactors f = cholesky_qr2(host_panel.view());
-            host_panel = std::move(f.q);
-            host_r = std::move(f.r);
-            break;
-          }
-        }
-        dev.upload(aq, host_panel.view());
-        dev.upload(r, host_r.view());
-      });
+  const PanelBatchEntry e{aq, r};
+  panel_qr_device_batched(dev, {&e, 1}, stream, opts,
+                          name_prefix + "panel_qr " + std::to_string(aq.rows) +
+                              "x" + std::to_string(aq.cols));
 }
 
 void panel_qr_device_batched(sim::Device& dev,
-                             const std::vector<PanelBatchEntry>& entries,
+                             std::span<const PanelBatchEntry> entries,
                              sim::Stream stream, const QrOptions& opts,
                              const std::string& name) {
-  ROCQR_CHECK(!entries.empty(), "panel_qr_device_batched: empty batch");
+  ROCQR_CHECK(!entries.empty(), "panel_qr_device: empty batch");
   const index_t m = entries.front().aq.rows;
   const index_t w = entries.front().aq.cols;
-  ROCQR_CHECK(m >= w && w >= 1, "panel_qr_device_batched: need m >= w >= 1");
   for (const PanelBatchEntry& e : entries) {
     ROCQR_CHECK(e.aq.matrix.valid() && e.r.matrix.valid(),
-                "panel_qr_device_batched: invalid matrix");
+                "panel_qr_device: invalid matrix");
     ROCQR_CHECK(e.aq.rows == m && e.aq.cols == w,
-                "panel_qr_device_batched: panels must share one shape");
+                "panel_qr_device: panels must share one shape");
     ROCQR_CHECK(e.r.rows == w && e.r.cols == w,
-                "panel_qr_device_batched: R must be w x w");
+                "panel_qr_device: R must be w x w");
   }
+  ROCQR_CHECK(m >= w && w >= 1, "panel_qr_device: need m >= w >= 1");
+  // CGS2 and CholeskyQR2 orthogonalize twice: double the panel flops at the
+  // same sustained rate.
   const double flops_factor =
       opts.panel_algorithm == PanelAlgorithm::RecursiveCgs ? 1.0 : 2.0;
   const auto k = static_cast<double>(entries.size());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -34,19 +36,36 @@ std::string idx(index_t k, index_t j) {
   return std::to_string(k) + "," + std::to_string(j);
 }
 
-/// Rotating device-buffer pool. Acquiring a slot hands back its index; the
-/// recorded `last_uses` nodes are the WAR edges the slot's next writer must
-/// depend on (the old output-fence taxonomy, now explicit graph edges).
-struct SlotPool {
-  std::vector<ScopedMatrix> bufs;
-
-  void add(ScopedMatrix buf) {
-    bufs.push_back(std::move(buf));
+/// Rotating device-buffer pool. A slot holds one buffer per lane (the jobs a
+/// program factors in lockstep acquire and release a slot together).
+/// Acquiring a slot hands back its index; the recorded `last_uses` nodes are
+/// the WAR edges the slot's next writer must depend on (the old
+/// output-fence taxonomy, now explicit graph edges).
+class SlotPool {
+ public:
+  /// Adds a slot: one rows x cols buffer per lane, labelled `label` (plus
+  /// ".<lane>" when there are several lanes).
+  void add(Device& dev, size_t lanes, index_t rows, index_t cols,
+           StoragePrecision prec, const std::string& label) {
+    std::vector<ScopedMatrix> bufs;
+    bufs.reserve(lanes);
+    for (size_t k = 0; k < lanes; ++k) {
+      bufs.emplace_back(dev, rows, cols, prec,
+                        lanes == 1 ? label
+                                   : label + "." + std::to_string(k));
+    }
+    bufs_.push_back(std::move(bufs));
     last_uses_.emplace_back();
+  }
+  size_t size() const { return bufs_.size(); }
+  /// The top-left rows x cols block of slot s's buffer for `lane`.
+  DeviceMatrixRef block(size_t s, index_t rows, index_t cols,
+                        size_t lane = 0) const {
+    return DeviceMatrixRef(bufs_[s][lane].get()).block(0, 0, rows, cols);
   }
   size_t acquire() {
     const size_t s = next_;
-    next_ = (next_ + 1) % bufs.size();
+    next_ = (next_ + 1) % bufs_.size();
     return s;
   }
   /// Appends slot s's outstanding readers to `deps` — the WAR edges its
@@ -61,25 +80,29 @@ struct SlotPool {
   }
 
  private:
+  std::vector<std::vector<ScopedMatrix>> bufs_; // [slot][lane]
   std::vector<std::vector<TaskId>> last_uses_;
   size_t next_ = 0;
 };
 
 /// The node program of one factorization inside a (possibly colocated)
-/// batch. Programs build their DAG segment by segment so the checkpointing
-/// caller can run round-by-round; solo runs add every segment and run once.
-/// One checkpoint/resume *unit* per completed segment, under the program's
-/// driver tag — the same unit vocabulary as the solo drivers, so a job
-/// preempted from a batch resumes solo (and vice versa).
+/// batch — or, for the fused blocking batch, of K same-shape factorizations
+/// in lockstep, one per lane. Programs build their DAG segment by segment so
+/// the checkpointing caller can run round-by-round; solo runs add every
+/// segment and run once. One checkpoint/resume *unit* per completed segment,
+/// under the program's driver tag — the same unit vocabulary as the solo
+/// drivers, so a job preempted from a batch resumes solo (and vice versa).
 class Program {
  public:
-  Program(TaskGraph& graph, const BatchJob& job) : g_(graph), job_(job) {}
+  Program(TaskGraph& graph, std::span<const BatchJob> lanes)
+      : g_(graph), lanes_(lanes), job_(lanes.front()) {}
   virtual ~Program() = default;
 
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
 
-  const BatchJob& job() const { return job_; }
+  /// The jobs this program factors: one, except in a fused batch.
+  std::span<const BatchJob> lanes() const { return lanes_; }
 
   /// Checkpoint driver tag ("tiled" / "blocking" / "left") — what
   /// qr::resume dispatches on.
@@ -95,6 +118,8 @@ class Program {
 
  protected:
   TaskGraph& g_;
+  std::span<const BatchJob> lanes_;
+  /// The first lane; every lane shares its shape and options.
   const BatchJob& job_;
 };
 
@@ -104,7 +129,7 @@ class Program {
 class TiledProgram : public Program {
  public:
   TiledProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, job), a_(job.a), r_(job.r) {
+      : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "tiled_qr: need m >= n >= 1");
@@ -121,21 +146,19 @@ class TiledProgram : public Program {
   /// streaming slots for far tiles, and a rotating pool of b x b R tiles.
   void allocate(Device& dev) override {
     const std::string& l = job_.label;
-    big_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                          l + "tiled tile a"));
+    big_.add(dev, 1, m_, b_, StoragePrecision::FP32, l + "tiled tile a");
     if (tiles_ > 1) {
-      big_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                            l + "tiled tile b"));
+      big_.add(dev, 1, m_, b_, StoragePrecision::FP32, l + "tiled tile b");
     }
     const index_t far_slots = std::min<index_t>(2, tiles_ - 2);
     for (index_t s = 0; s < far_slots; ++s) {
-      stream_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                               l + "tiled stream " + std::to_string(s)));
+      stream_.add(dev, 1, m_, b_, StoragePrecision::FP32,
+                  l + "tiled stream " + std::to_string(s));
     }
     const index_t r_slots = std::min<index_t>(4, tiles_ + 1);
     for (index_t s = 0; s < r_slots; ++s) {
-      rtiles_.add(ScopedMatrix(dev, b_, b_, StoragePrecision::FP32,
-                               l + "tiled r " + std::to_string(s)));
+      rtiles_.add(dev, 1, b_, b_, StoragePrecision::FP32,
+                  l + "tiled r " + std::to_string(s));
     }
   }
 
@@ -195,8 +218,7 @@ class TiledProgram : public Program {
         in_deps = prev_q_readers_;
       } else {
         far_slot = stream_.acquire();
-        dst = DeviceMatrixRef(stream_.bufs[far_slot].get())
-                  .block(0, 0, m_, wj);
+        dst = stream_.block(far_slot, m_, wj);
         stream_.depend(far_slot, in_deps);
       }
       if (out_a_.count(j) > 0) in_deps.push_back(out_a_[j]);
@@ -210,8 +232,7 @@ class TiledProgram : public Program {
 
       // Block-MGS update: R_kj = Q_k^T A_j, then A_j -= Q_k R_kj.
       const size_t rs = rtiles_.acquire();
-      const DeviceMatrixRef rt =
-          DeviceMatrixRef(rtiles_.bufs[rs].get()).block(0, 0, wk, wj);
+      const DeviceMatrixRef rt = rtiles_.block(rs, wk, wj);
       std::vector<TaskId> upd_deps{in, fac_};
       rtiles_.depend(rs, upd_deps);
       const DeviceMatrixRef q = tile_buf(k);
@@ -268,8 +289,7 @@ class TiledProgram : public Program {
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
   DeviceMatrixRef tile_buf(index_t t) {
-    return DeviceMatrixRef(big_.bufs[static_cast<size_t>(t) & 1].get())
-        .block(0, 0, m_, width(t));
+    return big_.block(static_cast<size_t>(t) & 1, m_, width(t));
   }
   sim::HostConstRef host_tile_const(index_t t) const {
     return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
@@ -288,7 +308,7 @@ class TiledProgram : public Program {
     rtiles_.depend(rs, deps);
     const index_t w = width(t);
     fac_r_slot_ = rs;
-    fac_r_ref_ = DeviceMatrixRef(rtiles_.bufs[rs].get()).block(0, 0, w, w);
+    fac_r_ref_ = rtiles_.block(rs, w, w);
     const DeviceMatrixRef aq = tile_buf(t);
     const DeviceMatrixRef rt = fac_r_ref_;
     return g_.add(
@@ -346,16 +366,24 @@ class TiledProgram : public Program {
 /// arithmetic is bitwise identical to the solo SlabPipeline driver: a job
 /// preempted here resumes solo (tag "blocking") bit-identically. One unit
 /// = one panel iteration (panel factored + trailing updates applied).
+///
+/// The program is K >= 1 lanes wide. Colocation runs one lane named under
+/// the job's label; a fused batch (run_fused_batch) runs K same-shape jobs
+/// in lockstep named under "fused ". Every node issues ONE device op whose
+/// entries are the lanes' bodies in lane order, so each lane's numerics are
+/// its solo numerics while the fixed per-op latencies are paid once per
+/// node, not once per lane.
 class BlockingProgram : public Program {
  public:
-  BlockingProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, job), a_(job.a), r_(job.r) {
-    m_ = a_.rows;
-    n_ = a_.cols;
+  BlockingProgram(TaskGraph& graph, std::span<const BatchJob> lanes,
+                  std::string prefix)
+      : Program(graph, lanes), prefix_(std::move(prefix)) {
+    m_ = job_.a.rows;
+    n_ = job_.a.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "blocking batch: need m >= n >= 1");
-    ROCQR_CHECK(r_.rows == n_ && r_.cols == n_,
+    ROCQR_CHECK(job_.r.rows == n_ && job_.r.cols == n_,
                 "blocking batch: R must be n x n");
-    b_ = std::min(job.opts.blocksize, n_);
+    b_ = std::min(job_.opts.blocksize, n_);
     panels_ = (n_ + b_ - 1) / b_;
   }
 
@@ -363,35 +391,33 @@ class BlockingProgram : public Program {
   index_t units_done() const override { return units_; }
   index_t columns_done() const override { return std::min(units_ * b_, n_); }
 
-  /// Working set: a panel double buffer, streaming slots for the trailing
-  /// panels' inner-product input (GEMM storage width) and outer-product
-  /// accumulator (fp32), and a rotating pool of b x b R tiles.
+  /// Working set, per lane: a panel double buffer, streaming slots for the
+  /// trailing panels' inner-product input (GEMM storage width) and
+  /// outer-product accumulator (fp32), and a rotating pool of b x b R tiles.
   void allocate(Device& dev) override {
-    const std::string& l = job_.label;
     const StoragePrecision in_prec =
         ooc::detail::input_storage(gemm_options(job_.opts));
-    const index_t panel_slots = std::min<index_t>(2, panels_);
-    for (index_t s = 0; s < panel_slots; ++s) {
-      panel_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                              l + "blk panel " + std::to_string(s)));
-    }
+    const auto add = [&](SlotPool& pool, index_t slots, index_t rows,
+                         StoragePrecision prec, const char* role) {
+      for (index_t s = 0; s < slots; ++s) {
+        pool.add(dev, lanes_.size(), rows, b_, prec,
+                 prefix_ + role + std::to_string(s));
+      }
+    };
     const index_t trail_slots = std::min<index_t>(2, panels_ - 1);
-    for (index_t s = 0; s < trail_slots; ++s) {
-      bstream_.add(ScopedMatrix(dev, m_, b_, in_prec,
-                                l + "blk b " + std::to_string(s)));
-      cstream_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                                l + "blk c " + std::to_string(s)));
-    }
-    const index_t r_slots = std::min<index_t>(4, panels_ + 1);
-    for (index_t s = 0; s < r_slots; ++s) {
-      rtiles_.add(ScopedMatrix(dev, b_, b_, StoragePrecision::FP32,
-                               l + "blk r " + std::to_string(s)));
-    }
+    add(panel_, std::min<index_t>(2, panels_), m_, StoragePrecision::FP32,
+        "blk panel ");
+    add(bstream_, trail_slots, m_, in_prec, "blk b ");
+    add(cstream_, trail_slots, m_, StoragePrecision::FP32, "blk c ");
+    add(rtiles_, std::min<index_t>(4, panels_ + 1), b_, StoragePrecision::FP32,
+        "blk r ");
   }
 
   /// Resume positioning only: the skipped panels' Q columns and R rows
   /// were restored onto the host, and right-looking trailing updates for
-  /// completed units are already applied there — nothing to stage.
+  /// completed units are already applied there — nothing to stage. (Every
+  /// lane shares one resume_units: fusion only joins jobs at the same
+  /// checkpoint boundary.)
   bool begin() override {
     i_ = std::min(job_.opts.resume_units, panels_);
     units_ = i_;
@@ -404,49 +430,51 @@ class BlockingProgram : public Program {
     if (i_ >= panels_) return false;
     const index_t i = i_;
     const index_t w = width(i);
-    const std::string& l = job_.label;
     const std::int64_t p = prio(i, 0);
 
     // Panel move-in. WAR edge: this slot held panel i-2, wait its readers.
     // Host-order edge: panel i's columns were last written by the previous
     // iteration's trailing writeback.
-    const size_t ps = static_cast<size_t>(i) % panel_.bufs.size();
-    const DeviceMatrixRef pd =
-        DeviceMatrixRef(panel_.bufs[ps].get()).block(0, 0, m_, w);
+    const size_t ps = static_cast<size_t>(i) % panel_.size();
     std::vector<TaskId> in_deps;
     panel_.depend(ps, in_deps);
     if (out_a_.count(i) > 0) in_deps.push_back(out_a_[i]);
-    const TaskId inp = g_.add(
-        TaskStage::MoveIn, l + "inP " + std::to_string(i),
-        [this, pd, i](TaskCtx& c) {
-          c.h2d(pd, host_panel_const(i),
-                job_.label + "h2d panel " + std::to_string(i));
-        },
+    const TaskId inp = move_in(
+        "inP " + std::to_string(i), "h2d panel " + std::to_string(i),
+        per_lane([&](size_t k) {
+          return H2d{panel_.block(ps, m_, w, k), host_panel_const(k, i)};
+        }),
         std::move(in_deps), p);
 
     // In-core panel factorization (recursive CGS on the device), R_ii into
-    // a rotating b x b tile, then the Q panel and R_ii writebacks.
+    // a rotating b x b tile, then one writeback of R_ii and the Q panel.
     const size_t rs = rtiles_.acquire();
-    const DeviceMatrixRef rii =
-        DeviceMatrixRef(rtiles_.bufs[rs].get()).block(0, 0, w, w);
     std::vector<TaskId> fac_deps{inp};
     rtiles_.depend(rs, fac_deps);
+    std::vector<PanelBatchEntry> fac_es = per_lane([&](size_t k) {
+      return PanelBatchEntry{panel_.block(ps, m_, w, k),
+                             rtiles_.block(rs, w, w, k)};
+    });
+    std::vector<D2h> emit_es;
+    emit_es.reserve(2 * lanes_.size());
+    for (size_t k = 0; k < lanes_.size(); ++k) {
+      emit_es.push_back(
+          {ooc::host_block(lanes_[k].r, offset(i), offset(i), w, w),
+           fac_es[k].r});
+      emit_es.push_back({host_panel(k, i), fac_es[k].aq});
+    }
+    std::string fac_op = prefix_ + "panel_qr " + std::to_string(m_) + "x" +
+                         std::to_string(w);
+    if (lanes_.size() > 1) fac_op += " x" + std::to_string(lanes_.size());
     const TaskId fac = g_.add(
-        TaskStage::Compute, l + "fac " + std::to_string(i),
-        [this, pd, rii](TaskCtx& c) {
-          panel_qr_device(c.device(), pd, rii, c.stream(), job_.opts,
-                          job_.label);
+        TaskStage::Compute, prefix_ + "fac " + std::to_string(i),
+        [this, es = std::move(fac_es), op = std::move(fac_op)](TaskCtx& c) {
+          panel_qr_device_batched(c.device(), es, c.stream(), job_.opts, op);
         },
         std::move(fac_deps), p);
-    const TaskId emit = g_.add(
-        TaskStage::MoveOut, l + "emit " + std::to_string(i),
-        [this, rii, pd, i, w](TaskCtx& c) {
-          c.d2h(ooc::host_block(r_, offset(i), offset(i), w, w), rii,
-                job_.label + "d2h Rii " + std::to_string(i));
-          c.d2h(host_panel(i), pd,
-                job_.label + "d2h Q " + std::to_string(i));
-        },
-        {fac}, p);
+    const TaskId emit =
+        move_out("emit " + std::to_string(i), "d2h RiiQ " + std::to_string(i),
+                 std::move(emit_es), {fac}, p);
     rtiles_.use(rs, {emit});
     std::vector<TaskId> panel_readers{emit};
 
@@ -458,71 +486,66 @@ class BlockingProgram : public Program {
       // Inner-product input slab (GEMM storage width — fp16 on the
       // TensorCore path, halving the streamed bytes like the solo engine).
       const size_t bs = bstream_.acquire();
-      const DeviceMatrixRef bd =
-          DeviceMatrixRef(bstream_.bufs[bs].get()).block(0, 0, m_, wj);
       std::vector<TaskId> inb_deps;
       bstream_.depend(bs, inb_deps);
       if (out_a_.count(j) > 0) inb_deps.push_back(out_a_[j]);
-      const TaskId inb = g_.add(
-          TaskStage::MoveIn, l + "inB " + idx(i, j),
-          [this, bd, j](TaskCtx& c) {
-            c.h2d(bd, host_panel_const(j),
-                  job_.label + "h2d b " + std::to_string(j));
-          },
+      const TaskId inb = move_in(
+          "inB " + idx(i, j), "h2d b " + std::to_string(j),
+          per_lane([&](size_t k) {
+            return H2d{bstream_.block(bs, m_, wj, k), host_panel_const(k, j)};
+          }),
           std::move(inb_deps), pt);
 
       // R12 = Q^T B over the full column height (k = m).
       const size_t rs2 = rtiles_.acquire();
-      const DeviceMatrixRef r12 =
-          DeviceMatrixRef(rtiles_.bufs[rs2].get()).block(0, 0, w, wj);
       std::vector<TaskId> u1_deps{inb, fac};
       rtiles_.depend(rs2, u1_deps);
-      const TaskId upd1 = g_.add(
-          TaskStage::Compute, l + "inner " + idx(i, j),
-          [this, pd, bd, r12, i, j](TaskCtx& c) {
-            c.gemm(blas::Op::Trans, blas::Op::NoTrans, 1.0f, pd, bd, 0.0f,
-                   r12, job_.label + "gemm qtb " + idx(i, j));
-          },
+      const TaskId upd1 = compute(
+          "inner " + idx(i, j), "gemm qtb " + idx(i, j),
+          per_lane([&](size_t k) {
+            return Gemm{blas::Op::Trans, blas::Op::NoTrans, 1.0f,
+                        panel_.block(ps, m_, w, k),
+                        bstream_.block(bs, m_, wj, k), 0.0f,
+                        rtiles_.block(rs2, w, wj, k)};
+          }),
           std::move(u1_deps), pt);
       bstream_.use(bs, {upd1});
-      const TaskId outr = g_.add(
-          TaskStage::MoveOut, l + "outR " + idx(i, j),
-          [this, r12, i, j](TaskCtx& c) {
-            c.d2h(ooc::host_block(r_, offset(i), offset(j), r12.rows,
-                                  r12.cols),
-                  r12, job_.label + "d2h R " + idx(i, j));
-          },
+      const TaskId outr = move_out(
+          "outR " + idx(i, j), "d2h R " + idx(i, j),
+          per_lane([&](size_t k) {
+            return D2h{
+                ooc::host_block(lanes_[k].r, offset(i), offset(j), w, wj),
+                rtiles_.block(rs2, w, wj, k)};
+          }),
           {upd1}, pt);
 
       // Fresh fp32 read of the same slab as the beta = 1 accumulator —
       // the solo engines' double-streaming, byte for byte.
       const size_t cs = cstream_.acquire();
-      const DeviceMatrixRef cd =
-          DeviceMatrixRef(cstream_.bufs[cs].get()).block(0, 0, m_, wj);
       std::vector<TaskId> inc_deps;
       cstream_.depend(cs, inc_deps);
       if (out_a_.count(j) > 0) inc_deps.push_back(out_a_[j]);
-      const TaskId inc = g_.add(
-          TaskStage::MoveIn, l + "inC " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            c.h2d(cd, host_panel_const(j),
-                  job_.label + "h2d c " + std::to_string(j));
-          },
+      const TaskId inc = move_in(
+          "inC " + idx(i, j), "h2d c " + std::to_string(j),
+          per_lane([&](size_t k) {
+            return H2d{cstream_.block(cs, m_, wj, k), host_panel_const(k, j)};
+          }),
           std::move(inc_deps), pt);
-      const TaskId upd2 = g_.add(
-          TaskStage::Compute, l + "outer " + idx(i, j),
-          [this, pd, r12, cd, i, j](TaskCtx& c) {
-            c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, -1.0f, pd, r12,
-                   1.0f, cd, job_.label + "gemm upd " + idx(i, j));
-          },
+      const TaskId upd2 = compute(
+          "outer " + idx(i, j), "gemm upd " + idx(i, j),
+          per_lane([&](size_t k) {
+            return Gemm{blas::Op::NoTrans, blas::Op::NoTrans, -1.0f,
+                        panel_.block(ps, m_, w, k),
+                        rtiles_.block(rs2, w, wj, k), 1.0f,
+                        cstream_.block(cs, m_, wj, k)};
+          }),
           {inc, upd1}, pt);
       rtiles_.use(rs2, {outr, upd2});
-      const TaskId outa = g_.add(
-          TaskStage::MoveOut, l + "outA " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            c.d2h(host_panel(j), cd,
-                  job_.label + "d2h tile " + std::to_string(j));
-          },
+      const TaskId outa = move_out(
+          "outA " + idx(i, j), "d2h tile " + std::to_string(j),
+          per_lane([&](size_t k) {
+            return D2h{host_panel(k, j), cstream_.block(cs, m_, wj, k)};
+          }),
           {upd2}, pt);
       cstream_.use(cs, {outa});
       out_a_[j] = outa;
@@ -535,22 +558,60 @@ class BlockingProgram : public Program {
   }
 
  private:
+  using H2d = Device::H2dBatchEntry;
+  using D2h = Device::D2hBatchEntry;
+  using Gemm = Device::GemmBatchEntry;
+
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
-  sim::HostConstRef host_panel_const(index_t t) const {
-    return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
+  sim::HostConstRef host_panel_const(size_t lane, index_t t) const {
+    return ooc::host_block(sim::as_const(lanes_[lane].a), 0, offset(t), m_,
+                           width(t));
   }
-  sim::HostMutRef host_panel(index_t t) const {
-    return ooc::host_block(a_, 0, offset(t), m_, width(t));
+  sim::HostMutRef host_panel(size_t lane, index_t t) const {
+    return ooc::host_block(lanes_[lane].a, 0, offset(t), m_, width(t));
   }
   /// Priority key: (panel, phase) with phase 0 = panel move-in/factor/emit
   /// and 1 = the trailing updates, so colocated jobs interleave per panel.
   std::int64_t prio(index_t i, std::int64_t phase) const {
     return 4 * static_cast<std::int64_t>(i) + phase;
   }
+  /// One entry per lane, in lane order.
+  template <typename F>
+  std::vector<std::invoke_result_t<F&, size_t>> per_lane(F entry) const {
+    std::vector<std::invoke_result_t<F&, size_t>> es;
+    es.reserve(lanes_.size());
+    for (size_t k = 0; k < lanes_.size(); ++k) es.push_back(entry(k));
+    return es;
+  }
+  // Nodes issuing one device op over their lanes' entries. Node labels and
+  // op names both carry the program's prefix.
+  TaskId move_in(const std::string& node, const std::string& op,
+                 std::vector<H2d> es, std::vector<TaskId> deps,
+                 std::int64_t p) {
+    return g_.add(
+        TaskStage::MoveIn, prefix_ + node,
+        [es = std::move(es), op = prefix_ + op](TaskCtx& c) { c.h2d(es, op); },
+        std::move(deps), p);
+  }
+  TaskId compute(const std::string& node, const std::string& op,
+                 std::vector<Gemm> es, std::vector<TaskId> deps,
+                 std::int64_t p) {
+    return g_.add(
+        TaskStage::Compute, prefix_ + node,
+        [es = std::move(es), op = prefix_ + op](TaskCtx& c) { c.gemm(es, op); },
+        std::move(deps), p);
+  }
+  TaskId move_out(const std::string& node, const std::string& op,
+                  std::vector<D2h> es, std::vector<TaskId> deps,
+                  std::int64_t p) {
+    return g_.add(
+        TaskStage::MoveOut, prefix_ + node,
+        [es = std::move(es), op = prefix_ + op](TaskCtx& c) { c.d2h(es, op); },
+        std::move(deps), p);
+  }
 
-  HostMutRef a_;
-  HostMutRef r_;
+  std::string prefix_;
   index_t m_ = 0;
   index_t n_ = 0;
   index_t b_ = 0;
@@ -573,7 +634,7 @@ class BlockingProgram : public Program {
 class LeftLookingProgram : public Program {
  public:
   LeftLookingProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, job), a_(job.a), r_(job.r) {
+      : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "left batch: need m >= n >= 1");
@@ -597,18 +658,15 @@ class LeftLookingProgram : public Program {
         ooc::detail::input_storage(gemm_options(job_.opts));
     const index_t panel_slots = std::min<index_t>(2, panels_);
     for (index_t s = 0; s < panel_slots; ++s) {
-      panel_.add(ScopedMatrix(dev, m_, b_, StoragePrecision::FP32,
-                              l + "ll panel " + std::to_string(s)));
+      panel_.add(dev, 1, m_, b_, StoragePrecision::FP32,
+                 l + "ll panel " + std::to_string(s));
     }
     const int depth = std::max(1, job_.opts.pipeline_depth);
     for (int s = 0; s < depth; ++s) {
-      qring_.add(ScopedMatrix(dev, m_, b_, q_prec,
-                              l + "ll q " + std::to_string(s)));
+      qring_.add(dev, 1, m_, b_, q_prec, l + "ll q " + std::to_string(s));
     }
-    rblk_.add(ScopedMatrix(dev, b_, b_, StoragePrecision::FP32,
-                           l + "ll rblk"));
-    rii_.add(ScopedMatrix(dev, b_, b_, StoragePrecision::FP32,
-                          l + "ll rii"));
+    rblk_.add(dev, 1, b_, b_, StoragePrecision::FP32, l + "ll rblk");
+    rii_.add(dev, 1, b_, b_, StoragePrecision::FP32, l + "ll rii");
   }
 
   /// Resume positioning: skipped panels' Q columns are on the host already
@@ -632,9 +690,8 @@ class LeftLookingProgram : public Program {
     // The panel's columns are still ORIGINAL data (left-looking writes
     // each column block exactly once), so the move-in has no host-order
     // edge — only the WAR edge on the double-buffer slot.
-    const size_t ps = static_cast<size_t>(i) % panel_.bufs.size();
-    const DeviceMatrixRef pd =
-        DeviceMatrixRef(panel_.bufs[ps].get()).block(0, 0, m_, w);
+    const size_t ps = static_cast<size_t>(i) % panel_.size();
+    const DeviceMatrixRef pd = panel_.block(ps, m_, w);
     std::vector<TaskId> in_deps;
     panel_.depend(ps, in_deps);
     const TaskId inp = g_.add(
@@ -653,8 +710,7 @@ class LeftLookingProgram : public Program {
       const index_t wj = width(j);
       const std::int64_t pt = prio(i, 1);
       const size_t qs = qring_.acquire();
-      const DeviceMatrixRef qd =
-          DeviceMatrixRef(qring_.bufs[qs].get()).block(0, 0, m_, wj);
+      const DeviceMatrixRef qd = qring_.block(qs, m_, wj);
       std::vector<TaskId> inq_deps;
       qring_.depend(qs, inq_deps);
       // Q_j must have landed on the host — a real graph edge from its
@@ -671,8 +727,7 @@ class LeftLookingProgram : public Program {
           std::move(inq_deps), pt);
 
       // R(j, i) = Q_j^T P ; P -= Q_j R(j, i) — the skinny GEMM pair.
-      const DeviceMatrixRef rb =
-          DeviceMatrixRef(rblk_.bufs[0].get()).block(0, 0, wj, w);
+      const DeviceMatrixRef rb = rblk_.block(0, wj, w);
       std::vector<TaskId> proj_deps{inq, inp};
       rblk_.depend(0, proj_deps);
       const TaskId proj = g_.add(
@@ -699,8 +754,7 @@ class LeftLookingProgram : public Program {
 
     // In-core factorization of the fully projected panel, then the Q / Rii
     // writebacks. The shared Rii scratch's WAR edge is the previous emit.
-    const DeviceMatrixRef rd =
-        DeviceMatrixRef(rii_.bufs[0].get()).block(0, 0, w, w);
+    const DeviceMatrixRef rd = rii_.block(0, w, w);
     std::vector<TaskId> fac_deps{inp};
     if (last_proj != kNone) fac_deps.push_back(last_proj);
     rii_.depend(0, fac_deps);
@@ -758,296 +812,13 @@ class LeftLookingProgram : public Program {
   std::vector<TaskId> emit_;
 };
 
-/// Rotating pool of K-wide buffer slots for the fused batch: one slot holds
-/// one buffer PER JOB (the jobs advance in lockstep, so a slot's K buffers
-/// are always acquired and released together), with the shared node-level
-/// WAR bookkeeping of SlotPool.
-struct FusedSlotPool {
-  std::vector<std::vector<ScopedMatrix>> slots; // [slot][job]
-
-  void add(std::vector<ScopedMatrix> per_job) {
-    slots.push_back(std::move(per_job));
-    last_uses_.emplace_back();
-  }
-  size_t acquire() {
-    const size_t s = next_;
-    next_ = (next_ + 1) % slots.size();
-    return s;
-  }
-  void depend(size_t s, std::vector<TaskId>& deps) const {
-    deps.insert(deps.end(), last_uses_[s].begin(), last_uses_[s].end());
-  }
-  void use(size_t s, std::vector<TaskId> ids) {
-    last_uses_[s] = std::move(ids);
-  }
-
- private:
-  std::vector<std::vector<TaskId>> last_uses_;
-  size_t next_ = 0;
-};
-
-/// The fused-batch builder: BlockingProgram's exact node topology and
-/// priority keys, with every node body issuing ONE batched device op whose
-/// K entries are the solo bodies of the K jobs (see run_fused_batch in
-/// tiled_qr.hpp for the contract).
-class FusedBlocking {
- public:
-  FusedBlocking(TaskGraph& graph, const std::vector<BatchJob>& jobs)
-      : g_(graph), jobs_(jobs), opts_(jobs.front().opts) {
-    m_ = jobs.front().a.rows;
-    n_ = jobs.front().a.cols;
-    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "fused batch: need m >= n >= 1");
-    b_ = std::min(opts_.blocksize, n_);
-    panels_ = (n_ + b_ - 1) / b_;
-  }
-
-  index_t units_done() const { return units_; }
-  index_t columns_done() const { return std::min(units_ * b_, n_); }
-
-  /// K copies of BlockingProgram's working set, slot-pooled together.
-  void allocate(Device& dev) {
-    const StoragePrecision in_prec =
-        ooc::detail::input_storage(gemm_options(opts_));
-    const size_t nj = jobs_.size();
-    const auto pool = [&](FusedSlotPool& p, index_t slots, index_t rows,
-                          index_t cols, StoragePrecision prec,
-                          const char* role) {
-      for (index_t s = 0; s < slots; ++s) {
-        std::vector<ScopedMatrix> per_job;
-        per_job.reserve(nj);
-        for (size_t k = 0; k < nj; ++k) {
-          per_job.emplace_back(dev, rows, cols, prec,
-                               "fused " + std::string(role) + " " +
-                                   std::to_string(s) + "." +
-                                   std::to_string(k));
-        }
-        p.add(std::move(per_job));
-      }
-    };
-    pool(panel_, std::min<index_t>(2, panels_), m_, b_,
-         StoragePrecision::FP32, "panel");
-    pool(bstream_, std::min<index_t>(2, panels_ - 1), m_, b_, in_prec, "b");
-    pool(cstream_, std::min<index_t>(2, panels_ - 1), m_, b_,
-         StoragePrecision::FP32, "c");
-    pool(rtiles_, std::min<index_t>(4, panels_ + 1), b_, b_,
-         StoragePrecision::FP32, "r");
-  }
-
-  /// Resume positioning only (every job shares one resume_units — the
-  /// coalescer only fuses jobs at the same checkpoint boundary).
-  void begin() {
-    i_ = std::min(opts_.resume_units, panels_);
-    units_ = i_;
-  }
-
-  /// Adds fused panel iteration i: one batched move-in + batched panel
-  /// kernel + batched emit, then one batched inner/outer update pair per
-  /// trailing panel.
-  bool add_step() {
-    if (i_ >= panels_) return false;
-    const index_t i = i_;
-    const index_t w = width(i);
-    const std::int64_t p = prio(i, 0);
-
-    const size_t ps = static_cast<size_t>(i) % panel_.slots.size();
-    std::vector<DeviceMatrixRef> pd = slot_refs(panel_, ps, m_, w);
-    std::vector<TaskId> in_deps;
-    panel_.depend(ps, in_deps);
-    if (out_a_.count(i) > 0) in_deps.push_back(out_a_[i]);
-    const TaskId inp = g_.add(
-        TaskStage::MoveIn, "fused inP " + std::to_string(i),
-        [this, pd, i](TaskCtx& c) {
-          std::vector<sim::Device::H2dBatchEntry> es;
-          es.reserve(pd.size());
-          for (size_t k = 0; k < pd.size(); ++k) {
-            es.push_back({pd[k], host_panel_const(k, i)});
-          }
-          c.h2d_batched(es, "fused h2d panel " + std::to_string(i));
-        },
-        std::move(in_deps), p);
-
-    const size_t rs = rtiles_.acquire();
-    std::vector<DeviceMatrixRef> rii = slot_refs(rtiles_, rs, w, w);
-    std::vector<TaskId> fac_deps{inp};
-    rtiles_.depend(rs, fac_deps);
-    const TaskId fac = g_.add(
-        TaskStage::Compute, "fused fac " + std::to_string(i),
-        [this, pd, rii, w](TaskCtx& c) {
-          std::vector<PanelBatchEntry> es;
-          es.reserve(pd.size());
-          for (size_t k = 0; k < pd.size(); ++k) {
-            es.push_back({pd[k], rii[k]});
-          }
-          panel_qr_device_batched(c.device(), es, c.stream(), opts_,
-                                  "fused panel_qr " + std::to_string(m_) +
-                                      "x" + std::to_string(w) + " x" +
-                                      std::to_string(es.size()));
-        },
-        std::move(fac_deps), p);
-    const TaskId emit = g_.add(
-        TaskStage::MoveOut, "fused emit " + std::to_string(i),
-        [this, rii, pd, i, w](TaskCtx& c) {
-          std::vector<sim::Device::D2hBatchEntry> es;
-          es.reserve(2 * pd.size());
-          for (size_t k = 0; k < pd.size(); ++k) {
-            es.push_back({ooc::host_block(jobs_[k].r, offset(i), offset(i),
-                                          w, w),
-                          rii[k]});
-            es.push_back({host_panel(k, i), pd[k]});
-          }
-          c.d2h_batched(es, "fused d2h RiiQ " + std::to_string(i));
-        },
-        {fac}, p);
-    rtiles_.use(rs, {emit});
-    std::vector<TaskId> panel_readers{emit};
-
-    for (index_t j = i + 1; j < panels_; ++j) {
-      const index_t wj = width(j);
-      const std::int64_t pt = prio(i, 1);
-
-      const size_t bs = bstream_.acquire();
-      std::vector<DeviceMatrixRef> bd = slot_refs(bstream_, bs, m_, wj);
-      std::vector<TaskId> inb_deps;
-      bstream_.depend(bs, inb_deps);
-      if (out_a_.count(j) > 0) inb_deps.push_back(out_a_[j]);
-      const TaskId inb = g_.add(
-          TaskStage::MoveIn, "fused inB " + idx(i, j),
-          [this, bd, j](TaskCtx& c) {
-            std::vector<sim::Device::H2dBatchEntry> es;
-            es.reserve(bd.size());
-            for (size_t k = 0; k < bd.size(); ++k) {
-              es.push_back({bd[k], host_panel_const(k, j)});
-            }
-            c.h2d_batched(es, "fused h2d b " + std::to_string(j));
-          },
-          std::move(inb_deps), pt);
-
-      const size_t rs2 = rtiles_.acquire();
-      std::vector<DeviceMatrixRef> r12 = slot_refs(rtiles_, rs2, w, wj);
-      std::vector<TaskId> u1_deps{inb, fac};
-      rtiles_.depend(rs2, u1_deps);
-      const TaskId upd1 = g_.add(
-          TaskStage::Compute, "fused inner " + idx(i, j),
-          [this, pd, bd, r12, i, j](TaskCtx& c) {
-            std::vector<sim::Device::GemmBatchEntry> es;
-            es.reserve(pd.size());
-            for (size_t k = 0; k < pd.size(); ++k) {
-              es.push_back({blas::Op::Trans, blas::Op::NoTrans, 1.0f, pd[k],
-                            bd[k], 0.0f, r12[k]});
-            }
-            c.gemm_batched(es, "fused gemm qtb " + idx(i, j));
-          },
-          std::move(u1_deps), pt);
-      bstream_.use(bs, {upd1});
-      const TaskId outr = g_.add(
-          TaskStage::MoveOut, "fused outR " + idx(i, j),
-          [this, r12, i, j, w, wj](TaskCtx& c) {
-            std::vector<sim::Device::D2hBatchEntry> es;
-            es.reserve(r12.size());
-            for (size_t k = 0; k < r12.size(); ++k) {
-              es.push_back({ooc::host_block(jobs_[k].r, offset(i), offset(j),
-                                            w, wj),
-                            r12[k]});
-            }
-            c.d2h_batched(es, "fused d2h R " + idx(i, j));
-          },
-          {upd1}, pt);
-
-      const size_t cs = cstream_.acquire();
-      std::vector<DeviceMatrixRef> cd = slot_refs(cstream_, cs, m_, wj);
-      std::vector<TaskId> inc_deps;
-      cstream_.depend(cs, inc_deps);
-      if (out_a_.count(j) > 0) inc_deps.push_back(out_a_[j]);
-      const TaskId inc = g_.add(
-          TaskStage::MoveIn, "fused inC " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            std::vector<sim::Device::H2dBatchEntry> es;
-            es.reserve(cd.size());
-            for (size_t k = 0; k < cd.size(); ++k) {
-              es.push_back({cd[k], host_panel_const(k, j)});
-            }
-            c.h2d_batched(es, "fused h2d c " + std::to_string(j));
-          },
-          std::move(inc_deps), pt);
-      const TaskId upd2 = g_.add(
-          TaskStage::Compute, "fused outer " + idx(i, j),
-          [this, pd, r12, cd, i, j](TaskCtx& c) {
-            std::vector<sim::Device::GemmBatchEntry> es;
-            es.reserve(pd.size());
-            for (size_t k = 0; k < pd.size(); ++k) {
-              es.push_back({blas::Op::NoTrans, blas::Op::NoTrans, -1.0f,
-                            pd[k], r12[k], 1.0f, cd[k]});
-            }
-            c.gemm_batched(es, "fused gemm upd " + idx(i, j));
-          },
-          {inc, upd1}, pt);
-      rtiles_.use(rs2, {outr, upd2});
-      const TaskId outa = g_.add(
-          TaskStage::MoveOut, "fused outA " + idx(i, j),
-          [this, cd, j](TaskCtx& c) {
-            std::vector<sim::Device::D2hBatchEntry> es;
-            es.reserve(cd.size());
-            for (size_t k = 0; k < cd.size(); ++k) {
-              es.push_back({host_panel(k, j), cd[k]});
-            }
-            c.d2h_batched(es, "fused d2h tile " + std::to_string(j));
-          },
-          {upd2}, pt);
-      cstream_.use(cs, {outa});
-      out_a_[j] = outa;
-      panel_readers.push_back(upd2);
-    }
-    panel_.use(ps, std::move(panel_readers));
-    ++i_;
-    units_ = i_;
-    return true;
-  }
-
- private:
-  index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
-  index_t offset(index_t t) const { return t * b_; }
-  sim::HostConstRef host_panel_const(size_t k, index_t t) const {
-    return ooc::host_block(sim::as_const(jobs_[k].a), 0, offset(t), m_,
-                           width(t));
-  }
-  sim::HostMutRef host_panel(size_t k, index_t t) const {
-    return ooc::host_block(jobs_[k].a, 0, offset(t), m_, width(t));
-  }
-  std::int64_t prio(index_t i, std::int64_t phase) const {
-    return 4 * static_cast<std::int64_t>(i) + phase;
-  }
-  std::vector<DeviceMatrixRef> slot_refs(FusedSlotPool& pool, size_t s,
-                                         index_t rows, index_t cols) {
-    std::vector<DeviceMatrixRef> refs;
-    refs.reserve(pool.slots[s].size());
-    for (ScopedMatrix& buf : pool.slots[s]) {
-      refs.push_back(DeviceMatrixRef(buf.get()).block(0, 0, rows, cols));
-    }
-    return refs;
-  }
-
-  TaskGraph& g_;
-  const std::vector<BatchJob>& jobs_;
-  const QrOptions& opts_;
-  index_t m_ = 0;
-  index_t n_ = 0;
-  index_t b_ = 0;
-  index_t panels_ = 0;
-  index_t i_ = 0;
-  index_t units_ = 0;
-  FusedSlotPool panel_;
-  FusedSlotPool bstream_;
-  FusedSlotPool cstream_;
-  FusedSlotPool rtiles_;
-  std::map<index_t, TaskId> out_a_;
-};
-
 std::unique_ptr<Program> make_program(TaskGraph& graph, const BatchJob& job) {
   if (job.algorithm == "tiled") {
     return std::make_unique<TiledProgram>(graph, job);
   }
   if (job.algorithm == "blocking") {
-    return std::make_unique<BlockingProgram>(graph, job);
+    return std::make_unique<BlockingProgram>(
+        graph, std::span<const BatchJob>(&job, 1), job.label);
   }
   if (job.algorithm == "left") {
     return std::make_unique<LeftLookingProgram>(graph, job);
@@ -1056,88 +827,91 @@ std::unique_ptr<Program> make_program(TaskGraph& graph, const BatchJob& job) {
                         job.algorithm + "\"");
 }
 
+/// Runs `jobs` as ONE task graph on `dev` and returns the trace index the
+/// run started at (the stats window). Colocated, every job is its own
+/// one-lane program; `fused`, the jobs are the K lanes of one blocking
+/// program. Without a checkpoint sink the whole DAG is built and run once —
+/// maximum lookahead across every step of every program. With one, the
+/// graph runs round by round so every boundary is a consistent "u units
+/// factored" host snapshot: a round enqueues one segment of EVERY program
+/// before the single graph.run(), so colocated programs still interleave on
+/// the engines between checkpoint syncs; only then does each lane of each
+/// advanced program checkpoint (maybe_checkpoint synchronizes before
+/// snapshotting, and is where a serve PreemptSink raises PreemptRequest,
+/// unwinding the whole batch). With one program this is exactly the
+/// segment-per-segment schedule resume replays; a fused program's lanes
+/// advance in lockstep, so a round is one boundary for every member, and
+/// each checkpoint carries the solo driver tag.
+size_t run_programs(Device& dev, const std::vector<BatchJob>& jobs,
+                    bool fused, std::string span_name) {
+  const size_t window = dev.trace().size();
+  sim::TraceSpan span(dev, std::move(span_name));
+  TaskGraph graph(dev, gemm_options(jobs.front().opts));
+  std::vector<std::unique_ptr<Program>> progs;
+  if (fused) {
+    progs.push_back(std::make_unique<BlockingProgram>(graph, jobs, "fused "));
+  } else {
+    for (const BatchJob& job : jobs) progs.push_back(make_program(graph, job));
+  }
+  for (const auto& p : progs) p->allocate(dev);
+
+  if (std::none_of(jobs.begin(), jobs.end(), [](const BatchJob& job) {
+        return job.opts.checkpoint_sink != nullptr;
+      })) {
+    for (const auto& p : progs) p->begin();
+    bool more = true;
+    while (more) {
+      more = false;
+      for (const auto& p : progs) more = p->add_step() || more;
+    }
+    graph.run();
+  } else {
+    // One round: every program adds its next segment (`first`: its
+    // begin()), the graph runs, and the programs that completed a unit
+    // checkpoint. False once no program advanced.
+    const auto round = [&](bool first) {
+      std::vector<const Program*> advanced;
+      for (const auto& p : progs) {
+        if (first ? p->begin() : p->add_step()) advanced.push_back(p.get());
+      }
+      graph.run();
+      for (const Program* p : advanced) {
+        for (const BatchJob& job : p->lanes()) {
+          maybe_checkpoint(dev, p->driver_tag(), job.a, job.r, job.opts,
+                           p->columns_done(), p->units_done());
+        }
+      }
+      return !advanced.empty();
+    };
+    round(true);
+    while (round(false)) {
+    }
+  }
+  dev.synchronize();
+  return window;
+}
+
 } // namespace
 
 std::vector<QrStats> run_batch(Device& dev,
                                const std::vector<BatchJob>& jobs) {
   ROCQR_CHECK(!jobs.empty(), "run_batch: no jobs");
-  bool any_sink = false;
   bool all_tiled = true;
   for (const BatchJob& job : jobs) {
     job.opts.validate();
-    any_sink = any_sink || job.opts.checkpoint_sink != nullptr;
     all_tiled = all_tiled && job.algorithm == "tiled";
     // The graph-level transfer/ABFT configuration comes from jobs[0]; a
     // precision mismatch would silently change another job's arithmetic.
     ROCQR_CHECK(job.opts.precision == jobs.front().opts.precision,
                 "run_batch: colocated jobs must share a gemm precision");
   }
-
-  const size_t window = dev.trace().size();
-  sim::TraceSpan span(dev, all_tiled ? "tiled_qr" : "qr_batch");
-  TaskGraph graph(dev, gemm_options(jobs.front().opts));
-
-  std::vector<std::unique_ptr<Program>> progs;
-  progs.reserve(jobs.size());
-  for (const BatchJob& job : jobs) {
-    progs.push_back(make_program(graph, job));
-    progs.back()->allocate(dev);
-  }
-
-  if (!any_sink) {
-    // No checkpoint boundaries: build the whole DAG and run it once —
-    // maximum lookahead across every step (and every colocated job).
-    for (auto& p : progs) p->begin();
-    bool more = true;
-    while (more) {
-      more = false;
-      for (auto& p : progs) more = p->add_step() || more;
-    }
-    graph.run();
-  } else {
-    // Checkpointed: run round-by-round so every boundary is a consistent
-    // "u units factored" host snapshot. A round enqueues one segment of
-    // EVERY job before the single graph.run(), so colocated jobs still
-    // interleave on the engines between checkpoint syncs; only then does
-    // each advanced job checkpoint (maybe_checkpoint synchronizes before
-    // snapshotting, and is where a serve PreemptSink raises
-    // PreemptRequest, unwinding the whole batch). With one job this is
-    // exactly the segment-per-segment schedule resume replays.
-    std::vector<char> advanced(progs.size(), 0);
-    for (size_t i = 0; i < progs.size(); ++i) {
-      advanced[i] = progs[i]->begin() ? 1 : 0;
-    }
-    graph.run();
-    for (size_t i = 0; i < progs.size(); ++i) {
-      if (!advanced[i]) continue; // resume staging: no new unit to record
-      auto& p = progs[i];
-      maybe_checkpoint(dev, p->driver_tag(), p->job().a, p->job().r,
-                       p->job().opts, p->columns_done(), p->units_done());
-    }
-    bool more = true;
-    while (more) {
-      more = false;
-      for (size_t i = 0; i < progs.size(); ++i) {
-        advanced[i] = progs[i]->add_step() ? 1 : 0;
-        more = more || advanced[i] != 0;
-      }
-      if (!more) break;
-      graph.run();
-      for (size_t i = 0; i < progs.size(); ++i) {
-        if (!advanced[i]) continue;
-        auto& p = progs[i];
-        maybe_checkpoint(dev, p->driver_tag(), p->job().a, p->job().r,
-                         p->job().opts, p->columns_done(), p->units_done());
-      }
-    }
-  }
-
-  dev.synchronize();
+  const size_t window =
+      run_programs(dev, jobs, false, all_tiled ? "tiled_qr" : "qr_batch");
   std::vector<QrStats> stats;
-  stats.reserve(progs.size());
-  for (const auto& p : progs) {
+  stats.reserve(jobs.size());
+  for (const BatchJob& job : jobs) {
     stats.push_back(stats_from_trace(dev.trace(), window, dev.memory_peak(),
-                                     p->job().label));
+                                     job.label));
   }
   return stats;
 }
@@ -1151,7 +925,6 @@ std::vector<QrStats> run_fused_batch(Device& dev,
                                      const std::vector<BatchJob>& jobs) {
   ROCQR_CHECK(!jobs.empty(), "run_fused_batch: no jobs");
   const BatchJob& j0 = jobs.front();
-  bool any_sink = false;
   for (const BatchJob& job : jobs) {
     job.opts.validate();
     ROCQR_CHECK(job.algorithm == "blocking",
@@ -1173,37 +946,9 @@ std::vector<QrStats> run_fused_batch(Device& dev,
                 "run_fused_batch: fused jobs must share a panel algorithm");
     ROCQR_CHECK(job.opts.resume_units == j0.opts.resume_units,
                 "run_fused_batch: fused jobs must share a resume position");
-    any_sink = any_sink || job.opts.checkpoint_sink != nullptr;
   }
-
-  const size_t window = dev.trace().size();
-  sim::TraceSpan span(dev, "qr_fused_batch x" + std::to_string(jobs.size()));
-  TaskGraph graph(dev, gemm_options(j0.opts));
-  FusedBlocking prog(graph, jobs);
-  prog.allocate(dev);
-  prog.begin();
-
-  if (!any_sink) {
-    while (prog.add_step()) {
-    }
-    graph.run();
-  } else {
-    // The jobs advance in lockstep, so one fused round is one checkpoint
-    // boundary for every member: after each round's run() the device is
-    // synchronized once and every job snapshots (a serve PreemptSink may
-    // raise PreemptRequest there, unwinding the whole fused batch; each
-    // member's checkpoint carries the solo "blocking" tag so it can resume
-    // solo or in a different fusion).
-    while (prog.add_step()) {
-      graph.run();
-      for (const BatchJob& job : jobs) {
-        maybe_checkpoint(dev, "blocking", job.a, job.r, job.opts,
-                         prog.columns_done(), prog.units_done());
-      }
-    }
-  }
-
-  dev.synchronize();
+  const size_t window = run_programs(
+      dev, jobs, true, "qr_fused_batch x" + std::to_string(jobs.size()));
   // Even 1/K attribution — exact, because the K jobs are identical in shape
   // and arithmetic.
   const QrStats per = split_fused_stats(

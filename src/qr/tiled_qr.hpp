@@ -15,8 +15,8 @@
 // resident tile skips one host round trip per step and R rows leave the
 // device directly (see bench/tiled_qr_lookahead, BENCH_tiled_qr.json).
 //
-// `run_batch` fuses SEVERAL factorizations — tiled, blocking, or
-// left-looking, mixed freely — into ONE task graph on one device: every
+// `run_batch` colocates SEVERAL factorizations — tiled, blocking, or
+// left-looking, mixed freely — in ONE task graph on one device: every
 // job's algorithm is expressed as a node program over the shared
 // three-stream schedule, so one job's transfers overlap another's computes
 // regardless of algorithm. The blocking and left-looking programs perform
@@ -24,6 +24,14 @@
 // GEMM operand precisions and k-extents, elementwise fp16 conversions), so
 // a job preempted from a batch resumes solo — or vice versa — with
 // bit-identical results (pinned by tests/qr_mixed_batch_test.cpp).
+//
+// The blocking program is K lanes wide: each node issues one device op
+// over its lanes (solo device ops are one-entry batches, sim/device.hpp).
+// A colocated blocking job is its one-lane form, with op names under the
+// job label; `run_fused_batch` runs K same-shape blocking jobs as its
+// K-lane form, with op names under "fused ". Both go through one
+// round-and-checkpoint loop, so a one-job fusion and a one-job colocated
+// batch are the same schedule (pinned by tests/qr_fused_batch_test.cpp).
 //
 // Checkpoints use the per-algorithm driver tags ("tiled", "blocking",
 // "left"). Tiled unit u = "tiles 0..u-1 factored, with the trailing
@@ -71,14 +79,15 @@ std::vector<QrStats> run_batch(sim::Device& dev,
 QrStats run_tiled(sim::Device& dev, sim::HostMutRef a, sim::HostMutRef r,
                   const QrOptions& opts);
 
-/// Fuses K same-shape, same-precision "blocking" jobs into ONE node program
-/// of block-diagonal batched operations: per panel iteration the fused graph
-/// issues a single batched move-in, one batched panel kernel, one batched
-/// inner/outer GEMM pair per trailing panel and one batched move-out — each
-/// covering all K jobs — instead of K per-job rounds, so the fixed per-op
-/// latencies (link turnaround, kernel launch) are paid once per round. The
-/// per-entry numerics are the exact solo bodies in job order, so every job's
-/// R (and Q) is bit-identical to a solo run (pinned by
+/// Fuses K same-shape, same-precision "blocking" jobs into the K lanes of
+/// the blocking node program, whose every node is one block-diagonal
+/// batched operation: per panel iteration the fused graph issues a single
+/// batched move-in, one batched panel kernel, one batched inner/outer GEMM
+/// pair per trailing panel and one batched move-out — each covering all K
+/// jobs — instead of K per-job rounds, so the fixed per-op latencies (link
+/// turnaround, kernel launch) are paid once per round. The per-entry
+/// numerics are the exact solo bodies in job order, so every job's R (and
+/// Q) is bit-identical to a solo run (pinned by
 /// tests/qr_fused_batch_test.cpp), and checkpoints carry the solo "blocking"
 /// driver tag: a job preempted from a fused batch resumes solo or fused.
 /// Requires: every job algorithm "blocking", identical m/n/blocksize/

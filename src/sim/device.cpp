@@ -23,6 +23,17 @@ void check_ref_bounds(const DeviceMatrixRef& ref, const char* what) {
               std::string(what) + ": ref exceeds matrix bounds");
 }
 
+/// C (m x n) = op(A) (m x k) * op(B) (k x n).
+struct GemmDims {
+  index_t m, n, k;
+};
+
+GemmDims gemm_dims(const Device::GemmBatchEntry& e) {
+  return {blas::op_rows(e.opa, e.a.rows, e.a.cols),
+          blas::op_cols(e.opb, e.b.rows, e.b.cols),
+          blas::op_cols(e.opa, e.a.rows, e.a.cols)};
+}
+
 } // namespace
 
 Device::Device(DeviceSpec spec, ExecutionMode mode,
@@ -207,68 +218,6 @@ void Device::round_fp16_block(const DeviceMatrixRef& ref) {
   blas::round_to_half(ref.rows, ref.cols, r.ptr, r.ld);
 }
 
-void Device::copy_h2d(DeviceMatrixRef dst, HostConstRef src, Stream s,
-                      std::string name) {
-  check_ref_bounds(dst, "copy_h2d");
-  ROCQR_CHECK(dst.rows == src.rows && dst.cols == src.cols,
-              "copy_h2d: shape mismatch");
-  if (dst.rows == 0 || dst.cols == 0) return;
-  ensure_alive("copy_h2d");
-  // Injected transfer failures throw before schedule(): a failed enqueue
-  // consumes no engine time (the caller's retry backoff models the cost).
-  if (faults_ && faults_->fire(FaultSite::H2D)) {
-    if (faults_->last_fired_kind() == FaultKind::Fatal) die("h2d", name);
-    throw TransferError("injected fault: h2d:transient on '" + name +
-                        "' (h2d op #" +
-                        std::to_string(faults_->ops_seen(FaultSite::H2D)) +
-                        ")");
-  }
-  // PCIe payload is fp32 regardless of device-resident precision.
-  const bytes_t bytes = static_cast<bytes_t>(dst.rows) * dst.cols * 4;
-  const double scale =
-      host_pinned_ ? 1.0 : 1.0 / model_.spec().pageable_bandwidth_factor;
-  schedule(Resource::H2D, OpKind::CopyH2D, s, model_.h2d_seconds(bytes) * scale,
-           bytes, 0, std::move(name));
-  if (mode_ == ExecutionMode::Real) {
-    if (src.data == nullptr) {
-      throw PhantomDataError("copy_h2d: phantom host source in Real mode");
-    }
-    const Resolved d = resolve(dst, "copy_h2d");
-    blas::copy_matrix(dst.rows, dst.cols, src.data, src.ld, d.ptr, d.ld);
-    if (dst.matrix.precision() == StoragePrecision::FP16) {
-      blas::round_to_half(dst.rows, dst.cols, d.ptr, d.ld);
-    }
-  }
-}
-
-void Device::copy_d2h(HostMutRef dst, DeviceMatrixRef src, Stream s,
-                      std::string name) {
-  check_ref_bounds(src, "copy_d2h");
-  ROCQR_CHECK(dst.rows == src.rows && dst.cols == src.cols,
-              "copy_d2h: shape mismatch");
-  if (src.rows == 0 || src.cols == 0) return;
-  ensure_alive("copy_d2h");
-  if (faults_ && faults_->fire(FaultSite::D2H)) {
-    if (faults_->last_fired_kind() == FaultKind::Fatal) die("d2h", name);
-    throw TransferError("injected fault: d2h:transient on '" + name +
-                        "' (d2h op #" +
-                        std::to_string(faults_->ops_seen(FaultSite::D2H)) +
-                        ")");
-  }
-  const bytes_t bytes = static_cast<bytes_t>(src.rows) * src.cols * 4;
-  const double scale =
-      host_pinned_ ? 1.0 : 1.0 / model_.spec().pageable_bandwidth_factor;
-  schedule(Resource::D2H, OpKind::CopyD2H, s, model_.d2h_seconds(bytes) * scale,
-           bytes, 0, std::move(name));
-  if (mode_ == ExecutionMode::Real) {
-    if (dst.data == nullptr) {
-      throw PhantomDataError("copy_d2h: phantom host destination in Real mode");
-    }
-    const Resolved sv = resolve(src, "copy_d2h");
-    blas::copy_matrix(src.rows, src.cols, sv.ptr, sv.ld, dst.data, dst.ld);
-  }
-}
-
 void Device::copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
                       std::string name) {
   check_ref_bounds(dst, "copy_d2d");
@@ -287,65 +236,6 @@ void Device::copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
     blas::copy_matrix(src.rows, src.cols, sv.ptr, sv.ld, dv.ptr, dv.ld);
     if (dst.matrix.precision() == StoragePrecision::FP16) {
       blas::round_to_half(dst.rows, dst.cols, dv.ptr, dv.ld);
-    }
-  }
-}
-
-void Device::gemm(blas::Op opa, blas::Op opb, float alpha, DeviceMatrixRef a,
-                  DeviceMatrixRef b, float beta, DeviceMatrixRef c,
-                  blas::GemmPrecision precision, Stream s, std::string name) {
-  check_ref_bounds(a, "gemm");
-  check_ref_bounds(b, "gemm");
-  check_ref_bounds(c, "gemm");
-  const index_t m = blas::op_rows(opa, a.rows, a.cols);
-  const index_t k = blas::op_cols(opa, a.rows, a.cols);
-  const index_t n = blas::op_cols(opb, b.rows, b.cols);
-  ROCQR_CHECK(blas::op_rows(opb, b.rows, b.cols) == k,
-              "gemm: inner dimension mismatch");
-  ROCQR_CHECK(c.rows == m && c.cols == n, "gemm: C shape mismatch");
-  if (m == 0 || n == 0) return;
-  ensure_alive("gemm");
-
-  // Compute-site faults corrupt (rather than abort) the op: silent data
-  // corruption is the failure mode ABFT checksums exist for. In Phantom
-  // mode there is nothing to corrupt, but the op still counts and fires so
-  // plans behave identically across modes. A fatal compute fault instead
-  // kills the device before the op is scheduled.
-  const bool fired = faults_ && faults_->fire(FaultSite::Compute);
-  if (fired && faults_->last_fired_kind() == FaultKind::Fatal) {
-    die("compute", name);
-  }
-  const bool corrupt =
-      fired && faults_->last_fired_kind() == FaultKind::Corrupt;
-  const flops_t flops = blas::gemm_flops(m, n, k);
-  // Attribute flops by problem shape: the paper's engines live or die by
-  // whether their GEMMs are reduction-dominated (k-split inner products),
-  // output-dominated (outer-product updates) or near-square (peak-rate).
-  const index_t mn_max = std::max(m, n);
-  const char* shape_class = k >= 4 * mn_max     ? "gemm_flops.reduction"
-                            : mn_max >= 4 * k   ? "gemm_flops.outer"
-                                                : "gemm_flops.square";
-  telemetry::MetricsRegistry::global()
-      .counter(std::string("sim.") + shape_class)
-      .add(flops);
-  schedule(Resource::Compute, OpKind::Gemm, s,
-           model_.gemm_seconds(opa, m, n, k, precision), 0, flops,
-           std::move(name));
-  if (mode_ == ExecutionMode::Real) {
-    const Resolved av = resolve(a, "gemm");
-    const Resolved bv = resolve(b, "gemm");
-    const Resolved cv = resolve(c, "gemm");
-    blas::gemm(opa, opb, m, n, k, alpha, av.ptr, av.ld, bv.ptr, bv.ld, beta,
-               cv.ptr, cv.ld, precision);
-    if (c.matrix.precision() == StoragePrecision::FP16) {
-      blas::round_to_half(c.rows, c.cols, cv.ptr, cv.ld);
-    }
-    if (corrupt) {
-      // Perturb one output element by several orders of magnitude more than
-      // the fp16-rounding noise an ABFT checksum must tolerate.
-      Rng& rng = faults_->payload_rng();
-      float& v = cv.ptr[rng.below(m) + rng.below(n) * cv.ld];
-      v += 1.0e4f * (1.0f + std::fabs(v));
     }
   }
 }
@@ -394,26 +284,50 @@ void Device::custom_compute(Stream s, sim_time_t seconds, flops_t flops,
   if (mode_ == ExecutionMode::Real && body) body();
 }
 
-void Device::copy_h2d_batched(const std::vector<H2dBatchEntry>& entries,
+// Every H2D copy, D2H copy and GEMM is a batch: the solo entry points are
+// one-entry calls into the batched bodies below, so there is one
+// implementation per op kind.
+
+void Device::copy_h2d(DeviceMatrixRef dst, HostConstRef src, Stream s,
+                      std::string name) {
+  const H2dBatchEntry e{dst, src};
+  copy_h2d_batched({&e, 1}, s, std::move(name));
+}
+
+void Device::copy_d2h(HostMutRef dst, DeviceMatrixRef src, Stream s,
+                      std::string name) {
+  const D2hBatchEntry e{dst, src};
+  copy_d2h_batched({&e, 1}, s, std::move(name));
+}
+
+void Device::gemm(blas::Op opa, blas::Op opb, float alpha, DeviceMatrixRef a,
+                  DeviceMatrixRef b, float beta, DeviceMatrixRef c,
+                  blas::GemmPrecision precision, Stream s, std::string name) {
+  const GemmBatchEntry e{opa, opb, alpha, a, b, beta, c};
+  gemm_batched({&e, 1}, precision, s, std::move(name));
+}
+
+void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
                               Stream s, std::string name) {
   bytes_t bytes = 0;
   sim_time_t duration = 0;
   int live = 0;
   for (const H2dBatchEntry& e : entries) {
-    check_ref_bounds(e.dst, "copy_h2d_batched");
+    check_ref_bounds(e.dst, "copy_h2d");
     ROCQR_CHECK(e.dst.rows == e.src.rows && e.dst.cols == e.src.cols,
-                "copy_h2d_batched: shape mismatch");
+                "copy_h2d: shape mismatch");
     if (e.dst.rows == 0 || e.dst.cols == 0) continue;
+    // PCIe payload is fp32 regardless of device-resident precision.
     const bytes_t b = static_cast<bytes_t>(e.dst.rows) * e.dst.cols * 4;
     bytes += b;
     duration += model_.h2d_seconds(b);
     ++live;
   }
   if (live == 0) return;
-  ensure_alive("copy_h2d_batched");
-  // One fused transfer is one fault site: a transient aborts the whole
-  // enqueue (the caller's retry replays every payload), a fatal kills the
-  // device — exactly the solo copy_h2d contract, counted once.
+  ensure_alive("copy_h2d");
+  // One transfer is one fault site, thrown before schedule(): a failed
+  // enqueue consumes no engine time (the caller's retry backoff models the
+  // cost and replays every payload), and a fatal fault kills the device.
   if (faults_ && faults_->fire(FaultSite::H2D)) {
     if (faults_->last_fired_kind() == FaultKind::Fatal) die("h2d", name);
     throw TransferError("injected fault: h2d:transient on '" + name +
@@ -421,8 +335,8 @@ void Device::copy_h2d_batched(const std::vector<H2dBatchEntry>& entries,
                         std::to_string(faults_->ops_seen(FaultSite::H2D)) +
                         ")");
   }
-  // The fixed link-turnaround latency is paid once for the fused transfer,
-  // not per payload: sum(solo) - (K-1) * latency.
+  // The fixed link-turnaround latency is paid once per transfer, not per
+  // payload: sum(solo) - (K-1) * latency.
   duration -= static_cast<sim_time_t>(live - 1) * model_.spec().copy_latency_s;
   const double scale =
       host_pinned_ ? 1.0 : 1.0 / model_.spec().pageable_bandwidth_factor;
@@ -432,10 +346,9 @@ void Device::copy_h2d_batched(const std::vector<H2dBatchEntry>& entries,
     for (const H2dBatchEntry& e : entries) {
       if (e.dst.rows == 0 || e.dst.cols == 0) continue;
       if (e.src.data == nullptr) {
-        throw PhantomDataError(
-            "copy_h2d_batched: phantom host source in Real mode");
+        throw PhantomDataError("copy_h2d: phantom host source in Real mode");
       }
-      const Resolved d = resolve(e.dst, "copy_h2d_batched");
+      const Resolved d = resolve(e.dst, "copy_h2d");
       blas::copy_matrix(e.dst.rows, e.dst.cols, e.src.data, e.src.ld, d.ptr,
                         d.ld);
       if (e.dst.matrix.precision() == StoragePrecision::FP16) {
@@ -445,15 +358,15 @@ void Device::copy_h2d_batched(const std::vector<H2dBatchEntry>& entries,
   }
 }
 
-void Device::copy_d2h_batched(const std::vector<D2hBatchEntry>& entries,
+void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
                               Stream s, std::string name) {
   bytes_t bytes = 0;
   sim_time_t duration = 0;
   int live = 0;
   for (const D2hBatchEntry& e : entries) {
-    check_ref_bounds(e.src, "copy_d2h_batched");
+    check_ref_bounds(e.src, "copy_d2h");
     ROCQR_CHECK(e.dst.rows == e.src.rows && e.dst.cols == e.src.cols,
-                "copy_d2h_batched: shape mismatch");
+                "copy_d2h: shape mismatch");
     if (e.src.rows == 0 || e.src.cols == 0) continue;
     const bytes_t b = static_cast<bytes_t>(e.src.rows) * e.src.cols * 4;
     bytes += b;
@@ -461,7 +374,7 @@ void Device::copy_d2h_batched(const std::vector<D2hBatchEntry>& entries,
     ++live;
   }
   if (live == 0) return;
-  ensure_alive("copy_d2h_batched");
+  ensure_alive("copy_d2h");
   if (faults_ && faults_->fire(FaultSite::D2H)) {
     if (faults_->last_fired_kind() == FaultKind::Fatal) die("d2h", name);
     throw TransferError("injected fault: d2h:transient on '" + name +
@@ -479,53 +392,63 @@ void Device::copy_d2h_batched(const std::vector<D2hBatchEntry>& entries,
       if (e.src.rows == 0 || e.src.cols == 0) continue;
       if (e.dst.data == nullptr) {
         throw PhantomDataError(
-            "copy_d2h_batched: phantom host destination in Real mode");
+            "copy_d2h: phantom host destination in Real mode");
       }
-      const Resolved sv = resolve(e.src, "copy_d2h_batched");
+      const Resolved sv = resolve(e.src, "copy_d2h");
       blas::copy_matrix(e.src.rows, e.src.cols, sv.ptr, sv.ld, e.dst.data,
                         e.dst.ld);
     }
   }
 }
 
-void Device::gemm_batched(const std::vector<GemmBatchEntry>& entries,
+void Device::gemm_batched(std::span<const GemmBatchEntry> entries,
                           blas::GemmPrecision precision, Stream s,
                           std::string name) {
   sim_time_t duration = 0;
   flops_t flops = 0;
   int live = 0;
   for (const GemmBatchEntry& e : entries) {
-    check_ref_bounds(e.a, "gemm_batched");
-    check_ref_bounds(e.b, "gemm_batched");
-    check_ref_bounds(e.c, "gemm_batched");
-    const index_t m = blas::op_rows(e.opa, e.a.rows, e.a.cols);
-    const index_t k = blas::op_cols(e.opa, e.a.rows, e.a.cols);
-    const index_t n = blas::op_cols(e.opb, e.b.rows, e.b.cols);
-    ROCQR_CHECK(blas::op_rows(e.opb, e.b.rows, e.b.cols) == k,
-                "gemm_batched: inner dimension mismatch");
-    ROCQR_CHECK(e.c.rows == m && e.c.cols == n,
-                "gemm_batched: C shape mismatch");
-    if (m == 0 || n == 0) continue;
-    const flops_t f = blas::gemm_flops(m, n, k);
-    flops += f;
-    duration += model_.gemm_seconds(e.opa, m, n, k, precision);
-    const index_t mn_max = std::max(m, n);
-    const char* shape_class = k >= 4 * mn_max   ? "gemm_flops.reduction"
-                              : mn_max >= 4 * k ? "gemm_flops.outer"
-                                                : "gemm_flops.square";
-    telemetry::MetricsRegistry::global()
-        .counter(std::string("sim.") + shape_class)
-        .add(f);
+    check_ref_bounds(e.a, "gemm");
+    check_ref_bounds(e.b, "gemm");
+    check_ref_bounds(e.c, "gemm");
+    const GemmDims d = gemm_dims(e);
+    ROCQR_CHECK(blas::op_rows(e.opb, e.b.rows, e.b.cols) == d.k,
+                "gemm: inner dimension mismatch");
+    ROCQR_CHECK(e.c.rows == d.m && e.c.cols == d.n, "gemm: C shape mismatch");
+    if (d.m == 0 || d.n == 0) continue;
+    flops += blas::gemm_flops(d.m, d.n, d.k);
+    duration += model_.gemm_seconds(e.opa, d.m, d.n, d.k, precision);
     ++live;
   }
   if (live == 0) return;
-  ensure_alive("gemm_batched");
+  ensure_alive("gemm");
+
+  // Compute-site faults corrupt (rather than abort) the op: silent data
+  // corruption is the failure mode ABFT checksums exist for. In Phantom
+  // mode there is nothing to corrupt, but the op still counts and fires so
+  // plans behave identically across modes. A fatal compute fault instead
+  // kills the device before the op is scheduled.
   const bool fired = faults_ && faults_->fire(FaultSite::Compute);
   if (fired && faults_->last_fired_kind() == FaultKind::Fatal) {
     die("compute", name);
   }
   const bool corrupt =
       fired && faults_->last_fired_kind() == FaultKind::Corrupt;
+  // Attribute the flops of every product the engine runs by problem shape:
+  // the paper's engines live or die by whether their GEMMs are
+  // reduction-dominated (k-split inner products), output-dominated
+  // (outer-product updates) or near-square (peak-rate).
+  for (const GemmBatchEntry& e : entries) {
+    const GemmDims d = gemm_dims(e);
+    if (d.m == 0 || d.n == 0) continue;
+    const index_t mn_max = std::max(d.m, d.n);
+    const char* shape_class = d.k >= 4 * mn_max   ? "gemm_flops.reduction"
+                              : mn_max >= 4 * d.k ? "gemm_flops.outer"
+                                                  : "gemm_flops.square";
+    telemetry::MetricsRegistry::global()
+        .counter(std::string("sim.") + shape_class)
+        .add(blas::gemm_flops(d.m, d.n, d.k));
+  }
   // One kernel-launch latency for the block-diagonal batch.
   duration -=
       static_cast<sim_time_t>(live - 1) * model_.spec().kernel_latency_s;
@@ -534,21 +457,21 @@ void Device::gemm_batched(const std::vector<GemmBatchEntry>& entries,
   if (mode_ == ExecutionMode::Real) {
     bool first = true;
     for (const GemmBatchEntry& e : entries) {
-      const index_t m = blas::op_rows(e.opa, e.a.rows, e.a.cols);
-      const index_t k = blas::op_cols(e.opa, e.a.rows, e.a.cols);
-      const index_t n = blas::op_cols(e.opb, e.b.rows, e.b.cols);
-      if (m == 0 || n == 0) continue;
-      const Resolved av = resolve(e.a, "gemm_batched");
-      const Resolved bv = resolve(e.b, "gemm_batched");
-      const Resolved cv = resolve(e.c, "gemm_batched");
-      blas::gemm(e.opa, e.opb, m, n, k, e.alpha, av.ptr, av.ld, bv.ptr, bv.ld,
-                 e.beta, cv.ptr, cv.ld, precision);
+      const GemmDims d = gemm_dims(e);
+      if (d.m == 0 || d.n == 0) continue;
+      const Resolved av = resolve(e.a, "gemm");
+      const Resolved bv = resolve(e.b, "gemm");
+      const Resolved cv = resolve(e.c, "gemm");
+      blas::gemm(e.opa, e.opb, d.m, d.n, d.k, e.alpha, av.ptr, av.ld, bv.ptr,
+                 bv.ld, e.beta, cv.ptr, cv.ld, precision);
       if (e.c.matrix.precision() == StoragePrecision::FP16) {
         blas::round_to_half(e.c.rows, e.c.cols, cv.ptr, cv.ld);
       }
       if (corrupt && first) {
+        // Perturb one output element by several orders of magnitude more
+        // than the fp16-rounding noise an ABFT checksum must tolerate.
         Rng& rng = faults_->payload_rng();
-        float& v = cv.ptr[rng.below(m) + rng.below(n) * cv.ld];
+        float& v = cv.ptr[rng.below(d.m) + rng.below(d.n) * cv.ld];
         v += 1.0e4f * (1.0f + std::fabs(v));
       }
       first = false;

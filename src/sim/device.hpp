@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -238,11 +239,13 @@ class Device {
 
   /// PCIe H2D transfer of an fp32 payload (rows*cols*4 bytes). If the
   /// destination storage is FP16, elements are rounded on arrival (the
-  /// device-side convert kernel of the paper's pipeline).
+  /// device-side convert kernel of the paper's pipeline). A one-entry
+  /// copy_h2d_batched.
   void copy_h2d(DeviceMatrixRef dst, HostConstRef src, Stream s,
                 std::string name = "h2d");
 
-  /// PCIe D2H transfer; payload is fp32 (rows*cols*4 bytes).
+  /// PCIe D2H transfer; payload is fp32 (rows*cols*4 bytes). A one-entry
+  /// copy_d2h_batched.
   void copy_d2h(HostMutRef dst, DeviceMatrixRef src, Stream s,
                 std::string name = "d2h");
 
@@ -251,7 +254,7 @@ class Device {
                 std::string name = "d2d");
 
   /// C = alpha * op(A)*op(B) + beta * C on the compute engine. Duration from
-  /// the PerfModel; numerics executed in Real mode.
+  /// the PerfModel; numerics executed in Real mode. A one-entry gemm_batched.
   void gemm(blas::Op opa, blas::Op opb, float alpha, DeviceMatrixRef a,
             DeviceMatrixRef b, float beta, DeviceMatrixRef c,
             blas::GemmPrecision precision, Stream s, std::string name = "gemm");
@@ -277,12 +280,15 @@ class Device {
 
   // --- Batched operations ---------------------------------------------------
   //
-  // One engine occupancy covering many same-direction sub-operations: the
-  // batched serving path coalesces K same-shape jobs into a single
-  // H2D / compute / D2H launch, paying the fixed per-op latency once instead
-  // of K times. Duration is sum(solo durations) - (K-1) * latency; bytes and
-  // flops sum. Real-mode numerics run the identical per-entry bodies in entry
-  // order, so results are bit-identical to K solo operations.
+  // The one implementation of each copy direction and of the GEMM: an op is
+  // one engine occupancy covering K >= 1 same-kind entries, and the solo
+  // copy_h2d / copy_d2h / gemm above are one-entry calls. A fused serving
+  // batch coalesces K same-shape jobs into a single H2D / compute / D2H
+  // launch, paying the fixed per-op latency once instead of K times.
+  // Duration is sum(solo durations) - (K-1) * latency; bytes and flops sum.
+  // Real-mode numerics run the identical per-entry bodies in entry order, so
+  // results are bit-identical to K solo operations. Entries are taken as a
+  // span, so a solo op allocates nothing.
 
   /// One H2D sub-transfer of a batched move-in.
   struct H2dBatchEntry {
@@ -308,16 +314,18 @@ class Device {
   };
 
   /// Fused H2D transfer: one link occupancy, one fault site, K payloads.
-  void copy_h2d_batched(const std::vector<H2dBatchEntry>& entries, Stream s,
+  void copy_h2d_batched(std::span<const H2dBatchEntry> entries, Stream s,
                         std::string name = "h2d_batched");
 
   /// Fused D2H transfer (symmetric to copy_h2d_batched).
-  void copy_d2h_batched(const std::vector<D2hBatchEntry>& entries, Stream s,
+  void copy_d2h_batched(std::span<const D2hBatchEntry> entries, Stream s,
                         std::string name = "d2h_batched");
 
   /// Block-diagonal GEMM: K independent products in one compute-engine
-  /// launch (one kernel-launch latency amortized across the batch).
-  void gemm_batched(const std::vector<GemmBatchEntry>& entries,
+  /// launch (one kernel-launch latency amortized across the batch). One
+  /// compute fault site; a corrupting fault perturbs the first product. The
+  /// sim.gemm_flops.* counters count only products the engine runs.
+  void gemm_batched(std::span<const GemmBatchEntry> entries,
                     blas::GemmPrecision precision, Stream s,
                     std::string name = "gemm_batched");
 

@@ -10,6 +10,7 @@
 #include "leak_check.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -158,6 +159,48 @@ TEST(FusedBatch, FusionBeatsSerialSmallJobs) {
   qr::detail::run_fused_batch(dev, jobs);
   dev.synchronize();
   EXPECT_LT(dev.makespan(), serial);
+}
+
+TEST(FusedBatch, OneLaneProgramIsTheColocatedProgram) {
+  // Colocation and fusion run one blocking node program: a colocated job is
+  // its one-lane form, named under the job label, and a fusion its K-lane
+  // form, named under "fused ". With one job the two are the same schedule
+  // event for event, and the same op names once the prefix is stripped.
+  qr::QrOptions opts;
+  opts.blocksize = 64;
+  const auto run = [&](bool fused) {
+    Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+    const std::vector<qr::detail::BatchJob> jobs{qr::detail::BatchJob{
+        "blocking", sim::HostMutRef::phantom(2048, 512),
+        sim::HostMutRef::phantom(512, 512), opts, "j0."}};
+    if (fused) {
+      qr::detail::run_fused_batch(dev, jobs);
+    } else {
+      qr::detail::run_batch(dev, jobs);
+    }
+    dev.synchronize();
+    return dev.trace().events();
+  };
+  const std::vector<sim::TraceEvent> colocated = run(false);
+  const std::vector<sim::TraceEvent> fused = run(true);
+  ASSERT_EQ(colocated.size(), fused.size());
+  const auto unprefixed = [](const std::string& name,
+                             const std::string& prefix) {
+    EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
+    return name.substr(prefix.size());
+  };
+  for (size_t i = 0; i < fused.size(); ++i) {
+    const sim::TraceEvent& c = colocated[i];
+    const sim::TraceEvent& f = fused[i];
+    EXPECT_EQ(unprefixed(c.name, "j0."), unprefixed(f.name, "fused "))
+        << "op " << i;
+    EXPECT_EQ(c.kind, f.kind) << c.name;
+    EXPECT_EQ(c.resource, f.resource) << c.name;
+    EXPECT_EQ(c.start, f.start) << c.name;
+    EXPECT_EQ(c.end, f.end) << c.name;
+    EXPECT_EQ(c.bytes, f.bytes) << c.name;
+    EXPECT_EQ(c.flops, f.flops) << c.name;
+  }
 }
 
 /// Models serve::Scheduler's preemption: the sink that raises out of the

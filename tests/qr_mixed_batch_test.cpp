@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "qr/checkpoint.hpp"
 #include "qr/factorize.hpp"
 #include "qr/tiled_qr.hpp"
 #include "sim/device.hpp"
+#include "sim/faults.hpp"
 
 namespace rocqr {
 namespace {
@@ -279,6 +281,47 @@ TEST(MixedBatch, ResumeUnitsSkipsTheCompletedPrefixInBatch) {
   EXPECT_TRUE(bitwise_equal(q0, ref.q));
   EXPECT_TRUE(bitwise_equal(r0, ref.r));
   EXPECT_LT(la::qr_residual(a1.view(), q1.view(), r1.view()), 1e-4);
+}
+
+TEST(MixedBatch, ColocatedBlockingAbftRepairsComputeCorruption) {
+  // Colocated GEMMs keep the opt-in ABFT check: a blocking and a tiled job
+  // share one graph under injected output corruption, every corrupted GEMM
+  // is caught and recomputed, and both jobs land on the clean run bit for
+  // bit.
+  const index_t m = 96;
+  la::Matrix a0 = la::random_normal(m, 64, 341); // blocking
+  la::Matrix a1 = la::random_normal(m, 48, 342); // tiled
+  qr::QrOptions opts = base_options(16);
+  opts.abft = true;
+
+  struct Run {
+    la::Matrix q0, r0, q1, r1;
+  };
+  const auto run = [&](const std::string& faults) {
+    Run out{la::materialize(a0.view()), la::Matrix(64, 64),
+            la::materialize(a1.view()), la::Matrix(48, 48)};
+    Device dev(test_spec(), ExecutionMode::Real);
+    if (!faults.empty()) dev.install_faults(sim::FaultPlan::parse(faults));
+    qr::detail::run_batch(
+        dev, {qr::detail::BatchJob{"blocking", out.q0.view(), out.r0.view(),
+                                   opts, "j0."},
+              qr::detail::BatchJob{"tiled", out.q1.view(), out.r1.view(),
+                                   opts, "j1."}});
+    EXPECT_EQ(dev.live_allocations(), 0);
+    return out;
+  };
+
+  const Run clean = run("");
+  telemetry::Counter& recomputes =
+      telemetry::MetricsRegistry::global().counter("abft_recomputes");
+  const std::int64_t before = recomputes.value();
+  const Run repaired = run(
+      "compute:corrupt:op=2;compute:corrupt:op=7;compute:corrupt:op=15");
+  EXPECT_GT(recomputes.value(), before);
+  EXPECT_TRUE(bitwise_equal(repaired.q0, clean.q0));
+  EXPECT_TRUE(bitwise_equal(repaired.r0, clean.r0));
+  EXPECT_TRUE(bitwise_equal(repaired.q1, clean.q1));
+  EXPECT_TRUE(bitwise_equal(repaired.r1, clean.r1));
 }
 
 TEST(MixedBatch, RejectsUnknownAlgorithmAndMixedPrecision) {

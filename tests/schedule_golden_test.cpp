@@ -27,7 +27,9 @@
 #include "ooc/gemm_engines.hpp"
 #include "ooc/operand.hpp"
 #include "ooc/trsm_engine.hpp"
+#include "qr/checkpoint.hpp"
 #include "qr/factorize.hpp"
+#include "qr/tiled_qr.hpp"
 #include "sim/device.hpp"
 
 #ifndef ROCQR_GOLDEN_DIR
@@ -333,6 +335,55 @@ TEST(ScheduleGolden, TiledQrTaskGraph) {
                              HostMutRef::phantom(2048, 1024),
                              HostMutRef::phantom(1024, 1024),
                              rocqr::qr::Algorithm::Tiled, o});
+  });
+}
+
+/// Keeps no snapshot. Installing it at checkpoint_every = 1 makes the batch
+/// drivers run round by round, so each round's graph.run() and checkpoint
+/// synchronize are part of the pinned schedule.
+struct DiscardCheckpoints : rocqr::qr::CheckpointSink {
+  void write(const rocqr::qr::Checkpoint& /*cp*/) override {}
+};
+
+rocqr::qr::QrOptions round_by_round_options(rocqr::qr::CheckpointSink* sink) {
+  rocqr::qr::QrOptions o;
+  o.blocksize = 64;
+  o.checkpoint_sink = sink;
+  o.checkpoint_every = 1;
+  return o;
+}
+
+TEST(ScheduleGolden, FusedBlockingBatch) {
+  // Three same-shape blocking jobs fused into one node program: every node
+  // issues one batched op over the three jobs' buffers.
+  check_golden("fused_blocking_x3", 256LL << 20, [](Device& dev) {
+    DiscardCheckpoints sink;
+    const rocqr::qr::QrOptions o = round_by_round_options(&sink);
+    std::vector<rocqr::qr::detail::BatchJob> jobs;
+    for (const char* label : {"j0.", "j1.", "j2."}) {
+      jobs.push_back(rocqr::qr::detail::BatchJob{
+          "blocking", HostMutRef::phantom(1024, 256),
+          HostMutRef::phantom(256, 256), o, label});
+    }
+    rocqr::qr::detail::run_fused_batch(dev, jobs);
+  });
+}
+
+TEST(ScheduleGolden, ColocatedTiledAndLeftLooking) {
+  // A tiled and a left-looking job colocated in one task graph: their
+  // rounds interleave on the shared engines between checkpoint syncs.
+  check_golden("colocated_tiled_left", 256LL << 20, [](Device& dev) {
+    DiscardCheckpoints sink;
+    const rocqr::qr::QrOptions o = round_by_round_options(&sink);
+    rocqr::qr::detail::run_batch(
+        dev, {rocqr::qr::detail::BatchJob{"tiled",
+                                          HostMutRef::phantom(1024, 256),
+                                          HostMutRef::phantom(256, 256), o,
+                                          "j0."},
+              rocqr::qr::detail::BatchJob{"left",
+                                          HostMutRef::phantom(1024, 256),
+                                          HostMutRef::phantom(256, 256), o,
+                                          "j1."}});
   });
 }
 

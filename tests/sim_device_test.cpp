@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "common/error.hpp"
 #include "common/half.hpp"
+#include "common/telemetry.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "sim/device.hpp"
+#include "sim/faults.hpp"
 
 namespace rocqr::sim {
 namespace {
@@ -135,6 +138,50 @@ TEST(Device, GemmValidatesShapes) {
   EXPECT_THROW(dev.gemm(Op::NoTrans, Op::NoTrans, 1.0f, a, b, 0.0f, c,
                         GemmPrecision::FP32, st),
                InvalidArgument);
+}
+
+TEST(Device, GemmFlopCountersCountOnlyScheduledOps) {
+  // sim.gemm_flops.* attribute the flops the compute engine ran. A GEMM
+  // refused by a fatal fault, or by a device that is already dead, never
+  // reaches the engine and must count nothing.
+  const auto gemm_flops = [] {
+    telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+    return reg.counter("sim.gemm_flops.reduction").value() +
+           reg.counter("sim.gemm_flops.outer").value() +
+           reg.counter("sim.gemm_flops.square").value();
+  };
+  const auto entries = [](Device& dev) {
+    const DeviceMatrix a = dev.allocate(64, 64);
+    const DeviceMatrix b = dev.allocate(64, 64);
+    const DeviceMatrix c = dev.allocate(64, 64);
+    return std::vector<Device::GemmBatchEntry>{
+        {Op::NoTrans, Op::NoTrans, 1.0f, a, b, 0.0f, c}};
+  };
+
+  Device dev(tiny_spec(), ExecutionMode::Phantom);
+  const std::vector<Device::GemmBatchEntry> es = entries(dev);
+  Stream st = dev.create_stream();
+  dev.install_faults(FaultPlan::parse("compute:fatal:op=1"));
+  const std::int64_t before = gemm_flops();
+  EXPECT_THROW(dev.gemm_batched(es, GemmPrecision::FP32, st), DeviceLost);
+  EXPECT_TRUE(dev.dead());
+  EXPECT_THROW(dev.gemm_batched(es, GemmPrecision::FP32, st), DeviceLost);
+  const Device::GemmBatchEntry& e = es.front();
+  EXPECT_THROW(dev.gemm(e.opa, e.opb, e.alpha, e.a, e.b, e.beta, e.c,
+                        GemmPrecision::FP32, st),
+               DeviceLost);
+  EXPECT_EQ(gemm_flops(), before);
+  EXPECT_TRUE(dev.trace().empty());
+
+  // A scheduled GEMM counts exactly the flops its trace event carries.
+  Device live(tiny_spec(), ExecutionMode::Phantom);
+  const std::vector<Device::GemmBatchEntry> ok = entries(live);
+  Stream ls = live.create_stream();
+  const std::int64_t live_before = gemm_flops();
+  live.gemm_batched(ok, GemmPrecision::FP32, ls);
+  ASSERT_EQ(live.trace().size(), 1u);
+  EXPECT_EQ(gemm_flops() - live_before, live.trace().events().front().flops);
+  EXPECT_EQ(live.trace().events().front().flops, blas::gemm_flops(64, 64, 64));
 }
 
 TEST(Device, PhantomModeRejectsDataAccess) {
