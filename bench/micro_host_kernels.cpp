@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the host substrate: GEMM paths,
-// triangular solve, the Gram-Schmidt family, and fp16 conversion. These
-// measure the *real* kernels (not the simulator) and mostly matter for
-// keeping the Real-mode test suite fast.
+// triangular solve, the Gram-Schmidt family, fp16 conversion, and one
+// thread-pool round. These measure the *real* kernels (not the simulator)
+// and mostly matter for keeping the Real-mode test suite fast.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -10,6 +10,7 @@
 #include "blas/gemm.hpp"
 #include "blas/transform.hpp"
 #include "blas/trsm.hpp"
+#include "common/thread_pool.hpp"
 #include "la/generate.hpp"
 #include "qr/incore.hpp"
 
@@ -158,16 +159,37 @@ void BM_QrTsqr(benchmark::State& state) {
 }
 BENCHMARK(BM_QrTsqr)->Arg(32)->Arg(64);
 
+// Args: m, n, and 1 for fp16 TensorCore-contract GEMMs (0: fp32). The last
+// shape is the real_ooc panel: 4096 x 128, base 32, fp16.
 void BM_QrRecursive(benchmark::State& state) {
-  const index_t n = state.range(0);
-  la::Matrix a = la::random_normal(4 * n, n, 6);
+  const index_t m = state.range(0);
+  const index_t n = state.range(1);
+  const auto precision = state.range(2) != 0 ? blas::GemmPrecision::FP16_FP32
+                                             : blas::GemmPrecision::FP32;
+  la::Matrix a = la::random_normal(m, n, 6);
   for (auto _ : state) {
-    qr::QrFactors f = qr::recursive_cgs(a.view(), 32);
+    qr::QrFactors f = qr::recursive_cgs(a.view(), 32, precision);
     benchmark::DoNotOptimize(f.q.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * (4 * n) * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * n);
 }
-BENCHMARK(BM_QrRecursive)->Arg(64)->Arg(128);
+BENCHMARK(BM_QrRecursive)
+    ->Args({256, 64, 0})
+    ->Args({512, 128, 0})
+    ->Args({4096, 128, 1});
+
+// One empty round on the global pool: the fixed cost every pooled kernel
+// call pays (a panel issues about two hundred).
+void BM_PoolRound(benchmark::State& state) {
+  ThreadPool& pool = ThreadPool::global();
+  const index_t n = static_cast<index_t>(pool.size());
+  for (auto _ : state) {
+    pool.parallel_for(n, [](index_t b, index_t e) {
+      benchmark::DoNotOptimize(b + e);
+    });
+  }
+}
+BENCHMARK(BM_PoolRound);
 
 void BM_HalfRoundTrip(benchmark::State& state) {
   // Every iteration rounds fresh data: after one pass each element is

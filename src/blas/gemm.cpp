@@ -43,20 +43,19 @@ void pack_whole(Op op, index_t rows, index_t cols, const float* x, index_t ldx,
   kernel::round_and_scale(precision, 1.0f, out, count);
 }
 
-/// Scales C by beta over the pool — shared prologue of both kernels.
-void scale_c(ThreadPool& tp, index_t m, index_t n, float beta, float* c,
-             index_t ldc) {
+/// C(0:rows, 0:cols) = beta * C, zeroing it outright (NaN included) when
+/// beta is 0.
+void scale_block(index_t rows, index_t cols, float beta, float* c,
+                 index_t ldc) {
   if (beta == 1.0f) return;
-  tp.parallel_for(n, [&](index_t j0, index_t j1) {
-    for (index_t j = j0; j < j1; ++j) {
-      float* col = c + j * ldc;
-      if (beta == 0.0f) {
-        for (index_t i = 0; i < m; ++i) col[i] = 0.0f;
-      } else {
-        for (index_t i = 0; i < m; ++i) col[i] *= beta;
-      }
+  for (index_t j = 0; j < cols; ++j) {
+    float* col = c + j * ldc;
+    if (beta == 0.0f) {
+      for (index_t i = 0; i < rows; ++i) col[i] = 0.0f;
+    } else {
+      for (index_t i = 0; i < rows; ++i) col[i] *= beta;
     }
-  });
+  }
 }
 
 std::atomic<std::int64_t> g_pack_allocations{0};
@@ -93,23 +92,32 @@ void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
   if (m == 0 || n == 0) return;
 
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  scale_c(tp, m, n, beta, c, ldc);
-  if (alpha == 0.0f || k == 0) return;
+  // alpha == 0 or k == 0 leaves C = beta * C: no depth block runs.
+  const index_t depth = alpha == 0.0f ? 0 : k;
+  if (depth == 0 && beta == 1.0f) return;
 
+  const index_t ic_blocks = (m + kn::kMC - 1) / kn::kMC;
   for (index_t jc = 0; jc < n; jc += kn::kNC) {
     const index_t nb = std::min<index_t>(kn::kNC, n - jc);
-    const index_t jr_strips = kn::b_strips(nb);
-    for (index_t pc = 0; pc < k; pc += kn::kKC) {
-      const index_t kb = std::min<index_t>(kn::kKC, k - pc);
-      // The submitting thread packs the B panel once; every A block of this
-      // (jc, pc) round reads it, so it stays hot in the outer cache.
-      float* bp = ensure_pack_capacity(tl_pack_b, kn::packed_b_size(kb, nb));
-      kn::pack_b(opb, precision, alpha, b, ldb, pc, jc, kb, nb, bp);
-
-      const index_t ic_blocks = (m + kn::kMC - 1) / kn::kMC;
-      tp.parallel_for_2d(
-          ic_blocks, jr_strips,
-          [&](index_t i0, index_t i1, index_t jr0, index_t jr1) {
+    // One pool round per column block. Each tile owns its C block: it
+    // scales it by beta, then runs every depth block over it in order, so
+    // each C element still sees one flat chain in depth order.
+    tp.parallel_for_2d(
+        ic_blocks, kn::b_strips(nb),
+        [&](index_t i0, index_t i1, index_t jr0, index_t jr1) {
+          const index_t col0 = jc + jr0 * kn::kNR;
+          const index_t cols = std::min(nb, jr1 * kn::kNR) - jr0 * kn::kNR;
+          const index_t row_end = std::min(m, i1 * kn::kMC);
+          scale_block(row_end - i0 * kn::kMC, cols, beta,
+                      c + i0 * kn::kMC + col0 * ldc, ldc);
+          for (index_t pc = 0; pc < depth; pc += kn::kKC) {
+            const index_t kb = std::min<index_t>(kn::kKC, depth - pc);
+            // Per-thread B pack of this tile's strips only: tiles sharing
+            // strips along the i split re-pack them rather than wait on one
+            // shared pack, and no thread packs serially before the round.
+            float* bp =
+                ensure_pack_capacity(tl_pack_b, kn::packed_b_size(kb, cols));
+            kn::pack_b(opb, precision, alpha, b, ldb, pc, col0, kb, cols, bp);
             for (index_t ic = i0; ic < i1; ++ic) {
               const index_t row0 = ic * kn::kMC;
               const index_t mb = std::min<index_t>(kn::kMC, m - row0);
@@ -119,11 +127,11 @@ void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
               float* ap = ensure_pack_capacity(tl_pack_a,
                                                kn::packed_a_size(mb, kb));
               kn::pack_a(opa, precision, a, lda, row0, pc, mb, kb, ap);
-              kn::macro_kernel(kb, mb, nb, ap, bp, jr0, jr1,
-                               c + row0 + jc * ldc, ldc);
+              kn::macro_kernel(kb, mb, cols, ap, bp, c + row0 + col0 * ldc,
+                               ldc);
             }
-          });
-    }
+          }
+        });
   }
 }
 
@@ -135,7 +143,9 @@ void gemm_baseline(Op opa, Op opb, index_t m, index_t n, index_t k,
   if (m == 0 || n == 0) return;
 
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  scale_c(tp, m, n, beta, c, ldc);
+  tp.parallel_for(n, [&](index_t j0, index_t j1) {
+    scale_block(m, j1 - j0, beta, c + j0 * ldc, ldc);
+  });
   if (alpha == 0.0f || k == 0) return;
 
   // Pack both operands once. This removes every transpose/precision branch

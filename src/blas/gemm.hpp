@@ -8,7 +8,9 @@
 //
 // The production path is a cache-blocked, packed kernel (register tile and
 // tiling parameters in gemm_kernel.hpp) parallelized over both output
-// dimensions through ThreadPool::parallel_for_2d. Pack buffers are
+// dimensions through ThreadPool::parallel_for_2d: one pool round per kNC
+// column block, in which each tile scales its own C block by beta and runs
+// the whole depth loop, packing its own B strips. Pack buffers are
 // thread-local and reused across calls; gemm_pack_allocations() exposes the
 // buffer-growth count so benchmarks can assert steady-state makes zero
 // allocations. The seed pack-everything-then-multiply scheme survives as

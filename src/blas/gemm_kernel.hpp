@@ -4,12 +4,18 @@
 // (Goto/BLIS scheme, cf. the tiled-kernel designs in Buttari et al. and the
 // TSQR kernel discussion in Demmel et al.):
 //
-//   for jc in N step kNC:            // B panel column block
-//     for pc in K step kKC:          //   shared depth block
-//       pack B(pc:pc+kc, jc:jc+nc)   //   -> kNR-column strips, alpha folded
-//       for ic in M step kMC:        //     A block, per-thread
-//         pack A(ic:ic+mc, pc:pc+kc) //     -> kMR-row strips
-//         micro-kernel over every (kMR x kNR) tile of C
+//   for jc in N step kNC:            // column block: one pool round
+//     per (ic range x jr range) tile of the round, on its own thread:
+//       C tile *= beta
+//       for pc in K step kKC:        //   depth block, in order
+//         pack B(pc:pc+kc, tile jr)  //   -> kNR-column strips, alpha folded
+//         for ic in tile ic range:   //     A block
+//           pack A(ic:ic+mc, pc:pc+kc) // -> kMR-row strips
+//           micro-kernel over every (kMR x kNR) tile of C
+//
+// Both packs are per-thread. A tile packs only the B strips it multiplies,
+// so the whole product is one round per column block, with no serial pack
+// on the submitting thread and no round per depth block.
 //
 // The packed panels give the micro-kernel unit-stride, transpose-free,
 // precision-resolved inputs: fp16 rounding (GemmPrecision::FP16_FP32)
@@ -23,8 +29,9 @@
 //   kKC        depth of a packed panel; one A strip (kMR x kKC = 8 KiB) and
 //              one B strip (kKC x kNR = 6 KiB) stay L1-resident.
 //   kMC        rows of the packed A block: kMC x kKC = 128 KiB, L2-resident.
-//   kNC        columns of the packed B panel: kKC x kNC = 1.5 MiB, sized for
-//              the outer cache so it is reused across every A block.
+//   kNC        columns of a column block (one pool round). A tile's packed
+//              B is at most kKC x kNC = 1.5 MiB, sized for the outer cache
+//              so it is reused across every A block of the tile.
 #pragma once
 
 #include <algorithm>
@@ -190,13 +197,13 @@ inline void micro_kernel(index_t kb, const float* ap, const float* bp,
   }
 }
 
-/// Macro-kernel: all (kMR x kNR) tiles of one packed A block against one
-/// packed B strip range [jr0, jr1). C points at the (row0, jc)-block.
+/// Macro-kernel: all (kMR x kNR) tiles of one packed A block (mb rows)
+/// against one packed B block (nb columns). C points at the block's corner.
 inline void macro_kernel(index_t kb, index_t mb, index_t nb, const float* ap,
-                         const float* bp, index_t jr0, index_t jr1, float* c,
-                         index_t ldc) {
+                         const float* bp, float* c, index_t ldc) {
   const index_t mr_strips = a_strips(mb);
-  for (index_t jr = jr0; jr < jr1; ++jr) {
+  const index_t nr_strips = b_strips(nb);
+  for (index_t jr = 0; jr < nr_strips; ++jr) {
     const index_t j0 = jr * kNR;
     const index_t nv = std::min<index_t>(kNR, nb - j0);
     const float* bs = bp + jr * kNR * kb;

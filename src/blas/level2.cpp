@@ -52,9 +52,32 @@ void gemv(Op op, index_t m, index_t n, float alpha, const float* a,
     }
   } else {
     // y_j += alpha * (A(:,j) · x): dot per column, double accumulation.
-    // Columns are independent, so the pool splits the column range.
+    // Columns are independent, so the pool splits the column range. Four
+    // columns' dots run side by side: their independent accumulators hide
+    // the add latency a single chain is bound by, while each stays one
+    // sequential row-order sum. A float x float product is exact in double,
+    // so contracting it into an FMA cannot change the bits either.
     const auto cols = [&](index_t j0, index_t j1) {
-      for (index_t j = j0; j < j1; ++j) {
+      index_t j = j0;
+      for (; j + 4 <= j1; j += 4) {
+        const float* c0 = a + j * lda;
+        const float* c1 = c0 + lda;
+        const float* c2 = c1 + lda;
+        const float* c3 = c2 + lda;
+        double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+        for (index_t i = 0; i < m; ++i) {
+          const double xi = static_cast<double>(x[i * incx]);
+          acc0 += static_cast<double>(c0[i]) * xi;
+          acc1 += static_cast<double>(c1[i]) * xi;
+          acc2 += static_cast<double>(c2[i]) * xi;
+          acc3 += static_cast<double>(c3[i]) * xi;
+        }
+        y[j * incy] += alpha * static_cast<float>(acc0);
+        y[(j + 1) * incy] += alpha * static_cast<float>(acc1);
+        y[(j + 2) * incy] += alpha * static_cast<float>(acc2);
+        y[(j + 3) * incy] += alpha * static_cast<float>(acc3);
+      }
+      for (; j < j1; ++j) {
         const float* col = a + j * lda;
         double acc = 0.0;
         for (index_t i = 0; i < m; ++i) {

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "common/telemetry.hpp"
@@ -15,16 +16,65 @@ struct PoolMetrics {
   telemetry::Counter& rounds;
   telemetry::Counter& nested_serial_rounds;
   telemetry::Histogram& round_width;
-  telemetry::Gauge& queue_depth;
 
   static PoolMetrics& get() {
     auto& reg = telemetry::MetricsRegistry::global();
     static PoolMetrics* m = new PoolMetrics{
         reg.counter("pool.rounds"), reg.counter("pool.nested_serial_rounds"),
-        reg.histogram("pool.round_width"), reg.gauge("pool.queue_depth")};
+        reg.histogram("pool.round_width")};
     return *m;
   }
 };
+
+using SpinClock = std::chrono::steady_clock;
+
+/// How long an idle worker, or a caller joining its round, polls before it
+/// parks (see the wake protocol in the header).
+constexpr auto kSpinBudget = std::chrono::microseconds(100);
+/// A yield() that returns later than this ran another thread on this CPU:
+/// the host is oversubscribed. An uncontended yield takes about a
+/// microsecond; a contended one, a scheduler time slice (milliseconds).
+constexpr auto kStalledYield = std::chrono::microseconds(200);
+/// How long every thread parks at once rather than polls after any thread
+/// saw a stalled yield. On an oversubscribed CPU the scheduler runs a
+/// yielding poller only once per time slice, so every round would wait
+/// milliseconds for each poller, while a parked thread is woken and run at
+/// once. On a 4-vCPU VM running four CPU-bound processes, a 4096 x 128 fp16
+/// panel took 0.8 s with polling alone, 36-38 ms with this rule and 51-52 ms
+/// when every round parks.
+constexpr auto kParkOnlyAfterStall = std::chrono::milliseconds(50);
+
+/// End of the current park-only period, in SpinClock ticks. Process-wide, so
+/// the threads back off together and threads started meanwhile (a new
+/// pool's workers) do not each probe the contended CPUs again.
+std::atomic<SpinClock::rep> g_park_only_until{0};
+
+/// Polls `ready` until it holds or kSpinBudget has passed, yielding between
+/// polls so an oversubscribed host still runs its other threads; in a
+/// park-only period, checks once. Returns whether `ready` held; on false the
+/// caller parks.
+template <class Ready>
+bool spin_until(const Ready& ready) {
+  auto now = SpinClock::now();
+  if (now.time_since_epoch().count() <
+      g_park_only_until.load(std::memory_order_relaxed)) {
+    return ready();
+  }
+  const auto deadline = now + kSpinBudget;
+  while (!ready()) {
+    std::this_thread::yield();
+    const auto polled = now;
+    now = SpinClock::now();
+    if (now - polled > kStalledYield) {
+      g_park_only_until.store(
+          (now + kParkOnlyAfterStall).time_since_epoch().count(),
+          std::memory_order_relaxed);
+      return ready();
+    }
+    if (now >= deadline) return false;
+  }
+  return true;
+}
 
 /// Set while the current thread executes a parallel_for body — on the
 /// caller's own chunk as much as on a worker's. Any parallel_for issued with
@@ -57,7 +107,7 @@ ThreadPool::ThreadPool(unsigned threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    shutting_down_ = true;
+    shutting_down_.store(true, std::memory_order_release);
   }
   work_ready_.notify_all();
   for (auto& w : workers_) w.join();
@@ -81,19 +131,18 @@ void ThreadPool::parallel_for(index_t n,
   // otherwise race on tasks_/generation_ and strand workers mid-round.
   std::lock_guard<std::mutex> submit(submit_mutex_);
   const index_t chunk = (n + parts - 1) / parts;
-
+  for (index_t w = 0; w < static_cast<index_t>(tasks_.size()); ++w) {
+    // The caller takes [0, chunk).
+    const index_t begin = std::min(n, (w + 1) * chunk);
+    const index_t end = std::min(n, (w + 2) * chunk);
+    tasks_[static_cast<size_t>(w)] = Task{&body, begin, end};
+  }
+  pending_.store(static_cast<unsigned>(workers_.size()),
+                 std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++generation_;
-    pending_ = 0;
     first_error_ = nullptr;
-    for (index_t w = 0; w < static_cast<index_t>(tasks_.size()); ++w) {
-      const index_t begin = std::min(n, (w + 1) * chunk); // caller takes [0, chunk)
-      const index_t end = std::min(n, (w + 2) * chunk);
-      tasks_[static_cast<size_t>(w)] = Task{&body, begin, end};
-      if (begin < end) ++pending_;
-    }
-    PoolMetrics::get().queue_depth.record_max(pending_);
+    generation_.fetch_add(1, std::memory_order_release);
   }
   work_ready_.notify_all();
 
@@ -106,8 +155,15 @@ void ThreadPool::parallel_for(index_t n,
     caller_error = std::current_exception();
   }
 
-  std::unique_lock<std::mutex> lock(mutex_);
-  work_done_.wait(lock, [this] { return pending_ == 0; });
+  const auto done = [this] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  };
+  if (!spin_until(done)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    work_done_.wait(lock, done);
+  }
+  // Every worker's write of first_error_ happened before its check-in, and
+  // none writes again before the next round, which this caller starts.
   if (caller_error) std::rethrow_exception(caller_error);
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -146,29 +202,39 @@ void ThreadPool::parallel_for_2d(
 
 void ThreadPool::worker_loop(unsigned worker_index) {
   std::uint64_t seen_generation = 0;
+  const auto woken = [&] {
+    return shutting_down_.load(std::memory_order_acquire) ||
+           generation_.load(std::memory_order_acquire) != seen_generation;
+  };
   while (true) {
-    Task task;
-    {
+    if (!spin_until(woken)) {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [&] {
-        return shutting_down_ || generation_ != seen_generation;
-      });
-      if (shutting_down_) return;
-      seen_generation = generation_;
-      task = tasks_[worker_index];
-      if (task.begin >= task.end) continue; // empty slice this round
+      work_ready_.wait(lock, woken);
     }
-    std::exception_ptr error;
-    try {
-      BodyRegionGuard guard;
-      (*task.body)(task.begin, task.end);
-    } catch (...) {
-      error = std::current_exception();
+    if (shutting_down_.load(std::memory_order_acquire)) return;
+    // A round cannot start before every worker checked in to the last one,
+    // so this is exactly the next generation and tasks_ holds its slices.
+    seen_generation = generation_.load(std::memory_order_acquire);
+    const Task task = tasks_[worker_index];
+    if (task.begin < task.end) {
+      try {
+        BodyRegionGuard guard;
+        (*task.body)(task.begin, task.end);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!first_error_) first_error_ = std::current_exception();
+      }
     }
-    {
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // Last check-in. The count drops outside mutex_, but taking mutex_
+      // before notifying orders the notify after a parked caller's
+      // predicate check, so the wake-up cannot be lost; a caller still
+      // polling just sees the zero. (A flag set under mutex_ instead would
+      // be wrong: a polling caller may start its next round before this
+      // thread gets here, and the late flag would then end that round's
+      // wait early.)
       std::lock_guard<std::mutex> lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
-      if (--pending_ == 0) work_done_.notify_all();
+      work_done_.notify_one();
     }
   }
 }

@@ -6,6 +6,24 @@
 // dense kernels, static partitioning has lower overhead and better locality
 // than work stealing.
 //
+// Wake protocol (spin, then park): a round is published by bumping an
+// atomic generation counter, and joined through an atomic count of workers
+// yet to check in. Every worker checks in once per round, empty slice or
+// not, so no worker still reads the round's slices when the next round
+// rewrites them. An idle worker, and a caller waiting for its round to
+// finish, polls its atomic for a fixed ~100 µs of steady_clock time,
+// yielding between polls; only then does it park on a condition variable.
+// Back-to-back rounds (a panel issues hundreds, microseconds apart) thus
+// never pay a futex wake-up, while an idle pool stops using its cores
+// within the budget and yields them to any runnable thread before that.
+// The budget is a constant of the pool, not an option. A yield that
+// returns only after a scheduler time slice means the host is
+// oversubscribed; once any thread sees one, every thread of the process
+// parks at once for the next 50 ms, because there each poll waits a time
+// slice while a parked thread is woken at once. A spinning worker also
+// watches the shutdown flag, so destroying a pool does not wait out the
+// spin.
+//
 // Reentrancy contract (v2):
 //  - Nested calls (parallel_for issued from inside a parallel_for body, on
 //    any pool) detect the situation through a thread-local flag and run the
@@ -18,7 +36,10 @@
 //    rounds would only fight for cores.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -74,19 +95,27 @@ class ThreadPool {
 
   void worker_loop(unsigned worker_index);
 
-  std::vector<std::thread> workers_;
   /// Serializes whole parallel_for rounds issued by different host threads.
-  /// Held for the full round, so tasks_/pending_/generation_ are only ever
-  /// touched by one submitting thread plus the workers.
+  /// Held for the full round, so tasks_ and first_error_'s reset are only
+  /// ever written by one submitting thread at a time.
   std::mutex submit_mutex_;
+  /// Parks idle workers (work_ready_) and a caller joining its round
+  /// (work_done_). generation_ and shutting_down_ change only under it, so
+  /// a worker cannot miss a bump between its predicate check and its wait;
+  /// it also guards first_error_ against concurrent failing workers.
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable work_done_;
-  std::vector<Task> tasks_;     // one slot per worker
-  std::uint64_t generation_ = 0; // bumped per parallel_for round
-  unsigned pending_ = 0;
+  std::vector<Task> tasks_; // one slot per worker, published by generation_
   std::exception_ptr first_error_;
-  bool shutting_down_ = false;
+  /// Bumped (release) once per round, after tasks_ is written.
+  alignas(64) std::atomic<std::uint64_t> generation_{0};
+  /// Workers yet to check in this round. On its own cache line: every
+  /// check-in writes it, while idle workers poll generation_.
+  alignas(64) std::atomic<unsigned> pending_{0};
+  std::atomic<bool> shutting_down_{false};
+  /// Declared last: the threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 } // namespace rocqr

@@ -29,26 +29,32 @@ void normalize_column(la::MatrixView q, la::MatrixView r, index_t j) {
   blas::scal(q.rows(), static_cast<float>(1.0 / norm), &q(0, j), 1);
 }
 
-} // namespace
-
-QrFactors cgs(la::ConstMatrixView a) {
-  check_tall(a, "cgs");
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  QrFactors f{la::materialize(a), la::Matrix(n, n)};
-  la::MatrixView q = f.q.view();
-  la::MatrixView r = f.r.view();
+/// CGS on caller storage: `q` (m x n) holds A on entry and Q on exit; the
+/// leading n x n block of `r` receives R, zeros below the diagonal included.
+void cgs_inplace(la::MatrixView q, la::MatrixView r) {
+  const index_t m = q.rows();
+  const index_t n = q.cols();
   for (index_t j = 0; j < n; ++j) {
-    // CGS: all projection coefficients come from the *original* column a_j,
-    // computed against the already-orthonormal q_0..q_{j-1} in one sweep —
-    // one transposed GEMV for the coefficients, one GEMV for the update
-    // (the level-2 formulation that blocking/recursion later lift to GEMM).
-    blas::gemv(blas::Op::Trans, m, j, 1.0f, q.data(), q.ld(), &a(0, j), 1,
+    // CGS: all projection coefficients come from the *original* column a_j
+    // (column j of q is untouched until its own step), computed against the
+    // already-orthonormal q_0..q_{j-1} in one sweep — one transposed GEMV
+    // for the coefficients, one GEMV for the update (the level-2
+    // formulation that blocking/recursion later lift to GEMM).
+    blas::gemv(blas::Op::Trans, m, j, 1.0f, q.data(), q.ld(), &q(0, j), 1,
                0.0f, &r(0, j), 1);
     blas::gemv(blas::Op::NoTrans, m, j, -1.0f, q.data(), q.ld(), &r(0, j), 1,
                1.0f, &q(0, j), 1);
     normalize_column(q, r, j);
+    for (index_t i = j + 1; i < n; ++i) r(i, j) = 0.0f;
   }
+}
+
+} // namespace
+
+QrFactors cgs(la::ConstMatrixView a) {
+  check_tall(a, "cgs");
+  QrFactors f{la::materialize(a), la::Matrix(a.cols(), a.cols())};
+  cgs_inplace(f.q.view(), f.r.view());
   return f;
 }
 
@@ -110,11 +116,7 @@ QrFactors blocked_cgs(la::ConstMatrixView a, index_t block,
   for (index_t j0 = 0; j0 < n; j0 += block) {
     const index_t w = std::min(block, n - j0);
     // Panel factorization (plain CGS on the current panel).
-    {
-      QrFactors pf = cgs(q.block(0, j0, m, w));
-      blas::copy_matrix(m, w, pf.q.data(), pf.q.ld(), &q(0, j0), q.ld());
-      blas::copy_matrix(w, w, pf.r.data(), pf.r.ld(), &r(j0, j0), r.ld());
-    }
+    cgs_inplace(q.block(0, j0, m, w), r.block(j0, j0, w, w));
     const index_t rest = n - j0 - w;
     if (rest == 0) continue;
     // R12 = Q1ᵀ A2 (inner product), then A2 -= Q1 R12 (outer product).
@@ -138,9 +140,7 @@ void recursive_cgs_inplace(la::MatrixView aq, la::MatrixView r, index_t base,
   const index_t m = aq.rows();
   const index_t n = aq.cols();
   if (n <= base) {
-    QrFactors pf = cgs(aq);
-    blas::copy_matrix(m, n, pf.q.data(), pf.q.ld(), aq.data(), aq.ld());
-    blas::copy_matrix(n, n, pf.r.data(), pf.r.ld(), r.data(), r.ld());
+    cgs_inplace(aq, r);
     return;
   }
   const index_t h = n / 2;

@@ -41,7 +41,11 @@ QrFactors recursive_cgs(la::ConstMatrixView a, index_t base = 32,
                         blas::GemmPrecision precision = blas::GemmPrecision::FP32);
 
 /// In-place recursive CGS working on caller storage: `aq` holds A on entry
-/// and Q on exit; `r` (n x n) receives R. Used as the device panel body.
+/// and Q on exit; `r` (n x n) receives R — every entry on or above the
+/// diagonal, plus the zeros below the diagonal of each base-case block
+/// (entries below those blocks are left as they were). The base case runs
+/// CGS directly in `aq` and `r`, with no scratch. Used as the device panel
+/// body.
 void recursive_cgs_inplace(la::MatrixView aq, la::MatrixView r,
                            index_t base = 32,
                            blas::GemmPrecision precision = blas::GemmPrecision::FP32);

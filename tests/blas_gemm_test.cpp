@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -271,24 +272,89 @@ TEST(Gemm, BaselineKernelMatchesBlocked) {
 
 TEST(Gemm, SplittingKIsBitwiseInvariant) {
   // The OOC drivers re-slice one multiply into several k-panels and are
-  // tested to produce identical bits; the host kernel must honor that.
-  const index_t m = 96;
-  const index_t n = 41;
-  const index_t k = 300;
-  la::Matrix a = la::random_uniform(m, k, 4);
-  la::Matrix b = la::random_uniform(k, n, 5);
-  la::Matrix c_whole(m, n);
-  la::Matrix c_split(m, n);
-  blas::gemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0f, a.data(), a.ld(),
-             b.data(), b.ld(), 0.0f, c_whole.data(), c_whole.ld());
-  const index_t k1 = 113; // awkward split, not a block multiple
-  blas::gemm(Op::NoTrans, Op::NoTrans, m, n, k1, 1.0f, a.data(), a.ld(),
-             b.data(), b.ld(), 0.0f, c_split.data(), c_split.ld());
-  blas::gemm(Op::NoTrans, Op::NoTrans, m, n, k - k1, 1.0f, &a(0, k1), a.ld(),
-             &b(k1, 0), b.ld(), 1.0f, c_split.data(), c_split.ld());
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < m; ++i) {
-      EXPECT_EQ(c_whole(i, j), c_split(i, j)) << "i=" << i << " j=" << j;
+  // tested to produce identical bits; the host kernel must honor that. The
+  // second case is the panel's inner product (T,N on fp16 inputs, k = 4096,
+  // sixteen kKC blocks).
+  struct Case {
+    Op opa;
+    GemmPrecision prec;
+    index_t m, n, k, k1; // k1: awkward split, not a block multiple
+  };
+  for (const Case& t :
+       {Case{Op::NoTrans, GemmPrecision::FP32, 96, 41, 300, 113},
+        Case{Op::Trans, GemmPrecision::FP16_FP32, 64, 64, 4096, 1000}}) {
+    const la::Matrix a = make_operand(t.opa, t.m, t.k, 4);
+    const la::Matrix b = la::random_uniform(t.k, t.n, 5);
+    // op(A)(:, k1:) starts at column k1 of A, or at row k1 of the stored Aᵀ.
+    const float* a_tail = t.opa == Op::NoTrans ? &a(0, t.k1) : &a(t.k1, 0);
+    la::Matrix c_whole(t.m, t.n);
+    la::Matrix c_split(t.m, t.n);
+    blas::gemm(t.opa, Op::NoTrans, t.m, t.n, t.k, 1.0f, a.data(), a.ld(),
+               b.data(), b.ld(), 0.0f, c_whole.data(), c_whole.ld(), t.prec);
+    blas::gemm(t.opa, Op::NoTrans, t.m, t.n, t.k1, 1.0f, a.data(), a.ld(),
+               b.data(), b.ld(), 0.0f, c_split.data(), c_split.ld(), t.prec);
+    blas::gemm(t.opa, Op::NoTrans, t.m, t.n, t.k - t.k1, 1.0f, a_tail, a.ld(),
+               &b(t.k1, 0), b.ld(), 1.0f, c_split.data(), c_split.ld(),
+               t.prec);
+    EXPECT_EQ(std::memcmp(c_whole.data(), c_split.data(),
+                          sizeof(float) * static_cast<size_t>(t.m * t.n)),
+              0)
+        << "m=" << t.m << " n=" << t.n << " k=" << t.k;
+  }
+}
+
+// The pool partitions C into tiles whose shape depends on the pool size;
+// no partition may change a bit. Shapes: the panel's inner and outer
+// products (64x64x4096 T,N and 4096x64x64 N,N) and a product wider than one
+// kNC column block with every op pair, each in both precisions; and the
+// real_ooc inner product (128x1024x4096 T,N) in fp16 only, as real_ooc runs
+// it, since it alone costs more than the others together.
+TEST(Gemm, BitsDoNotDependOnPoolSize) {
+  struct Case {
+    index_t m, n, k;
+    Op opa, opb;
+    bool fp32_too;
+  };
+  std::vector<Case> cases = {{64, 64, 4096, Op::Trans, Op::NoTrans, true},
+                             {4096, 64, 64, Op::NoTrans, Op::NoTrans, true},
+                             {128, 1024, 4096, Op::Trans, Op::NoTrans, false}};
+  for (const Op opa : {Op::NoTrans, Op::Trans}) {
+    for (const Op opb : {Op::NoTrans, Op::Trans}) {
+      cases.push_back({40, 1600, 300, opa, opb, true});
+    }
+  }
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const Case& t : cases) {
+    const la::Matrix a = make_operand(t.opa, t.m, t.k, 11);
+    const la::Matrix b = make_operand(t.opb, t.k, t.n, 12);
+    const la::Matrix c0 = la::random_uniform(t.m, t.n, 13);
+    for (const GemmPrecision prec :
+         {GemmPrecision::FP16_FP32, GemmPrecision::FP32}) {
+      if (prec == GemmPrecision::FP32 && !t.fp32_too) continue;
+      for (const float beta : {0.0f, 0.5f, 1.0f}) {
+        la::Matrix expected;
+        for (const auto& pool : pools) {
+          la::Matrix c = la::materialize(c0.view());
+          blas::gemm(t.opa, t.opb, t.m, t.n, t.k, -1.25f, a.data(), a.ld(),
+                     b.data(), b.ld(), beta, c.data(), c.ld(), prec,
+                     pool.get());
+          if (pool->size() == 1) {
+            expected = std::move(c);
+            continue;
+          }
+          EXPECT_EQ(std::memcmp(c.data(), expected.data(),
+                                sizeof(float) * static_cast<size_t>(t.m * t.n)),
+                    0)
+              << t.m << "x" << t.n << "x" << t.k
+              << " opa=" << static_cast<int>(t.opa)
+              << " opb=" << static_cast<int>(t.opb)
+              << " prec=" << static_cast<int>(prec) << " beta=" << beta
+              << " threads=" << pool->size();
+        }
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/level2.hpp"
@@ -40,6 +42,56 @@ TEST(Gemv, TransMatchesGemm) {
   blas::gemv(blas::Op::Trans, m, n, 2.0f, a.data(), a.ld(), x.data(), 1, 1.0f,
              y.data(), 1);
   EXPECT_LT(la::relative_difference(y.view(), expected.view()), 1e-6);
+}
+
+// gemv(Trans) gives each y_j exactly one sequential double sum over the
+// rows, whichever columns it runs beside (four at a time, then the 1-3
+// remainder) and whether or not the pool splits the columns (m * n >= 2^15:
+// m = 4096 with n >= 8). The first and last products are +-2^40, so every
+// partial sum in between is rounded to 2^-12 and any other summation order
+// leaves different low bits in the result. alpha = -0.5 scales exactly, so
+// an FMA in the epilogue cannot change the bits: the check holds on FMA and
+// non-FMA builds.
+TEST(Gemv, TransIsOneSequentialDoubleSumPerColumn) {
+  const float alpha = -0.5f;
+  const float big = 1048576.0f; // 2^20
+  for (const index_t m : {1, 37, 4096}) {
+    for (index_t n = 1; n <= 9; ++n) {
+      for (const index_t incx : {1, 3}) {
+        for (const float beta : {0.0f, 1.0f}) {
+          la::Matrix a = la::random_normal(m + 2, n, 21); // lda > m
+          la::Matrix x = la::random_normal(m * incx, 1, 22);
+          const la::Matrix y0 = la::random_normal(n, 1, 23);
+          if (m > 1) {
+            x(0, 0) = big;
+            x((m - 1) * incx, 0) = big;
+            for (index_t j = 0; j < n; ++j) {
+              a(0, j) = big;
+              a(m - 1, j) = -big;
+            }
+          }
+          std::vector<float> want(static_cast<size_t>(n));
+          for (index_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (index_t i = 0; i < m; ++i) {
+              acc += static_cast<double>(a(i, j)) *
+                     static_cast<double>(x(i * incx, 0));
+            }
+            want[static_cast<size_t>(j)] = (beta == 0.0f ? 0.0f : y0(j, 0)) +
+                                           alpha * static_cast<float>(acc);
+          }
+          la::Matrix y = la::materialize(y0.view());
+          blas::gemv(blas::Op::Trans, m, n, alpha, a.data(), a.ld(), x.data(),
+                     incx, beta, y.data(), 1);
+          EXPECT_EQ(std::memcmp(y.data(), want.data(),
+                                sizeof(float) * static_cast<size_t>(n)),
+                    0)
+              << "m=" << m << " n=" << n << " incx=" << incx
+              << " beta=" << beta;
+        }
+      }
+    }
+  }
 }
 
 TEST(Gemv, StridedVectors) {

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -187,26 +189,93 @@ TEST(ThreadPool, DoublyNestedStaysSerial) {
   EXPECT_EQ(total.load(), 4 * 10);
 }
 
+// Stress for the spin-then-park wake protocol: rounds issued back to back,
+// so workers are caught in every phase (polling, parking, checking in) when
+// the next round is published. Run under ThreadSanitizer in CI.
+constexpr int kStressRounds = 50000;
+
+/// Round r's size: alternately below the pool size (so some workers get an
+/// empty slice) and far above it.
+index_t stress_round_size(int r) {
+  return r % 2 == 0 ? 2 + (r / 2) % 3 : 3000 + r % 7;
+}
+
+/// Sum over [0, n) of (i + r % 11): the checksum round r must produce.
+long stress_checksum(int r, index_t n) {
+  return static_cast<long>(n * (n - 1) / 2 + n * (r % 11));
+}
+
 // Regression: two host threads submitting to one pool raced on tasks_ and
-// generation_; submissions now serialize, and every element is still
-// processed exactly the right number of times.
+// generation_; submissions now serialize, and every round still produces
+// its own checksum. 2500 back-to-back rounds per thread.
 TEST(ThreadPool, ConcurrentSubmissionsFromTwoHostThreads) {
   ThreadPool pool(4);
-  constexpr int kRounds = 200;
-  constexpr index_t kN = 500;
-  std::atomic<long> total{0};
-  auto hammer = [&] {
-    for (int it = 0; it < kRounds; ++it) {
-      pool.parallel_for(kN, [&](index_t b, index_t e) {
-        total += static_cast<long>(e - b);
+  std::atomic<int> bad_sums{0};
+  auto hammer = [&](int offset) {
+    for (int r = offset; r < kStressRounds / 10; r += 2) {
+      const index_t n = stress_round_size(r);
+      std::atomic<long> sum{0};
+      pool.parallel_for(n, [&](index_t b, index_t e) {
+        long local = 0;
+        for (index_t i = b; i < e; ++i) local += i + r % 11;
+        sum += local;
       });
+      if (sum.load() != stress_checksum(r, n)) ++bad_sums;
     }
   };
-  std::thread t1(hammer);
-  std::thread t2(hammer);
+  std::thread t1(hammer, 0);
+  std::thread t2(hammer, 1);
   t1.join();
   t2.join();
-  EXPECT_EQ(total.load(), 2L * kRounds * kN);
+  EXPECT_EQ(bad_sums.load(), 0);
+}
+
+TEST(ThreadPool, StressBackToBackTinyRoundsWithExceptions) {
+  ThreadPool pool(4);
+  int bad_sums = 0;
+  int missed_throws = 0;
+  for (int r = 0; r < kStressRounds; ++r) {
+    const index_t n = stress_round_size(r);
+    std::atomic<long> sum{0};
+    // Every 97th round throws, from the caller's chunk or from the chunk
+    // holding the last index (a worker's), in turn; the rounds after it
+    // must run clean.
+    const bool fail = r % 97 == 0;
+    const index_t bad = (r / 97) % 2 == 0 ? 0 : n - 1;
+    try {
+      pool.parallel_for(n, [&](index_t b, index_t e) {
+        if (fail && b <= bad && bad < e) throw std::runtime_error("round");
+        long local = 0;
+        for (index_t i = b; i < e; ++i) local += i + r % 11;
+        sum += local;
+      });
+      if (fail) ++missed_throws;
+      if (!fail && sum.load() != stress_checksum(r, n)) ++bad_sums;
+    } catch (const std::runtime_error&) {
+      if (!fail) ++bad_sums;
+    }
+  }
+  EXPECT_EQ(bad_sums, 0);
+  EXPECT_EQ(missed_throws, 0);
+}
+
+TEST(ThreadPool, StressConstructOneRoundDestroy) {
+  // Each pool is destroyed while its workers still poll for the next round,
+  // so they must see the shutdown flag there; a lost wake-up would hang
+  // here. The bound only catches a hang: 1000 pools take ~0.1-3 s.
+  const auto start = std::chrono::steady_clock::now();
+  for (int it = 0; it < 1000; ++it) {
+    ThreadPool pool(4);
+    std::atomic<long> sum{0};
+    pool.parallel_for(64, [&](index_t b, index_t e) {
+      sum += static_cast<long>(e - b);
+    });
+    ASSERT_EQ(sum.load(), 64);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 30.0);
 }
 
 TEST(ThreadPool, SimultaneousCallerAndWorkerExceptions) {

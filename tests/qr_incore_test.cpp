@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "la/generate.hpp"
@@ -221,6 +225,64 @@ TEST(IncoreQr, RecursiveInplaceWritesCallerStorage) {
   recursive_cgs_inplace(aq.view(), r.view(), 4);
   EXPECT_LT(la::qr_residual(a.view(), aq.view(), r.view()), 1e-5);
   EXPECT_TRUE(la::is_upper_triangular(r.view()));
+}
+
+// Each base case factors straight into the caller's R, the zeros below its
+// diagonal included, so what R held before cannot leak into the result.
+// Entries below the base-case blocks are not part of the output and are
+// left as they were.
+TEST(IncoreQr, RecursiveInplaceResultDoesNotDependOnPriorR) {
+  const index_t m = 300;
+  const index_t n = 44;
+  const index_t base = 8; // 44 -> 22 -> 11 -> base cases of 5 and 6 columns
+  const la::Matrix a = la::random_normal(m, n, 17);
+  // leaf[j]: first column of the base-case block that holds column j.
+  std::vector<index_t> leaf(static_cast<size_t>(n));
+  const auto split = [&](const auto& self, index_t c0, index_t w) -> void {
+    if (w <= base) {
+      for (index_t j = c0; j < c0 + w; ++j) leaf[static_cast<size_t>(j)] = c0;
+      return;
+    }
+    self(self, c0, w / 2);
+    self(self, c0 + w / 2, w - w / 2);
+  };
+  split(split, 0, n);
+  const auto bits = [](float v) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+  for (const GemmPrecision prec :
+       {GemmPrecision::FP32, GemmPrecision::FP16_FP32}) {
+    la::Matrix q_zero = la::materialize(a.view());
+    la::Matrix q_nan = la::materialize(a.view());
+    la::Matrix r_zero(n, n);
+    la::Matrix r_nan(n, n);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) {
+        r_nan(i, j) = std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+    recursive_cgs_inplace(q_zero.view(), r_zero.view(), base, prec);
+    recursive_cgs_inplace(q_nan.view(), r_nan.view(), base, prec);
+    EXPECT_EQ(std::memcmp(q_zero.data(), q_nan.data(),
+                          sizeof(float) * static_cast<size_t>(m * n)),
+              0);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) {
+        const bool same_leaf =
+            leaf[static_cast<size_t>(i)] == leaf[static_cast<size_t>(j)];
+        if (i > j && !same_leaf) {
+          EXPECT_TRUE(std::isnan(r_nan(i, j))) << i << "," << j;
+          continue;
+        }
+        EXPECT_EQ(bits(r_nan(i, j)), bits(r_zero(i, j))) << i << "," << j;
+        if (i > j) {
+          EXPECT_EQ(bits(r_nan(i, j)), 0u) << i << "," << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(IncoreQr, Fp16PrecisionDegradesGracefully) {
