@@ -145,9 +145,8 @@ struct SlabPlan {
   std::string label;
   index_t steps = 0;
   /// Streamed-input buffer-pool depth; 0 = no input pool (resident inputs).
-  /// The fence indexes the pipeline's persistent compute history, so loops
-  /// split across several run() calls (left-looking projections) fence
-  /// exactly like one long loop.
+  /// The fence indexes the pipeline's persistent compute history, so a
+  /// plan's first steps also fence against the previous run()'s computes.
   int input_slots = 0;
   OutputFence output_fence = OutputFence::None;
   /// Output working-set depth (the §4.1.2 staging pair = 2, baseline = 1).
@@ -155,9 +154,6 @@ struct SlabPlan {
   /// Steps per move-out group (recursive inner product: k-slabs per C
   /// panel; everyone else: 1).
   index_t steps_per_group = 1;
-  /// Slab-prefetch hit/miss accounting on the pool fence (off for the
-  /// left-looking projection loop, which has no prefetch pool semantics).
-  bool count_prefetch = true;
   /// Waited (valid-checked) on the compute stream before the run's first
   /// compute — resident operands staged on the H2D stream.
   std::vector<sim::Event> resident_ready;
@@ -228,10 +224,6 @@ class SlabPipeline {
   SlabRunResult run(const SlabPlan& plan);
   TaskResult run_task(const TaskPlan& plan);
 
-  /// Records an event on the H2D stream marking everything enqueued there
-  /// so far (resume paths that substitute "already on host" markers).
-  sim::Event record_input_marker();
-
   /// Trace index at construction — the engine's stats window.
   size_t window_begin() const { return graph_.window_begin(); }
 
@@ -255,7 +247,8 @@ class SlabPipeline {
  private:
   TaskGraph graph_;
   /// Compute node of every run() step, across runs — the streamed-input
-  /// pool fence indexes it globally.
+  /// pool fence indexes it globally, so a run's move-ins also wait for the
+  /// previous runs' computes to release their slots.
   std::vector<TaskId> history_;
   std::string plan_description_;
   mutable std::string description_cache_;

@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "qr/blocking_qr.hpp"
-#include "qr/left_looking_qr.hpp"
 #include "qr/multi_gpu_qr.hpp"
 #include "qr/recursive_qr.hpp"
 #include "qr/tiled_qr.hpp"
@@ -86,8 +85,12 @@ QrStats run_driver(const QrProblem& problem) {
       return detail::run_blocking(*problem.devices.front(), problem.a,
                                   problem.r, problem.options);
     case Algorithm::LeftLooking:
-      return detail::run_left_looking(*problem.devices.front(), problem.a,
-                                      problem.r, problem.options);
+    case Algorithm::Tiled: {
+      // Solo runs of a node program are its one-job batch.
+      const detail::BatchJob job{to_string(problem.algorithm), problem.a,
+                                 problem.r, problem.options, ""};
+      return detail::run_batch(*problem.devices.front(), {job}).front();
+    }
     case Algorithm::Recursive:
       return detail::run_recursive(*problem.devices.front(), problem.a,
                                    problem.r, problem.options);
@@ -97,9 +100,6 @@ QrStats run_driver(const QrProblem& problem) {
     case Algorithm::Tsqr:
       return detail::run_tsqr(problem.devices, problem.a, problem.r,
                               problem.options, nullptr);
-    case Algorithm::Tiled:
-      return detail::run_tiled(*problem.devices.front(), problem.a,
-                               problem.r, problem.options);
   }
   throw InvalidArgument("qr::factorize: unknown algorithm");
 }

@@ -88,10 +88,11 @@ class SlotPool {
 /// The node program of one factorization inside a (possibly colocated)
 /// batch — or, for the fused blocking batch, of K same-shape factorizations
 /// in lockstep, one per lane. Programs build their DAG segment by segment so
-/// the checkpointing caller can run round-by-round; solo runs add every
-/// segment and run once. One checkpoint/resume *unit* per completed segment,
-/// under the program's driver tag — the same unit vocabulary as the solo
-/// drivers, so a job preempted from a batch resumes solo (and vice versa).
+/// the checkpointing caller can run round-by-round; without a checkpoint
+/// sink every segment is added and the graph runs once. One checkpoint/resume
+/// *unit* per completed segment, under the program's driver tag — the same
+/// unit vocabulary as the solo runs, so a job preempted from a batch resumes
+/// solo (and vice versa).
 class Program {
  public:
   Program(TaskGraph& graph, std::span<const BatchJob> lanes)
@@ -625,21 +626,31 @@ class BlockingProgram : public Program {
   std::map<index_t, TaskId> out_a_;
 };
 
-/// Lazy-projection (left-looking) CGS as a node program: panel i moves in
-/// once, absorbs every previous panel's projection (Q_j streamed back in
-/// GEMM storage width, R(j,i) = Q_j^T P with k = m then P -= Q_j R(j,i)
-/// with k = w_j), factors, and writes Q_i / R_ii out. Same fixed k-extents
-/// and elementwise fp16 conversions as the solo driver, so the arithmetic
-/// is bitwise identical (resume tag "left"). One unit = one panel.
+/// Left-looking out-of-core QR — the classic disk-era formulation (SOLAR,
+/// §2.1): each panel pulls in all previously factored Q panels and applies
+/// their projections lazily, so the trailing matrix is never updated or
+/// written back. Compared to the right-looking blocking driver it moves far
+/// fewer bytes (especially device-to-host) at the price of skinny
+/// panel-width GEMMs. Under the calibrated V100 model its movement savings
+/// outweigh even the TensorCore shape penalty — it beats right-looking
+/// blocking — but the paper's recursive algorithm beats both, because it is
+/// the only formulation that gets small movement AND near-peak GEMM shapes
+/// simultaneously (see bench/left_vs_right).
+///
+/// As a node program: panel i moves in once, absorbs every previous panel's
+/// projection (Q_j streamed back in GEMM storage width, R(j,i) = Q_j^T P
+/// with k = m then P -= Q_j R(j,i) with k = w_j), factors, and writes
+/// Q_i / R_ii out. A solo run is this program's one-job batch (resume tag
+/// "left"). One unit = one panel.
 class LeftLookingProgram : public Program {
  public:
   LeftLookingProgram(TaskGraph& graph, const BatchJob& job)
       : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
-    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "left batch: need m >= n >= 1");
+    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "left_looking_qr: need m >= n >= 1");
     ROCQR_CHECK(r_.rows == n_ && r_.cols == n_,
-                "left batch: R must be n x n");
+                "left_looking_qr: R must be n x n");
     b_ = std::min(job.opts.blocksize, n_);
     panels_ = (n_ + b_ - 1) / b_;
   }
@@ -650,8 +661,7 @@ class LeftLookingProgram : public Program {
 
   /// Working set: a panel double buffer, a streamed-Q ring of
   /// opts.pipeline_depth slots in GEMM storage width, and single shared
-  /// R-block / R_ii scratches (the projection chain serializes on them,
-  /// exactly like the solo driver's single-slot compute fence).
+  /// R-block / R_ii scratches (the projection chain serializes on them).
   void allocate(Device& dev) override {
     const std::string& l = job_.label;
     const StoragePrecision q_prec =
@@ -896,17 +906,22 @@ size_t run_programs(Device& dev, const std::vector<BatchJob>& jobs,
 std::vector<QrStats> run_batch(Device& dev,
                                const std::vector<BatchJob>& jobs) {
   ROCQR_CHECK(!jobs.empty(), "run_batch: no jobs");
-  bool all_tiled = true;
+  const std::string& algorithm = jobs.front().algorithm;
+  bool one_algorithm = true;
   for (const BatchJob& job : jobs) {
     job.opts.validate();
-    all_tiled = all_tiled && job.algorithm == "tiled";
+    one_algorithm = one_algorithm && job.algorithm == algorithm;
     // The graph-level transfer/ABFT configuration comes from jobs[0]; a
     // precision mismatch would silently change another job's arithmetic.
     ROCQR_CHECK(job.opts.precision == jobs.front().opts.precision,
                 "run_batch: colocated jobs must share a gemm precision");
   }
-  const size_t window =
-      run_programs(dev, jobs, false, all_tiled ? "tiled_qr" : "qr_batch");
+  // A batch of tiled or of left-looking jobs alone is named like the solo
+  // run of its algorithm, which is a one-job batch.
+  std::string span = "qr_batch";
+  if (one_algorithm && algorithm == "tiled") span = "tiled_qr";
+  if (one_algorithm && algorithm == "left") span = "left_looking_qr";
+  const size_t window = run_programs(dev, jobs, false, std::move(span));
   std::vector<QrStats> stats;
   stats.reserve(jobs.size());
   for (const BatchJob& job : jobs) {
@@ -914,11 +929,6 @@ std::vector<QrStats> run_batch(Device& dev,
                                      job.label));
   }
   return stats;
-}
-
-QrStats run_tiled(Device& dev, HostMutRef a, HostMutRef r,
-                  const QrOptions& opts) {
-  return run_batch(dev, {BatchJob{"tiled", a, r, opts, ""}}).front();
 }
 
 std::vector<QrStats> run_fused_batch(Device& dev,

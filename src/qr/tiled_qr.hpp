@@ -1,5 +1,6 @@
 // Tiled CGS QR on the TaskGraph executor (Buttari-style DAG lookahead),
-// plus the mixed-algorithm batch front end serve colocation runs on.
+// plus the mixed-algorithm batch front end serve colocation runs on. Solo
+// tiled and left-looking QR are one-job batches of their node programs.
 //
 // The tiled driver splits the matrix into full-height column tiles of
 // opts.blocksize. Step k streams every trailing tile A_j through the device
@@ -19,11 +20,12 @@
 // left-looking, mixed freely — in ONE task graph on one device: every
 // job's algorithm is expressed as a node program over the shared
 // three-stream schedule, so one job's transfers overlap another's computes
-// regardless of algorithm. The blocking and left-looking programs perform
-// bitwise the same arithmetic as their solo SlabPipeline drivers (same
-// GEMM operand precisions and k-extents, elementwise fp16 conversions), so
-// a job preempted from a batch resumes solo — or vice versa — with
-// bit-identical results (pinned by tests/qr_mixed_batch_test.cpp).
+// regardless of algorithm. Solo blocking QR keeps its SlabPipeline driver
+// (the paper's Tables 3–4 baseline schedule); the blocking program performs
+// bitwise the same arithmetic as that driver (same GEMM operand precisions
+// and k-extents, elementwise fp16 conversions). So a job of any of the
+// three algorithms preempted from a batch resumes solo — or vice versa —
+// with bit-identical results (pinned by tests/qr_mixed_batch_test.cpp).
 //
 // The blocking program is K lanes wide: each node issues one device op
 // over its lanes (solo device ops are one-entry batches, sim/device.hpp).
@@ -71,13 +73,10 @@ struct BatchJob {
 /// retry / ABFT configuration comes from jobs[0].opts — colocated jobs
 /// must agree on precision and fault knobs (serve builds them from one
 /// ServeConfig). Returns per-job stats (trace window filtered by each
-/// job's label). Internal entry — solo callers go through qr::factorize.
+/// job's label). Internal entry — solo callers go through qr::factorize,
+/// which runs tiled and left-looking QR as one-job batches.
 std::vector<QrStats> run_batch(sim::Device& dev,
                                const std::vector<BatchJob>& jobs);
-
-/// Single-job convenience wrapper around run_batch's tiled program.
-QrStats run_tiled(sim::Device& dev, sim::HostMutRef a, sim::HostMutRef r,
-                  const QrOptions& opts);
 
 /// Fuses K same-shape, same-precision "blocking" jobs into the K lanes of
 /// the blocking node program, whose every node is one block-diagonal

@@ -39,7 +39,7 @@
 // window filtered by each job's "j<id>." op-name prefix. A preemption or
 // fault unwinds the whole batch; every member requeues from its own
 // latest checkpoint and resumes bit-identically — the batch programs'
-// arithmetic matches the solo drivers' bit for bit.
+// arithmetic matches the solo runs' bit for bit.
 //
 // Same-shape, same-precision "blocking" jobs go one step further: when
 // max_fused_jobs > 1 the dispatcher *fuses* up to that many ready

@@ -99,8 +99,10 @@ TEST(TaskGraph, ReadyNodesEnqueueInPriorityOrder) {
   ScopedMatrix buf(dev, 8, 8, StoragePrecision::FP32, "tg.buf");
   // Three independent computes added in reverse priority order.
   for (int p : {3, 1, 2}) {
+    std::string node = "c";
+    node += std::to_string(p);
     g.add(
-        TaskStage::Compute, "c" + std::to_string(p),
+        TaskStage::Compute, node,
         [&, p](TaskCtx& c) {
           c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f, buf.get(),
                  buf.get(), 0.0f, buf.get(), "gemm p" + std::to_string(p));

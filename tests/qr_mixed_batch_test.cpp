@@ -1,6 +1,8 @@
 // Mixed-algorithm colocation through qr::detail::run_batch: Tiled,
 // Blocking and LeftLooking jobs fused into one per-device task graph.
-// Pins the batch-vs-solo bitwise numerics contract for every algorithm,
+// Pins the batch-vs-solo bitwise numerics contract for every algorithm
+// (solo tiled and left-looking runs are one-job batches themselves; only
+// blocking is bitwise the same as its separate solo SlabPipeline driver),
 // the colocated-makespan win over serial execution, per-job stats
 // attribution, and checkpoint-boundary preemption with bit-identical
 // resume through qr::resume.
@@ -71,9 +73,10 @@ class MixedBatchSoloEquivalence
 };
 
 TEST_P(MixedBatchSoloEquivalence, SingleJobBatchMatchesSoloBitwise) {
-  // run_batch's node program for each algorithm issues the same GEMMs with
-  // the same k-extents as the solo driver, so a one-job batch must
-  // reproduce the solo factorization bit for bit — not approximately.
+  // A labelled one-job batch must reproduce the solo factorization bit for
+  // bit — not approximately. Solo tiled and left runs are the unlabelled
+  // one-job batch; the blocking program issues the same GEMMs with the same
+  // k-extents as the solo blocking driver.
   const auto [name, alg] = GetParam();
   const index_t m = 96, n = 48;
   la::Matrix a = la::random_normal(m, n, 301);

@@ -14,6 +14,7 @@
 #include "la/generate.hpp"
 #include "leak_check.hpp"
 #include "qr/factorize.hpp"
+#include "qr/tiled_qr.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/device.hpp"
 
@@ -144,6 +145,46 @@ TEST(ServeScheduler, PredictionMatchesSingleJobExecution) {
               1e-9 * d.predicted_seconds);
   EXPECT_EQ(j.stats.peak_device_bytes, d.predicted_peak_bytes);
   EXPECT_DOUBLE_EQ(rep.makespan_seconds, fleet_span(sched));
+}
+
+TEST(ServeAdmission, QuotesTheNodeProgramColocationDispatches) {
+  // Tiled and left-looking jobs run solo and colocated on one node program,
+  // so admission's dry run must quote that program's footprint and time:
+  // a colocated job's one-job batch, checkpointing at the fleet's cadence
+  // (the shape and cadence of perfbench serve_mix's tiled and left jobs).
+  class DiscardSink : public qr::CheckpointSink {
+   public:
+    void write(const qr::Checkpoint&) override {}
+  };
+  for (const char* algorithm : {"left", "tiled"}) {
+    ServeConfig cfg;
+    cfg.devices = 1;
+    cfg.checkpoint_every = 4;
+    Scheduler sched(cfg);
+    JobSpec job;
+    job.name = algorithm;
+    job.m = 8192;
+    job.n = 2048;
+    job.algorithm = algorithm;
+    job.blocksize = 512;
+    const AdmissionDecision d = sched.submit(job);
+    ASSERT_TRUE(d.admitted) << algorithm << ": " << d.reason;
+
+    Device dev(cfg.spec, ExecutionMode::Phantom);
+    dev.model().install_paper_calibration();
+    DiscardSink sink;
+    qr::QrOptions opts;
+    opts.blocksize = job.blocksize;
+    opts.precision = job.precision;
+    opts.checkpoint_sink = &sink;
+    opts.checkpoint_every = cfg.checkpoint_every;
+    const auto a = sim::HostMutRef::phantom(job.m, job.n);
+    const auto r = sim::HostMutRef::phantom(job.n, job.n);
+    const qr::QrStats run =
+        qr::detail::run_batch(dev, {{algorithm, a, r, opts, "j0."}}).front();
+    EXPECT_EQ(d.predicted_peak_bytes, dev.memory_peak()) << algorithm;
+    EXPECT_DOUBLE_EQ(d.predicted_seconds, run.total_seconds) << algorithm;
+  }
 }
 
 TEST(ServeScheduler, PhantomFleetDrainsConcurrentBatch) {
@@ -685,7 +726,8 @@ TEST(ServeQueueWait, SimulatedWaitsAreExactDeterministicAndUnduplicated) {
     Scheduler sched(cfg);
     for (int i = 0; i < 3; ++i) {
       JobSpec job;
-      job.name = "q" + std::to_string(i);
+      job.name = "q";
+      job.name += std::to_string(i);
       job.m = job.n = 32768;
       job.blocksize = 4096;
       EXPECT_TRUE(sched.submit(job).admitted) << job.name;
