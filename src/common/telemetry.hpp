@@ -104,7 +104,9 @@ struct MetricSample {
 
 /// Process-wide registry of named metrics. Lookup interns the metric on
 /// first use and returns a stable reference; hot paths should cache it.
-/// Snapshots iterate in name order, so exports are deterministic.
+/// global() is never replaced or destroyed and reset() keeps
+/// registrations, so a cached reference stays valid for the life of the
+/// process. Snapshots iterate in name order, so exports are deterministic.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();

@@ -12,15 +12,17 @@ namespace rocqr::ooc::detail {
 /// ran deep enough); a *miss* is a slot still owned by an in-flight GEMM, so
 /// the move-in had to be fenced behind that GEMM's completion event — the
 /// H2D link may stall there. The miss count is structural (fences enqueued),
-/// not a measured stall time; see ooc.* counters in docs/TELEMETRY.md.
+/// not a measured stall time; see ooc.* counters in docs/TELEMETRY.md, whose
+/// "Caching a metric" is why each counter is resolved once.
 inline void count_slab_prefetch(bool missed) {
-  // Resolved through the registry on every call: a function-local static
-  // Counter* would pin the counter slot resolved by whichever registry
-  // instance was global at first use, going stale if the registry is ever
-  // swapped or torn down between in-process test cases.
-  telemetry::MetricsRegistry::global()
-      .counter(missed ? "ooc.slab_prefetch_misses" : "ooc.slab_prefetch_hits")
-      .increment();
+  auto& reg = telemetry::MetricsRegistry::global();
+  if (missed) {
+    static telemetry::Counter& misses = reg.counter("ooc.slab_prefetch_misses");
+    misses.increment();
+  } else {
+    static telemetry::Counter& hits = reg.counter("ooc.slab_prefetch_hits");
+    hits.increment();
+  }
 }
 
 /// In synchronous mode, the host joins the device after every enqueue —

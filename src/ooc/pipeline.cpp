@@ -98,18 +98,34 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
                   plan.steps % plan.steps_per_group == 0,
               "SlabPipeline: steps must be whole groups");
   ROCQR_CHECK(plan.output_slots >= 1, "SlabPipeline: output_slots < 1");
+  ROCQR_CHECK(plan.output_fence == OutputFence::None || plan.move_out,
+              "SlabPipeline: an output-slot fence waits the move-outs, so "
+              "the plan needs a move_out");
   plan_description_ += describe_plan(plan, options());
 
+  // Node labels: one head per node kind, completed by the step or group
+  // number only when a label is rendered. Nothing per step is a string.
   const std::string stem = plan.label.empty() ? "loop" : plan.label;
-  std::vector<TaskId> compute_ids;
-  compute_ids.reserve(static_cast<size_t>(plan.steps));
+  const std::uint32_t in_head = graph_.label_head("in " + stem + " s");
+  const std::uint32_t in_out_head = graph_.label_head("in-out " + stem + " s");
+  const std::uint32_t comp_head = graph_.label_head("comp " + stem + " s");
+  const std::uint32_t out_head = graph_.label_head("out " + stem + " g");
+
+  // This run's compute nodes are history_[first_step, first_step + steps).
+  const size_t first_step = history_.size();
+  // Sized up front: one allocation each per plan, not one per doubling.
   std::vector<TaskId> out_ids;
   std::vector<std::optional<std::pair<Slab, Slab>>> out_regions;
+  if (plan.move_out) {
+    out_ids.reserve(static_cast<size_t>(plan.steps / plan.steps_per_group));
+    out_regions.reserve(out_ids.capacity());
+  }
 
+  // Step bodies capture only &plan and the step (or group), so they fit
+  // std::function's local buffer and add no heap allocation per node.
   for (index_t step = 0; step < plan.steps; ++step) {
     const index_t group = step / plan.steps_per_group;
     const index_t local = step % plan.steps_per_group;
-    const std::string tag = stem + " s" + std::to_string(step);
 
     // Streamed-input pool fence: the slot this step rotates into was last
     // read by the compute `input_slots` global steps ago; the move-in may
@@ -117,19 +133,17 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
     // first steps wait for the slots the previous run's computes still
     // read. Without a pool, the counted output-slot fence is the prefetch
     // account (blocking outer product, trsm base case).
-    std::vector<TaskId> m1_deps;
+    TaskId m1_dep = -1;
     const index_t g_hist = static_cast<index_t>(history_.size());
     if (plan.input_slots > 0) {
       detail::count_slab_prefetch(g_hist >= plan.input_slots);
       if (g_hist >= plan.input_slots) {
-        m1_deps.push_back(
-            history_[static_cast<size_t>(g_hist - plan.input_slots)]);
+        m1_dep = history_[static_cast<size_t>(g_hist - plan.input_slots)];
       }
     } else if (plan.output_fence == OutputFence::MoveInCounted) {
       detail::count_slab_prefetch(group >= plan.output_slots);
       if (group >= plan.output_slots) {
-        m1_deps.push_back(
-            out_ids[static_cast<size_t>(group - plan.output_slots)]);
+        m1_dep = out_ids[static_cast<size_t>(group - plan.output_slots)];
       }
     }
 
@@ -140,8 +154,10 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
         plan.move_in(c, step);
       };
     }
-    const TaskId m1 = graph_.add(TaskStage::MoveIn, "in " + tag,
-                                 std::move(m1_body), std::move(m1_deps));
+    const TaskId m1 =
+        graph_.add(TaskStage::MoveIn, TaskLabel(in_head, step),
+                   std::move(m1_body),
+                   std::span<const TaskId>(&m1_dep, m1_dep >= 0 ? 1 : 0));
     if (plan.input_region) {
       if (const auto region = plan.input_region(step)) {
         graph_.set_input_region(m1, region->first, region->second);
@@ -157,11 +173,10 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
     const bool movein_fence =
         plan.output_fence == OutputFence::MoveIn && group >= plan.output_slots;
     if (plan.move_in_output || movein_fence) {
-      std::vector<TaskId> m2_deps{m1};
-      if (movein_fence) {
-        m2_deps.push_back(
-            out_ids[static_cast<size_t>(group - plan.output_slots)]);
-      }
+      const TaskId m2_deps[2] = {
+          m1, movein_fence
+                  ? out_ids[static_cast<size_t>(group - plan.output_slots)]
+                  : -1};
       std::function<void(TaskCtx&)> m2_body;
       if (plan.move_in_output) {
         m2_body = [&plan, step](TaskCtx& t) {
@@ -169,40 +184,39 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
           plan.move_in_output(c, step);
         };
       }
-      m_last = graph_.add(TaskStage::MoveIn, "in-out " + tag,
-                          std::move(m2_body), std::move(m2_deps));
+      m_last = graph_.add(
+          TaskStage::MoveIn, TaskLabel(in_out_head, step), std::move(m2_body),
+          std::span<const TaskId>(m2_deps, movein_fence ? 2 : 1));
     }
 
     // Accumulator fence: the group's first (beta = 0) compute overwrites an
     // output slot whose previous group must have drained.
-    std::vector<TaskId> c_deps{m_last};
-    if (plan.output_fence == OutputFence::Compute && local == 0 &&
-        group >= plan.output_slots) {
-      c_deps.push_back(
-          out_ids[static_cast<size_t>(group - plan.output_slots)]);
-    }
-    const bool first_step = step == 0;
+    const bool compute_fence = plan.output_fence == OutputFence::Compute &&
+                               local == 0 && group >= plan.output_slots;
+    const TaskId c_deps[2] = {
+        m_last, compute_fence
+                    ? out_ids[static_cast<size_t>(group - plan.output_slots)]
+                    : -1};
     const TaskId cid = graph_.add(
-        TaskStage::Compute, "comp " + tag,
-        [&plan, step, first_step](TaskCtx& t) {
-          if (first_step) {
+        TaskStage::Compute, TaskLabel(comp_head, step),
+        [&plan, step](TaskCtx& t) {
+          if (step == 0) {
             for (const Event& e : plan.resident_ready) t.wait(e);
           }
           ComputeCtx c(t);
           plan.compute(c, step);
         },
-        std::move(c_deps));
+        std::span<const TaskId>(c_deps, compute_fence ? 2 : 1));
     history_.push_back(cid);
-    compute_ids.push_back(cid);
 
     if (local == plan.steps_per_group - 1 && plan.move_out) {
       const TaskId oid = graph_.add(
-          TaskStage::MoveOut, "out " + stem + " g" + std::to_string(group),
+          TaskStage::MoveOut, TaskLabel(out_head, group),
           [&plan, group](TaskCtx& t) {
             MoveOutCtx c(t);
             plan.move_out(c, group);
           },
-          {cid});
+          std::span<const TaskId>(&cid, 1));
       out_ids.push_back(oid);
       out_regions.push_back(plan.output_region ? plan.output_region(group)
                                                : std::nullopt);
@@ -212,8 +226,10 @@ SlabRunResult SlabPipeline::run(const SlabPlan& plan) {
   graph_.run();
 
   SlabRunResult r;
-  r.compute_done.reserve(compute_ids.size());
-  for (TaskId id : compute_ids) r.compute_done.push_back(graph_.done(id));
+  r.compute_done.reserve(static_cast<size_t>(plan.steps));
+  for (size_t i = first_step; i < history_.size(); ++i) {
+    r.compute_done.push_back(graph_.done(history_[i]));
+  }
   r.out_done.reserve(out_ids.size());
   for (size_t g = 0; g < out_ids.size(); ++g) {
     const Event out_ev = graph_.done(out_ids[g]);
@@ -273,12 +289,11 @@ TaskResult SlabPipeline::run_task(const TaskPlan& plan) {
   return r;
 }
 
-const std::string& SlabPipeline::plan_description() const {
-  description_cache_ = plan_description_;
-  if (!graph_.plan_description().empty()) {
-    description_cache_ += graph_.plan_description() + "\n";
-  }
-  return description_cache_;
+std::string SlabPipeline::plan_description() const {
+  std::string description = plan_description_;
+  const std::string lowered = graph_.plan_description();
+  if (!lowered.empty()) description += lowered + "\n";
+  return description;
 }
 
 ResidentInput stage_operand(SlabPipeline& p, const Operand& op,

@@ -230,7 +230,7 @@ class SlabPipeline {
   /// Human-readable summary of every plan this pipeline ran, followed by
   /// the lowered task-graph form (node/edge/fence-edge counts);
   /// empty until the first run().
-  const std::string& plan_description() const;
+  std::string plan_description() const;
 
   /// Graphviz dump of the lowered graph (--explain-plan=dot).
   std::string dot(const std::string& graph_name = "slab-pipeline") const {
@@ -251,7 +251,6 @@ class SlabPipeline {
   /// previous runs' computes to release their slots.
   std::vector<TaskId> history_;
   std::string plan_description_;
-  mutable std::string description_cache_;
 };
 
 /// A resident operand of a slab loop: either the caller's device matrix or

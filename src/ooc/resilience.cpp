@@ -9,9 +9,6 @@ namespace rocqr::ooc::detail {
 
 namespace {
 
-// No static Counter* caching here (or anywhere): resolve through the
-// registry each call so the pointer cannot go stale across registry
-// lifetimes (see count_slab_prefetch in ooc/engine_util.hpp).
 telemetry::Counter& transfer_retries_counter() {
   return telemetry::MetricsRegistry::global().counter("transfer_retries");
 }

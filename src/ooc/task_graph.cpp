@@ -1,7 +1,7 @@
 #include "ooc/task_graph.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -116,9 +116,9 @@ TaskGraph::TaskGraph(sim::Device& dev, const OocGemmOptions& opts,
 TaskGraph::~TaskGraph() {
   if (opts_.plan_log == nullptr || nodes_.empty()) return;
   PlanLog& log = *opts_.plan_log;
+  const std::string description = plan_description();
   log.text += name_ + ": ";
-  log.text += plan_description_.empty() ? "built but never run"
-                                        : plan_description_;
+  log.text += description.empty() ? "built but never run" : description;
   log.text += "\n";
   log.dot += dot(name_);
 }
@@ -135,25 +135,51 @@ sim::Stream TaskGraph::stream_for(TaskStage stage) const {
   return comp_;
 }
 
-TaskId TaskGraph::add(TaskStage stage, std::string label,
+void TaskGraph::Node::push_dep(TaskId d) {
+  if (n_deps < 2) {
+    inline_deps[n_deps++] = d;
+    return;
+  }
+  if (n_deps == 2) spilled_deps.assign(inline_deps, inline_deps + 2);
+  spilled_deps.push_back(d);
+  ++n_deps;
+}
+
+std::uint32_t TaskGraph::label_head(std::string head) {
+  heads_.push_back(std::move(head));
+  return static_cast<std::uint32_t>(heads_.size() - 1);
+}
+
+std::string TaskGraph::label_text(const TaskLabel& label) const {
+  std::string text = heads_[label.head];
+  for (std::uint32_t i = 0; i < label.n_ints; ++i) {
+    if (i > 0) text += ',';
+    text += std::to_string(label.ints[i]);
+  }
+  return text;
+}
+
+TaskId TaskGraph::add(TaskStage stage, TaskLabel label,
                       std::function<void(TaskCtx&)> body,
-                      std::vector<TaskId> deps, std::int64_t priority) {
+                      std::span<const TaskId> deps, std::int64_t priority) {
   const TaskId id = static_cast<TaskId>(nodes_.size());
   for (TaskId d : deps) {
     if (d < 0 || d >= id) {
-      throw InvalidArgument("TaskGraph::add: node \"" + label +
+      throw InvalidArgument("TaskGraph::add: node \"" + label_text(label) +
                             "\" depends on unknown node " +
                             std::to_string(d));
     }
   }
-  Node node;
-  node.stage = stage;
-  node.label = std::move(label);
-  node.body = std::move(body);
-  node.deps = std::move(deps);
-  node.priority = priority;
-  nodes_.push_back(std::move(node));
+  Node& node = nodes_.emplace_back(stage, label, std::move(body), priority);
+  for (TaskId d : deps) node.push_dep(d);
   return id;
+}
+
+TaskId TaskGraph::add(TaskStage stage, std::string label,
+                      std::function<void(TaskCtx&)> body,
+                      std::vector<TaskId> deps, std::int64_t priority) {
+  return add(stage, TaskLabel(label_head(std::move(label))), std::move(body),
+             deps, priority);
 }
 
 void TaskGraph::add_dep(TaskId node, TaskId dep) {
@@ -163,10 +189,10 @@ void TaskGraph::add_dep(TaskId node, TaskId dep) {
   }
   Node& n = nodes_[static_cast<size_t>(node)];
   if (n.enqueued) {
-    throw InvalidArgument("TaskGraph::add_dep: node \"" + n.label +
-                          "\" was already enqueued");
+    throw InvalidArgument("TaskGraph::add_dep: node \"" +
+                          label_text(n.label) + "\" was already enqueued");
   }
-  n.deps.push_back(dep);
+  n.push_dep(dep);
 }
 
 void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
@@ -175,8 +201,8 @@ void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
   }
   Node& n = nodes_[static_cast<size_t>(node)];
   if (n.stage != TaskStage::MoveIn) {
-    throw InvalidArgument("TaskGraph::set_input_region: node \"" + n.label +
-                          "\" is not a move-in node");
+    throw InvalidArgument("TaskGraph::set_input_region: node \"" +
+                          label_text(n.label) + "\" is not a move-in node");
   }
   n.input_region = std::make_pair(rows, cols);
 }
@@ -184,13 +210,13 @@ void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
 void TaskGraph::enqueue(Node& node) {
   const sim::Stream s = stream_for(node.stage);
   try {
-    for (TaskId d : node.deps) {
+    for (TaskId d : node.deps()) {
       const Node& dep = nodes_[static_cast<size_t>(d)];
       // Same-stream dependencies ride the FIFO: the dep's ops were enqueued
       // earlier on this stream, so they execute earlier. Cross-stream (and
       // cross-graph, via TaskCtx::wait) dependencies need the event edge.
       if (dep.stage == node.stage) continue;
-      ++n_fence_edges_;
+      ++counts_.fence_edges;
       if (dep.done.valid()) dev_.wait_event(s, dep.done);
     }
     if (node.input_region) {
@@ -208,8 +234,8 @@ void TaskGraph::enqueue(Node& node) {
     // Attribute the hard loss to the task that hit it: labels carry the
     // owning job's prefix in batched runs, so serve failover logs can name
     // the victim instead of reporting a bare device failure.
-    throw DeviceLost(std::string(e.what()) + " [task \"" + node.label +
-                     "\"]");
+    throw DeviceLost(std::string(e.what()) + " [task \"" +
+                     label_text(node.label) + "\"]");
   }
   node.body = nullptr; // enqueued exactly once; free the captures
   node.enqueued = true;
@@ -220,22 +246,25 @@ void TaskGraph::run() {
   // algorithm with a (priority, id) min-heap as the ready set. Nodes below
   // run_from_ were enqueued by an earlier run(), so only the suffix is
   // solved — a pipeline that lowers thousands of steps through incremental
-  // runs stays linear in total node count.
+  // runs stays linear in total node count, and reuses the scratch buffers.
   const size_t total = nodes_.size();
   const size_t base = run_from_;
   const size_t count = total - base;
   if (count == 0) return;
-  std::vector<index_t> pending(count, 0);
-  std::vector<std::vector<TaskId>> successors(count);
+  // CSR successor lists: count each suffix node's successors into
+  // succ_begin_[k + 2], prefix-sum, then fill through succ_begin_[k + 1]
+  // as a cursor, after which node k's successors are
+  // succ_[succ_begin_[k] .. succ_begin_[k + 1]).
+  pending_.assign(count, 0);
+  succ_begin_.assign(count + 2, 0);
   size_t remaining = 0;
   for (size_t i = base; i < total; ++i) {
     if (nodes_[i].enqueued) continue;
     ++remaining;
-    for (TaskId d : nodes_[i].deps) {
+    for (TaskId d : nodes_[i].deps()) {
       if (!nodes_[static_cast<size_t>(d)].enqueued) {
-        ++pending[i - base];
-        successors[static_cast<size_t>(d) - base].push_back(
-            static_cast<TaskId>(i));
+        ++pending_[i - base];
+        ++succ_begin_[static_cast<size_t>(d) - base + 2];
       }
     }
   }
@@ -243,37 +272,53 @@ void TaskGraph::run() {
     run_from_ = total;
     return;
   }
-
-  using Key = std::pair<std::int64_t, TaskId>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ready;
+  for (size_t k = 2; k < count + 2; ++k) succ_begin_[k] += succ_begin_[k - 1];
+  succ_.resize(succ_begin_[count + 1]);
   for (size_t i = base; i < total; ++i) {
-    if (!nodes_[i].enqueued && pending[i - base] == 0) {
-      ready.emplace(nodes_[i].priority, static_cast<TaskId>(i));
+    if (nodes_[i].enqueued) continue;
+    for (TaskId d : nodes_[i].deps()) {
+      if (!nodes_[static_cast<size_t>(d)].enqueued) {
+        succ_[succ_begin_[static_cast<size_t>(d) - base + 1]++] =
+            static_cast<TaskId>(i);
+      }
+    }
+  }
+
+  const auto later = std::greater<std::pair<std::int64_t, TaskId>>();
+  ready_.clear();
+  for (size_t i = base; i < total; ++i) {
+    if (!nodes_[i].enqueued && pending_[i - base] == 0) {
+      ready_.emplace_back(nodes_[i].priority, static_cast<TaskId>(i));
+      std::push_heap(ready_.begin(), ready_.end(), later);
     }
   }
 
   size_t enqueued = 0;
-  while (!ready.empty()) {
-    const TaskId id = ready.top().second;
-    ready.pop();
+  while (!ready_.empty()) {
+    std::pop_heap(ready_.begin(), ready_.end(), later);
+    const TaskId id = ready_.back().second;
+    ready_.pop_back();
     Node& node = nodes_[static_cast<size_t>(id)];
     enqueue(node);
     ++enqueued;
     switch (node.stage) {
     case TaskStage::MoveIn:
-      ++n_in_;
+      ++counts_.in;
       break;
     case TaskStage::Compute:
-      ++n_comp_;
+      ++counts_.comp;
       break;
     case TaskStage::MoveOut:
-      ++n_out_;
+      ++counts_.out;
       break;
     }
-    n_edges_ += static_cast<index_t>(node.deps.size());
-    for (TaskId s : successors[static_cast<size_t>(id) - base]) {
-      if (--pending[static_cast<size_t>(s) - base] == 0) {
-        ready.emplace(nodes_[static_cast<size_t>(s)].priority, s);
+    counts_.edges += static_cast<index_t>(node.n_deps);
+    const size_t k = static_cast<size_t>(id) - base;
+    for (size_t e = succ_begin_[k]; e < succ_begin_[k + 1]; ++e) {
+      const TaskId s = succ_[e];
+      if (--pending_[static_cast<size_t>(s) - base] == 0) {
+        ready_.emplace_back(nodes_[static_cast<size_t>(s)].priority, s);
+        std::push_heap(ready_.begin(), ready_.end(), later);
       }
     }
   }
@@ -282,21 +327,25 @@ void TaskGraph::run() {
     for (const Node& n : nodes_) {
       if (!n.enqueued) {
         throw InvalidArgument(
-            "TaskGraph::run: dependency cycle through node \"" + n.label +
-            "\"");
+            "TaskGraph::run: dependency cycle through node \"" +
+            label_text(n.label) + "\"");
       }
     }
   }
   run_from_ = total;
+}
 
+std::string TaskGraph::plan_description() const {
   // One cumulative line: incremental runs (checkpoint segments, pipeline
-  // lowering one plan at a time) update it in place instead of appending.
+  // lowering one plan at a time) update it instead of appending.
+  const Counts& c = counts_;
+  const index_t nodes = c.in + c.comp + c.out;
+  if (nodes == 0) return {};
   std::ostringstream os;
-  os << "task-graph run: " << (n_in_ + n_comp_ + n_out_) << " node(s) ("
-     << n_in_ << " move-in, " << n_comp_ << " compute, " << n_out_
-     << " move-out), " << n_edges_ << " edge(s), " << n_fence_edges_
-     << " fence edge(s)";
-  plan_description_ = os.str();
+  os << "task-graph run: " << nodes << " node(s) (" << c.in << " move-in, "
+     << c.comp << " compute, " << c.out << " move-out), " << c.edges
+     << " edge(s), " << c.fence_edges << " fence edge(s)";
+  return os.str();
 }
 
 Event TaskGraph::done(TaskId id) const {
@@ -351,13 +400,14 @@ std::string TaskGraph::dot(const std::string& graph_name) const {
      << "  node [fontname=\"monospace\", style=filled];\n";
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
-    os << "  n" << i << " [label=\"" << dot_escape(n.label) << "\\n("
+    os << "  n" << i << " [label=\"" << dot_escape(label_text(n.label))
+       << "\\n("
        << stage_name(n.stage) << ")\", shape=" << dot_shape(n.stage)
        << ", fillcolor=" << dot_color(n.stage) << "];\n";
   }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
-    for (TaskId d : n.deps) {
+    for (TaskId d : n.deps()) {
       const Node& dep = nodes_[static_cast<size_t>(d)];
       // Solid = a real wait_event fence; dashed = same-stream FIFO order.
       os << "  n" << d << " -> n" << i;

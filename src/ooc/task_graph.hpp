@@ -49,6 +49,24 @@ enum class TaskStage { MoveIn, Compute, MoveOut };
 
 using TaskId = index_t;
 
+/// A node label that costs no string per node: `head` indexes the graph's
+/// table of label heads (TaskGraph::label_head) and up to two integers
+/// follow. It renders as the head, then the integers joined by ',' — head
+/// "comp inner_product_recursive s" with {2} is
+/// "comp inner_product_recursive s2", head "upd " with {0, 2} is "upd 0,2".
+/// Labels are rendered only where text is needed: dot(), the DeviceLost
+/// attribution and the add / add_dep / cycle error messages.
+struct TaskLabel {
+  explicit TaskLabel(std::uint32_t h) : head(h) {}
+  TaskLabel(std::uint32_t h, index_t a) : head(h), n_ints(1), ints{a, 0} {}
+  TaskLabel(std::uint32_t h, index_t a, index_t b)
+      : head(h), n_ints(2), ints{a, b} {}
+
+  std::uint32_t head = 0;
+  std::uint32_t n_ints = 0;
+  index_t ints[2] = {0, 0};
+};
+
 /// Stage handle passed to a node's body. Only the operations matching the
 /// node's stage are legal — h2d on MoveIn, gemm/trsm/stream on Compute, d2h
 /// on MoveOut; anything else throws InvalidArgument so a mis-staged node
@@ -134,10 +152,22 @@ class TaskGraph {
   /// TaskGraph.
   ~TaskGraph();
 
+  /// Interns a label head for TaskLabel and returns its index. Lowering
+  /// layers add one head per node kind and per plan, not one per node.
+  std::uint32_t label_head(std::string head);
+
   /// Adds a node. `deps` are node ids that must be enqueued before this
   /// node; `priority` orders the ready set (smaller runs earlier; ties
   /// break on id, so insertion order is the deterministic default).
-  /// Returns the node's id.
+  /// Returns the node's id. A node with at most two deps (every node a
+  /// SlabPipeline step lowers to) allocates nothing beyond the graph's
+  /// node array, provided `body` fits std::function's local buffer.
+  TaskId add(TaskStage stage, TaskLabel label,
+             std::function<void(TaskCtx&)> body,
+             std::span<const TaskId> deps = {}, std::int64_t priority = 0);
+
+  /// Adds a node labelled by `label` verbatim: the string becomes a label
+  /// head of its own.
   TaskId add(TaskStage stage, std::string label,
              std::function<void(TaskCtx&)> body, std::vector<TaskId> deps = {},
              std::int64_t priority = 0);
@@ -168,8 +198,9 @@ class TaskGraph {
   /// Human-readable node/edge summary of everything run so far, including
   /// the count of fence edges (cross-stream dependencies that lowered to
   /// `wait_event`; same-stream edges ride the FIFO). One cumulative line
-  /// (--explain-plan companion); empty until the first run().
-  const std::string& plan_description() const { return plan_description_; }
+  /// (--explain-plan companion), rendered on demand from the counts;
+  /// empty until the first run().
+  std::string plan_description() const;
 
   /// Graphviz dump of every node added so far (--explain-plan=dot). Solid
   /// edges are cross-stream fences, dashed edges ride a stream's FIFO.
@@ -182,16 +213,37 @@ class TaskGraph {
   friend class TaskCtx;
 
   struct Node {
+    Node(TaskStage s, TaskLabel l, std::function<void(TaskCtx&)> b,
+         std::int64_t p)
+        : stage(s), label(l), body(std::move(b)), priority(p) {}
+
+    std::span<const TaskId> deps() const {
+      return n_deps <= 2 ? std::span<const TaskId>(inline_deps, n_deps)
+                         : std::span<const TaskId>(spilled_deps);
+    }
+    void push_dep(TaskId d);
+
     TaskStage stage;
-    std::string label;
+    TaskLabel label;
     std::function<void(TaskCtx&)> body;
-    std::vector<TaskId> deps;
     std::int64_t priority = 0;
+    // Deps live inline up to two; a longer list (tiled programs, add_dep)
+    // moves to spilled_deps whole.
+    size_t n_deps = 0;
+    TaskId inline_deps[2] = {0, 0};
+    std::vector<TaskId> spilled_deps;
     std::optional<std::pair<Slab, Slab>> input_region;
     sim::Event done{};
     bool enqueued = false;
   };
 
+  /// Node and edge counts, cumulative across runs.
+  struct Counts {
+    index_t in = 0, comp = 0, out = 0;
+    index_t edges = 0, fence_edges = 0;
+  };
+
+  std::string label_text(const TaskLabel& label) const;
   sim::Stream stream_for(TaskStage stage) const;
   void enqueue(Node& node);
 
@@ -205,13 +257,18 @@ class TaskGraph {
   sim::Stream comp_;
   sim::Stream out_;
   std::vector<Node> nodes_;
+  std::vector<std::string> heads_;
   // Every node below this index was enqueued by an earlier run(); run()
   // only has to solve the suffix.
   size_t run_from_ = 0;
-  // Cumulative across runs; composed into plan_description_.
-  index_t n_in_ = 0, n_comp_ = 0, n_out_ = 0;
-  index_t n_edges_ = 0, n_fence_edges_ = 0;
-  std::string plan_description_;
+  Counts counts_;
+  // Kahn scratch of run(), owned here so incremental runs reuse it: pending
+  // dep counts and CSR successor lists over the unsolved suffix, and the
+  // (priority, id) ready min-heap.
+  std::vector<index_t> pending_;
+  std::vector<size_t> succ_begin_;
+  std::vector<TaskId> succ_;
+  std::vector<std::pair<std::int64_t, TaskId>> ready_;
 };
 
 } // namespace rocqr::ooc

@@ -1,7 +1,6 @@
 #include "qr/driver_util.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
@@ -20,28 +19,35 @@ void move_in_panel(ooc::MoveInCtx& ctx, const sim::DeviceMatrix& panel,
   const index_t m = panel.rows();
 
   if (opts.qr_level_opt) {
-    const auto regions = tracker.regions_for(j0, w);
+    auto regions = tracker.regions_for(j0, w);
     if (!regions.empty()) {
       // Group the writer's region events by row slab; a chunk may depend on
-      // several column tiles covering the panel's columns.
-      std::map<index_t, std::pair<index_t, std::vector<sim::Event>>> rows;
-      for (const ooc::RegionEvent& r : regions) {
-        auto& slot = rows[r.rows.offset];
-        slot.first = r.rows.width;
-        slot.second.push_back(r.event);
-      }
-      // The chunked path is only valid if the row slabs tile [0, m) exactly.
+      // several column tiles covering the panel's columns. The stable sort
+      // keeps a slab's events in publication order.
+      std::stable_sort(
+          regions.begin(), regions.end(),
+          [](const ooc::RegionEvent& x, const ooc::RegionEvent& y) {
+            return x.rows.offset < y.rows.offset;
+          });
+      const auto ends_slab = [&](size_t i) {
+        return i + 1 == regions.size() ||
+               regions[i + 1].rows.offset != regions[i].rows.offset;
+      };
+      // The chunked path is only valid if the row slabs tile [0, m) exactly;
+      // a slab's extent is its last region's row width.
       index_t covered = 0;
-      for (const auto& [offset, slot] : rows) {
-        if (offset != covered) break;
-        covered += slot.first;
+      for (size_t i = 0;
+           i < regions.size() && regions[i].rows.offset == covered; ++i) {
+        if (ends_slab(i)) covered += regions[i].rows.width;
       }
       if (covered == m) {
-        for (const auto& [offset, slot] : rows) {
-          for (const sim::Event& e : slot.second) ctx.wait(e);
-          ctx.h2d(sim::DeviceMatrixRef(panel, offset, 0, slot.first, w),
-                  ooc::host_block(a_cols, offset, 0, slot.first, w),
-                  "h2d panel rows " + std::to_string(offset));
+        for (size_t i = 0; i < regions.size(); ++i) {
+          ctx.wait(regions[i].event);
+          if (!ends_slab(i)) continue;
+          const ooc::Slab rows = regions[i].rows;
+          ctx.h2d(sim::DeviceMatrixRef(panel, rows.offset, 0, rows.width, w),
+                  ooc::host_block(a_cols, rows.offset, 0, rows.width, w),
+                  "h2d panel rows " + std::to_string(rows.offset));
         }
         return;
       }

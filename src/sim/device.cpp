@@ -34,6 +34,24 @@ GemmDims gemm_dims(const Device::GemmBatchEntry& e) {
           blas::op_cols(e.opa, e.a.rows, e.a.cols)};
 }
 
+/// The sim.gemm_flops.<class> counter of a product's shape class, resolved
+/// once per class, on its first product.
+telemetry::Counter& gemm_flops_counter(const GemmDims& d) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const index_t mn_max = std::max(d.m, d.n);
+  if (d.k >= 4 * mn_max) {
+    static telemetry::Counter& reduction =
+        reg.counter("sim.gemm_flops.reduction");
+    return reduction;
+  }
+  if (mn_max >= 4 * d.k) {
+    static telemetry::Counter& outer = reg.counter("sim.gemm_flops.outer");
+    return outer;
+  }
+  static telemetry::Counter& square = reg.counter("sim.gemm_flops.square");
+  return square;
+}
+
 } // namespace
 
 Device::Device(DeviceSpec spec, ExecutionMode mode,
@@ -441,13 +459,7 @@ void Device::gemm_batched(std::span<const GemmBatchEntry> entries,
   for (const GemmBatchEntry& e : entries) {
     const GemmDims d = gemm_dims(e);
     if (d.m == 0 || d.n == 0) continue;
-    const index_t mn_max = std::max(d.m, d.n);
-    const char* shape_class = d.k >= 4 * mn_max   ? "gemm_flops.reduction"
-                              : mn_max >= 4 * d.k ? "gemm_flops.outer"
-                                                  : "gemm_flops.square";
-    telemetry::MetricsRegistry::global()
-        .counter(std::string("sim.") + shape_class)
-        .add(blas::gemm_flops(d.m, d.n, d.k));
+    gemm_flops_counter(d).add(blas::gemm_flops(d.m, d.n, d.k));
   }
   // One kernel-launch latency for the block-diagonal batch.
   duration -=

@@ -11,6 +11,7 @@
 #include "la/generate.hpp"
 #include "leak_check.hpp"
 #include "ooc/resilience.hpp"
+#include "qr/factorize.hpp"
 #include "sim/device.hpp"
 #include "sim/faults.hpp"
 #include "sim/scoped_matrix.hpp"
@@ -263,6 +264,53 @@ TEST(DeviceFaults, FatalAllocReportsLastFiredKind) {
   ASSERT_NE(dev.fault_injector(), nullptr);
   EXPECT_EQ(dev.fault_injector()->last_fired_kind(), FaultKind::Fatal);
   EXPECT_TRUE(dev.dead());
+}
+
+/// The DeviceLost message of a Phantom 4096x2048 b=256 factorization that
+/// hits the fatal fault `faults` (bench::recursive_options: every recursion
+/// level streams).
+std::string device_lost_message(qr::Algorithm algorithm,
+                                const std::string& faults) {
+  Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+  dev.install_faults(FaultPlan::parse(faults));
+  qr::QrOptions opts;
+  opts.blocksize = 256;
+  opts.resident_subtrees = false;
+  const auto a = sim::HostMutRef::phantom(4096, 2048);
+  const auto r = sim::HostMutRef::phantom(2048, 2048);
+  try {
+    qr::factorize(qr::QrProblem{{&dev}, a, r, algorithm, opts});
+  } catch (const DeviceLost& e) {
+    return e.what();
+  }
+  return "no DeviceLost";
+}
+
+TEST(DeviceLostAttribution, NamesTheTaskGraphNodeThatHitTheFault) {
+  // A hard loss is attributed to the node being enqueued: slab steps of the
+  // streaming engines ("comp <engine> s<step>", "out <engine> g<group>")
+  // and the tiled program's tile nodes.
+  const struct {
+    qr::Algorithm algorithm;
+    const char* faults;
+    const char* suffix;
+  } cases[] = {
+      {qr::Algorithm::Recursive, "compute:fatal:op=3",
+       "[task \"comp inner_product_recursive s2\"]"},
+      {qr::Algorithm::Blocking, "compute:fatal:op=3",
+       "[task \"comp inner_product_blocking s2\"]"},
+      {qr::Algorithm::Tiled, "compute:fatal:op=3", "[task \"upd 0,2\"]"},
+      {qr::Algorithm::Recursive, "d2h:fatal:op=7",
+       "[task \"out outer_product_recursive g3\"]"},
+      {qr::Algorithm::Blocking, "d2h:fatal:op=7",
+       "[task \"out inner_product_blocking g4\"]"},
+      {qr::Algorithm::Tiled, "d2h:fatal:op=7", "[task \"outA 0,2\"]"},
+  };
+  for (const auto& c : cases) {
+    const std::string what = device_lost_message(c.algorithm, c.faults);
+    EXPECT_TRUE(what.ends_with(c.suffix))
+        << qr::to_string(c.algorithm) << " " << c.faults << ": " << what;
+  }
 }
 
 TEST(OomDegradation, HalvesToFloorThenRethrowsOriginal) {

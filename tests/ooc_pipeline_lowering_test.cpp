@@ -12,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "ooc/pipeline.hpp"
 #include "ooc/task_graph.hpp"
+#include "qr/factorize.hpp"
 #include "sim/device.hpp"
 
 namespace rocqr {
@@ -330,6 +332,67 @@ TEST(SlabPipelineLowering, PlanLogCapturesEveryGraphOnTeardown) {
   }
   EXPECT_TRUE(empty_log.text.empty());
   EXPECT_TRUE(empty_log.dot.empty());
+}
+
+TEST(SlabPipelineLowering, OutputFenceWithoutMoveOutIsRejected) {
+  // Every output-slot fence waits a group's move-out, so a fenced plan
+  // without one has nothing to fence on: it is a plan error, not an
+  // out-of-range read of the move-out list.
+  Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+  LoopBuffers b(dev);
+  for (const ooc::OutputFence fence :
+       {ooc::OutputFence::MoveIn, ooc::OutputFence::MoveInCounted,
+        ooc::OutputFence::Compute}) {
+    ooc::SlabPipeline pipe(dev, small_options());
+    ooc::SlabPlan plan;
+    plan.label = "fenced";
+    plan.steps = 3;
+    plan.output_fence = fence;
+    plan.output_slots = 1;
+    plan.move_in = [&](ooc::MoveInCtx& c, index_t) {
+      c.h2d(sim::DeviceMatrixRef(b.pool[0]), b.in, "h2d");
+    };
+    plan.compute = [&](ooc::ComputeCtx& c, index_t) {
+      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
+             sim::DeviceMatrixRef(b.pool[0]), sim::DeviceMatrixRef(b.pool[0]),
+             0.0f, sim::DeviceMatrixRef(b.acc), "gemm");
+    };
+    EXPECT_THROW(pipe.run(plan), InvalidArgument)
+        << "fence " << static_cast<int>(fence);
+  }
+  dev.synchronize();
+  b.release(dev);
+}
+
+TEST(SlabPipelineLowering, DotRendersEveryLoweredNodeLabel) {
+  // Node labels are rendered only where text is needed; pin the exact dot
+  // lines of every kind a streaming recursive QR lowers — the four slab-step
+  // labels and the run_task stages — and the edges of a two-dep node.
+  ooc::PlanLog log;
+  Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+  qr::QrOptions opts;
+  opts.blocksize = 256;
+  opts.resident_subtrees = false;
+  opts.plan_log = &log;
+  const auto a = sim::HostMutRef::phantom(2048, 1024);
+  const auto r = sim::HostMutRef::phantom(1024, 1024);
+  qr::factorize(qr::QrProblem{{&dev}, a, r, qr::Algorithm::Recursive, opts});
+  const char* const lines[] = {
+      R"dot(n0 [label="task in\n(move-in)", shape=box, fillcolor=lightblue];)dot",
+      R"dot(n1 [label="task comp\n(compute)", shape=ellipse, fillcolor=palegreen];)dot",
+      R"dot(n2 [label="task out\n(move-out)", shape=box, fillcolor=lightsalmon];)dot",
+      R"dot(n0 [label="in inner_product_recursive s0\n(move-in)", shape=box, fillcolor=lightblue];)dot",
+      R"dot(n1 [label="comp inner_product_recursive s0\n(compute)", shape=ellipse, fillcolor=palegreen];)dot",
+      R"dot(n16 [label="out inner_product_recursive g0\n(move-out)", shape=box, fillcolor=lightsalmon];)dot",
+      R"dot(n1 [label="in-out outer_product_recursive s0\n(move-in)", shape=box, fillcolor=lightblue];)dot",
+      R"dot(n11 [label="out outer_product_recursive g2\n(move-out)", shape=box, fillcolor=lightsalmon];)dot",
+      // in-out s2's two deps, in order: its move-in (same stream) and
+      // the staging-pair fence on group 0's move-out.
+      "  n8 -> n9 [style=dashed];\n  n3 -> n9;\n",
+  };
+  for (const char* line : lines) {
+    EXPECT_NE(log.dot.find(line), std::string::npos) << line;
+  }
 }
 
 } // namespace

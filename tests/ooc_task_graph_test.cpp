@@ -184,6 +184,48 @@ TEST(TaskGraph, DetectsDependencyCycles) {
   EXPECT_THROW(g.run(), InvalidArgument);
 }
 
+TEST(TaskGraph, ANodeWithMoreThanTwoDepsWaitsForEveryOne) {
+  // A node keeps up to two deps inline; a third (here from add_dep) moves
+  // the list to the heap. Every dep must still fence the node, count as an
+  // edge and appear in the dot dump, in order.
+  Device dev = phantom_device();
+  ScopedMatrix buf(dev, 64, 64, StoragePrecision::FP32, "tg.buf");
+  TaskGraph g(dev, test_options());
+  const TaskId in = g.add(TaskStage::MoveIn, "in", [&](TaskCtx& c) {
+    c.h2d(buf.get(), sim::HostConstRef::phantom(64, 64), "h2d in");
+  });
+  const auto gemm = [&](const char* name) {
+    return [&buf, name](TaskCtx& c) {
+      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f, buf.get(), buf.get(),
+             0.0f, buf.get(), name);
+    };
+  };
+  const TaskId mul = g.add(TaskStage::Compute, "mul", gemm("gemm mul"), {in});
+  const TaskId out = g.add(
+      TaskStage::MoveOut, "out",
+      [&](TaskCtx& c) {
+        c.d2h(sim::HostMutRef::phantom(64, 64), buf.get(), "d2h out");
+      },
+      {mul});
+  const TaskId last =
+      g.add(TaskStage::Compute, "last", gemm("gemm last"), {in, mul});
+  g.add_dep(last, out);
+  g.run();
+  dev.synchronize();
+
+  const auto& ev = dev.trace().events();
+  EXPECT_GE(ev[find_event(dev, "gemm last")].start,
+            ev[find_event(dev, "d2h out")].end);
+  EXPECT_EQ(g.plan_description(),
+            "task-graph run: 4 node(s) (1 move-in, 2 compute, 1 move-out), "
+            "5 edge(s), 4 fence edge(s)");
+  const std::string dot = g.dot();
+  EXPECT_NE(dot.find("  n0 -> n3;\n  n1 -> n3 [style=dashed];\n"
+                     "  n2 -> n3;\n"),
+            std::string::npos)
+      << dot;
+}
+
 TEST(TaskGraph, RejectsStageMisuse) {
   Device dev = phantom_device();
   TaskGraph g(dev, test_options());
