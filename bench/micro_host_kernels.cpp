@@ -47,10 +47,7 @@ void BM_GemmFp16Fp32(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmFp16Fp32)->Arg(64)->Arg(128)->Arg(256);
 
-// Blocked kernel vs the seed pack-everything baseline at sizes where the
-// packed operands no longer fit in cache. These two benchmarks are the
-// committed host-kernel trajectory (BENCH_gemm_baseline.json): the blocked
-// kernel must stay >= 1.5x the baseline at 1024-2048 square fp32.
+// Square fp32 at sizes where the packed operands no longer fit in cache.
 void BM_GemmBlocked(benchmark::State& state) {
   const index_t n = state.range(0);
   la::Matrix a = la::random_uniform(n, n, 1);
@@ -64,20 +61,6 @@ void BM_GemmBlocked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * blas::gemm_flops(n, n, n));
 }
 BENCHMARK(BM_GemmBlocked)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
-
-void BM_GemmBaseline(benchmark::State& state) {
-  const index_t n = state.range(0);
-  la::Matrix a = la::random_uniform(n, n, 1);
-  la::Matrix b = la::random_uniform(n, n, 2);
-  la::Matrix c(n, n);
-  for (auto _ : state) {
-    blas::gemm_baseline(blas::Op::NoTrans, blas::Op::NoTrans, n, n, n, 1.0f,
-                        a.data(), n, b.data(), n, 0.0f, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * blas::gemm_flops(n, n, n));
-}
-BENCHMARK(BM_GemmBaseline)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 // Steady-state gemm must run out of the thread-local pack buffers without
 // allocating: one warm-up call sizes them, then the allocation counter may

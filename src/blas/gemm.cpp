@@ -30,19 +30,6 @@ void validate(Op opa, Op opb, index_t m, index_t n, index_t k, const float* a,
   }
 }
 
-/// Packs op(X) (rows x cols after the op) into a dense column-major buffer —
-/// the baseline kernel's whole-operand pack.
-void pack_whole(Op op, index_t rows, index_t cols, const float* x, index_t ldx,
-                GemmPrecision precision, float* out) {
-  for (index_t j = 0; j < cols; ++j) {
-    for (index_t i = 0; i < rows; ++i) {
-      out[i + j * rows] = *kernel::op_element(op, x, ldx, i, j);
-    }
-  }
-  const size_t count = static_cast<size_t>(rows) * static_cast<size_t>(cols);
-  kernel::round_and_scale(precision, 1.0f, out, count);
-}
-
 /// C(0:rows, 0:cols) = beta * C, zeroing it outright (NaN included) when
 /// beta is 0.
 void scale_block(index_t rows, index_t cols, float beta, float* c,
@@ -78,15 +65,12 @@ float* ensure_pack_capacity(std::vector<float>& buf, size_t need) {
 thread_local std::vector<float> tl_pack_a;
 thread_local std::vector<float> tl_pack_b;
 
-} // namespace
-
-std::int64_t gemm_pack_allocations() {
-  return g_pack_allocations.load(std::memory_order_relaxed);
-}
-
-void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
-          const float* a, index_t lda, const float* b, index_t ldb, float beta,
-          float* c, index_t ldc, GemmPrecision precision, ThreadPool* pool) {
+/// The blocked driver over one register tile (gemm_kernel.hpp).
+template <class Tile>
+void gemm_tiled(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
+                const float* a, index_t lda, const float* b, index_t ldb,
+                float beta, float* c, index_t ldc, GemmPrecision precision,
+                ThreadPool* pool) {
   namespace kn = kernel;
   validate(opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
   if (m == 0 || n == 0) return;
@@ -103,10 +87,11 @@ void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
     // scales it by beta, then runs every depth block over it in order, so
     // each C element still sees one flat chain in depth order.
     tp.parallel_for_2d(
-        ic_blocks, kn::b_strips(nb),
+        ic_blocks, Tile::b_strips(nb),
         [&](index_t i0, index_t i1, index_t jr0, index_t jr1) {
-          const index_t col0 = jc + jr0 * kn::kNR;
-          const index_t cols = std::min(nb, jr1 * kn::kNR) - jr0 * kn::kNR;
+          const index_t col0 = jc + jr0 * Tile::kNR;
+          const index_t cols =
+              std::min(nb, jr1 * Tile::kNR) - jr0 * Tile::kNR;
           const index_t row_end = std::min(m, i1 * kn::kMC);
           scale_block(row_end - i0 * kn::kMC, cols, beta,
                       c + i0 * kn::kMC + col0 * ldc, ldc);
@@ -115,9 +100,10 @@ void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
             // Per-thread B pack of this tile's strips only: tiles sharing
             // strips along the i split re-pack them rather than wait on one
             // shared pack, and no thread packs serially before the round.
-            float* bp =
-                ensure_pack_capacity(tl_pack_b, kn::packed_b_size(kb, cols));
-            kn::pack_b(opb, precision, alpha, b, ldb, pc, col0, kb, cols, bp);
+            float* bp = ensure_pack_capacity(tl_pack_b,
+                                             Tile::packed_b_size(kb, cols));
+            Tile::pack_b(opb, precision, alpha, b, ldb, pc, col0, kb, cols,
+                         bp);
             for (index_t ic = i0; ic < i1; ++ic) {
               const index_t row0 = ic * kn::kMC;
               const index_t mb = std::min<index_t>(kn::kMC, m - row0);
@@ -125,50 +111,41 @@ void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
               // split re-pack it rather than synchronize — pack cost is
               // O(mb*kb) against O(mb*kb*nb) of multiply work.
               float* ap = ensure_pack_capacity(tl_pack_a,
-                                               kn::packed_a_size(mb, kb));
-              kn::pack_a(opa, precision, a, lda, row0, pc, mb, kb, ap);
-              kn::macro_kernel(kb, mb, cols, ap, bp, c + row0 + col0 * ldc,
-                               ldc);
+                                               Tile::packed_a_size(mb, kb));
+              Tile::pack_a(opa, precision, a, lda, row0, pc, mb, kb, ap);
+              Tile::macro_kernel(kb, mb, cols, ap, bp, c + row0 + col0 * ldc,
+                                 ldc);
             }
           }
         });
   }
 }
 
-void gemm_baseline(Op opa, Op opb, index_t m, index_t n, index_t k,
-                   float alpha, const float* a, index_t lda, const float* b,
-                   index_t ldb, float beta, float* c, index_t ldc,
-                   GemmPrecision precision, ThreadPool* pool) {
-  validate(opa, opb, m, n, k, a, lda, b, ldb, c, ldc);
-  if (m == 0 || n == 0) return;
+} // namespace
 
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
-  tp.parallel_for(n, [&](index_t j0, index_t j1) {
-    scale_block(m, j1 - j0, beta, c + j0 * ldc, ldc);
-  });
-  if (alpha == 0.0f || k == 0) return;
-
-  // Pack both operands once. This removes every transpose/precision branch
-  // from the multiply loop but costs O(m*k + k*n) fresh scratch per call and
-  // streams the whole packed A once per column of C.
-  std::vector<float> ap(static_cast<size_t>(m) * static_cast<size_t>(k));
-  std::vector<float> bp(static_cast<size_t>(k) * static_cast<size_t>(n));
-  pack_whole(opa, m, k, a, lda, precision, ap.data());
-  pack_whole(opb, k, n, b, ldb, precision, bp.data());
-
-  tp.parallel_for(n, [&](index_t j0, index_t j1) {
-    for (index_t j = j0; j < j1; ++j) {
-      float* cj = c + j * ldc;
-      const float* bj = bp.data() + j * k;
-      for (index_t l = 0; l < k; ++l) {
-        const float w = alpha * bj[l]; // fp32 scaling, as cublas does
-        if (w == 0.0f) continue;
-        const float* al = ap.data() + l * m;
-        for (index_t i = 0; i < m; ++i) cj[i] += w * al[i];
-      }
-    }
-  });
+std::int64_t gemm_pack_allocations() {
+  return g_pack_allocations.load(std::memory_order_relaxed);
 }
+
+void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
+          const float* a, index_t lda, const float* b, index_t ldb, float beta,
+          float* c, index_t ldc, GemmPrecision precision, ThreadPool* pool) {
+  gemm_tiled<kernel::NativeTile>(opa, opb, m, n, k, alpha, a, lda, b, ldb,
+                                 beta, c, ldc, precision, pool);
+}
+
+namespace detail {
+
+void gemm_portable_tile(Op opa, Op opb, index_t m, index_t n, index_t k,
+                        float alpha, const float* a, index_t lda,
+                        const float* b, index_t ldb, float beta, float* c,
+                        index_t ldc, GemmPrecision precision,
+                        ThreadPool* pool) {
+  gemm_tiled<kernel::PortableTile>(opa, opb, m, n, k, alpha, a, lda, b, ldb,
+                                   beta, c, ldc, precision, pool);
+}
+
+} // namespace detail
 
 void gemm_reference(Op opa, Op opb, index_t m, index_t n, index_t k,
                     float alpha, const float* a, index_t lda, const float* b,

@@ -10,11 +10,11 @@
 // tiling parameters in gemm_kernel.hpp) parallelized over both output
 // dimensions through ThreadPool::parallel_for_2d: one pool round per kNC
 // column block, in which each tile scales its own C block by beta and runs
-// the whole depth loop, packing its own B strips. Pack buffers are
-// thread-local and reused across calls; gemm_pack_allocations() exposes the
-// buffer-growth count so benchmarks can assert steady-state makes zero
-// allocations. The seed pack-everything-then-multiply scheme survives as
-// gemm_baseline for A/B benchmarking.
+// the whole depth loop, packing its own B strips. The register tile follows
+// the ISA the library is compiled for (16 x 12 with AVX-512, else 8 x 6);
+// every tile gives the same bits. Pack buffers are thread-local and reused
+// across calls; gemm_pack_allocations() exposes the buffer-growth count so
+// benchmarks can assert steady-state makes zero allocations.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +47,19 @@ void gemm(Op opa, Op opb, index_t m, index_t n, index_t k, float alpha,
           float* c, index_t ldc, GemmPrecision precision = GemmPrecision::FP32,
           ThreadPool* pool = nullptr);
 
-/// The pre-blocking kernel (pack both operands whole, then multiply): kept
-/// as the benchmark baseline the blocked kernel is measured against, and as
-/// a second oracle in tests. Allocates O(m*k + k*n) scratch per call.
-void gemm_baseline(Op opa, Op opb, index_t m, index_t n, index_t k,
-                   float alpha, const float* a, index_t lda, const float* b,
-                   index_t ldb, float beta, float* c, index_t ldc,
-                   GemmPrecision precision = GemmPrecision::FP32,
-                   ThreadPool* pool = nullptr);
+namespace detail {
+
+/// gemm on the 8 x 6 register tile. It is gemm itself in builds without
+/// AVX-512; in builds with it, it is the bit reference tests pin the
+/// 16 x 12 tile against.
+void gemm_portable_tile(Op opa, Op opb, index_t m, index_t n, index_t k,
+                        float alpha, const float* a, index_t lda,
+                        const float* b, index_t ldb, float beta, float* c,
+                        index_t ldc,
+                        GemmPrecision precision = GemmPrecision::FP32,
+                        ThreadPool* pool = nullptr);
+
+} // namespace detail
 
 /// Number of times any thread grew its thread-local pack buffer, process
 /// wide. Steady-state gemm calls (same or smaller shapes) must not move

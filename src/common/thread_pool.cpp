@@ -93,6 +93,11 @@ struct BodyRegionGuard {
 
 bool ThreadPool::in_parallel_region() { return tl_in_pool_body; }
 
+bool ThreadPool::oversubscribed() {
+  return SpinClock::now().time_since_epoch().count() <
+         g_park_only_until.load(std::memory_order_relaxed);
+}
+
 ThreadPool::ThreadPool(unsigned threads) {
   unsigned n = threads != 0 ? threads : std::thread::hardware_concurrency();
   if (n == 0) n = 1;

@@ -82,6 +82,13 @@ class ThreadPool {
   /// parallel setup they know will degrade to serial.
   static bool in_parallel_region();
 
+  /// True during a park-only period: some pool thread recently saw a yield
+  /// return only after another thread's time slice, so the host has fewer
+  /// free CPUs than runnable threads (see the wake protocol above). Kernels
+  /// whose threads hand work to each other at a fine grain can run serially
+  /// meanwhile.
+  static bool oversubscribed();
+
   /// Process-wide default pool (lazily constructed, never destroyed before
   /// exit). Kernels use this unless handed an explicit pool.
   static ThreadPool& global();

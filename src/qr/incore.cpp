@@ -31,22 +31,12 @@ void normalize_column(la::MatrixView q, la::MatrixView r, index_t j) {
 
 /// CGS on caller storage: `q` (m x n) holds A on entry and Q on exit; the
 /// leading n x n block of `r` receives R, zeros below the diagonal included.
+/// All projection coefficients come from the original columns (classical,
+/// not modified, Gram-Schmidt); blas::cgs_right_looking runs the level-2
+/// loop that blocking and recursion later lift to GEMM.
 void cgs_inplace(la::MatrixView q, la::MatrixView r) {
-  const index_t m = q.rows();
-  const index_t n = q.cols();
-  for (index_t j = 0; j < n; ++j) {
-    // CGS: all projection coefficients come from the *original* column a_j
-    // (column j of q is untouched until its own step), computed against the
-    // already-orthonormal q_0..q_{j-1} in one sweep — one transposed GEMV
-    // for the coefficients, one GEMV for the update (the level-2
-    // formulation that blocking/recursion later lift to GEMM).
-    blas::gemv(blas::Op::Trans, m, j, 1.0f, q.data(), q.ld(), &q(0, j), 1,
-               0.0f, &r(0, j), 1);
-    blas::gemv(blas::Op::NoTrans, m, j, -1.0f, q.data(), q.ld(), &r(0, j), 1,
-               1.0f, &q(0, j), 1);
-    normalize_column(q, r, j);
-    for (index_t i = j + 1; i < n; ++i) r(i, j) = 0.0f;
-  }
+  blas::cgs_right_looking(q.rows(), q.cols(), q.data(), q.ld(), r.data(),
+                          r.ld());
 }
 
 } // namespace

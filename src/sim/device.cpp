@@ -249,12 +249,14 @@ void Device::copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
   schedule(Resource::Compute, OpKind::CopyD2D, s, model_.d2d_seconds(bytes),
            bytes, 0, std::move(name));
   if (mode_ == ExecutionMode::Real) {
+    const auto t0 = std::chrono::steady_clock::now();
     const Resolved sv = resolve(src, "copy_d2d");
     const Resolved dv = resolve(dst, "copy_d2d");
     blas::copy_matrix(src.rows, src.cols, sv.ptr, sv.ld, dv.ptr, dv.ld);
     if (dst.matrix.precision() == StoragePrecision::FP16) {
       blas::round_to_half(dst.rows, dst.cols, dv.ptr, dv.ld);
     }
+    add_host_time(OpKind::CopyD2D, t0);
   }
 }
 
@@ -273,6 +275,7 @@ void Device::trsm(TrsmKind kind, DeviceMatrixRef tri, DeviceMatrixRef b,
            model_.trsm_seconds(b.rows, b.cols, precision), 0, flops,
            std::move(name));
   if (mode_ == ExecutionMode::Real) {
+    const auto t0 = std::chrono::steady_clock::now();
     const Resolved tv = resolve(tri, "trsm");
     const Resolved bv = resolve(b, "trsm");
     switch (kind) {
@@ -291,6 +294,7 @@ void Device::trsm(TrsmKind kind, DeviceMatrixRef tri, DeviceMatrixRef b,
     if (b.matrix.precision() == StoragePrecision::FP16) {
       blas::round_to_half(b.rows, b.cols, bv.ptr, bv.ld);
     }
+    add_host_time(OpKind::Trsm, t0);
   }
 }
 
@@ -299,7 +303,11 @@ void Device::custom_compute(Stream s, sim_time_t seconds, flops_t flops,
                             const std::function<void()>& body) {
   ensure_alive("custom_compute");
   schedule(Resource::Compute, kind, s, seconds, 0, flops, std::move(name));
-  if (mode_ == ExecutionMode::Real && body) body();
+  if (mode_ == ExecutionMode::Real && body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    add_host_time(kind, t0);
+  }
 }
 
 // Every H2D copy, D2H copy and GEMM is a batch: the solo entry points are
@@ -361,6 +369,7 @@ void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
   schedule(Resource::H2D, OpKind::CopyH2D, s, duration * scale, bytes, 0,
            std::move(name));
   if (mode_ == ExecutionMode::Real) {
+    const auto t0 = std::chrono::steady_clock::now();
     for (const H2dBatchEntry& e : entries) {
       if (e.dst.rows == 0 || e.dst.cols == 0) continue;
       if (e.src.data == nullptr) {
@@ -373,6 +382,7 @@ void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
         blas::round_to_half(e.dst.rows, e.dst.cols, d.ptr, d.ld);
       }
     }
+    add_host_time(OpKind::CopyH2D, t0);
   }
 }
 
@@ -406,6 +416,7 @@ void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
   schedule(Resource::D2H, OpKind::CopyD2H, s, duration * scale, bytes, 0,
            std::move(name));
   if (mode_ == ExecutionMode::Real) {
+    const auto t0 = std::chrono::steady_clock::now();
     for (const D2hBatchEntry& e : entries) {
       if (e.src.rows == 0 || e.src.cols == 0) continue;
       if (e.dst.data == nullptr) {
@@ -416,6 +427,7 @@ void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
       blas::copy_matrix(e.src.rows, e.src.cols, sv.ptr, sv.ld, e.dst.data,
                         e.dst.ld);
     }
+    add_host_time(OpKind::CopyD2H, t0);
   }
 }
 
@@ -467,6 +479,7 @@ void Device::gemm_batched(std::span<const GemmBatchEntry> entries,
   schedule(Resource::Compute, OpKind::Gemm, s, duration, 0, flops,
            std::move(name));
   if (mode_ == ExecutionMode::Real) {
+    const auto t0 = std::chrono::steady_clock::now();
     bool first = true;
     for (const GemmBatchEntry& e : entries) {
       const GemmDims d = gemm_dims(e);
@@ -488,6 +501,7 @@ void Device::gemm_batched(std::span<const GemmBatchEntry> entries,
       }
       first = false;
     }
+    add_host_time(OpKind::Gemm, t0);
   }
 }
 

@@ -19,6 +19,8 @@
 // paper-scale (131072^2) experiments run on a laptop.
 #pragma once
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -333,6 +335,14 @@ class Device {
 
   const Trace& trace() const { return trace_; }
 
+  /// Host wall seconds the Real-mode bodies of this device's ops took,
+  /// summed per op kind (a custom op counts under the kind it was enqueued
+  /// with). One steady_clock pair per Real op; zero for every kind in
+  /// Phantom mode, which runs no body.
+  double host_seconds(OpKind kind) const {
+    return host_seconds_[static_cast<size_t>(kind)];
+  }
+
   /// Real-mode test/debug aids: immediate, not part of the simulation.
   /// (Also used as the numerical body of custom compute ops, e.g. the panel
   /// factorization, which download-compute-upload on enqueue.)
@@ -367,6 +377,12 @@ class Device {
   Resolved resolve(const DeviceMatrixRef& ref, const char* what);
   void validate_stream(Stream s, const char* what) const;
   void round_fp16_block(const DeviceMatrixRef& ref);
+  /// Adds the host wall since `start` to host_seconds(kind).
+  void add_host_time(OpKind kind, std::chrono::steady_clock::time_point start) {
+    host_seconds_[static_cast<size_t>(kind)] +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+  }
   /// Throws DeviceLost if the device is dead (every enqueue entry point).
   void ensure_alive(const char* what) const;
   /// Marks the device dead and throws DeviceLost for the op that killed it.
@@ -388,6 +404,7 @@ class Device {
   std::shared_ptr<SharedHostLink> shared_link_;
   std::shared_ptr<FaultInjector> faults_; // null when no plan is installed
   sim_time_t host_time_ = 0;
+  std::array<double, static_cast<size_t>(OpKind::Custom) + 1> host_seconds_{};
   bool host_pinned_ = true;
   bool dead_ = false;
 };

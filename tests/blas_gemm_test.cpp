@@ -197,23 +197,18 @@ TEST(Gemm, Fp16PathEqualsFp32OnPreRoundedOperands) {
                                               : fp16_edge_operand(n, k, 2);
       const la::Matrix a16 = rounded_through_half(a);
       const la::Matrix b16 = rounded_through_half(b);
-      using Kernel = decltype(&blas::gemm);
-      for (const Kernel kernel : {&blas::gemm, &blas::gemm_baseline}) {
-        la::Matrix c_fp16 = la::random_uniform(m, n, 3);
-        la::Matrix c_fp32 = la::materialize(c_fp16.view());
-        kernel(opa, opb, m, n, k, 1.25f, a.data(), a.ld(), b.data(), b.ld(),
-               -0.5f, c_fp16.data(), c_fp16.ld(), GemmPrecision::FP16_FP32,
-               nullptr);
-        kernel(opa, opb, m, n, k, 1.25f, a16.data(), a16.ld(), b16.data(),
-               b16.ld(), -0.5f, c_fp32.data(), c_fp32.ld(),
-               GemmPrecision::FP32, nullptr);
-        EXPECT_EQ(std::memcmp(c_fp16.data(), c_fp32.data(),
-                              sizeof(float) * static_cast<size_t>(m * n)),
-                  0)
-            << "opa=" << static_cast<int>(opa)
-            << " opb=" << static_cast<int>(opb)
-            << (kernel == &blas::gemm ? " gemm" : " gemm_baseline");
-      }
+      la::Matrix c_fp16 = la::random_uniform(m, n, 3);
+      la::Matrix c_fp32 = la::materialize(c_fp16.view());
+      blas::gemm(opa, opb, m, n, k, 1.25f, a.data(), a.ld(), b.data(), b.ld(),
+                 -0.5f, c_fp16.data(), c_fp16.ld(), GemmPrecision::FP16_FP32);
+      blas::gemm(opa, opb, m, n, k, 1.25f, a16.data(), a16.ld(), b16.data(),
+                 b16.ld(), -0.5f, c_fp32.data(), c_fp32.ld(),
+                 GemmPrecision::FP32);
+      EXPECT_EQ(std::memcmp(c_fp16.data(), c_fp32.data(),
+                            sizeof(float) * static_cast<size_t>(m * n)),
+                0)
+          << "opa=" << static_cast<int>(opa)
+          << " opb=" << static_cast<int>(opb);
     }
   }
 }
@@ -249,25 +244,6 @@ TEST(Gemm, RejectsBadArguments) {
   EXPECT_THROW(blas::gemm(Op::NoTrans, Op::NoTrans, 4, 4, 4, 1.0f, nullptr, 4,
                           a.data(), 4, 0.0f, a.data(), 4),
                InvalidArgument);
-}
-
-TEST(Gemm, BaselineKernelMatchesBlocked) {
-  // The seed pack-and-multiply kernel survives as the benchmark baseline;
-  // both kernels must stay within reference tolerance of each other.
-  const index_t m = 150;
-  const index_t n = 90;
-  const index_t k = 260;
-  la::Matrix a = la::random_uniform(m, k, 1);
-  la::Matrix b = la::random_uniform(k, n, 2);
-  la::Matrix c_blocked = la::random_uniform(m, n, 3);
-  la::Matrix c_baseline = la::materialize(c_blocked.view());
-  blas::gemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.5f, a.data(), a.ld(),
-             b.data(), b.ld(), 0.25f, c_blocked.data(), c_blocked.ld());
-  blas::gemm_baseline(Op::NoTrans, Op::NoTrans, m, n, k, 1.5f, a.data(),
-                      a.ld(), b.data(), b.ld(), 0.25f, c_baseline.data(),
-                      c_baseline.ld());
-  const double tol = 1e-6 * std::sqrt(static_cast<double>(k + 1)) * 16.0;
-  EXPECT_LT(la::relative_difference(c_blocked.view(), c_baseline.view()), tol);
 }
 
 TEST(Gemm, SplittingKIsBitwiseInvariant) {
@@ -354,6 +330,55 @@ TEST(Gemm, BitsDoNotDependOnPoolSize) {
               << " prec=" << static_cast<int>(prec) << " beta=" << beta
               << " threads=" << pool->size();
         }
+      }
+    }
+  }
+}
+
+// The register tile follows the build's ISA (16 x 12 with AVX-512, else
+// 8 x 6); no tile may change a bit. Compares gemm against the 8 x 6 tile
+// within this build, which is the same code where AVX-512 is off. Shapes:
+// BitsDoNotDependOnPoolSize's, plus the inner and outer products of a
+// 128-column panel (128x128x4096 T,N and 4096x128x128 N,N) and a 512-square
+// product with k = 128 for both transposes of A; both precisions each.
+TEST(Gemm, WideTileMatchesPortableTileBitwise) {
+  struct Case {
+    index_t m, n, k;
+    Op opa, opb;
+  };
+  std::vector<Case> cases = {{64, 64, 4096, Op::Trans, Op::NoTrans},
+                             {4096, 64, 64, Op::NoTrans, Op::NoTrans},
+                             {128, 1024, 4096, Op::Trans, Op::NoTrans},
+                             {128, 128, 4096, Op::Trans, Op::NoTrans},
+                             {4096, 128, 128, Op::NoTrans, Op::NoTrans},
+                             {512, 512, 128, Op::Trans, Op::NoTrans},
+                             {512, 512, 128, Op::NoTrans, Op::NoTrans}};
+  for (const Op opa : {Op::NoTrans, Op::Trans}) {
+    for (const Op opb : {Op::NoTrans, Op::Trans}) {
+      cases.push_back({40, 1600, 300, opa, opb});
+    }
+  }
+  for (const Case& t : cases) {
+    const la::Matrix a = make_operand(t.opa, t.m, t.k, 21);
+    const la::Matrix b = make_operand(t.opb, t.k, t.n, 22);
+    const la::Matrix c0 = la::random_uniform(t.m, t.n, 23);
+    for (const GemmPrecision prec :
+         {GemmPrecision::FP16_FP32, GemmPrecision::FP32}) {
+      for (const float beta : {0.0f, 0.5f, 1.0f}) {
+        la::Matrix wide = la::materialize(c0.view());
+        la::Matrix portable = la::materialize(c0.view());
+        blas::gemm(t.opa, t.opb, t.m, t.n, t.k, -1.25f, a.data(), a.ld(),
+                   b.data(), b.ld(), beta, wide.data(), wide.ld(), prec);
+        blas::detail::gemm_portable_tile(
+            t.opa, t.opb, t.m, t.n, t.k, -1.25f, a.data(), a.ld(), b.data(),
+            b.ld(), beta, portable.data(), portable.ld(), prec);
+        EXPECT_EQ(std::memcmp(wide.data(), portable.data(),
+                              sizeof(float) * static_cast<size_t>(t.m * t.n)),
+                  0)
+            << t.m << "x" << t.n << "x" << t.k
+            << " opa=" << static_cast<int>(t.opa)
+            << " opb=" << static_cast<int>(t.opb)
+            << " prec=" << static_cast<int>(prec) << " beta=" << beta;
       }
     }
   }

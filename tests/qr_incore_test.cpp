@@ -9,7 +9,10 @@
 #include <tuple>
 #include <vector>
 
+#include "blas/level1.hpp"
+#include "blas/level2.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "qr/incore.hpp"
@@ -282,6 +285,93 @@ TEST(IncoreQr, RecursiveInplaceResultDoesNotDependOnPriorR) {
         }
       }
     }
+  }
+}
+
+/// The left-looking CGS column loop (per column j: gemv(Trans) for
+/// r(0:j, j), gemv(NoTrans) for the update, nrm2, scal), run on the
+/// library's own compiled kernels: the bit reference for the right-looking
+/// leaf.
+void gemv_leaf(la::MatrixView q, la::MatrixView r) {
+  const index_t m = q.rows();
+  const index_t n = q.cols();
+  for (index_t j = 0; j < n; ++j) {
+    blas::gemv(blas::Op::Trans, m, j, 1.0f, q.data(), q.ld(), &q(0, j), 1,
+               0.0f, &r(0, j), 1);
+    blas::gemv(blas::Op::NoTrans, m, j, -1.0f, q.data(), q.ld(), &r(0, j), 1,
+               1.0f, &q(0, j), 1);
+    const double norm = blas::nrm2(m, &q(0, j), 1);
+    ASSERT_GT(norm, 0.0) << "column " << j;
+    r(j, j) = static_cast<float>(norm);
+    blas::scal(m, static_cast<float>(1.0 / norm), &q(0, j), 1);
+    for (index_t i = j + 1; i < n; ++i) r(i, j) = 0.0f;
+  }
+}
+
+/// Columns in exactly orthogonal pairs: column 2p lives on the even rows and
+/// column 2p + 1 on the odd ones, with -0.0f elsewhere. Their dot is a zero
+/// sum, so the update it weights is skipped, and the -0.0f entries show
+/// whether a skipped update ran anyway.
+la::Matrix orthogonal_pairs(index_t m, index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  la::Matrix a(m, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < m; ++i) {
+      a(i, j) = (i % 2 == j % 2) ? static_cast<float>(rng.normal()) : -0.0f;
+    }
+  }
+  return a;
+}
+
+// The right-looking leaf against the left-looking gemv loop, byte for byte,
+// on sub-blocks (ld > m for A, ld > n for R, as recursive_cgs_inplace passes
+// them). Every byte around the blocks must stay as it was, and every entry
+// of the n x n R block is written (the NaN fill would show).
+TEST(IncoreQr, RightLookingLeafMatchesGemvLeafBitwise) {
+  for (const index_t n : {1, 2, 7, 8, 9, 31, 32, 33, 64}) {
+    for (const index_t m : {n, index_t{33}, index_t{4096}}) {
+      if (m < n) continue;
+      for (const bool pairs : {false, true}) {
+        const la::Matrix block = pairs ? orthogonal_pairs(m, n, 40 + n)
+                                       : la::random_normal(m, n, 20 + n);
+        la::Matrix q_ref = la::random_normal(m + 5, n + 2, 3);
+        la::Matrix r_ref(n + 3, n + 1);
+        for (index_t j = 0; j < r_ref.cols(); ++j) {
+          for (index_t i = 0; i < r_ref.rows(); ++i) {
+            r_ref(i, j) = std::numeric_limits<float>::quiet_NaN();
+          }
+        }
+        for (index_t j = 0; j < n; ++j) {
+          for (index_t i = 0; i < m; ++i) q_ref(2 + i, 1 + j) = block(i, j);
+        }
+        la::Matrix q_new = la::materialize(q_ref.view());
+        la::Matrix r_new = la::materialize(r_ref.view());
+        gemv_leaf(q_ref.block(2, 1, m, n), r_ref.block(1, 1, n, n));
+        blas::cgs_right_looking(m, n, &q_new(2, 1), q_new.ld(), &r_new(1, 1),
+                                r_new.ld());
+        const auto bytes = [](const la::Matrix& x) {
+          return sizeof(float) * static_cast<size_t>(x.ld() * x.cols());
+        };
+        EXPECT_EQ(std::memcmp(q_ref.data(), q_new.data(), bytes(q_ref)), 0)
+            << "Q m=" << m << " n=" << n << " pairs=" << pairs;
+        EXPECT_EQ(std::memcmp(r_ref.data(), r_new.data(), bytes(r_ref)), 0)
+            << "R m=" << m << " n=" << n << " pairs=" << pairs;
+      }
+    }
+  }
+  // A zero column throws, from the inline leaf and from a pooled one, whose
+  // other threads must stop waiting for it; the next leaf then runs.
+  for (const index_t m : {index_t{40}, index_t{4096}}) {
+    la::Matrix with_zero = la::random_normal(m, 33, 5);
+    for (index_t i = 0; i < m; ++i) with_zero(i, 20) = 0.0f;
+    la::Matrix r(33, 33);
+    EXPECT_THROW(blas::cgs_right_looking(m, 33, with_zero.data(),
+                                         with_zero.ld(), r.data(), r.ld()),
+                 InvalidArgument)
+        << "m=" << m;
+    la::Matrix ok = la::random_normal(m, 33, 6);
+    blas::cgs_right_looking(m, 33, ok.data(), ok.ld(), r.data(), r.ld());
+    EXPECT_GT(r(32, 32), 0.0f) << "m=" << m;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "leak_check.hpp"
 
+#include <chrono>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -202,6 +203,43 @@ TEST(OocQr, StatsAreInternallyConsistent) {
   const bytes_t matrix_bytes = 192 * 96 * 4;
   EXPECT_GE(s.bytes_h2d, matrix_bytes);
   EXPECT_GE(s.bytes_d2h, matrix_bytes);
+}
+
+// Real-mode op bodies report their host wall per op kind; Phantom mode runs
+// no body and reports nothing.
+TEST(OocQr, DeviceMeasuresRealHostSecondsPerOpKind) {
+  using sim::OpKind;
+  const OpKind kinds[] = {OpKind::CopyH2D, OpKind::CopyD2H, OpKind::CopyD2D,
+                          OpKind::Gemm,    OpKind::Trsm,    OpKind::Panel,
+                          OpKind::Custom};
+  const la::Matrix a = la::random_normal(512, 256, 9);
+  QrOptions opts;
+  opts.blocksize = 64;
+  Device real(test_spec(1LL << 20), ExecutionMode::Real);
+  la::Matrix q = la::materialize(a.view());
+  la::Matrix r(256, 256);
+  const auto t0 = std::chrono::steady_clock::now();
+  factorize(QrProblem{{&real}, q.view(), r.view(), Algorithm::Recursive, opts});
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_GT(real.host_seconds(OpKind::Gemm), 0.0);
+  EXPECT_GT(real.host_seconds(OpKind::Panel), 0.0);
+  EXPECT_GT(real.host_seconds(OpKind::CopyH2D), 0.0);
+  EXPECT_GT(real.host_seconds(OpKind::CopyD2H), 0.0);
+  double sum = 0;
+  for (const OpKind kind : kinds) sum += real.host_seconds(kind);
+  EXPECT_LE(sum, wall);
+
+  Device phantom(test_spec(1LL << 20), ExecutionMode::Phantom);
+  factorize(QrProblem{{&phantom},
+                      sim::HostMutRef::phantom(512, 256),
+                      sim::HostMutRef::phantom(256, 256),
+                      Algorithm::Recursive,
+                      opts});
+  for (const OpKind kind : kinds) {
+    EXPECT_EQ(phantom.host_seconds(kind), 0.0) << sim::to_string(kind);
+  }
 }
 
 TEST(OocQr, PanelAlgorithmsAllFactorCorrectly) {
