@@ -98,6 +98,10 @@ struct QrOptions {
   /// entry, so a bad configuration fails uniformly at the API boundary
   /// instead of asserting deep inside the memory planner.
   void validate() const;
+
+  /// Field by field (pointers by address). serve's admission memo keys on
+  /// it, so a field added here joins that key without further edits.
+  bool operator==(const QrOptions&) const = default;
 };
 
 /// The factorization aggregate is the unified trace-window statistic shared

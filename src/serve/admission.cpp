@@ -1,6 +1,7 @@
 #include "serve/admission.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -8,34 +9,20 @@
 #include "common/strings.hpp"
 #include "qr/autotune.hpp"
 #include "qr/checkpoint.hpp"
-#include "qr/factorize.hpp"
 #include "qr/tsqr_ooc.hpp"
 #include "sim/device.hpp"
 
 namespace rocqr::serve {
 
-namespace detail {
-
-qr::QrStats run_driver(sim::Device& dev, const std::string& algorithm,
-                       sim::HostMutRef a, sim::HostMutRef r,
-                       const qr::QrOptions& opts) {
-  const std::optional<qr::Algorithm> alg = qr::parse_algorithm(algorithm);
-  if (!alg) {
-    throw InvalidArgument("serve: unknown algorithm '" + algorithm +
-                          "' (expected recursive, blocking, left, tiled or "
-                          "tsqr)");
-  }
-  return qr::factorize(qr::QrProblem{{&dev}, a, r, *alg, opts});
-}
-
-bool known_algorithm(const std::string& algorithm) {
-  return algorithm == "recursive" || algorithm == "blocking" ||
-         algorithm == "left" || algorithm == "tiled" || algorithm == "tsqr";
-}
-
-} // namespace detail
-
 namespace {
+
+/// The driver a job names, if the service runs it: recursive, blocking,
+/// left, tiled or tsqr (multi_gpu has no dispatch path in the scheduler).
+std::optional<qr::Algorithm> serve_algorithm(const std::string& name) {
+  const std::optional<qr::Algorithm> alg = qr::parse_algorithm(name);
+  if (alg == qr::Algorithm::MultiGpu) return std::nullopt;
+  return alg;
+}
 
 /// The dry run mirrors the scheduler's checkpoint cadence but nobody reads
 /// the snapshots (phantom checkpoints are schedule-only anyway).
@@ -44,59 +31,83 @@ class DiscardSink : public qr::CheckpointSink {
   void write(const qr::Checkpoint&) override {}
 };
 
+void hash_combine(std::size_t& seed, std::size_t value) {
+  seed ^= value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+}
+
 } // namespace
 
-AdmissionDecision admit_job(const JobSpec& job, const AdmissionConfig& cfg) {
-  AdmissionDecision d;
+std::size_t QuoteKeyHash::operator()(const QuoteKey& key) const {
+  std::size_t h = std::hash<index_t>{}(key.m);
+  hash_combine(h, std::hash<index_t>{}(key.n));
+  hash_combine(h, static_cast<std::size_t>(key.algorithm));
+  hash_combine(h, static_cast<std::size_t>(key.options.precision));
+  hash_combine(h, std::hash<index_t>{}(key.options.blocksize));
+  hash_combine(h, std::hash<int>{}(key.devices));
+  return h;
+}
+
+std::optional<QuoteKey> quote_key(const JobSpec& job,
+                                  const AdmissionConfig& cfg,
+                                  std::string* reason) {
   if (job.m < job.n || job.n < 1) {
-    d.reason = "invalid shape " + format_shape(job.m, job.n) +
-               " (need m >= n >= 1)";
-    return d;
+    *reason = "invalid shape " + format_shape(job.m, job.n) +
+              " (need m >= n >= 1)";
+    return std::nullopt;
   }
-  if (!detail::known_algorithm(job.algorithm)) {
-    d.reason = "unknown algorithm '" + job.algorithm +
-               "' (expected recursive, blocking, left, tiled or tsqr)";
-    return d;
+  const std::optional<qr::Algorithm> alg = serve_algorithm(job.algorithm);
+  if (!alg) {
+    *reason = "unknown algorithm '" + job.algorithm +
+              "' (expected recursive, blocking, left, tiled or tsqr)";
+    return std::nullopt;
   }
+  QuoteKey key;
+  key.m = job.m;
+  key.n = job.n;
+  key.algorithm = *alg;
+  // The job's options minus what the scheduler owns in every attempt
+  // (precision, blocksize, checkpointing, resume state) and any plan log:
+  // admission's phantom graphs are not the caller's plan.
+  key.options = job.options;
+  key.options.precision = job.precision;
+  key.options.blocksize = std::max<index_t>(job.blocksize, 0);
+  key.options.checkpoint_sink = nullptr;
+  key.options.checkpoint_every = cfg.checkpoint_every;
+  key.options.resume_units = 0;
+  key.options.plan_log = nullptr;
+  if (*alg == qr::Algorithm::Tsqr) key.devices = cfg.devices;
+  return key;
+}
 
-  const bool tsqr = job.algorithm == "tsqr";
-  // The admission budget is per device; for tsqr the quoted
-  // predicted_peak_bytes is the fleet-wide sum, so the budget check runs
-  // against this separately-tracked max per-device peak.
-  bytes_t check_peak = 0;
+Quote dry_run(const QuoteKey& key, const AdmissionConfig& cfg) {
+  Quote q;
+  const bool tsqr = key.algorithm == qr::Algorithm::Tsqr;
   try {
-    // Base options of every dry run: the job's, minus any caller-provided
-    // checkpointing (the scheduler owns the sink) or resume state.
-    qr::QrOptions base = job.options;
-    base.precision = job.precision;
-    base.checkpoint_sink = nullptr;
-    base.resume_units = 0;
-
-    index_t b = job.blocksize;
-    if (b <= 0) {
+    index_t b = key.options.blocksize;
+    if (b == 0) {
       if (tsqr) {
         // Tune on the leaf shape: the per-device work is a recursive OOC
         // factorization of one row block (the widest leaf, rounding up).
         const index_t leaves = qr::detail::tsqr_leaf_count(
-            job.m, job.n, static_cast<size_t>(cfg.devices));
-        const index_t leaf_rows = (job.m + leaves - 1) / leaves;
-        b = qr::tune_blocksize(cfg.spec, leaf_rows, job.n, true, base)
+            key.m, key.n, static_cast<size_t>(key.devices));
+        const index_t leaf_rows = (key.m + leaves - 1) / leaves;
+        b = qr::tune_blocksize(cfg.spec, leaf_rows, key.n, true, key.options)
                 .best_blocksize;
       } else {
-        b = qr::tune_blocksize(cfg.spec, job.m, job.n,
-                               job.algorithm == "recursive", base)
+        b = qr::tune_blocksize(cfg.spec, key.m, key.n,
+                               key.algorithm == qr::Algorithm::Recursive,
+                               key.options)
                 .best_blocksize;
       }
     }
-    d.blocksize = b;
+    q.blocksize = b;
 
     DiscardSink sink;
-    qr::QrOptions opts = base;
+    qr::QrOptions opts = key.options;
     opts.blocksize = b;
     opts.checkpoint_sink = &sink;
-    opts.checkpoint_every = cfg.checkpoint_every;
-    auto a = sim::HostMutRef::phantom(job.m, job.n);
-    auto r = sim::HostMutRef::phantom(job.n, job.n);
+    auto a = sim::HostMutRef::phantom(key.m, key.n);
+    auto r = sim::HostMutRef::phantom(key.n, key.n);
     if (tsqr) {
       // Phantom replica of the whole fleet, link topology included, so the
       // predicted makespan prices the stacked-R transfers' contention.
@@ -104,7 +115,7 @@ AdmissionDecision admit_job(const JobSpec& job, const AdmissionConfig& cfg) {
                                   : std::shared_ptr<sim::SharedHostLink>();
       std::vector<std::unique_ptr<sim::Device>> fleet;
       std::vector<sim::Device*> ptrs;
-      for (int i = 0; i < cfg.devices; ++i) {
+      for (int i = 0; i < key.devices; ++i) {
         fleet.push_back(std::make_unique<sim::Device>(
             cfg.spec, sim::ExecutionMode::Phantom, link));
         if (cfg.paper_calibration) {
@@ -114,46 +125,65 @@ AdmissionDecision admit_job(const JobSpec& job, const AdmissionConfig& cfg) {
       }
       const qr::QrStats stats = qr::factorize(
           qr::QrProblem{ptrs, a, r, qr::Algorithm::Tsqr, opts});
-      d.predicted_seconds = stats.total_seconds;
-      bytes_t fleet_peak = 0;
+      q.predicted_seconds = stats.total_seconds;
       for (const auto& dev : fleet) {
-        fleet_peak += dev->memory_peak();
-        check_peak = std::max(check_peak, dev->memory_peak());
+        q.predicted_peak_bytes += dev->memory_peak();
+        q.budget_peak_bytes = std::max(q.budget_peak_bytes, dev->memory_peak());
       }
-      d.predicted_peak_bytes = fleet_peak;
     } else {
       sim::Device dev(cfg.spec, sim::ExecutionMode::Phantom);
       if (cfg.paper_calibration) dev.model().install_paper_calibration();
       const qr::QrStats stats =
-          detail::run_driver(dev, job.algorithm, a, r, opts);
-      d.predicted_seconds = stats.total_seconds;
-      d.predicted_peak_bytes = stats.peak_device_bytes;
-      check_peak = stats.peak_device_bytes;
+          qr::factorize(qr::QrProblem{{&dev}, a, r, key.algorithm, opts});
+      q.predicted_seconds = stats.total_seconds;
+      q.predicted_peak_bytes = stats.peak_device_bytes;
+      q.budget_peak_bytes = stats.peak_device_bytes;
     }
   } catch (const Error& e) {
     // Autotune found no feasible blocksize, the explicit blocksize OOMed,
     // or the options were invalid — all per-job rejections, not scheduler
-    // failures.
-    d.reason = e.what();
+    // failures. The predictions are only set once a run has finished, so
+    // they stay 0 here.
+    q.failure = e.what();
+  }
+  return q;
+}
+
+AdmissionDecision decide(const JobSpec& job, const Quote& quote,
+                         const AdmissionConfig& cfg) {
+  AdmissionDecision d;
+  d.blocksize = quote.blocksize;
+  if (!quote.failure.empty()) {
+    d.reason = quote.failure;
     return d;
   }
-
+  d.predicted_seconds = quote.predicted_seconds;
+  d.predicted_peak_bytes = quote.predicted_peak_bytes;
   const auto budget = static_cast<bytes_t>(
       cfg.memory_fraction * static_cast<double>(cfg.spec.memory_capacity));
-  if (check_peak > budget) {
+  if (quote.budget_peak_bytes > budget) {
     d.reason = std::string("predicted ") +
-               (tsqr ? "per-device peak " : "peak ") +
-               format_bytes(check_peak) + " exceeds the admission budget " +
-               format_bytes(budget) + " on " + cfg.spec.name;
+               (job.algorithm == "tsqr" ? "per-device peak " : "peak ") +
+               format_bytes(quote.budget_peak_bytes) +
+               " exceeds the admission budget " + format_bytes(budget) +
+               " on " + cfg.spec.name;
     return d;
   }
-  if (job.deadline_seconds > 0 && d.predicted_seconds > job.deadline_seconds) {
-    d.reason = "predicted runtime " + format_seconds(d.predicted_seconds) +
+  if (job.deadline_seconds > 0 &&
+      quote.predicted_seconds > job.deadline_seconds) {
+    d.reason = "predicted runtime " + format_seconds(quote.predicted_seconds) +
                " misses the deadline " + format_seconds(job.deadline_seconds);
     return d;
   }
   d.admitted = true;
   return d;
+}
+
+AdmissionDecision admit_job(const JobSpec& job, const AdmissionConfig& cfg) {
+  AdmissionDecision d;
+  const std::optional<QuoteKey> key = quote_key(job, cfg, &d.reason);
+  if (!key) return d;
+  return decide(job, dry_run(*key, cfg), cfg);
 }
 
 } // namespace rocqr::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
@@ -197,6 +198,12 @@ class Scheduler::PreemptSink : public qr::CheckpointSink {
 };
 
 Scheduler::Scheduler(ServeConfig cfg) : cfg_(std::move(cfg)) {
+  admission_.spec = cfg_.spec;
+  admission_.devices = cfg_.devices;
+  admission_.shared_link = cfg_.shared_link;
+  admission_.checkpoint_every = cfg_.checkpoint_every;
+  admission_.memory_fraction = cfg_.admission_memory_fraction;
+  admission_.paper_calibration = cfg_.paper_calibration;
   ROCQR_CHECK(cfg_.devices >= 1, "serve::Scheduler: need at least 1 device");
   ROCQR_CHECK(cfg_.checkpoint_every >= 1,
               "serve::Scheduler: checkpoint_every must be >= 1");
@@ -218,14 +225,25 @@ Scheduler::Scheduler(ServeConfig cfg) : cfg_(std::move(cfg)) {
 Scheduler::~Scheduler() = default;
 
 AdmissionDecision Scheduler::submit(const JobSpec& spec) {
-  AdmissionConfig acfg;
-  acfg.spec = cfg_.spec;
-  acfg.devices = cfg_.devices;
-  acfg.shared_link = cfg_.shared_link;
-  acfg.checkpoint_every = cfg_.checkpoint_every;
-  acfg.memory_fraction = cfg_.admission_memory_fraction;
-  acfg.paper_calibration = cfg_.paper_calibration;
-  AdmissionDecision d = admit_job(spec, acfg);
+  AdmissionDecision d;
+  std::optional<QuoteKey> key = quote_key(spec, admission_, &d.reason);
+  std::optional<Quote> fresh;
+  if (key) {
+    const Quote* quote = nullptr;
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      const auto it = quotes_.find(*key);
+      if (it != quotes_.end()) quote = &it->second;
+    }
+    if (quote == nullptr) {
+      // A miss dry-runs outside the lock: other submitters and the workers'
+      // re-quotes are not held up by it.
+      fresh = dry_run(*key, admission_);
+      counter("serve.admission_dry_runs").increment();
+      quote = &*fresh;
+    }
+    d = decide(spec, *quote, admission_);
+  }
 
   if (d.admitted && cfg_.mode == sim::ExecutionMode::Real) {
     if (spec.a.data == nullptr || spec.r.data == nullptr) {
@@ -240,6 +258,8 @@ AdmissionDecision Scheduler::submit(const JobSpec& spec) {
 
   std::lock_guard<std::mutex> lk(mutex_);
   ROCQR_CHECK(!ran_, "serve::Scheduler: submit after run()");
+  // A racing submit of the same key may have stored an equal quote first.
+  if (fresh) quotes_.try_emplace(std::move(*key), std::move(*fresh));
   auto job = std::make_unique<Job>();
   job->spec = spec;
   job->gang = spec.algorithm == "tsqr";
@@ -462,18 +482,21 @@ bool Scheduler::declare_dead_locked(int device_index) {
   return true;
 }
 
-AdmissionDecision Scheduler::requote_locked(const Job& job, int alive) const {
-  AdmissionConfig acfg;
-  acfg.spec = cfg_.spec;
+AdmissionDecision Scheduler::requote_locked(const Job& job, int alive) {
+  AdmissionConfig acfg = admission_;
   acfg.devices = alive;
-  acfg.shared_link = cfg_.shared_link;
-  acfg.checkpoint_every = cfg_.checkpoint_every;
-  acfg.memory_fraction = cfg_.admission_memory_fraction;
-  acfg.paper_calibration = cfg_.paper_calibration;
   JobSpec pinned = job.spec;
   // A resume must keep the checkpointed panel width — no re-autotuning.
   pinned.blocksize = job.blocksize;
-  return admit_job(pinned, acfg);
+  AdmissionDecision d;
+  const std::optional<QuoteKey> key = quote_key(pinned, acfg, &d.reason);
+  if (!key) return d;
+  auto it = quotes_.find(*key);
+  if (it == quotes_.end()) {
+    it = quotes_.emplace(*key, dry_run(*key, acfg)).first;
+    counter("serve.admission_dry_runs").increment();
+  }
+  return decide(pinned, it->second, acfg);
 }
 
 void Scheduler::shed_locked(Job& job, const std::string& reason) {

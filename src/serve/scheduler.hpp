@@ -88,6 +88,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "qr/checkpoint.hpp"
@@ -162,7 +163,12 @@ class Scheduler {
 
   /// Admission control: phantom dry run of the job as the fleet would run
   /// it. Admitted jobs are queued for run(); rejected jobs are recorded
-  /// (and reported) but never dispatched. Call before run().
+  /// (and reported) but never dispatched. Call before run(); safe to call
+  /// from several threads. The dry run is memoized per QuoteKey for the
+  /// Scheduler's lifetime, so a job whose key was quoted before (by an
+  /// earlier submit or a failover re-quote) costs a lookup plus the
+  /// per-job checks: the deadline and, on a Real-mode fleet, the host
+  /// buffers. A miss dry-runs outside the lock.
   AdmissionDecision submit(const JobSpec& spec);
 
   /// Builds the fleet and drives every admitted job to a terminal state.
@@ -237,8 +243,9 @@ class Scheduler {
   /// and fails stranded work if no device survives.
   bool declare_dead_locked(int device_index);
   /// Phantom re-admission of `job` on `alive` devices with its blocksize
-  /// pinned (a resume must keep the checkpointed panel width).
-  AdmissionDecision requote_locked(const Job& job, int alive) const;
+  /// pinned (a resume must keep the checkpointed panel width), through the
+  /// quote memo.
+  AdmissionDecision requote_locked(const Job& job, int alive);
   void shed_locked(Job& job, const std::string& reason);
   void requote_outstanding_locked();
   /// Requeues a job whose device died: re-quoted onto the survivors, not
@@ -264,6 +271,9 @@ class Scheduler {
   FleetReport build_report();
 
   ServeConfig cfg_;
+  /// Admission's view of cfg_ (the whole fleet; re-quotes copy it with the
+  /// survivor count).
+  AdmissionConfig admission_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<std::unique_ptr<sim::Device>> devices_;
 
@@ -291,6 +301,10 @@ class Scheduler {
   int devices_lost_ = 0;
   std::int64_t migrate_events_ = 0;
   std::int64_t shed_events_ = 0;
+  /// Admission's dry runs by key (under mutex_): submit() and the failover
+  /// re-quotes simulate each distinct job once. Entries are never erased
+  /// or changed, so a Quote found under the lock may be read after it.
+  std::unordered_map<QuoteKey, Quote, QuoteKeyHash> quotes_;
   bool ran_ = false;
 };
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct AlgoCase {
   const char* name;
   Factorizer fn;
 };
+
+/// gtest prints each parameter into the discovered test name; the default
+/// would print the bytes of both pointers, which change with every build.
+void PrintTo(const AlgoCase& c, std::ostream* os) { *os << c.name; }
 
 class IncoreQrTest
     : public ::testing::TestWithParam<

@@ -7,10 +7,12 @@
 // (JobState::Shed) instead of failed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/telemetry.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "leak_check.hpp"
@@ -346,6 +348,50 @@ TEST(ServeFailover, DeadlineGangIsShedAfterFleetShrink) {
   EXPECT_EQ(rep.jobs_completed, 0);
   EXPECT_EQ(rep.devices_lost, 1);
   EXPECT_EQ(rep.device_health[0], "dead");
+}
+
+TEST(ServeFailover, RequoteAfterDeviceLossGoesThroughTheQuoteMemo) {
+  // Twelve deadline jobs of two keys on four Phantom devices: an autotuned
+  // recursive kind and a blocking kind with an explicit blocksize. Device 1
+  // dies at an H2D copy while most jobs are still queued; the loss
+  // re-quotes every outstanding deadline job and migrates the running one,
+  // each with its blocksize pinned. That adds at most one dry run per
+  // distinct pinned key, however many jobs share it.
+  ServeConfig cfg;
+  cfg.devices = 4;
+  cfg.device_faults = {"", "h2d:fatal:after=3", "", ""};
+  Scheduler sched(cfg);
+  telemetry::Counter& dry_runs =
+      telemetry::MetricsRegistry::global().counter("serve.admission_dry_runs");
+
+  const std::int64_t before = dry_runs.value();
+  for (int i = 0; i < 12; ++i) {
+    JobSpec job;
+    job.name = "deadline" + std::to_string(i);
+    if (i % 2 == 0) {
+      job.algorithm = "recursive";
+      job.m = 8192;
+      job.n = 2048;
+      job.blocksize = 0;
+    } else {
+      job.algorithm = "blocking";
+      job.m = 4096;
+      job.n = 1024;
+      job.blocksize = 256;
+    }
+    job.deadline_seconds = 1e6;
+    ASSERT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  const std::int64_t after_submit = dry_runs.value();
+  EXPECT_EQ(after_submit - before, 2);
+
+  const FleetReport rep = sched.run();
+  EXPECT_EQ(rep.devices_lost, 1);
+  EXPECT_GE(rep.jobs_migrated, 1);
+  EXPECT_EQ(rep.jobs_completed, 12);
+  EXPECT_EQ(rep.jobs_shed, 0);
+  EXPECT_EQ(rep.device_health[1], "dead");
+  EXPECT_LE(dry_runs.value() - after_submit, 2);
 }
 
 } // namespace

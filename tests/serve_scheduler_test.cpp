@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "la/generate.hpp"
 #include "leak_check.hpp"
+#include "ooc/gemm_engines.hpp"
+#include "qr/checkpoint.hpp"
 #include "qr/factorize.hpp"
 #include "qr/tiled_qr.hpp"
 #include "serve/scheduler.hpp"
@@ -64,6 +70,48 @@ double fleet_span(const Scheduler& sched) {
 
 const JobReport& report_for(const FleetReport& rep, int job_id) {
   return rep.jobs.at(static_cast<size_t>(job_id));
+}
+
+std::int64_t admission_dry_runs() {
+  return telemetry::MetricsRegistry::global()
+      .counter("serve.admission_dry_runs")
+      .value();
+}
+
+/// The admission view a Scheduler takes of `cfg`.
+serve::AdmissionConfig admission_config(const ServeConfig& cfg) {
+  serve::AdmissionConfig acfg;
+  acfg.spec = cfg.spec;
+  acfg.devices = cfg.devices;
+  acfg.shared_link = cfg.shared_link;
+  acfg.checkpoint_every = cfg.checkpoint_every;
+  acfg.memory_fraction = cfg.admission_memory_fraction;
+  acfg.paper_calibration = cfg.paper_calibration;
+  return acfg;
+}
+
+/// A submit()'s decision against a fresh admit_job() of the same job: equal
+/// field for field (job_id aside), predicted_seconds bit for bit.
+void expect_same_decision(const AdmissionDecision& got,
+                          const AdmissionDecision& fresh,
+                          const std::string& what) {
+  EXPECT_EQ(got.admitted, fresh.admitted) << what;
+  EXPECT_EQ(got.reason, fresh.reason) << what;
+  EXPECT_EQ(got.blocksize, fresh.blocksize) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.predicted_seconds),
+            std::bit_cast<std::uint64_t>(fresh.predicted_seconds))
+      << what;
+  EXPECT_EQ(got.predicted_peak_bytes, fresh.predicted_peak_bytes) << what;
+}
+
+JobSpec memo_job(const char* algorithm, index_t m, index_t n,
+                 index_t blocksize) {
+  JobSpec job;
+  job.algorithm = algorithm;
+  job.m = m;
+  job.n = n;
+  job.blocksize = blocksize;
+  return job;
 }
 
 TEST(ServeAdmission, RejectsInfeasibleJobs) {
@@ -119,6 +167,170 @@ TEST(ServeAdmission, MemoryHeadroomPolicyRejects) {
   EXPECT_FALSE(d.admitted);
   EXPECT_NE(d.reason.find("admission budget"), std::string::npos) << d.reason;
   EXPECT_GT(d.predicted_peak_bytes, 0);
+}
+
+TEST(ServeAdmission, DryRunLeavesThePlanLogEmpty) {
+  // A job's plan log is for its own factorization: admission's phantom
+  // graphs (the tune sweep's included) must not land in it.
+  ServeConfig cfg;
+  Scheduler sched(cfg);
+  ooc::PlanLog log;
+  for (const index_t b : {index_t{64}, index_t{0}}) {
+    JobSpec job = memo_job("blocking", 2048, 512, b);
+    job.name = "explained";
+    job.options.plan_log = &log;
+    const AdmissionDecision d = sched.submit(job);
+    ASSERT_TRUE(d.admitted) << d.reason;
+  }
+  EXPECT_TRUE(log.text.empty()) << log.text;
+  EXPECT_TRUE(log.dot.empty());
+}
+
+TEST(ServeAdmissionMemo, DecisionsMatchFreshDryRuns) {
+  // 200 jobs over five quote keys, with names, priorities and arrivals
+  // varied per job: an explicit blocksize, an autotuned job, a tsqr gang, a
+  // kind over the admission budget, and one key whose jobs differ only in
+  // their deadline, met and missed in turn. The Scheduler dry-runs each key
+  // once, and every decision is the one a fresh dry run gives.
+  ServeConfig cfg;
+  cfg.devices = 4;
+  cfg.admission_memory_fraction = 0.05;
+  const serve::AdmissionConfig acfg = admission_config(cfg);
+
+  JobSpec deadline_kind = memo_job("blocking", 4096, 1024, 256);
+  const AdmissionDecision probe = serve::admit_job(deadline_kind, acfg);
+  ASSERT_TRUE(probe.admitted) << probe.reason;
+  const std::vector<JobSpec> kinds = {
+      memo_job("blocking", 2048, 512, 64),
+      memo_job("recursive", 8192, 2048, 0),
+      memo_job("tsqr", 16384, 1024, 256),
+      memo_job("recursive", 32768, 32768, 8192),
+      deadline_kind,
+  };
+
+  Scheduler sched(cfg);
+  const std::int64_t before = admission_dry_runs();
+  std::vector<JobSpec> jobs;
+  std::vector<AdmissionDecision> got;
+  for (int i = 0; i < 200; ++i) {
+    JobSpec job = kinds[static_cast<size_t>(i) % kinds.size()];
+    job.name = "memo";
+    job.name += std::to_string(i);
+    job.priority = i % 7;
+    job.arrival_after_units = i % 3;
+    if (i % 5 == 4) {
+      const double slack = i % 10 == 4 ? 2.0 : 0.5;
+      job.deadline_seconds = slack * probe.predicted_seconds;
+    }
+    got.push_back(sched.submit(job));
+    jobs.push_back(job);
+  }
+  EXPECT_EQ(admission_dry_runs() - before,
+            static_cast<std::int64_t>(kinds.size()));
+
+  int budget_rejections = 0;
+  int deadline_rejections = 0;
+  int tuned = 0;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(got[i].job_id, static_cast<int>(i));
+    expect_same_decision(got[i], serve::admit_job(jobs[i], acfg), jobs[i].name);
+    budget_rejections +=
+        got[i].reason.find("admission budget") != std::string::npos;
+    deadline_rejections += got[i].reason.find("deadline") != std::string::npos;
+    tuned += jobs[i].blocksize == 0 && got[i].blocksize > 0;
+  }
+  EXPECT_EQ(budget_rejections, 40);
+  EXPECT_EQ(deadline_rejections, 20);
+  EXPECT_EQ(tuned, 40);
+}
+
+TEST(ServeAdmissionMemo, KeysOnWhatTheDryRunReads) {
+  // Fields the scheduler overrides in every attempt share the base job's
+  // dry run; a field the dry run reads, or the job's precision, gets one
+  // of its own.
+  ServeConfig cfg;
+  const serve::AdmissionConfig acfg = admission_config(cfg);
+  Scheduler sched(cfg);
+  const JobSpec base = memo_job("blocking", 2048, 512, 64);
+  qr::MemoryCheckpointSink sink;
+
+  std::vector<JobSpec> shared(5, base);
+  shared[0].options.precision = blas::GemmPrecision::FP32;
+  shared[1].options.blocksize = 4096;
+  shared[2].options.checkpoint_sink = &sink;
+  shared[3].options.checkpoint_every = 7;
+  shared[4].options.resume_units = 3;
+  std::vector<JobSpec> own(3, base);
+  own[0].options.staging_buffer = false;
+  own[1].options.memory_budget_fraction = 0.5;
+  own[2].precision = blas::GemmPrecision::FP32;
+
+  const std::int64_t before = admission_dry_runs();
+  expect_same_decision(sched.submit(base), serve::admit_job(base, acfg),
+                       "base");
+  for (size_t i = 0; i < shared.size(); ++i) {
+    expect_same_decision(sched.submit(shared[i]),
+                         serve::admit_job(shared[i], acfg),
+                         "shared " + std::to_string(i));
+    EXPECT_EQ(admission_dry_runs() - before, 1) << "shared " << i;
+  }
+  for (size_t i = 0; i < own.size(); ++i) {
+    expect_same_decision(sched.submit(own[i]), serve::admit_job(own[i], acfg),
+                         "own " + std::to_string(i));
+    EXPECT_EQ(admission_dry_runs() - before, static_cast<std::int64_t>(i + 2))
+        << "own " << i;
+  }
+  EXPECT_FALSE(sink.has_checkpoint());
+}
+
+TEST(ServeAdmissionMemo, ConcurrentSubmitsShareTheMemo) {
+  // Two host threads submit 300 jobs each over three keys. Job ids stay
+  // unique, every decision is the fresh dry run's, and a key is dry-run at
+  // most once per thread (two racing misses both simulate; one is kept).
+  ServeConfig cfg;
+  cfg.devices = 2;
+  const serve::AdmissionConfig acfg = admission_config(cfg);
+  const std::vector<JobSpec> kinds = {
+      memo_job("blocking", 2048, 512, 64),
+      memo_job("tiled", 2048, 512, 128),
+      memo_job("left", 4096, 512, 128),
+  };
+  std::vector<AdmissionDecision> fresh;
+  for (const JobSpec& k : kinds) fresh.push_back(serve::admit_job(k, acfg));
+
+  Scheduler sched(cfg);
+  const std::int64_t before = admission_dry_runs();
+  constexpr int kPerThread = 300;
+  std::vector<std::vector<AdmissionDecision>> got(2);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        JobSpec job = kinds[static_cast<size_t>(i + t) % kinds.size()];
+        job.name = t == 0 ? "first" : "second";
+        job.priority = i % 4;
+        got[static_cast<size_t>(t)].push_back(sched.submit(job));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const std::int64_t dry_runs = admission_dry_runs() - before;
+  EXPECT_GE(dry_runs, static_cast<std::int64_t>(kinds.size()));
+  EXPECT_LE(dry_runs, static_cast<std::int64_t>(2 * kinds.size()));
+  std::vector<int> ids;
+  for (int t = 0; t < 2; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const AdmissionDecision& d = got[static_cast<size_t>(t)][i];
+      ids.push_back(d.job_id);
+      expect_same_decision(d, fresh[static_cast<size_t>(i + t) % kinds.size()],
+                           "thread " + std::to_string(t));
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], static_cast<int>(i));
+  }
 }
 
 TEST(ServeScheduler, PredictionMatchesSingleJobExecution) {
