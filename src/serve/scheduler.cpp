@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_pool.hpp"
 #include "qr/factorize.hpp"
 #include "qr/multi_gpu_qr.hpp"
 #include "qr/tiled_qr.hpp"
@@ -314,14 +314,33 @@ FleetReport Scheduler::run() {
     for (const auto& job : jobs_) any_queued |= job->state == JobState::Queued;
   }
   if (any_queued) {
-    // A private pool sized to the fleet: one worker per device regardless
-    // of the host's core count (the simulated devices do the "computing";
-    // nested Real-mode host kernels degrade to serial inside the workers
-    // per the ThreadPool reentrancy contract).
-    ThreadPool pool(static_cast<unsigned>(cfg_.devices));
-    pool.parallel_for(cfg_.devices, [this](index_t d0, index_t d1) {
-      for (index_t d = d0; d < d1; ++d) worker(static_cast<int>(d));
-    });
+    // One worker per device, whatever the host's core count: only the
+    // baton holder runs, so the threads are stacks for the parked drivers,
+    // and a Real-mode holder's kernels use ThreadPool::global(). The
+    // calling thread is device 0's worker rather than idling in join(), so
+    // its heap recycles what device 0's dispatches free for the caller's
+    // next allocations (with every worker on a new thread, perfbench
+    // serve_mix setup_s rose 20-40% in two pairs); the others are plain
+    // threads.
+    workers_ = std::vector<Worker>(static_cast<size_t>(cfg_.devices));
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(cfg_.devices - 1));
+    try {
+      for (int w = 1; w < cfg_.devices; ++w) {
+        threads.emplace_back([this, w] { worker(w); });
+      }
+      // The first decision: every device is idle at 0, so the least one
+      // with a dispatchable job takes the baton.
+      std::lock_guard<std::mutex> lk(mutex_);
+      hand_on_locked();
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mutex_);
+      if (!error_) error_ = std::current_exception();
+      end_loop_locked();
+    }
+    worker(0);
+    for (std::thread& t : threads) t.join();
+    if (error_) std::rethrow_exception(error_);
   }
   return build_report();
 }
@@ -364,16 +383,6 @@ bool Scheduler::force_earliest_arrival_locked() {
   return true;
 }
 
-bool Scheduler::work_pending_locked() const {
-  for (const auto& job : jobs_) {
-    if (job->state == JobState::Queued || job->state == JobState::Running ||
-        job->state == JobState::Preempted) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Scheduler::Job* Scheduler::pick_locked() const {
   Job* best = nullptr;
   for (const auto& up : jobs_) {
@@ -412,24 +421,60 @@ Scheduler::Job* Scheduler::dispatchable_locked() const {
   return top;
 }
 
-bool Scheduler::may_act_locked(const std::vector<int>& own, double t) const {
-  // A dispatchable job would be started by the earliest-available idle
-  // device, so idle devices behind `t` only matter while one exists. (This
-  // must be "dispatchable", not merely "ready": while a gang pick drains
-  // the fleet, idle devices cannot act, and making running jobs wait on
-  // them would deadlock the drain.) A dispatch never waits on its own
-  // devices — a gang's are all of the surviving fleet.
-  const bool ready = dispatchable_locked() != nullptr;
+int Scheduler::next_actor_locked() const {
+  // Every dispatch but the holder's is parked at a checkpoint, so the
+  // actors are the parked workers and the idle devices. An idle device
+  // acts only while a job is dispatchable, not merely ready: while a gang
+  // pick drains the fleet, idle devices cannot act. A dead device never
+  // acts again. Scanning in device order with a strict `<` breaks ties
+  // toward the lower index.
+  int next = -1;
+  double least = 0;
+  std::optional<bool> dispatchable;
   for (int e = 0; e < cfg_.devices; ++e) {
-    if (std::find(own.begin(), own.end(), e) != own.end()) continue;
     const auto eu = static_cast<size_t>(e);
-    // A dead device can never act again: waiting on it would deadlock.
-    if (device_health_[eu] == DeviceHealth::Dead) continue;
-    if (device_avail_[eu] < t && (device_busy_[eu] != 0 || ready)) {
-      return false;
+    double bound = 0;
+    if (workers_[eu].parked) {
+      bound = *workers_[eu].parked;
+    } else if (device_busy_[eu] == 0 &&
+               device_health_[eu] != DeviceHealth::Dead) {
+      if (!dispatchable) dispatchable = dispatchable_locked() != nullptr;
+      if (!*dispatchable) continue;
+      bound = device_avail_[eu];
+    } else {
+      continue;
+    }
+    if (next < 0 || bound < least) {
+      next = e;
+      least = bound;
     }
   }
-  return true;
+  return next;
+}
+
+void Scheduler::hand_on_locked() {
+  for (;;) {
+    const int next = next_actor_locked();
+    if (next >= 0) {
+      if (next != baton_) {
+        baton_ = next;
+        workers_[static_cast<size_t>(next)].turn.notify_one();
+      }
+      return;
+    }
+    // No actor: nothing runs (a running dispatch would be parked, hence an
+    // actor) and nothing is dispatchable. Jobs still pending can only be
+    // behind arrival gates that no completing unit will open, so force the
+    // earliest gate and decide again; with none left the batch is done.
+    if (running_ == 0 && force_earliest_arrival_locked()) continue;
+    end_loop_locked();
+    return;
+  }
+}
+
+void Scheduler::end_loop_locked() {
+  done_ = true;
+  for (Worker& w : workers_) w.turn.notify_one();
 }
 
 int Scheduler::alive_devices_locked() const {
@@ -632,29 +677,34 @@ void Scheduler::maybe_preempt_locked() {
 
 void Scheduler::on_unit_completed(Dispatch& d, Job& job,
                                   const qr::Checkpoint& cp) {
-  // Copy the (possibly large, Real-mode) snapshot outside the lock; the
-  // sink contract requires a copy anyway, the driver reuses its buffers.
-  qr::Checkpoint copy = cp;
   bool unwind = false;
   int wd = -1;
   {
     std::unique_lock<std::mutex> lk(mutex_);
     // The driver synchronized before checkpointing, so each trace end is
-    // that device's simulated "now". Publish the new bounds first (they let
-    // devices waiting on us proceed), then wait for our turn in global
-    // simulated-time order before acting on the event.
+    // that device's simulated "now". Publish the new bounds first (arrivals
+    // released before our turn read them), then park at the latest one and
+    // wait for our turn in global simulated-time order before acting on
+    // the event.
     double t = 0;
     for (const int e : d.devices) {
       const auto eu = static_cast<size_t>(e);
-      device_avail_[eu] = std::max(
-          device_avail_[eu],
-          qr::stats_from_trace(devices_[eu]->trace(), 0, 0).last_end);
+      device_avail_[eu] =
+          std::max(device_avail_[eu], devices_[eu]->trace().makespan());
       t = std::max(t, device_avail_[eu]);
     }
-    job.checkpoint = std::move(copy);
+    // The sink contract requires a copy (the driver reuses its buffers).
+    // Assigning into the job's checkpoint reuses the previous snapshot's
+    // storage instead of allocating a fresh Real-mode copy each unit; only
+    // the baton holder runs, so copying under the lock delays no one.
+    job.checkpoint = cp;
     job.has_checkpoint = true;
-    cv_.notify_all();
-    while (!may_act_locked(d.devices, t)) cv_.wait(lk);
+    Worker& self = workers_[static_cast<size_t>(d.worker)];
+    self.parked = t;
+    hand_on_locked();
+    self.turn.wait(lk, [&] { return baton_ == d.worker || done_; });
+    self.parked.reset();
+    if (done_) throw LoopEnded{};
     ++fleet_units_;
     release_arrivals_locked();
     maybe_preempt_locked();
@@ -666,7 +716,6 @@ void Scheduler::on_unit_completed(Dispatch& d, Job& job,
     wd = watchdog_tripped_locked(d);
   }
   counter("serve.units_completed").increment();
-  cv_.notify_all();
   // A watchdog trip outranks a preemption: the attempt must unwind as a
   // device failure, not park as resumable-by-priority.
   if (wd >= 0) throw WatchdogTrip{wd};
@@ -675,34 +724,35 @@ void Scheduler::on_unit_completed(Dispatch& d, Job& job,
 
 void Scheduler::worker(int device_index) {
   const auto du = static_cast<size_t>(device_index);
-  const std::vector<int> own{device_index};
-  for (;;) {
+  try {
+    // One Dispatch serves every attempt this worker runs. Its buffers are
+    // allocated here, before the first turn, so that the thread takes its
+    // malloc arena at start (glibc hands a thread an arena at its first
+    // allocation, reusing those of exited threads first). The workers thus
+    // get the arenas an earlier fleet's threads left, ahead of the
+    // ThreadPool::global() threads that the first Real-mode kernel starts.
+    // Allocating at the first dispatch instead left those arenas to the
+    // pool and grew fresh ones for the workers: perfbench serve_mix's peak
+    // RSS read 50-58 MiB instead of 45 (three seeds; glibc 2.36, 4-vCPU
+    // VM).
     Dispatch d;
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      Job* job = nullptr;
-      for (;;) {
-        // A dead device never hosts work again; its worker retires. The
-        // surviving workers keep draining the queue (including whatever
-        // migrated off this device).
-        if (device_health_[du] == DeviceHealth::Dead) return;
-        release_arrivals_locked();
-        // A device held by a live dispatch (a running gang) is not ours to
-        // claim until that dispatch finishes.
-        job = device_busy_[du] == 0 ? dispatchable_locked() : nullptr;
-        if (job != nullptr && may_act_locked(own, device_avail_[du])) break;
-        if (!work_pending_locked()) return;
-        if (job == nullptr && running_ == 0) {
-          // Nothing running, nothing dispatchable, but jobs pending: the
-          // only work left is behind arrival gates that can no longer open
-          // (no units will complete). Force the earliest gate so the batch
-          // always drains.
-          if (force_earliest_arrival_locked()) continue;
-        }
-        cv_.wait(lk);
-      }
+    d.worker = device_index;
+    d.devices.reserve(static_cast<size_t>(cfg_.devices));
+    d.windows.reserve(static_cast<size_t>(cfg_.devices));
+    d.watch_from.reserve(static_cast<size_t>(cfg_.devices));
+    std::unique_lock<std::mutex> lk(mutex_);
+    for (;;) {
+      workers_[du].turn.wait(
+          lk, [&] { return baton_ == device_index || done_; });
+      if (done_) return;
+      // This device's turn as an idle actor: hand_on_locked chose it while
+      // a job was dispatchable, and nothing has run since.
+      Job* job = dispatchable_locked();
+      ROCQR_CHECK(job != nullptr,
+                  "serve::Scheduler: an idle device's turn found no job");
+      d.kind = DispatchKind::Solo;
       d.members = {job};
-      d.devices = {device_index};
+      d.devices.assign(1, device_index);
       if (job->gang) {
         // Atomic acquisition of the surviving fleet: dispatchable_locked
         // only returned the gang with every device idle. Dead devices are
@@ -749,9 +799,22 @@ void Scheduler::worker(int device_index) {
       }
       for (const int e : d.devices) device_busy_[static_cast<size_t>(e)] = 1;
       running_ += static_cast<int>(d.devices.size());
+      lk.unlock();
+      run_dispatch(d);
+      lk.lock();
+      // The dispatch ended: pass the baton on. A dead device never hosts
+      // work again, so its worker retires; the survivors drain the queue,
+      // including whatever migrated off this device.
+      hand_on_locked();
+      if (device_health_[du] == DeviceHealth::Dead) return;
     }
-    cv_.notify_all();
-    run_dispatch(d);
+  } catch (const LoopEnded&) {
+    // Parked at a checkpoint when another worker's exception ended the
+    // loop: the driver has unwound, and run() rethrows that exception.
+  } catch (...) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (!error_) error_ = std::current_exception();
+    end_loop_locked();
   }
 }
 
@@ -761,10 +824,15 @@ std::vector<Scheduler::Job*> Scheduler::claim_locked(
   std::vector<Job*> members{&primary};
   if (limit <= 1 || !compatible(primary)) return members;
   // Pack only while the ready queue outnumbers the idle devices — with a
-  // free device per ready job, exclusive ownership is strictly faster.
+  // free device per ready job, exclusive ownership is strictly faster. A
+  // dead device is not idle capacity.
   int surplus = 0;
   for (const auto& up : jobs_) surplus += up->ready() ? 1 : 0;
-  for (const char busy : device_busy_) surplus -= busy == 0 ? 1 : 0;
+  for (size_t e = 0; e < device_busy_.size(); ++e) {
+    surplus -= device_busy_[e] == 0 && device_health_[e] != DeviceHealth::Dead
+                   ? 1
+                   : 0;
+  }
   const auto budget = static_cast<bytes_t>(
       cfg_.admission_memory_fraction *
       static_cast<double>(cfg_.spec.memory_capacity));
@@ -807,6 +875,7 @@ void Scheduler::run_dispatch(Dispatch& d) {
   qr::Checkpoint start; // qr::resume's starting point (solo and gang)
   {
     std::lock_guard<std::mutex> lk(mutex_);
+    d.windows.clear();
     for (const sim::Device* dev : fleet) {
       d.windows.push_back(dev->trace().size());
     }
@@ -920,76 +989,73 @@ void Scheduler::run_dispatch(Dispatch& d) {
 void Scheduler::finish_dispatch(const Dispatch& d, JobState state,
                                 const std::string& failure,
                                 AttemptOutcome outcome, int struck_device) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::vector<qr::QrStats> per_device;
-    for (size_t g = 0; g < d.devices.size(); ++g) {
-      const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[g])];
-      per_device.push_back(
-          qr::stats_from_trace(dev.trace(), d.windows[g], dev.memory_peak()));
-    }
-    // Per-member attribution: a solo job takes its whole window, a gang its
-    // per-device windows rolled up, a colocated member the shared window
-    // filtered by its "j<id>." op-name prefix, and a fused member an even
-    // 1/K split (the batched ops carry no per-job prefix).
-    for (Job* member : d.members) {
-      switch (d.kind) {
-      case DispatchKind::Solo:
-        accumulate_stats(member->stats, per_device[0]);
-        break;
-      case DispatchKind::Gang:
-        accumulate_stats(member->stats, qr::combine_device_stats(per_device));
-        break;
-      case DispatchKind::Colocated: {
-        const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[0])];
-        accumulate_stats(member->stats,
-                         qr::stats_from_trace(
-                             dev.trace(), d.windows[0], dev.memory_peak(),
-                             "j" + std::to_string(member->id) + "."));
-        break;
-      }
-      case DispatchKind::Fused:
-        accumulate_stats(member->stats, qr::detail::split_fused_stats(
-                                            per_device[0], d.members.size()));
-        break;
-      }
-    }
-    for (size_t g = 0; g < d.devices.size(); ++g) {
-      const auto e = static_cast<size_t>(d.devices[g]);
-      if (per_device[g].events > 0) {
-        device_avail_[e] = std::max(device_avail_[e], per_device[g].last_end);
-      }
-      device_busy_[e] = 0;
-    }
-    running_ -= static_cast<int>(d.devices.size());
-    bool newly_dead = false;
-    switch (outcome) {
-    case AttemptOutcome::DeviceLoss:
-      newly_dead = declare_dead_locked(struck_device);
+  std::lock_guard<std::mutex> lk(mutex_);
+  std::vector<qr::QrStats> per_device;
+  for (size_t g = 0; g < d.devices.size(); ++g) {
+    const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[g])];
+    per_device.push_back(
+        qr::stats_from_trace(dev.trace(), d.windows[g], dev.memory_peak()));
+  }
+  // Per-member attribution: a solo job takes its whole window, a gang its
+  // per-device windows rolled up, a colocated member the shared window
+  // filtered by its "j<id>." op-name prefix, and a fused member an even
+  // 1/K split (the batched ops carry no per-job prefix).
+  for (Job* member : d.members) {
+    switch (d.kind) {
+    case DispatchKind::Solo:
+      accumulate_stats(member->stats, per_device[0]);
       break;
-    case AttemptOutcome::DeviceFailure:
-      if (struck_device >= 0) {
-        newly_dead = note_device_failure_locked(struck_device);
-      }
+    case DispatchKind::Gang:
+      accumulate_stats(member->stats, qr::combine_device_stats(per_device));
       break;
-    case AttemptOutcome::Clean:
-      for (const int e : d.devices) note_device_success_locked(e);
+    case DispatchKind::Colocated: {
+      const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[0])];
+      accumulate_stats(member->stats,
+                       qr::stats_from_trace(
+                           dev.trace(), d.windows[0], dev.memory_peak(),
+                           "j" + std::to_string(member->id) + "."));
       break;
     }
-    for (Job* member : d.members) {
-      if (newly_dead && state != JobState::Completed &&
-          state != JobState::Preempted) {
-        // The device died under this dispatch: every member migrates
-        // (re-quote + requeue from its latest checkpoint), not a retry. A
-        // gang's checkpoint pins its leaf layout, so on the survivors it
-        // reproduces the clean result bit for bit.
-        migrate_locked(*member, failure);
-      } else {
-        record_outcome_locked(*member, state, failure);
-      }
+    case DispatchKind::Fused:
+      accumulate_stats(member->stats, qr::detail::split_fused_stats(
+                                          per_device[0], d.members.size()));
+      break;
     }
   }
-  cv_.notify_all();
+  for (size_t g = 0; g < d.devices.size(); ++g) {
+    const auto e = static_cast<size_t>(d.devices[g]);
+    if (per_device[g].events > 0) {
+      device_avail_[e] = std::max(device_avail_[e], per_device[g].last_end);
+    }
+    device_busy_[e] = 0;
+  }
+  running_ -= static_cast<int>(d.devices.size());
+  bool newly_dead = false;
+  switch (outcome) {
+  case AttemptOutcome::DeviceLoss:
+    newly_dead = declare_dead_locked(struck_device);
+    break;
+  case AttemptOutcome::DeviceFailure:
+    if (struck_device >= 0) {
+      newly_dead = note_device_failure_locked(struck_device);
+    }
+    break;
+  case AttemptOutcome::Clean:
+    for (const int e : d.devices) note_device_success_locked(e);
+    break;
+  }
+  for (Job* member : d.members) {
+    if (newly_dead && state != JobState::Completed &&
+        state != JobState::Preempted) {
+      // The device died under this dispatch: every member migrates
+      // (re-quote + requeue from its latest checkpoint), not a retry. A
+      // gang's checkpoint pins its leaf layout, so on the survivors it
+      // reproduces the clean result bit for bit.
+      migrate_locked(*member, failure);
+    } else {
+      record_outcome_locked(*member, state, failure);
+    }
+  }
 }
 
 void Scheduler::record_outcome_locked(Job& job, JobState state,

@@ -1,24 +1,26 @@
 // Multi-job QR service scheduler over a simulated device fleet
 // (docs/SERVING.md).
 //
-// The Scheduler owns N sim::Devices (optionally behind one SharedHostLink)
-// and drives a batch of admitted JobSpecs to completion with one worker per
-// device on a private ThreadPool. Workers race in host wall-clock but the
-// fleet advances in *simulated-time* order: a worker only dispatches a job
-// or passes a checkpoint when no other device could still act at an earlier
-// simulated instant (a conservative event-ordering gate on per-device
-// availability bounds, advanced at every checkpoint). Dispatch is a
-// priority queue with backfill: the highest-priority ready job runs next on
-// the earliest-available device, and jobs whose
-// arrival gate has not opened yet are skipped so lower-priority ready work
-// fills the idle devices. When every device is busy and a strictly
-// higher-priority job becomes ready, the running job with the lowest
-// priority (most remaining columns first) is preempted at its next panel
-// checkpoint boundary — the driver's own CheckpointSink hook unwinds the
-// attempt, and the job later resumes via qr::resume, bit-identical to an
-// uninterrupted run. Faults installed on fleet devices are absorbed the
-// same way: a failed attempt retries from the job's latest checkpoint up
-// to max_job_retries times.
+// The Scheduler owns N sim::Devices (optionally behind one SharedHostLink) and
+// drives a batch of admitted JobSpecs to completion from one simulated-time
+// event loop. Each device has a worker thread, but exactly one worker runs at a
+// time: the one holding the baton. It runs its dispatch up to the next decision
+// point (a checkpoint, or the end of the dispatch) and there hands the baton to
+// the actor with the least (simulated availability bound, device index) — a
+// dispatch parked at a checkpoint, or an idle device while a job is
+// dispatchable — waking only that worker. The threads exist to give each
+// synchronous driver a stack to park on between checkpoints; the fleet advances
+// in simulated-time order and a run repeats exactly, device for device.
+// Dispatch is a priority queue with backfill: the highest-priority ready job
+// runs next on the earliest-available device, and jobs whose arrival gate has
+// not opened yet are skipped so lower-priority ready work fills the idle
+// devices. When every device is busy and a strictly higher-priority job becomes
+// ready, the running job with the lowest priority (most remaining columns
+// first) is preempted at its next panel checkpoint boundary — the driver's own
+// CheckpointSink hook unwinds the attempt, and the job later resumes via
+// qr::resume, bit-identical to an uninterrupted run. Faults installed on fleet
+// devices are absorbed the same way: a failed attempt retries from the job's
+// latest checkpoint up to max_job_retries times.
 //
 // Every attempt is one *dispatch* of one of four kinds — solo, colocated,
 // fused or gang — claimed under the lock, run through one preparation and
@@ -26,20 +28,19 @@
 // kind and requeues, retries, fails or migrates every member. A device
 // held by a live dispatch is never claimed by another.
 //
-// Single-device jobs (algorithms "tiled", "blocking", "left" — mixed
-// freely) can be *colocated*: when max_colocated_jobs > 1 and the ready
-// queue outnumbers the idle devices, a worker that picks such a job also
-// claims up to that many further ready deadline-free single-device jobs
-// (same precision, combined predicted peaks within the admission budget)
-// and dispatches them as ONE task graph via qr::detail::run_batch — each
-// algorithm lowers to its own node program, and their move-in / compute /
-// move-out nodes interleave on the device's three engines, so one job's
-// transfers overlap another's computes (DAG multi-tenancy instead of
-// whole-device ownership). Per-job stats come from the shared trace
-// window filtered by each job's "j<id>." op-name prefix. A preemption or
-// fault unwinds the whole batch; every member requeues from its own
-// latest checkpoint and resumes bit-identically — the batch programs'
-// arithmetic matches the solo runs' bit for bit.
+// Single-device jobs (algorithms "tiled", "blocking", "left" — mixed freely)
+// can be *colocated*: when max_colocated_jobs > 1 and the ready queue
+// outnumbers the alive idle devices, a worker that picks such a job also claims
+// up to that many further ready deadline-free single-device jobs (same
+// precision, combined predicted peaks within the admission budget) and
+// dispatches them as ONE task graph via qr::detail::run_batch — each algorithm
+// lowers to its own node program, and their move-in / compute / move-out nodes
+// interleave on the device's three engines, so one job's transfers overlap
+// another's computes (DAG multi-tenancy instead of whole-device ownership).
+// Per-job stats come from the shared trace window filtered by each job's
+// "j<id>." op-name prefix. A preemption or fault unwinds the whole batch; every
+// member requeues from its own latest checkpoint and resumes bit-identically —
+// the batch programs' arithmetic matches the solo runs' bit for bit.
 //
 // Same-shape, same-precision "blocking" jobs go one step further: when
 // max_fused_jobs > 1 the dispatcher *fuses* up to that many ready
@@ -64,29 +65,30 @@
 // and its per-device trace windows roll up through
 // qr::combine_device_stats.
 //
-// Fleet health (docs/SERVING.md "Fleet failover & load shedding"): every
-// device carries a Healthy/Suspect/Dead state. A failed attempt marks its
-// device Suspect; device_failure_threshold consecutive failures — or a
-// DeviceLost error (injected `fatal` fault), or a simulated-clock watchdog
-// trip (an op exceeding watchdog_timeout) — declare it Dead. A dead
-// device's worker exits, its running job is *migrated*: re-quoted through
-// the phantom admission path against the surviving fleet and requeued from
-// its latest checkpoint (not charged against max_job_retries). A TSQR gang
-// that loses a member re-plans on the survivors: the checkpoint pins the
-// leaf partition, completed leaves keep their stacked R factors, and only
-// the dead member's leaves re-factor (round-robin onto survivors) — the
-// result stays bit-identical to an uninterrupted run at that leaf layout.
-// After every fleet shrink, outstanding deadline jobs are re-quoted against
-// the remaining capacity and the ones that can no longer make their
-// deadline are load-shed (JobState::Shed — a distinct terminal state, not
-// a failure).
+// Fleet health (docs/SERVING.md "Fleet failover & load shedding"): every device
+// carries a Healthy/Suspect/Dead state. A failed attempt marks its device
+// Suspect; device_failure_threshold consecutive failures — or a DeviceLost
+// error (injected `fatal` fault), or a simulated-clock watchdog trip (an op
+// exceeding watchdog_timeout) — declare it Dead. A dead device's worker hands
+// the baton on and exits, and its running job is *migrated*: re-quoted through
+// the phantom admission path against the surviving fleet and requeued from its
+// latest checkpoint (not charged against max_job_retries). A TSQR gang that
+// loses a member re-plans on the survivors: the checkpoint pins the leaf
+// partition, completed leaves keep their stacked R factors, and only the dead
+// member's leaves re-factor (round-robin onto survivors) — the result stays
+// bit-identical to an uninterrupted run at that leaf layout. After every fleet
+// shrink, outstanding deadline jobs are re-quoted against the remaining
+// capacity and the ones that can no longer make their deadline are load-shed
+// (JobState::Shed — a distinct terminal state, not a failure).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -195,6 +197,10 @@ class Scheduler {
   struct WatchdogTrip {
     int device = -1;
   };
+  /// Internal unwind token for a dispatch parked at a checkpoint when the
+  /// loop ends early (another worker threw): its driver unwinds and its
+  /// worker exits.
+  struct LoopEnded {};
   /// How an attempt ended, for the device-health accounting: Clean resets
   /// the device's strikes, DeviceFailure adds one (Suspect, then Dead at
   /// the threshold), DeviceLoss kills the device outright.
@@ -210,6 +216,9 @@ class Scheduler {
   /// devices in between.
   struct Dispatch {
     DispatchKind kind = DispatchKind::Solo;
+    /// The worker that runs it: the device whose turn claimed it, which for
+    /// a gang need not be devices.front().
+    int worker = -1;
     std::vector<Job*> members;
     std::vector<int> devices;
     /// Per device (indexed like `devices`): the trace size at dispatch,
@@ -219,9 +228,12 @@ class Scheduler {
     std::vector<size_t> watch_from;
   };
 
+  /// One device's thread: waits for the baton, starts the top pick on its
+  /// device, runs it to the end and hands the baton on. Captures the first
+  /// exception any worker throws and ends the loop.
   void worker(int device_index);
   /// `primary` followed by further ready jobs `compatible` with it, up to
-  /// `limit` members — only while the ready queue outnumbers the idle
+  /// `limit` members — only while the ready queue outnumbers the alive idle
   /// devices and the summed predicted peaks fit the admission budget.
   std::vector<Job*>
   claim_locked(Job& primary, int limit,
@@ -256,15 +268,23 @@ class Scheduler {
   /// watchdog timeout; returns the offending device or -1. Advances the
   /// dispatch's scan cursors.
   int watchdog_tripped_locked(Dispatch& d);
-  /// True if no device outside `own` could still act at an earlier
-  /// simulated instant than `t`.
-  bool may_act_locked(const std::vector<int>& own, double t) const;
+  /// The actor with the least (availability bound, device index), or -1:
+  /// a worker parked at a checkpoint (bound: its dispatch's trace end) or
+  /// an idle alive device while a job is dispatchable (bound: its
+  /// device_avail_).
+  int next_actor_locked() const;
+  /// Decision point of the baton holder: passes the baton to
+  /// next_actor_locked() and wakes only that worker (no hand-off when it
+  /// is the holder). With no actor, forces an arrival gate open while
+  /// nothing runs, else ends the loop.
+  void hand_on_locked();
+  /// Ends the loop and wakes every worker so they exit.
+  void end_loop_locked();
   /// Latest availability bound published by any alive device — the fleet's
   /// simulated "now" for queue-wait accounting.
   double sim_now_locked() const;
   void release_arrivals_locked();
   bool force_earliest_arrival_locked();
-  bool work_pending_locked() const;
   Job* pick_locked() const;
   Job* dispatchable_locked() const;
   void maybe_preempt_locked();
@@ -277,13 +297,25 @@ class Scheduler {
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<std::unique_ptr<sim::Device>> devices_;
 
+  /// Per device: the thread that runs the dispatches this device's turns
+  /// claim.
+  struct Worker {
+    /// Signalled when the baton passes to this worker or the loop ends.
+    std::condition_variable turn;
+    /// While its dispatch waits at a checkpoint: that checkpoint's bound.
+    std::optional<double> parked;
+  };
+
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::vector<Worker> workers_;
+  /// The one worker allowed to run (-1 before the first decision).
+  int baton_ = -1;
+  bool done_ = false;
+  /// The first exception a worker threw; run() rethrows it.
+  std::exception_ptr error_;
   /// Simulated-time availability bound per device: exact trace end while
-  /// idle, the latest checkpoint's trace end while busy. Workers only
-  /// dispatch or pass a checkpoint when their device is not ahead of any
-  /// device that could still act earlier — the fleet advances in simulated
-  /// -time order even though workers race in wall-clock.
+  /// idle, the latest checkpoint's trace end while busy. An idle device's
+  /// turn comes when its bound is the least of every actor's.
   std::vector<double> device_avail_;
   std::vector<char> device_busy_;
   index_t fleet_units_ = 0;

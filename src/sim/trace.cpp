@@ -76,6 +76,7 @@ void Trace::add(TraceEvent event) {
     default: break;
   }
   flops_ += event.flops;
+  makespan_ = std::max(makespan_, event.end);
   metrics.flops.add(event.flops);
   metrics.events.increment();
   events_.push_back(std::move(event));
@@ -83,14 +84,9 @@ void Trace::add(TraceEvent event) {
 
 void Trace::clear() {
   events_.clear();
+  makespan_ = 0;
   bytes_h2d_ = bytes_d2h_ = bytes_d2d_ = 0;
   flops_ = 0;
-}
-
-sim_time_t Trace::makespan() const {
-  sim_time_t latest = 0;
-  for (const auto& e : events_) latest = std::max(latest, e.end);
-  return latest;
 }
 
 sim_time_t Trace::busy_seconds(Resource r) const {

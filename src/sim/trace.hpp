@@ -42,8 +42,9 @@ class Trace {
   const std::vector<TraceEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
 
-  /// Latest end time over all events (0 when empty).
-  sim_time_t makespan() const;
+  /// Latest end time over all events (0 when empty). Kept as events are
+  /// added, so reading it costs O(1) however long the trace grows.
+  sim_time_t makespan() const { return makespan_; }
 
   /// Total busy time of one engine (its intervals never overlap).
   sim_time_t busy_seconds(Resource r) const;
@@ -77,6 +78,7 @@ class Trace {
 
  private:
   std::vector<TraceEvent> events_;
+  sim_time_t makespan_ = 0;
   bytes_t bytes_h2d_ = 0;
   bytes_t bytes_d2h_ = 0;
   bytes_t bytes_d2d_ = 0;

@@ -308,6 +308,43 @@ TEST(ServeFailover, ColocatedBatchMigratesOffDeadDevice) {
   expect_batch_migrates(Batching::Colocated);
 }
 
+TEST(ServeFailover, SurvivorFusesMigratedJobsAgain) {
+  // Two devices fuse two small blocking jobs each; device 1 dies at its
+  // first H2D copy, so its pair migrates. The dead device is not idle
+  // capacity: with two ready jobs and one alive idle device, the survivor
+  // must fuse the pair again (one dispatch, equal waits) instead of
+  // running them one after the other.
+  ServeConfig cfg;
+  cfg.devices = 2;
+  cfg.max_fused_jobs = 2;
+  cfg.device_faults = {"", "h2d:fatal:after=0"};
+  Scheduler sched(cfg);
+  for (int i = 0; i < 4; ++i) {
+    JobSpec job;
+    job.name = "small" + std::to_string(i);
+    job.algorithm = "blocking";
+    job.m = 2048;
+    job.n = 512;
+    job.blocksize = 64;
+    ASSERT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+
+  const FleetReport rep = sched.run();
+  EXPECT_EQ(rep.jobs_completed, 4);
+  EXPECT_EQ(rep.devices_lost, 1);
+  EXPECT_EQ(rep.jobs_migrated, 2);
+  ASSERT_EQ(rep.device_health.size(), 2u);
+  EXPECT_EQ(rep.device_health[1], "dead");
+  const JobReport& a = rep.jobs.at(2);
+  const JobReport& b = rep.jobs.at(3);
+  EXPECT_EQ(a.migrations, 1);
+  EXPECT_EQ(b.migrations, 1);
+  EXPECT_EQ(a.last_device, 0);
+  EXPECT_EQ(b.last_device, 0);
+  EXPECT_GT(a.queue_wait_seconds, 0);
+  EXPECT_EQ(a.queue_wait_seconds, b.queue_wait_seconds);
+}
+
 TEST(ServeFailover, DeadlineGangIsShedAfterFleetShrink) {
   // Phantom gang with a deadline that fits the 4-device quote but not the
   // 3-device one: when a device dies mid-run, the re-quote against the

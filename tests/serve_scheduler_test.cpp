@@ -15,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
+#include "common/thread_pool.hpp"
 #include "la/generate.hpp"
 #include "leak_check.hpp"
 #include "ooc/gemm_engines.hpp"
@@ -970,6 +971,197 @@ TEST(ServeQueueWait, SimulatedWaitsAreExactDeterministicAndUnduplicated) {
   EXPECT_DOUBLE_EQ(a.queue_wait_p50, sorted[1]);
   EXPECT_DOUBLE_EQ(a.queue_wait_p95, sorted[2]);
   EXPECT_DOUBLE_EQ(a.queue_wait_p99, sorted[2]);
+}
+
+/// Equal to the bit: two runs of one job list must repeat exactly.
+void expect_same_bits(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+void expect_same_stats(const qr::QrStats& a, const qr::QrStats& b,
+                       const std::string& what) {
+  for (double qr::QrStats::*seconds :
+       {&qr::QrStats::first_start, &qr::QrStats::last_end,
+        &qr::QrStats::total_seconds, &qr::QrStats::h2d_seconds,
+        &qr::QrStats::d2h_seconds, &qr::QrStats::compute_seconds,
+        &qr::QrStats::panel_seconds, &qr::QrStats::gemm_seconds,
+        &qr::QrStats::d2d_seconds}) {
+    expect_same_bits(a.*seconds, b.*seconds, what);
+  }
+  EXPECT_EQ(a.bytes_h2d, b.bytes_h2d) << what;
+  EXPECT_EQ(a.bytes_d2h, b.bytes_d2h) << what;
+  EXPECT_EQ(a.bytes_d2d, b.bytes_d2d) << what;
+  EXPECT_EQ(a.flops, b.flops) << what;
+  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes) << what;
+  EXPECT_EQ(a.panels, b.panels) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+}
+
+/// Spans the scheduler opened since `from` whose name starts with `prefix`
+/// (one per dispatch of that kind).
+long spans_since(size_t from, const std::string& prefix) {
+  const std::vector<telemetry::SpanRecord> spans =
+      telemetry::SpanLog::global().snapshot();
+  long n = 0;
+  for (size_t i = from; i < spans.size(); ++i) {
+    n += spans[i].name.rfind(prefix, 0) == 0 ? 1 : 0;
+  }
+  return n;
+}
+
+/// A job list that takes every dispatch path at once: fused and colocated
+/// batches, preemption by late high-priority work, a TSQR gang, arrival
+/// gates, deadline jobs, and a device that dies mid-run.
+FleetReport run_mixed_fleet() {
+  ServeConfig cfg;
+  cfg.devices = 4;
+  cfg.max_fused_jobs = 4;
+  cfg.max_colocated_jobs = 3;
+  cfg.device_faults = {"", "", "h2d:fatal:after=40", ""};
+  Scheduler sched(cfg);
+  for (int i = 0; i < 16; ++i) {
+    JobSpec job;
+    job.name = "small" + std::to_string(i);
+    job.algorithm = "blocking";
+    job.m = 2048;
+    job.n = 512;
+    job.blocksize = 64;
+    job.arrival_after_units = i < 8 ? 0 : 3 * i;
+    EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  for (int i = 0; i < 6; ++i) {
+    JobSpec job;
+    job.name = "medium" + std::to_string(i);
+    job.algorithm = i % 2 == 0 ? "tiled" : "left";
+    job.m = 8192;
+    job.n = 2048;
+    job.blocksize = 512;
+    job.arrival_after_units = 4 * i;
+    EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  for (int i = 0; i < 2; ++i) {
+    JobSpec job;
+    job.name = "urgent" + std::to_string(i);
+    job.algorithm = "recursive";
+    job.m = 16384;
+    job.n = 4096;
+    job.blocksize = 1024;
+    job.priority = 5;
+    job.arrival_after_units = 10 + 20 * i;
+    EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  JobSpec gang;
+  gang.name = "gang";
+  gang.algorithm = "tsqr";
+  gang.m = 65536;
+  gang.n = 2048;
+  gang.blocksize = 512;
+  gang.priority = 2;
+  gang.arrival_after_units = 25;
+  EXPECT_TRUE(sched.submit(gang).admitted);
+  // Deadline jobs run solo. Four identical ones that arrive together
+  // start on four devices at one instant and reach every checkpoint at one
+  // instant: exact ties, broken by device index.
+  for (int i = 0; i < 4; ++i) {
+    JobSpec job;
+    job.name = "deadline" + std::to_string(i);
+    job.algorithm = "blocking";
+    job.m = 4096;
+    job.n = 1024;
+    job.blocksize = 256;
+    job.priority = 1;
+    job.deadline_seconds = 10.0;
+    job.arrival_after_units = 6;
+    EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  return sched.run();
+}
+
+TEST(ServeScheduler, RunsRepeatExactly) {
+  // One simulated-time loop decides every dispatch, checkpoint and
+  // hand-off in (availability bound, device index) order, so host thread
+  // timing never leaks into a report: two runs of one job list agree on
+  // every field of every job (the device it ended on included) and on
+  // every statistic, to the bit.
+  const size_t spans_before = telemetry::SpanLog::global().snapshot().size();
+  const FleetReport a = run_mixed_fleet();
+  const long fused = spans_since(spans_before, "serve.fused ");
+  const long colocated = spans_since(spans_before, "serve.batch ");
+  const FleetReport b = run_mixed_fleet();
+
+  // The list takes every path it is meant to.
+  EXPECT_GT(fused, 0);
+  EXPECT_GT(colocated, 0);
+  EXPECT_GT(a.jobs_preempted, 0);
+  EXPECT_EQ(a.devices_lost, 1);
+  EXPECT_GT(a.jobs_migrated, 0);
+  for (const JobReport& j : a.jobs) {
+    EXPECT_EQ(j.state, JobState::Completed) << j.name;
+    EXPECT_TRUE(j.deadline_met) << j.name;
+  }
+
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (size_t i = 0; i < a.jobs.size(); ++i) {
+    const JobReport& x = a.jobs[i];
+    const JobReport& y = b.jobs[i];
+    const std::string what = x.name;
+    EXPECT_EQ(x.id, y.id) << what;
+    EXPECT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(x.state, y.state) << what;
+    EXPECT_EQ(x.priority, y.priority) << what;
+    EXPECT_EQ(x.algorithm, y.algorithm) << what;
+    EXPECT_EQ(x.m, y.m) << what;
+    EXPECT_EQ(x.n, y.n) << what;
+    EXPECT_EQ(x.blocksize, y.blocksize) << what;
+    expect_same_bits(x.predicted_seconds, y.predicted_seconds, what);
+    EXPECT_EQ(x.predicted_peak_bytes, y.predicted_peak_bytes) << what;
+    EXPECT_EQ(x.failure, y.failure) << what;
+    EXPECT_EQ(x.attempts, y.attempts) << what;
+    EXPECT_EQ(x.preemptions, y.preemptions) << what;
+    EXPECT_EQ(x.retries, y.retries) << what;
+    EXPECT_EQ(x.migrations, y.migrations) << what;
+    EXPECT_EQ(x.last_device, y.last_device) << what;
+    expect_same_bits(x.queue_wait_seconds, y.queue_wait_seconds, what);
+    EXPECT_EQ(x.deadline_met, y.deadline_met) << what;
+    expect_same_stats(x.stats, y.stats, what);
+  }
+  ASSERT_EQ(a.queue_waits.size(), b.queue_waits.size());
+  for (size_t i = 0; i < a.queue_waits.size(); ++i) {
+    std::string what = "queue wait ";
+    what += std::to_string(i);
+    expect_same_bits(a.queue_waits[i], b.queue_waits[i], what);
+  }
+  EXPECT_EQ(a.units_completed, b.units_completed);
+  expect_same_bits(a.makespan_seconds, b.makespan_seconds, "makespan");
+}
+
+TEST(ServeScheduler, RunFromInsideAPoolBodyCompletes) {
+  // run() may be called from inside a ThreadPool body, where a nested
+  // round runs its bodies one after another on the calling thread. Device
+  // 0's worker is the calling thread and the others are plain threads, not
+  // bodies of a nested round, so they still take turns: as nested bodies,
+  // worker 0 would wait at its first checkpoint for a device whose worker
+  // had not started. The serve tests carry a ctest TIMEOUT, so a hang
+  // fails instead of stalling.
+  FleetReport rep;
+  ThreadPool::global().parallel_for(1, [&](index_t, index_t) {
+    ServeConfig cfg;
+    cfg.devices = 2;
+    Scheduler sched(cfg);
+    for (int i = 0; i < 3; ++i) {
+      JobSpec job;
+      job.name = "nested" + std::to_string(i);
+      job.algorithm = "blocking";
+      job.m = 8192;
+      job.n = 2048;
+      job.blocksize = 512;
+      EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+    }
+    rep = sched.run();
+  });
+  EXPECT_EQ(rep.jobs_completed, 3);
+  EXPECT_EQ(rep.jobs_failed, 0);
 }
 
 TEST(ServeScheduler, RunIsSingleShot) {

@@ -216,9 +216,7 @@ TEST(ServeTsqr, GangsShareTheQueueWithFusedAndColocatedWork) {
   // arrival gates: work keeps arriving while a gang holds the whole fleet,
   // and no worker may start it on a device the gang is using (two threads
   // would append to one device trace). Five runs of the same mix must
-  // agree on every preemption and every queue wait. (Devices with equal
-  // availability bounds may still trade jobs, so last_device is not
-  // compared.)
+  // agree on every preemption, every queue wait and every job's device.
   auto run = []() {
     ServeConfig cfg;
     cfg.devices = 4;
@@ -261,6 +259,11 @@ TEST(ServeTsqr, GangsShareTheQueueWithFusedAndColocatedWork) {
     EXPECT_EQ(rep.jobs_failed, 0) << "run " << k;
     EXPECT_EQ(rep.jobs_preempted, first.jobs_preempted) << "run " << k;
     EXPECT_EQ(rep.queue_waits, first.queue_waits) << "run " << k;
+    ASSERT_EQ(rep.jobs.size(), first.jobs.size()) << "run " << k;
+    for (size_t i = 0; i < rep.jobs.size(); ++i) {
+      EXPECT_EQ(rep.jobs[i].last_device, first.jobs[i].last_device)
+          << "run " << k << ", " << rep.jobs[i].name;
+    }
   }
   EXPECT_GT(first.jobs_preempted, 0);
 }

@@ -1,6 +1,7 @@
 // Trace container: counters, summaries, overlap ratio, rendering, CSV.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -51,6 +52,25 @@ TEST(Trace, MakespanAndBusy) {
   EXPECT_DOUBLE_EQ(t.busy_seconds(Resource::H2D), 3.0);
   EXPECT_DOUBLE_EQ(t.busy_seconds(Resource::Compute), 4.0);
   EXPECT_DOUBLE_EQ(t.busy_seconds(Resource::D2H), 0.0);
+}
+
+TEST(Trace, MakespanIsTheLargestEndInAnyAddOrder) {
+  // The trace keeps its latest end as events arrive; engines finish out of
+  // issue order, so the last event added need not end last.
+  Trace t;
+  t.add(make_event(0, OpKind::Gemm, Resource::Compute, 0, 7));
+  t.add(make_event(1, OpKind::CopyH2D, Resource::H2D, 0, 2));
+  EXPECT_DOUBLE_EQ(t.makespan(), 7.0);
+  t.add(make_event(2, OpKind::CopyD2H, Resource::D2H, 7, 9.5));
+  t.add(make_event(3, OpKind::CopyH2D, Resource::H2D, 2, 4));
+  sim_time_t largest = 0;
+  for (const TraceEvent& e : t.events()) largest = std::max(largest, e.end);
+  EXPECT_DOUBLE_EQ(t.makespan(), largest);
+  EXPECT_DOUBLE_EQ(t.makespan(), 9.5);
+  t.clear();
+  EXPECT_DOUBLE_EQ(t.makespan(), 0.0);
+  t.add(make_event(4, OpKind::Gemm, Resource::Compute, 1, 3));
+  EXPECT_DOUBLE_EQ(t.makespan(), 3.0);
 }
 
 TEST(Trace, OverlapRatioBounds) {
