@@ -122,9 +122,16 @@ void ThreadPool::parallel_for(index_t n,
                               const std::function<void(index_t, index_t)>& body) {
   if (n <= 0) return;
   const index_t parts = static_cast<index_t>(size());
-  if (tl_in_pool_body || parts == 1 || n == 1) {
-    // Nested (or trivially serial) call: run the whole range inline. The
-    // guard still marks the region so doubly-nested calls stay serial too.
+  // One round at a time: a second host thread submitting concurrently would
+  // otherwise race on tasks_/generation_ and strand workers mid-round. A
+  // caller that finds another thread's round open runs inline instead of
+  // waiting for it: that round may be waiting for this very caller (a body
+  // that starts threads and joins them, such as a serve fleet's workers).
+  std::unique_lock<std::mutex> submit(submit_mutex_, std::defer_lock);
+  if (tl_in_pool_body || parts == 1 || n == 1 || !submit.try_lock()) {
+    // Nested, concurrent or trivially serial call: run the whole range
+    // inline. The guard still marks the region so doubly-nested calls stay
+    // serial too.
     PoolMetrics::get().nested_serial_rounds.increment();
     BodyRegionGuard guard;
     body(0, n);
@@ -132,9 +139,6 @@ void ThreadPool::parallel_for(index_t n,
   }
   PoolMetrics::get().rounds.increment();
   PoolMetrics::get().round_width.observe(n);
-  // One round at a time: a second host thread submitting concurrently would
-  // otherwise race on tasks_/generation_ and strand workers mid-round.
-  std::lock_guard<std::mutex> submit(submit_mutex_);
   const index_t chunk = (n + parts - 1) / parts;
   for (index_t w = 0; w < static_cast<index_t>(tasks_.size()); ++w) {
     // The caller takes [0, chunk).

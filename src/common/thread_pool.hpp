@@ -30,10 +30,14 @@
 //    body serially on the calling thread. Kernels may therefore call each
 //    other freely — e.g. gemm from inside a caller's parallel_for — without
 //    deadlocking or corrupting pool state.
-//  - Concurrent top-level calls from distinct host threads serialize on a
-//    submission mutex: one round runs at a time, later callers block until
-//    the pool is free. Dense kernels want all workers anyway, so overlapping
-//    rounds would only fight for cores.
+//  - One round runs at a time. A top-level call from a thread that finds
+//    another thread's round open (the submission mutex is held) runs its
+//    body serially on the calling thread, like a nested call, instead of
+//    waiting: the open round may be waiting for that thread. A serve fleet
+//    started from inside a round body is the case — its worker threads are
+//    joined by the body, so a worker blocked on the round's mutex would
+//    deadlock it. Dense kernels give bit-identical results whatever the
+//    partition, and overlapping rounds would only fight for cores.
 #pragma once
 
 #include <atomic>
@@ -64,7 +68,8 @@ class ThreadPool {
   /// plus the calling thread. Blocks until every range completes.
   /// Exceptions from body are rethrown (first one wins) on the caller.
   /// Safe to call from inside another parallel_for body (runs serially) and
-  /// from multiple host threads at once (rounds serialize).
+  /// from multiple host threads at once (a call that finds another
+  /// thread's round open runs serially).
   void parallel_for(index_t n,
                     const std::function<void(index_t, index_t)>& body);
 
@@ -102,9 +107,9 @@ class ThreadPool {
 
   void worker_loop(unsigned worker_index);
 
-  /// Serializes whole parallel_for rounds issued by different host threads.
-  /// Held for the full round, so tasks_ and first_error_'s reset are only
-  /// ever written by one submitting thread at a time.
+  /// Held for a whole parallel_for round, so tasks_ and first_error_'s
+  /// reset are only ever written by one submitting thread at a time. Only
+  /// ever try-locked: a caller that cannot take it runs inline.
   std::mutex submit_mutex_;
   /// Parks idle workers (work_ready_) and a caller joining its round
   /// (work_done_). generation_ and shutting_down_ change only under it, so

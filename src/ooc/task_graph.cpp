@@ -135,16 +135,6 @@ sim::Stream TaskGraph::stream_for(TaskStage stage) const {
   return comp_;
 }
 
-void TaskGraph::Node::push_dep(TaskId d) {
-  if (n_deps < 2) {
-    inline_deps[n_deps++] = d;
-    return;
-  }
-  if (n_deps == 2) spilled_deps.assign(inline_deps, inline_deps + 2);
-  spilled_deps.push_back(d);
-  ++n_deps;
-}
-
 std::uint32_t TaskGraph::label_head(std::string head) {
   heads_.push_back(std::move(head));
   return static_cast<std::uint32_t>(heads_.size() - 1);
@@ -171,7 +161,13 @@ TaskId TaskGraph::add(TaskStage stage, TaskLabel label,
     }
   }
   Node& node = nodes_.emplace_back(stage, label, std::move(body), priority);
-  for (TaskId d : deps) node.push_dep(d);
+  node.n_deps = deps.size();
+  if (deps.size() <= 2) {
+    std::copy(deps.begin(), deps.end(), node.inline_deps);
+  } else {
+    node.spill_at = deps_.size();
+    deps_.insert(deps_.end(), deps.begin(), deps.end());
+  }
   return id;
 }
 
@@ -192,7 +188,21 @@ void TaskGraph::add_dep(TaskId node, TaskId dep) {
     throw InvalidArgument("TaskGraph::add_dep: node \"" +
                           label_text(n.label) + "\" was already enqueued");
   }
-  n.push_dep(dep);
+  if (n.n_deps < 2) {
+    n.inline_deps[n.n_deps++] = dep;
+    return;
+  }
+  if (n.n_deps == 2 || n.spill_at + n.n_deps != deps_.size()) {
+    // Start the list, or move it, at the arena's end, where it can grow.
+    const size_t from = n.spill_at;
+    n.spill_at = deps_.size();
+    for (size_t k = 0; k < n.n_deps; ++k) {
+      const TaskId d = n.n_deps == 2 ? n.inline_deps[k] : deps_[from + k];
+      deps_.push_back(d);
+    }
+  }
+  deps_.push_back(dep);
+  ++n.n_deps;
 }
 
 void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
@@ -210,7 +220,7 @@ void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
 void TaskGraph::enqueue(Node& node) {
   const sim::Stream s = stream_for(node.stage);
   try {
-    for (TaskId d : node.deps()) {
+    for (TaskId d : deps_of(node)) {
       const Node& dep = nodes_[static_cast<size_t>(d)];
       // Same-stream dependencies ride the FIFO: the dep's ops were enqueued
       // earlier on this stream, so they execute earlier. Cross-stream (and
@@ -261,7 +271,7 @@ void TaskGraph::run() {
   for (size_t i = base; i < total; ++i) {
     if (nodes_[i].enqueued) continue;
     ++remaining;
-    for (TaskId d : nodes_[i].deps()) {
+    for (TaskId d : deps_of(nodes_[i])) {
       if (!nodes_[static_cast<size_t>(d)].enqueued) {
         ++pending_[i - base];
         ++succ_begin_[static_cast<size_t>(d) - base + 2];
@@ -276,7 +286,7 @@ void TaskGraph::run() {
   succ_.resize(succ_begin_[count + 1]);
   for (size_t i = base; i < total; ++i) {
     if (nodes_[i].enqueued) continue;
-    for (TaskId d : nodes_[i].deps()) {
+    for (TaskId d : deps_of(nodes_[i])) {
       if (!nodes_[static_cast<size_t>(d)].enqueued) {
         succ_[succ_begin_[static_cast<size_t>(d) - base + 1]++] =
             static_cast<TaskId>(i);
@@ -407,7 +417,7 @@ std::string TaskGraph::dot(const std::string& graph_name) const {
   }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
-    for (TaskId d : n.deps()) {
+    for (TaskId d : deps_of(n)) {
       const Node& dep = nodes_[static_cast<size_t>(d)];
       // Solid = a real wait_event fence; dashed = same-stream FIFO order.
       os << "  n" << d << " -> n" << i;

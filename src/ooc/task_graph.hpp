@@ -159,9 +159,10 @@ class TaskGraph {
   /// Adds a node. `deps` are node ids that must be enqueued before this
   /// node; `priority` orders the ready set (smaller runs earlier; ties
   /// break on id, so insertion order is the deterministic default).
-  /// Returns the node's id. A node with at most two deps (every node a
-  /// SlabPipeline step lowers to) allocates nothing beyond the graph's
-  /// node array, provided `body` fits std::function's local buffer.
+  /// Returns the node's id. Up to two deps live in the node and a longer
+  /// list in the graph's dep arena, so a node of any dep count allocates
+  /// nothing beyond the graph's node and dep arrays, provided `body` fits
+  /// std::function's local buffer (16 bytes: `this` plus an index).
   TaskId add(TaskStage stage, TaskLabel label,
              std::function<void(TaskCtx&)> body,
              std::span<const TaskId> deps = {}, std::int64_t priority = 0);
@@ -174,6 +175,7 @@ class TaskGraph {
 
   /// Adds an edge dep -> node after the fact (WAR fences discovered while
   /// building later steps). Only legal before `node` has been enqueued.
+  /// May move the node's dep list to the end of the dep arena.
   void add_dep(TaskId node, TaskId dep);
 
   /// §4.2 region gating: declares the host rectangle a MoveIn node reads.
@@ -217,21 +219,16 @@ class TaskGraph {
          std::int64_t p)
         : stage(s), label(l), body(std::move(b)), priority(p) {}
 
-    std::span<const TaskId> deps() const {
-      return n_deps <= 2 ? std::span<const TaskId>(inline_deps, n_deps)
-                         : std::span<const TaskId>(spilled_deps);
-    }
-    void push_dep(TaskId d);
-
     TaskStage stage;
     TaskLabel label;
     std::function<void(TaskCtx&)> body;
     std::int64_t priority = 0;
-    // Deps live inline up to two; a longer list (tiled programs, add_dep)
-    // moves to spilled_deps whole.
+    // Deps live inline up to two; a longer list (a slot's WAR readers in
+    // the node programs, add_dep) lives in the graph's deps_ arena at
+    // spill_at.
     size_t n_deps = 0;
     TaskId inline_deps[2] = {0, 0};
-    std::vector<TaskId> spilled_deps;
+    size_t spill_at = 0;
     std::optional<std::pair<Slab, Slab>> input_region;
     sim::Event done{};
     bool enqueued = false;
@@ -243,6 +240,11 @@ class TaskGraph {
     index_t edges = 0, fence_edges = 0;
   };
 
+  std::span<const TaskId> deps_of(const Node& n) const {
+    return n.n_deps <= 2 ? std::span<const TaskId>(n.inline_deps, n.n_deps)
+                         : std::span<const TaskId>(deps_.data() + n.spill_at,
+                                                   n.n_deps);
+  }
   std::string label_text(const TaskLabel& label) const;
   sim::Stream stream_for(TaskStage stage) const;
   void enqueue(Node& node);
@@ -257,6 +259,9 @@ class TaskGraph {
   sim::Stream comp_;
   sim::Stream out_;
   std::vector<Node> nodes_;
+  // Dep lists longer than two, each contiguous; a list grows in place only
+  // at the arena's end, so add_dep moves one that is not.
+  std::vector<TaskId> deps_;
   std::vector<std::string> heads_;
   // Every node below this index was enqueued by an earlier run(); run()
   // only has to solve the suffix.

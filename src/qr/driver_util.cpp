@@ -111,7 +111,11 @@ void maybe_checkpoint(sim::Device& dev, const char* driver,
     }
   }
   opts.checkpoint_sink->write(cp);
-  telemetry::MetricsRegistry::global().counter("checkpoints_written").increment();
+  // Resolved once: a registry lookup is a map walk under a mutex, and
+  // reset() keeps the object.
+  static telemetry::Counter& written =
+      telemetry::MetricsRegistry::global().counter("checkpoints_written");
+  written.increment();
 }
 
 index_t plan_tile_edge(const sim::Device& dev, bytes_t resident_bytes,

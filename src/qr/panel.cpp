@@ -41,33 +41,36 @@ void panel_qr_device_batched(sim::Device& dev,
       (k - 1.0) * dev.model().spec().kernel_latency_s;
   const flops_t flops = static_cast<flops_t>(
       flops_factor * 2.0 * static_cast<double>(m) * w * w * k);
-  dev.custom_compute(
-      stream, seconds, flops, sim::OpKind::Panel, name, [&]() {
-        for (const PanelBatchEntry& e : entries) {
-          la::Matrix host_panel = dev.download(e.aq);
-          la::Matrix host_r(w, w);
-          switch (opts.panel_algorithm) {
-            case PanelAlgorithm::RecursiveCgs:
-              recursive_cgs_inplace(host_panel.view(), host_r.view(),
-                                    opts.panel_base, opts.precision);
-              break;
-            case PanelAlgorithm::Cgs2: {
-              QrFactors f = cgs2(host_panel.view());
-              host_panel = std::move(f.q);
-              host_r = std::move(f.r);
-              break;
-            }
-            case PanelAlgorithm::CholeskyQr2: {
-              QrFactors f = cholesky_qr2(host_panel.view());
-              host_panel = std::move(f.q);
-              host_r = std::move(f.r);
-              break;
-            }
-          }
-          dev.upload(e.aq, host_panel.view());
-          dev.upload(e.r, host_r.view());
+  const auto factor = [&]() {
+    for (const PanelBatchEntry& e : entries) {
+      la::Matrix host_panel = dev.download(e.aq);
+      la::Matrix host_r(w, w);
+      switch (opts.panel_algorithm) {
+        case PanelAlgorithm::RecursiveCgs:
+          recursive_cgs_inplace(host_panel.view(), host_r.view(),
+                                opts.panel_base, opts.precision);
+          break;
+        case PanelAlgorithm::Cgs2: {
+          QrFactors f = cgs2(host_panel.view());
+          host_panel = std::move(f.q);
+          host_r = std::move(f.r);
+          break;
         }
-      });
+        case PanelAlgorithm::CholeskyQr2: {
+          QrFactors f = cholesky_qr2(host_panel.view());
+          host_panel = std::move(f.q);
+          host_r = std::move(f.r);
+          break;
+        }
+      }
+      dev.upload(e.aq, host_panel.view());
+      dev.upload(e.r, host_r.view());
+    }
+  };
+  // One captured reference fits std::function's inline buffer, so a
+  // Phantom panel, which never runs the body, allocates nothing for it.
+  dev.custom_compute(stream, seconds, flops, sim::OpKind::Panel, name,
+                     [&factor] { factor(); });
 }
 
 } // namespace rocqr::qr

@@ -1,10 +1,11 @@
 #include "qr/tiled_qr.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <charconv>
+#include <cstdint>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -23,6 +24,7 @@ namespace {
 using ooc::TaskCtx;
 using ooc::TaskGraph;
 using ooc::TaskId;
+using ooc::TaskLabel;
 using ooc::TaskStage;
 using sim::Device;
 using sim::DeviceMatrixRef;
@@ -31,10 +33,6 @@ using sim::ScopedMatrix;
 using sim::StoragePrecision;
 
 constexpr TaskId kNone = -1;
-
-std::string idx(index_t k, index_t j) {
-  return std::to_string(k) + "," + std::to_string(j);
-}
 
 /// Rotating device-buffer pool. A slot holds one buffer per lane (the jobs a
 /// program factors in lockstep acquire and release a slot together).
@@ -74,10 +72,12 @@ class SlotPool {
     deps.insert(deps.end(), last_uses_[s].begin(), last_uses_[s].end());
   }
   /// Records the nodes currently reading slot s (replacing prior uses —
-  /// the new readers already depend on the old ones transitively).
-  void use(size_t s, std::vector<TaskId> ids) {
-    last_uses_[s] = std::move(ids);
+  /// the new readers already depend on the old ones transitively). The
+  /// slot's list keeps its capacity.
+  void use(size_t s, std::span<const TaskId> ids) {
+    last_uses_[s].assign(ids.begin(), ids.end());
   }
+  void use(size_t s, TaskId id) { use(s, {&id, 1}); }
 
  private:
   std::vector<std::vector<ScopedMatrix>> bufs_; // [slot][lane]
@@ -93,10 +93,20 @@ class SlotPool {
 /// *unit* per completed segment, under the program's driver tag — the same
 /// unit vocabulary as the solo runs, so a job preempted from a batch resumes
 /// solo (and vice versa).
+///
+/// A node costs its program no heap allocation once the scratch below has
+/// grown: its label is a TaskLabel on the head its kind registered once,
+/// its deps are gathered in deps_ and reach the graph as a span, and its
+/// body captures `this` plus an index into args_ (16 bytes, which
+/// std::function stores inline). The body rebuilds the node's device
+/// operands and op name at enqueue, into scratch that keeps its capacity.
 class Program {
  public:
-  Program(TaskGraph& graph, std::span<const BatchJob> lanes)
-      : g_(graph), lanes_(lanes), job_(lanes.front()) {}
+  Program(TaskGraph& graph, std::span<const BatchJob> lanes, std::string prefix)
+      : g_(graph),
+        lanes_(lanes),
+        job_(lanes.front()),
+        prefix_(std::move(prefix)) {}
   virtual ~Program() = default;
 
   Program(const Program&) = delete;
@@ -118,10 +128,84 @@ class Program {
   virtual index_t columns_done() const = 0;
 
  protected:
+  /// What a node's body needs besides its program: the node kind, its
+  /// panel or tile indices, and the pool slots it was given when it was
+  /// added (slot rotation happens at build time).
+  struct NodeArgs {
+    int kind = 0;
+    index_t i = 0;
+    index_t j = 0;
+    size_t s0 = 0;
+    size_t s1 = 0;
+    size_t s2 = 0;
+  };
+
+  /// Enqueue-time body of a node: issues its device ops.
+  virtual void run_node(TaskCtx& c, const NodeArgs& a) = 0;
+
+  /// Declares node kind `kind`: its stage, and its labels' head prefix_ +
+  /// `head` (e.g. "j3.inB "), followed by the node's i, or i and j when
+  /// `ints` is 2.
+  void declare(int kind, TaskStage stage, const char* head, int ints) {
+    const std::uint32_t h = g_.label_head(prefix_ + head);
+    kinds_.at(static_cast<size_t>(kind)) = {stage, h, ints};
+  }
+
+  /// Adds a node of kind args.kind that depends on deps_ (then cleared for
+  /// the next node) and runs run_node(args) at enqueue.
+  TaskId add_node(const NodeArgs& args, std::int64_t priority) {
+    const KindInfo& k = kinds_[static_cast<size_t>(args.kind)];
+    const TaskLabel label = k.ints == 1 ? TaskLabel(k.head, args.i)
+                                        : TaskLabel(k.head, args.i, args.j);
+    const size_t at = args_.size();
+    args_.push_back(args);
+    const auto body = [this, at](TaskCtx& c) { run_node(c, args_[at]); };
+    const TaskId id = g_.add(k.stage, label, body, deps_, priority);
+    deps_.clear();
+    return id;
+  }
+
+  /// prefix_ + `what` + the integers joined by ',' (TaskLabel's rendering),
+  /// built in a string that keeps its capacity. Valid until the next call.
+  const std::string& op_name(const char* what, index_t a) {
+    op_.assign(prefix_);
+    op_ += what;
+    append_int(a);
+    return op_;
+  }
+  const std::string& op_name(const char* what, index_t a, index_t b) {
+    op_name(what, a);
+    op_ += ',';
+    append_int(b);
+    return op_;
+  }
+  void append_int(index_t v) {
+    char buf[24];
+    op_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+
   TaskGraph& g_;
   std::span<const BatchJob> lanes_;
   /// The first lane; every lane shares its shape and options.
   const BatchJob& job_;
+  /// Prefix of every node label and op name: the job label ("j3."), or
+  /// "fused " for a fused batch.
+  const std::string prefix_;
+  /// The deps of the node being added.
+  std::vector<TaskId> deps_;
+  /// Op-name scratch (see op_name).
+  std::string op_;
+
+ private:
+  struct KindInfo {
+    TaskStage stage = TaskStage::Compute;
+    std::uint32_t head = 0;
+    int ints = 1;
+  };
+  /// Indexed by kind; sized for the program with the most kinds
+  /// (BlockingProgram).
+  std::array<KindInfo, 9> kinds_{};
+  std::vector<NodeArgs> args_; // indexed by the bodies
 };
 
 /// Tiled CGS: step k streams every trailing tile through the device while
@@ -130,13 +214,21 @@ class Program {
 class TiledProgram : public Program {
  public:
   TiledProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
+      : Program(graph, {&job, 1}, job.label), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "tiled_qr: need m >= n >= 1");
     ROCQR_CHECK(r_.rows == n_ && r_.cols == n_, "tiled_qr: R must be n x n");
     b_ = std::min(job.opts.blocksize, n_);
     tiles_ = (n_ + b_ - 1) / b_;
+    out_a_.assign(static_cast<size_t>(tiles_), kNone);
+    declare(Stage, TaskStage::MoveIn, "stage ", 1);
+    declare(In, TaskStage::MoveIn, "in ", 2);
+    declare(Upd, TaskStage::Compute, "upd ", 2);
+    declare(OutR, TaskStage::MoveOut, "outR ", 2);
+    declare(Fac, TaskStage::Compute, "fac ", 1);
+    declare(Emit, TaskStage::MoveOut, "emit ", 1);
+    declare(OutA, TaskStage::MoveOut, "outA ", 2);
   }
 
   const char* driver_tag() const override { return "tiled"; }
@@ -146,20 +238,20 @@ class TiledProgram : public Program {
   /// Device working set: two role-swapping resident tiles, up to two
   /// streaming slots for far tiles, and a rotating pool of b x b R tiles.
   void allocate(Device& dev) override {
-    const std::string& l = job_.label;
-    big_.add(dev, 1, m_, b_, StoragePrecision::FP32, l + "tiled tile a");
+    big_.add(dev, 1, m_, b_, StoragePrecision::FP32, prefix_ + "tiled tile a");
     if (tiles_ > 1) {
-      big_.add(dev, 1, m_, b_, StoragePrecision::FP32, l + "tiled tile b");
+      big_.add(dev, 1, m_, b_, StoragePrecision::FP32,
+               prefix_ + "tiled tile b");
     }
     const index_t far_slots = std::min<index_t>(2, tiles_ - 2);
     for (index_t s = 0; s < far_slots; ++s) {
       stream_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-                  l + "tiled stream " + std::to_string(s));
+                  prefix_ + "tiled stream " + std::to_string(s));
     }
     const index_t r_slots = std::min<index_t>(4, tiles_ + 1);
     for (index_t s = 0; s < r_slots; ++s) {
       rtiles_.add(dev, 1, b_, b_, StoragePrecision::FP32,
-                  l + "tiled r " + std::to_string(s));
+                  prefix_ + "tiled r " + std::to_string(s));
     }
   }
 
@@ -173,13 +265,7 @@ class TiledProgram : public Program {
     if (u >= tiles_) return false; // everything already factored
     const index_t t = k_;
     const std::int64_t p = prio(t, 0);
-    const TaskId stage = g_.add(
-        TaskStage::MoveIn, job_.label + "stage " + std::to_string(t),
-        [this, t](TaskCtx& c) {
-          c.h2d(tile_buf(t), host_tile_const(t),
-                job_.label + "h2d tile " + std::to_string(t));
-        },
-        {}, p);
+    const TaskId stage = add_node({Stage, t}, p);
     if (u > 0) {
       // The staged tile is already Q_{u-1}: no factor, no emit. Updates of
       // step u-1 depend on the staging transfer instead.
@@ -187,7 +273,7 @@ class TiledProgram : public Program {
       emit_ = kNone;
       return false;
     }
-    fac_ = add_factor(t, {stage}, p);
+    fac_ = add_factor(t, stage, p);
     emit_ = add_emit(t, fac_, p);
     units_ = 1;
     return true;
@@ -198,86 +284,55 @@ class TiledProgram : public Program {
   bool add_step() override {
     if (k_ >= tiles_ - 1) return false;
     const index_t k = k_;
-    const index_t wk = width(k);
-    std::vector<TaskId> q_readers;
     TaskId next_fac = kNone;
     TaskId next_emit = kNone;
     for (index_t j = k + 1; j < tiles_; ++j) {
       const bool resident = j == k + 1;
       const std::int64_t p = prio(k, resident ? 1 : 3);
-      const index_t wj = width(j);
+      const auto ju = static_cast<size_t>(j);
 
       // Move-in of tile j. WAR edges: the resident destination held
       // Q_{k-1}, so wait its readers; a streaming slot waits the move-out
       // that last drained it. Host-order edge: the previous step's
       // writeback of tile j must land before this re-read.
-      DeviceMatrixRef dst;
-      std::vector<TaskId> in_deps;
       size_t far_slot = 0;
       if (resident) {
-        dst = tile_buf(j);
-        in_deps = prev_q_readers_;
+        deps_.assign(prev_q_readers_.begin(), prev_q_readers_.end());
       } else {
         far_slot = stream_.acquire();
-        dst = stream_.block(far_slot, m_, wj);
-        stream_.depend(far_slot, in_deps);
+        stream_.depend(far_slot, deps_);
       }
-      if (out_a_.count(j) > 0) in_deps.push_back(out_a_[j]);
-      const TaskId in = g_.add(
-          TaskStage::MoveIn, job_.label + "in " + idx(k, j),
-          [this, dst, j](TaskCtx& c) {
-            c.h2d(dst, host_tile_const(j),
-                  job_.label + "h2d tile " + std::to_string(j));
-          },
-          std::move(in_deps), p);
+      if (out_a_[ju] != kNone) deps_.push_back(out_a_[ju]);
+      const TaskId in = add_node({In, k, j, far_slot}, p);
 
       // Block-MGS update: R_kj = Q_k^T A_j, then A_j -= Q_k R_kj.
       const size_t rs = rtiles_.acquire();
-      const DeviceMatrixRef rt = rtiles_.block(rs, wk, wj);
-      std::vector<TaskId> upd_deps{in, fac_};
-      rtiles_.depend(rs, upd_deps);
-      const DeviceMatrixRef q = tile_buf(k);
-      const TaskId upd = g_.add(
-          TaskStage::Compute, job_.label + "upd " + idx(k, j),
-          [this, q, dst, rt, k, j](TaskCtx& c) {
-            c.gemm(blas::Op::Trans, blas::Op::NoTrans, 1.0f, q, dst, 0.0f,
-                   rt, job_.label + "gemm qta " + idx(k, j));
-            c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, -1.0f, q, rt, 1.0f,
-                   dst, job_.label + "gemm upd " + idx(k, j));
-          },
-          std::move(upd_deps), p);
-      q_readers.push_back(upd);
+      deps_.assign({in, fac_});
+      rtiles_.depend(rs, deps_);
+      const TaskId upd = add_node({Upd, k, j, far_slot, rs}, p);
+      q_readers_.push_back(upd);
 
       // R row writeback.
-      const TaskId outr = g_.add(
-          TaskStage::MoveOut, job_.label + "outR " + idx(k, j),
-          [this, rt, k, j](TaskCtx& c) {
-            c.d2h(ooc::host_block(r_, offset(k), offset(j), rt.rows, rt.cols),
-                  rt, job_.label + "d2h R " + idx(k, j));
-          },
-          {upd}, p);
-      rtiles_.use(rs, {outr});
+      deps_.push_back(upd);
+      const TaskId outr = add_node({OutR, k, j, far_slot, rs}, p);
+      rtiles_.use(rs, outr);
 
       if (resident) {
         // The tile that just absorbed its update factors in place — the
         // lookahead: priority (k, 2) beats the far updates' (k, 3), so the
         // panel runs on the compute engine while they stream.
         const std::int64_t pf = prio(k, 2);
-        next_fac = add_factor(j, {upd}, pf);
+        next_fac = add_factor(j, upd, pf);
         next_emit = add_emit(j, next_fac, pf);
       } else {
-        const TaskId outa = g_.add(
-            TaskStage::MoveOut, job_.label + "outA " + idx(k, j),
-            [this, dst, j](TaskCtx& c) {
-              c.d2h(host_tile(j), dst,
-                    job_.label + "d2h tile " + std::to_string(j));
-            },
-            {upd}, p);
-        stream_.use(far_slot, {outa});
-        out_a_[j] = outa;
+        deps_.push_back(upd);
+        const TaskId outa = add_node({OutA, k, j, far_slot}, p);
+        stream_.use(far_slot, outa);
+        out_a_[ju] = outa;
       }
     }
-    prev_q_readers_ = std::move(q_readers);
+    std::swap(prev_q_readers_, q_readers_);
+    q_readers_.clear();
     if (emit_ != kNone) prev_q_readers_.push_back(emit_);
     fac_ = next_fac;
     emit_ = next_emit;
@@ -287,10 +342,64 @@ class TiledProgram : public Program {
   }
 
  private:
+  enum Kind { Stage, In, Upd, OutR, Fac, Emit, OutA };
+
+  /// i = the step k (the tile t for Stage/Fac/Emit), j = the trailing
+  /// tile, s0 = the streaming slot of a far tile, s1 = the R tile slot.
+  void run_node(TaskCtx& c, const NodeArgs& a) override {
+    const index_t k = a.i;
+    const index_t j = a.j;
+    switch (a.kind) {
+    case Stage:
+      c.h2d(tile_buf(k), host_tile_const(k), op_name("h2d tile ", k));
+      break;
+    case In:
+      c.h2d(trailing_buf(k, j, a.s0), host_tile_const(j),
+            op_name("h2d tile ", j));
+      break;
+    case Upd: {
+      const DeviceMatrixRef q = tile_buf(k);
+      const DeviceMatrixRef dst = trailing_buf(k, j, a.s0);
+      const DeviceMatrixRef rt = rtiles_.block(a.s1, width(k), width(j));
+      c.gemm(blas::Op::Trans, blas::Op::NoTrans, 1.0f, q, dst, 0.0f, rt,
+             op_name("gemm qta ", k, j));
+      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, -1.0f, q, rt, 1.0f, dst,
+             op_name("gemm upd ", k, j));
+      break;
+    }
+    case OutR: {
+      const DeviceMatrixRef rt = rtiles_.block(a.s1, width(k), width(j));
+      c.d2h(ooc::host_block(r_, offset(k), offset(j), rt.rows, rt.cols), rt,
+            op_name("d2h R ", k, j));
+      break;
+    }
+    case Fac:
+      panel_qr_device(c.device(), tile_buf(k),
+                      rtiles_.block(a.s1, width(k), width(k)), c.stream(),
+                      job_.opts, prefix_);
+      break;
+    case Emit: {
+      const index_t w = width(k);
+      c.d2h(ooc::host_block(r_, offset(k), offset(k), w, w),
+            rtiles_.block(a.s1, w, w), op_name("d2h R ", k, k));
+      c.d2h(host_tile(k), tile_buf(k), op_name("d2h Q ", k));
+      break;
+    }
+    case OutA:
+      c.d2h(host_tile(j), trailing_buf(k, j, a.s0), op_name("d2h tile ", j));
+      break;
+    }
+  }
+
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
-  DeviceMatrixRef tile_buf(index_t t) {
+  DeviceMatrixRef tile_buf(index_t t) const {
     return big_.block(static_cast<size_t>(t) & 1, m_, width(t));
+  }
+  /// Where step k holds trailing tile j: the resident buffer for j = k+1,
+  /// else streaming slot `far_slot`.
+  DeviceMatrixRef trailing_buf(index_t k, index_t j, size_t far_slot) const {
+    return j == k + 1 ? tile_buf(j) : stream_.block(far_slot, m_, width(j));
   }
   sim::HostConstRef host_tile_const(index_t t) const {
     return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
@@ -304,37 +413,18 @@ class TiledProgram : public Program {
     return 4 * static_cast<std::int64_t>(k) + phase;
   }
 
-  TaskId add_factor(index_t t, std::vector<TaskId> deps, std::int64_t p) {
+  TaskId add_factor(index_t t, TaskId dep, std::int64_t p) {
     const size_t rs = rtiles_.acquire();
-    rtiles_.depend(rs, deps);
-    const index_t w = width(t);
+    deps_.push_back(dep);
+    rtiles_.depend(rs, deps_);
     fac_r_slot_ = rs;
-    fac_r_ref_ = rtiles_.block(rs, w, w);
-    const DeviceMatrixRef aq = tile_buf(t);
-    const DeviceMatrixRef rt = fac_r_ref_;
-    return g_.add(
-        TaskStage::Compute, job_.label + "fac " + std::to_string(t),
-        [this, aq, rt](TaskCtx& c) {
-          panel_qr_device(c.device(), aq, rt, c.stream(), job_.opts,
-                          job_.label);
-        },
-        std::move(deps), p);
+    return add_node({Fac, t, 0, 0, rs}, p);
   }
 
   TaskId add_emit(index_t t, TaskId fac, std::int64_t p) {
-    const index_t w = width(t);
-    const DeviceMatrixRef rt = fac_r_ref_;
-    const DeviceMatrixRef q = tile_buf(t);
-    const TaskId id = g_.add(
-        TaskStage::MoveOut, job_.label + "emit " + std::to_string(t),
-        [this, rt, q, t, w](TaskCtx& c) {
-          c.d2h(ooc::host_block(r_, offset(t), offset(t), w, w), rt,
-                job_.label + "d2h R " + idx(t, t));
-          c.d2h(host_tile(t), q,
-                job_.label + "d2h Q " + std::to_string(t));
-        },
-        {fac}, p);
-    rtiles_.use(fac_r_slot_, {id});
+    deps_.push_back(fac);
+    const TaskId id = add_node({Emit, t, 0, 0, fac_r_slot_}, p);
+    rtiles_.use(fac_r_slot_, id);
     return id;
   }
 
@@ -352,9 +442,10 @@ class TiledProgram : public Program {
   TaskId fac_ = kNone;
   TaskId emit_ = kNone;
   size_t fac_r_slot_ = 0;
-  DeviceMatrixRef fac_r_ref_;
   std::vector<TaskId> prev_q_readers_;
-  std::map<index_t, TaskId> out_a_;
+  std::vector<TaskId> q_readers_;
+  /// Per tile: the move-out that last wrote it back (kNone: none yet).
+  std::vector<TaskId> out_a_;
 };
 
 /// Right-looking fixed-panel CGS as a node program: factor panel i, then
@@ -378,7 +469,7 @@ class BlockingProgram : public Program {
  public:
   BlockingProgram(TaskGraph& graph, std::span<const BatchJob> lanes,
                   std::string prefix)
-      : Program(graph, lanes), prefix_(std::move(prefix)) {
+      : Program(graph, lanes, std::move(prefix)) {
     m_ = job_.a.rows;
     n_ = job_.a.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "blocking batch: need m >= n >= 1");
@@ -386,6 +477,16 @@ class BlockingProgram : public Program {
                 "blocking batch: R must be n x n");
     b_ = std::min(job_.opts.blocksize, n_);
     panels_ = (n_ + b_ - 1) / b_;
+    out_a_.assign(static_cast<size_t>(panels_), kNone);
+    declare(InP, TaskStage::MoveIn, "inP ", 1);
+    declare(Fac, TaskStage::Compute, "fac ", 1);
+    declare(Emit, TaskStage::MoveOut, "emit ", 1);
+    declare(InB, TaskStage::MoveIn, "inB ", 2);
+    declare(Inner, TaskStage::Compute, "inner ", 2);
+    declare(OutR, TaskStage::MoveOut, "outR ", 2);
+    declare(InC, TaskStage::MoveIn, "inC ", 2);
+    declare(Outer, TaskStage::Compute, "outer ", 2);
+    declare(OutA, TaskStage::MoveOut, "outA ", 2);
   }
 
   const char* driver_tag() const override { return "blocking"; }
@@ -430,129 +531,67 @@ class BlockingProgram : public Program {
   bool add_step() override {
     if (i_ >= panels_) return false;
     const index_t i = i_;
-    const index_t w = width(i);
     const std::int64_t p = prio(i, 0);
 
     // Panel move-in. WAR edge: this slot held panel i-2, wait its readers.
     // Host-order edge: panel i's columns were last written by the previous
     // iteration's trailing writeback.
     const size_t ps = static_cast<size_t>(i) % panel_.size();
-    std::vector<TaskId> in_deps;
-    panel_.depend(ps, in_deps);
-    if (out_a_.count(i) > 0) in_deps.push_back(out_a_[i]);
-    const TaskId inp = move_in(
-        "inP " + std::to_string(i), "h2d panel " + std::to_string(i),
-        per_lane([&](size_t k) {
-          return H2d{panel_.block(ps, m_, w, k), host_panel_const(k, i)};
-        }),
-        std::move(in_deps), p);
+    panel_.depend(ps, deps_);
+    if (out_a_[static_cast<size_t>(i)] != kNone) {
+      deps_.push_back(out_a_[static_cast<size_t>(i)]);
+    }
+    const TaskId inp = add_node({InP, i, 0, ps}, p);
 
     // In-core panel factorization (recursive CGS on the device), R_ii into
     // a rotating b x b tile, then one writeback of R_ii and the Q panel.
     const size_t rs = rtiles_.acquire();
-    std::vector<TaskId> fac_deps{inp};
-    rtiles_.depend(rs, fac_deps);
-    std::vector<PanelBatchEntry> fac_es = per_lane([&](size_t k) {
-      return PanelBatchEntry{panel_.block(ps, m_, w, k),
-                             rtiles_.block(rs, w, w, k)};
-    });
-    std::vector<D2h> emit_es;
-    emit_es.reserve(2 * lanes_.size());
-    for (size_t k = 0; k < lanes_.size(); ++k) {
-      emit_es.push_back(
-          {ooc::host_block(lanes_[k].r, offset(i), offset(i), w, w),
-           fac_es[k].r});
-      emit_es.push_back({host_panel(k, i), fac_es[k].aq});
-    }
-    std::string fac_op = prefix_ + "panel_qr " + std::to_string(m_) + "x" +
-                         std::to_string(w);
-    if (lanes_.size() > 1) fac_op += " x" + std::to_string(lanes_.size());
-    const TaskId fac = g_.add(
-        TaskStage::Compute, prefix_ + "fac " + std::to_string(i),
-        [this, es = std::move(fac_es), op = std::move(fac_op)](TaskCtx& c) {
-          panel_qr_device_batched(c.device(), es, c.stream(), job_.opts, op);
-        },
-        std::move(fac_deps), p);
-    const TaskId emit =
-        move_out("emit " + std::to_string(i), "d2h RiiQ " + std::to_string(i),
-                 std::move(emit_es), {fac}, p);
-    rtiles_.use(rs, {emit});
-    std::vector<TaskId> panel_readers{emit};
+    deps_.push_back(inp);
+    rtiles_.depend(rs, deps_);
+    const TaskId fac = add_node({Fac, i, 0, ps, rs}, p);
+    deps_.push_back(fac);
+    const TaskId emit = add_node({Emit, i, 0, ps, rs}, p);
+    rtiles_.use(rs, emit);
+    readers_.assign(1, emit);
 
     // Trailing updates, one panel-width column slab at a time.
     for (index_t j = i + 1; j < panels_; ++j) {
-      const index_t wj = width(j);
       const std::int64_t pt = prio(i, 1);
+      const auto ju = static_cast<size_t>(j);
 
       // Inner-product input slab (GEMM storage width — fp16 on the
       // TensorCore path, halving the streamed bytes like the solo engine).
       const size_t bs = bstream_.acquire();
-      std::vector<TaskId> inb_deps;
-      bstream_.depend(bs, inb_deps);
-      if (out_a_.count(j) > 0) inb_deps.push_back(out_a_[j]);
-      const TaskId inb = move_in(
-          "inB " + idx(i, j), "h2d b " + std::to_string(j),
-          per_lane([&](size_t k) {
-            return H2d{bstream_.block(bs, m_, wj, k), host_panel_const(k, j)};
-          }),
-          std::move(inb_deps), pt);
+      bstream_.depend(bs, deps_);
+      if (out_a_[ju] != kNone) deps_.push_back(out_a_[ju]);
+      const TaskId inb = add_node({InB, i, j, 0, bs}, pt);
 
       // R12 = Q^T B over the full column height (k = m).
       const size_t rs2 = rtiles_.acquire();
-      std::vector<TaskId> u1_deps{inb, fac};
-      rtiles_.depend(rs2, u1_deps);
-      const TaskId upd1 = compute(
-          "inner " + idx(i, j), "gemm qtb " + idx(i, j),
-          per_lane([&](size_t k) {
-            return Gemm{blas::Op::Trans, blas::Op::NoTrans, 1.0f,
-                        panel_.block(ps, m_, w, k),
-                        bstream_.block(bs, m_, wj, k), 0.0f,
-                        rtiles_.block(rs2, w, wj, k)};
-          }),
-          std::move(u1_deps), pt);
-      bstream_.use(bs, {upd1});
-      const TaskId outr = move_out(
-          "outR " + idx(i, j), "d2h R " + idx(i, j),
-          per_lane([&](size_t k) {
-            return D2h{
-                ooc::host_block(lanes_[k].r, offset(i), offset(j), w, wj),
-                rtiles_.block(rs2, w, wj, k)};
-          }),
-          {upd1}, pt);
+      deps_.assign({inb, fac});
+      rtiles_.depend(rs2, deps_);
+      const TaskId upd1 = add_node({Inner, i, j, ps, bs, rs2}, pt);
+      bstream_.use(bs, upd1);
+      deps_.push_back(upd1);
+      const TaskId outr = add_node({OutR, i, j, 0, 0, rs2}, pt);
 
       // Fresh fp32 read of the same slab as the beta = 1 accumulator —
       // the solo engines' double-streaming, byte for byte.
       const size_t cs = cstream_.acquire();
-      std::vector<TaskId> inc_deps;
-      cstream_.depend(cs, inc_deps);
-      if (out_a_.count(j) > 0) inc_deps.push_back(out_a_[j]);
-      const TaskId inc = move_in(
-          "inC " + idx(i, j), "h2d c " + std::to_string(j),
-          per_lane([&](size_t k) {
-            return H2d{cstream_.block(cs, m_, wj, k), host_panel_const(k, j)};
-          }),
-          std::move(inc_deps), pt);
-      const TaskId upd2 = compute(
-          "outer " + idx(i, j), "gemm upd " + idx(i, j),
-          per_lane([&](size_t k) {
-            return Gemm{blas::Op::NoTrans, blas::Op::NoTrans, -1.0f,
-                        panel_.block(ps, m_, w, k),
-                        rtiles_.block(rs2, w, wj, k), 1.0f,
-                        cstream_.block(cs, m_, wj, k)};
-          }),
-          {inc, upd1}, pt);
-      rtiles_.use(rs2, {outr, upd2});
-      const TaskId outa = move_out(
-          "outA " + idx(i, j), "d2h tile " + std::to_string(j),
-          per_lane([&](size_t k) {
-            return D2h{host_panel(k, j), cstream_.block(cs, m_, wj, k)};
-          }),
-          {upd2}, pt);
-      cstream_.use(cs, {outa});
-      out_a_[j] = outa;
-      panel_readers.push_back(upd2);
+      cstream_.depend(cs, deps_);
+      if (out_a_[ju] != kNone) deps_.push_back(out_a_[ju]);
+      const TaskId inc = add_node({InC, i, j, 0, cs}, pt);
+      deps_.assign({inc, upd1});
+      const TaskId upd2 = add_node({Outer, i, j, ps, cs, rs2}, pt);
+      const TaskId r_readers[] = {outr, upd2};
+      rtiles_.use(rs2, r_readers);
+      deps_.push_back(upd2);
+      const TaskId outa = add_node({OutA, i, j, 0, cs}, pt);
+      cstream_.use(cs, outa);
+      out_a_[ju] = outa;
+      readers_.push_back(upd2);
     }
-    panel_.use(ps, std::move(panel_readers));
+    panel_.use(ps, readers_);
     ++i_;
     units_ = i_;
     return true;
@@ -562,6 +601,107 @@ class BlockingProgram : public Program {
   using H2d = Device::H2dBatchEntry;
   using D2h = Device::D2hBatchEntry;
   using Gemm = Device::GemmBatchEntry;
+
+  enum Kind { InP, Fac, Emit, InB, Inner, OutR, InC, Outer, OutA };
+
+  /// i = the panel, j = the trailing panel, s0 = the panel slot, s1 = the
+  /// b or c streaming slot (Fac/Emit: the R tile slot), s2 = the trailing
+  /// update's R tile slot. Every node issues one device op over its lanes'
+  /// entries, in lane order.
+  void run_node(TaskCtx& c, const NodeArgs& a) override {
+    const index_t i = a.i;
+    const index_t j = a.j;
+    const index_t w = width(i);
+    const index_t wj = width(j);
+    const size_t lanes = lanes_.size();
+    switch (a.kind) {
+    case InP:
+      h2d_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        h2d_.push_back({panel_.block(a.s0, m_, w, k), host_panel_const(k, i)});
+      }
+      c.h2d(h2d_, op_name("h2d panel ", i));
+      break;
+    case Fac:
+      panel_es_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        panel_es_.push_back(
+            {panel_.block(a.s0, m_, w, k), rtiles_.block(a.s1, w, w, k)});
+      }
+      op_name("panel_qr ", m_);
+      op_ += 'x';
+      append_int(w);
+      if (lanes > 1) {
+        op_ += " x";
+        append_int(static_cast<index_t>(lanes));
+      }
+      panel_qr_device_batched(c.device(), panel_es_, c.stream(), job_.opts,
+                              op_);
+      break;
+    case Emit:
+      d2h_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        d2h_.push_back(
+            {ooc::host_block(lanes_[k].r, offset(i), offset(i), w, w),
+             rtiles_.block(a.s1, w, w, k)});
+        d2h_.push_back({host_panel(k, i), panel_.block(a.s0, m_, w, k)});
+      }
+      c.d2h(d2h_, op_name("d2h RiiQ ", i));
+      break;
+    case InB:
+      h2d_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        h2d_.push_back(
+            {bstream_.block(a.s1, m_, wj, k), host_panel_const(k, j)});
+      }
+      c.h2d(h2d_, op_name("h2d b ", j));
+      break;
+    case Inner:
+      gemm_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        gemm_.push_back({blas::Op::Trans, blas::Op::NoTrans, 1.0f,
+                         panel_.block(a.s0, m_, w, k),
+                         bstream_.block(a.s1, m_, wj, k), 0.0f,
+                         rtiles_.block(a.s2, w, wj, k)});
+      }
+      c.gemm(gemm_, op_name("gemm qtb ", i, j));
+      break;
+    case OutR:
+      d2h_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        d2h_.push_back(
+            {ooc::host_block(lanes_[k].r, offset(i), offset(j), w, wj),
+             rtiles_.block(a.s2, w, wj, k)});
+      }
+      c.d2h(d2h_, op_name("d2h R ", i, j));
+      break;
+    case InC:
+      h2d_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        h2d_.push_back(
+            {cstream_.block(a.s1, m_, wj, k), host_panel_const(k, j)});
+      }
+      c.h2d(h2d_, op_name("h2d c ", j));
+      break;
+    case Outer:
+      gemm_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        gemm_.push_back({blas::Op::NoTrans, blas::Op::NoTrans, -1.0f,
+                         panel_.block(a.s0, m_, w, k),
+                         rtiles_.block(a.s2, w, wj, k), 1.0f,
+                         cstream_.block(a.s1, m_, wj, k)});
+      }
+      c.gemm(gemm_, op_name("gemm upd ", i, j));
+      break;
+    case OutA:
+      d2h_.clear();
+      for (size_t k = 0; k < lanes; ++k) {
+        d2h_.push_back({host_panel(k, j), cstream_.block(a.s1, m_, wj, k)});
+      }
+      c.d2h(d2h_, op_name("d2h tile ", j));
+      break;
+    }
+  }
 
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
@@ -577,42 +717,7 @@ class BlockingProgram : public Program {
   std::int64_t prio(index_t i, std::int64_t phase) const {
     return 4 * static_cast<std::int64_t>(i) + phase;
   }
-  /// One entry per lane, in lane order.
-  template <typename F>
-  std::vector<std::invoke_result_t<F&, size_t>> per_lane(F entry) const {
-    std::vector<std::invoke_result_t<F&, size_t>> es;
-    es.reserve(lanes_.size());
-    for (size_t k = 0; k < lanes_.size(); ++k) es.push_back(entry(k));
-    return es;
-  }
-  // Nodes issuing one device op over their lanes' entries. Node labels and
-  // op names both carry the program's prefix.
-  TaskId move_in(const std::string& node, const std::string& op,
-                 std::vector<H2d> es, std::vector<TaskId> deps,
-                 std::int64_t p) {
-    return g_.add(
-        TaskStage::MoveIn, prefix_ + node,
-        [es = std::move(es), op = prefix_ + op](TaskCtx& c) { c.h2d(es, op); },
-        std::move(deps), p);
-  }
-  TaskId compute(const std::string& node, const std::string& op,
-                 std::vector<Gemm> es, std::vector<TaskId> deps,
-                 std::int64_t p) {
-    return g_.add(
-        TaskStage::Compute, prefix_ + node,
-        [es = std::move(es), op = prefix_ + op](TaskCtx& c) { c.gemm(es, op); },
-        std::move(deps), p);
-  }
-  TaskId move_out(const std::string& node, const std::string& op,
-                  std::vector<D2h> es, std::vector<TaskId> deps,
-                  std::int64_t p) {
-    return g_.add(
-        TaskStage::MoveOut, prefix_ + node,
-        [es = std::move(es), op = prefix_ + op](TaskCtx& c) { c.d2h(es, op); },
-        std::move(deps), p);
-  }
 
-  std::string prefix_;
   index_t m_ = 0;
   index_t n_ = 0;
   index_t b_ = 0;
@@ -623,7 +728,15 @@ class BlockingProgram : public Program {
   SlotPool bstream_;
   SlotPool cstream_;
   SlotPool rtiles_;
-  std::map<index_t, TaskId> out_a_;
+  /// Per panel: the move-out that last wrote it back (kNone: none yet).
+  std::vector<TaskId> out_a_;
+  /// The nodes reading this step's panel slot.
+  std::vector<TaskId> readers_;
+  // Per-lane operand scratch of run_node.
+  std::vector<H2d> h2d_;
+  std::vector<D2h> d2h_;
+  std::vector<Gemm> gemm_;
+  std::vector<PanelBatchEntry> panel_es_;
 };
 
 /// Left-looking out-of-core QR — the classic disk-era formulation (SOLAR,
@@ -645,7 +758,7 @@ class BlockingProgram : public Program {
 class LeftLookingProgram : public Program {
  public:
   LeftLookingProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, {&job, 1}), a_(job.a), r_(job.r) {
+      : Program(graph, {&job, 1}, job.label), a_(job.a), r_(job.r) {
     m_ = a_.rows;
     n_ = a_.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "left_looking_qr: need m >= n >= 1");
@@ -653,6 +766,12 @@ class LeftLookingProgram : public Program {
                 "left_looking_qr: R must be n x n");
     b_ = std::min(job.opts.blocksize, n_);
     panels_ = (n_ + b_ - 1) / b_;
+    declare(InP, TaskStage::MoveIn, "inP ", 1);
+    declare(InQ, TaskStage::MoveIn, "inQ ", 2);
+    declare(Proj, TaskStage::Compute, "proj ", 2);
+    declare(OutR, TaskStage::MoveOut, "outR ", 2);
+    declare(Fac, TaskStage::Compute, "fac ", 1);
+    declare(Emit, TaskStage::MoveOut, "emit ", 1);
   }
 
   const char* driver_tag() const override { return "left"; }
@@ -663,20 +782,19 @@ class LeftLookingProgram : public Program {
   /// opts.pipeline_depth slots in GEMM storage width, and single shared
   /// R-block / R_ii scratches (the projection chain serializes on them).
   void allocate(Device& dev) override {
-    const std::string& l = job_.label;
     const StoragePrecision q_prec =
         ooc::detail::input_storage(gemm_options(job_.opts));
     const index_t panel_slots = std::min<index_t>(2, panels_);
     for (index_t s = 0; s < panel_slots; ++s) {
       panel_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-                 l + "ll panel " + std::to_string(s));
+                 prefix_ + "ll panel " + std::to_string(s));
     }
     const int depth = std::max(1, job_.opts.pipeline_depth);
     for (int s = 0; s < depth; ++s) {
-      qring_.add(dev, 1, m_, b_, q_prec, l + "ll q " + std::to_string(s));
+      qring_.add(dev, 1, m_, b_, q_prec, prefix_ + "ll q " + std::to_string(s));
     }
-    rblk_.add(dev, 1, b_, b_, StoragePrecision::FP32, l + "ll rblk");
-    rii_.add(dev, 1, b_, b_, StoragePrecision::FP32, l + "ll rii");
+    rblk_.add(dev, 1, b_, b_, StoragePrecision::FP32, prefix_ + "ll rblk");
+    rii_.add(dev, 1, b_, b_, StoragePrecision::FP32, prefix_ + "ll rii");
   }
 
   /// Resume positioning: skipped panels' Q columns are on the host already
@@ -694,98 +812,50 @@ class LeftLookingProgram : public Program {
   bool add_step() override {
     if (i_ >= panels_) return false;
     const index_t i = i_;
-    const index_t w = width(i);
-    const std::string& l = job_.label;
 
     // The panel's columns are still ORIGINAL data (left-looking writes
     // each column block exactly once), so the move-in has no host-order
     // edge — only the WAR edge on the double-buffer slot.
     const size_t ps = static_cast<size_t>(i) % panel_.size();
-    const DeviceMatrixRef pd = panel_.block(ps, m_, w);
-    std::vector<TaskId> in_deps;
-    panel_.depend(ps, in_deps);
-    const TaskId inp = g_.add(
-        TaskStage::MoveIn, l + "inP " + std::to_string(i),
-        [this, pd, i](TaskCtx& c) {
-          c.h2d(pd, host_panel_const(i),
-                job_.label + "h2d panel " + std::to_string(i));
-        },
-        std::move(in_deps), prio(i, 0));
+    panel_.depend(ps, deps_);
+    const TaskId inp = add_node({InP, i, 0, ps}, prio(i, 0));
 
     // Lazy application of every previous panel's projection. The single
     // shared R scratch chains them: projection j+1's beta = 0 GEMM waits
     // for projection j's R writeback to drain.
     TaskId last_proj = kNone;
     for (index_t j = 0; j < i; ++j) {
-      const index_t wj = width(j);
       const std::int64_t pt = prio(i, 1);
       const size_t qs = qring_.acquire();
-      const DeviceMatrixRef qd = qring_.block(qs, m_, wj);
-      std::vector<TaskId> inq_deps;
-      qring_.depend(qs, inq_deps);
+      qring_.depend(qs, deps_);
       // Q_j must have landed on the host — a real graph edge from its
       // emit. A resume-restored panel has none: its data is already there.
       if (emit_[static_cast<size_t>(j)] != kNone) {
-        inq_deps.push_back(emit_[static_cast<size_t>(j)]);
+        deps_.push_back(emit_[static_cast<size_t>(j)]);
       }
-      const TaskId inq = g_.add(
-          TaskStage::MoveIn, l + "inQ " + idx(i, j),
-          [this, qd, j](TaskCtx& c) {
-            c.h2d(qd, host_panel_const(j),
-                  job_.label + "h2d Q" + std::to_string(j));
-          },
-          std::move(inq_deps), pt);
+      const TaskId inq = add_node({InQ, i, j, ps, qs}, pt);
 
       // R(j, i) = Q_j^T P ; P -= Q_j R(j, i) — the skinny GEMM pair.
-      const DeviceMatrixRef rb = rblk_.block(0, wj, w);
-      std::vector<TaskId> proj_deps{inq, inp};
-      rblk_.depend(0, proj_deps);
-      const TaskId proj = g_.add(
-          TaskStage::Compute, l + "proj " + idx(i, j),
-          [this, qd, pd, rb, i, j](TaskCtx& c) {
-            c.gemm(blas::Op::Trans, blas::Op::NoTrans, 1.0f, qd, pd, 0.0f,
-                   rb, job_.label + "proj R " + idx(i, j));
-            c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, -1.0f, qd, rb,
-                   1.0f, pd, job_.label + "proj update " + idx(i, j));
-          },
-          std::move(proj_deps), pt);
-      qring_.use(qs, {proj});
-      const TaskId outr = g_.add(
-          TaskStage::MoveOut, l + "outR " + idx(i, j),
-          [this, rb, i, j](TaskCtx& c) {
-            c.d2h(ooc::host_block(r_, offset(j), offset(i), rb.rows,
-                                  rb.cols),
-                  rb, job_.label + "d2h R block " + idx(i, j));
-          },
-          {proj}, pt);
-      rblk_.use(0, {outr});
+      deps_.assign({inq, inp});
+      rblk_.depend(0, deps_);
+      const TaskId proj = add_node({Proj, i, j, ps, qs}, pt);
+      qring_.use(qs, proj);
+      deps_.push_back(proj);
+      const TaskId outr = add_node({OutR, i, j}, pt);
+      rblk_.use(0, outr);
       last_proj = proj;
     }
 
     // In-core factorization of the fully projected panel, then the Q / Rii
     // writebacks. The shared Rii scratch's WAR edge is the previous emit.
-    const DeviceMatrixRef rd = rii_.block(0, w, w);
-    std::vector<TaskId> fac_deps{inp};
-    if (last_proj != kNone) fac_deps.push_back(last_proj);
-    rii_.depend(0, fac_deps);
-    const TaskId fac = g_.add(
-        TaskStage::Compute, l + "fac " + std::to_string(i),
-        [this, pd, rd](TaskCtx& c) {
-          panel_qr_device(c.device(), pd, rd, c.stream(), job_.opts,
-                          job_.label);
-        },
-        std::move(fac_deps), prio(i, 2));
-    const TaskId emit = g_.add(
-        TaskStage::MoveOut, l + "emit " + std::to_string(i),
-        [this, rd, pd, i, w](TaskCtx& c) {
-          c.d2h(ooc::host_block(r_, offset(i), offset(i), w, w), rd,
-                job_.label + "d2h Rii " + std::to_string(i));
-          c.d2h(host_panel(i), pd,
-                job_.label + "d2h Q " + std::to_string(i));
-        },
-        {fac}, prio(i, 2));
-    rii_.use(0, {emit});
-    panel_.use(ps, {emit});
+    deps_.push_back(inp);
+    if (last_proj != kNone) deps_.push_back(last_proj);
+    rii_.depend(0, deps_);
+    const TaskId fac = add_node({Fac, i, 0, ps}, prio(i, 2));
+    deps_.push_back(fac);
+    const TaskId emit = add_node({Emit, i, 0, ps}, prio(i, 2));
+    rii_.use(0, emit);
+    panel_.use(ps, emit);
     emit_[static_cast<size_t>(i)] = emit;
     ++i_;
     units_ = i_;
@@ -793,6 +863,51 @@ class LeftLookingProgram : public Program {
   }
 
  private:
+  enum Kind { InP, InQ, Proj, OutR, Fac, Emit };
+
+  /// i = the panel, j = the projecting panel, s0 = the panel slot, s1 =
+  /// the Q ring slot.
+  void run_node(TaskCtx& c, const NodeArgs& a) override {
+    const index_t i = a.i;
+    const index_t j = a.j;
+    const index_t w = width(i);
+    switch (a.kind) {
+    case InP:
+      c.h2d(panel_.block(a.s0, m_, w), host_panel_const(i),
+            op_name("h2d panel ", i));
+      break;
+    case InQ:
+      c.h2d(qring_.block(a.s1, m_, width(j)), host_panel_const(j),
+            op_name("h2d Q", j));
+      break;
+    case Proj: {
+      const DeviceMatrixRef qd = qring_.block(a.s1, m_, width(j));
+      const DeviceMatrixRef pd = panel_.block(a.s0, m_, w);
+      const DeviceMatrixRef rb = rblk_.block(0, width(j), w);
+      c.gemm(blas::Op::Trans, blas::Op::NoTrans, 1.0f, qd, pd, 0.0f, rb,
+             op_name("proj R ", i, j));
+      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, -1.0f, qd, rb, 1.0f, pd,
+             op_name("proj update ", i, j));
+      break;
+    }
+    case OutR: {
+      const DeviceMatrixRef rb = rblk_.block(0, width(j), w);
+      c.d2h(ooc::host_block(r_, offset(j), offset(i), rb.rows, rb.cols), rb,
+            op_name("d2h R block ", i, j));
+      break;
+    }
+    case Fac:
+      panel_qr_device(c.device(), panel_.block(a.s0, m_, w),
+                      rii_.block(0, w, w), c.stream(), job_.opts, prefix_);
+      break;
+    case Emit:
+      c.d2h(ooc::host_block(r_, offset(i), offset(i), w, w),
+            rii_.block(0, w, w), op_name("d2h Rii ", i));
+      c.d2h(host_panel(i), panel_.block(a.s0, m_, w), op_name("d2h Q ", i));
+      break;
+    }
+  }
+
   index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
   index_t offset(index_t t) const { return t * b_; }
   sim::HostConstRef host_panel_const(index_t t) const {
@@ -879,8 +994,9 @@ size_t run_programs(Device& dev, const std::vector<BatchJob>& jobs,
     // One round: every program adds its next segment (`first`: its
     // begin()), the graph runs, and the programs that completed a unit
     // checkpoint. False once no program advanced.
+    std::vector<const Program*> advanced;
     const auto round = [&](bool first) {
-      std::vector<const Program*> advanced;
+      advanced.clear();
       for (const auto& p : progs) {
         if (first ? p->begin() : p->add_step()) advanced.push_back(p.get());
       }

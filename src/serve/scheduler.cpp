@@ -40,8 +40,22 @@ const char* to_string(DeviceHealth h) {
 
 namespace {
 
-telemetry::Counter& counter(const char* name) {
-  return telemetry::MetricsRegistry::global().counter(name);
+/// A metric name as a template argument, so that every name gets its own
+/// function-local static in counter() below.
+template <size_t N>
+struct MetricName {
+  constexpr MetricName(const char (&name)[N]) { std::copy_n(name, N, text); }
+  char text[N];
+};
+
+/// The counter `Name`, resolved on its first use and held after that: a
+/// registry lookup is a map walk under a mutex, and reset() keeps the
+/// object.
+template <MetricName Name>
+telemetry::Counter& counter() {
+  static telemetry::Counter& c =
+      telemetry::MetricsRegistry::global().counter(Name.text);
+  return c;
 }
 
 /// Contiguous column-major snapshot of a host ref (the checkpoint payload
@@ -151,6 +165,24 @@ struct Scheduler::Job {
     return (state == JobState::Queued && arrived) ||
            state == JobState::Preempted;
   }
+  /// The ready index's order: higher priority first, then earliest
+  /// deadline (none last), then submission order.
+  static bool picks_before(const Job* a, const Job* b) {
+    if (a->spec.priority != b->spec.priority) {
+      return a->spec.priority > b->spec.priority;
+    }
+    const double da = a->deadline_key();
+    const double db = b->deadline_key();
+    if (da != db) return da < db;
+    return a->id < b->id;
+  }
+  static bool submitted_before(const Job* a, const Job* b) {
+    return a->id < b->id;
+  }
+  double deadline_key() const {
+    return spec.deadline_seconds > 0 ? spec.deadline_seconds
+                                     : std::numeric_limits<double>::infinity();
+  }
   index_t units_done() const {
     return has_checkpoint ? checkpoint.units_done : 0;
   }
@@ -178,6 +210,25 @@ struct Scheduler::Job {
            spec.precision == o.spec.precision;
   }
 };
+
+namespace {
+
+/// Inserts `job` into `index`, which `before` keeps sorted.
+template <typename T, typename Before>
+void index_insert(std::vector<T*>& index, T* job, Before before) {
+  index.insert(std::upper_bound(index.begin(), index.end(), job, before), job);
+}
+
+/// Removes `job` from `index`, which `before` keeps sorted.
+template <typename T, typename Before>
+void index_erase(std::vector<T*>& index, T* job, Before before) {
+  const auto it = std::lower_bound(index.begin(), index.end(), job, before);
+  ROCQR_CHECK(it != index.end() && *it == job,
+              "serve::Scheduler: a job is missing from a decision index");
+  index.erase(it);
+}
+
+} // namespace
 
 /// Per-attempt checkpoint sink: records progress on the job and doubles as
 /// the preemption point (the only place an attempt can safely unwind — the
@@ -239,7 +290,7 @@ AdmissionDecision Scheduler::submit(const JobSpec& spec) {
       // A miss dry-runs outside the lock: other submitters and the workers'
       // re-quotes are not held up by it.
       fresh = dry_run(*key, admission_);
-      counter("serve.admission_dry_runs").increment();
+      counter<"serve.admission_dry_runs">().increment();
       quote = &*fresh;
     }
     d = decide(spec, *quote, admission_);
@@ -270,11 +321,11 @@ AdmissionDecision Scheduler::submit(const JobSpec& spec) {
     job->blocksize = d.blocksize;
     job->predicted_seconds = d.predicted_seconds;
     job->predicted_peak_bytes = d.predicted_peak_bytes;
-    counter("serve.jobs_admitted").increment();
+    counter<"serve.jobs_admitted">().increment();
   } else {
     job->state = JobState::Rejected;
     job->failure = d.reason;
-    counter("serve.jobs_rejected").increment();
+    counter<"serve.jobs_rejected">().increment();
   }
   jobs_.push_back(std::move(job));
   return d;
@@ -302,7 +353,6 @@ FleetReport Scheduler::run() {
     }
   }
 
-  bool any_queued = false;
   {
     std::lock_guard<std::mutex> lk(mutex_);
     device_avail_.assign(static_cast<size_t>(cfg_.devices), 0.0);
@@ -310,10 +360,19 @@ FleetReport Scheduler::run() {
     device_health_.assign(static_cast<size_t>(cfg_.devices),
                           DeviceHealth::Healthy);
     device_failures_.assign(static_cast<size_t>(cfg_.devices), 0);
+    // Every admitted job waits at its arrival gate: the cursor walks them
+    // in (gate, id) order.
+    for (const auto& job : jobs_) {
+      if (job->state == JobState::Queued) arrivals_.push_back(job.get());
+    }
+    std::stable_sort(arrivals_.begin(), arrivals_.end(),
+                     [](const Job* a, const Job* b) {
+                       return a->spec.arrival_after_units <
+                              b->spec.arrival_after_units;
+                     });
     release_arrivals_locked();
-    for (const auto& job : jobs_) any_queued |= job->state == JobState::Queued;
   }
-  if (any_queued) {
+  if (!arrivals_.empty()) {
     // One worker per device, whatever the host's core count: only the
     // baton holder runs, so the threads are stacks for the parked drivers,
     // and a Real-mode holder's kernels use ThreadPool::global(). The
@@ -357,57 +416,53 @@ double Scheduler::sim_now_locked() const {
 
 void Scheduler::release_arrivals_locked() {
   const double now = sim_now_locked();
-  for (const auto& up : jobs_) {
-    Job& job = *up;
+  for (; next_arrival_ < arrivals_.size(); ++next_arrival_) {
+    Job& job = *arrivals_[next_arrival_];
+    if (job.spec.arrival_after_units > fleet_units_) return;
+    // A job shed or stranded behind its gate has left the queue.
     if (job.state != JobState::Queued || job.arrived) continue;
-    if (job.spec.arrival_after_units <= fleet_units_) {
-      job.arrived = true;
-      job.ready_sim = now;
-    }
+    set_state_locked(job, JobState::Queued, true);
+    job.ready_sim = now;
   }
 }
 
 bool Scheduler::force_earliest_arrival_locked() {
-  Job* earliest = nullptr;
-  for (const auto& up : jobs_) {
-    Job& job = *up;
+  while (next_arrival_ < arrivals_.size()) {
+    Job& job = *arrivals_[next_arrival_++];
     if (job.state != JobState::Queued || job.arrived) continue;
-    if (earliest == nullptr ||
-        job.spec.arrival_after_units < earliest->spec.arrival_after_units) {
-      earliest = &job;
-    }
+    set_state_locked(job, JobState::Queued, true);
+    job.ready_sim = sim_now_locked();
+    return true;
   }
-  if (earliest == nullptr) return false;
-  earliest->arrived = true;
-  earliest->ready_sim = sim_now_locked();
-  return true;
+  return false;
 }
 
 Scheduler::Job* Scheduler::pick_locked() const {
-  Job* best = nullptr;
-  for (const auto& up : jobs_) {
-    Job& job = *up;
-    if (!job.ready()) continue;
-    if (best == nullptr) {
-      best = &job;
-      continue;
+  return ready_.empty() ? nullptr : ready_.front();
+}
+
+void Scheduler::set_state_locked(Job& job, JobState state, bool arrived) {
+  const bool was_ready = job.ready();
+  const bool was_running = job.state == JobState::Running;
+  job.state = state;
+  job.arrived = arrived;
+  if (job.ready() != was_ready) {
+    if (was_ready) {
+      index_erase(ready_, &job, Job::picks_before);
+      index_erase(ready_by_id_, &job, Job::submitted_before);
+    } else {
+      index_insert(ready_, &job, Job::picks_before);
+      index_insert(ready_by_id_, &job, Job::submitted_before);
     }
-    // Priority first; then earliest deadline (none = last); then
-    // submission order (ids are submission-ordered, and the scan keeps the
-    // first of equals).
-    if (job.spec.priority != best->spec.priority) {
-      if (job.spec.priority > best->spec.priority) best = &job;
-      continue;
-    }
-    const double jd = job.spec.deadline_seconds > 0
-                          ? job.spec.deadline_seconds
-                          : std::numeric_limits<double>::infinity();
-    const double bd = best->spec.deadline_seconds > 0
-                          ? best->spec.deadline_seconds
-                          : std::numeric_limits<double>::infinity();
-    if (jd < bd) best = &job;
   }
-  return best;
+  const bool running = state == JobState::Running;
+  if (running != was_running) {
+    if (was_running) {
+      index_erase(running_jobs_, &job, Job::submitted_before);
+    } else {
+      index_insert(running_jobs_, &job, Job::submitted_before);
+    }
+  }
 }
 
 Scheduler::Job* Scheduler::dispatchable_locked() const {
@@ -507,15 +562,15 @@ bool Scheduler::declare_dead_locked(int device_index) {
   if (device_health_[du] == DeviceHealth::Dead) return false;
   device_health_[du] = DeviceHealth::Dead;
   ++devices_lost_;
-  counter("serve.devices_lost").increment();
+  counter<"serve.devices_lost">().increment();
   if (alive_devices_locked() == 0) {
     // Nothing left to migrate onto: every non-terminal job is stranded.
     for (const auto& up : jobs_) {
       Job& job = *up;
       if (job.state == JobState::Queued || job.state == JobState::Preempted) {
-        job.state = JobState::Failed;
+        set_state_locked(job, JobState::Failed, job.arrived);
         job.failure = "no surviving devices in the fleet";
-        counter("serve.jobs_failed").increment();
+        counter<"serve.jobs_failed">().increment();
       }
     }
   } else {
@@ -539,17 +594,17 @@ AdmissionDecision Scheduler::requote_locked(const Job& job, int alive) {
   auto it = quotes_.find(*key);
   if (it == quotes_.end()) {
     it = quotes_.emplace(*key, dry_run(*key, acfg)).first;
-    counter("serve.admission_dry_runs").increment();
+    counter<"serve.admission_dry_runs">().increment();
   }
   return decide(pinned, it->second, acfg);
 }
 
 void Scheduler::shed_locked(Job& job, const std::string& reason) {
-  job.state = JobState::Shed;
+  set_state_locked(job, JobState::Shed, job.arrived);
   job.preempt_requested = false;
   job.failure = reason;
   ++shed_events_;
-  counter("serve.jobs_shed").increment();
+  counter<"serve.jobs_shed">().increment();
 }
 
 void Scheduler::requote_outstanding_locked() {
@@ -582,9 +637,9 @@ void Scheduler::requote_outstanding_locked() {
 void Scheduler::migrate_locked(Job& job, const std::string& failure) {
   const int alive = alive_devices_locked();
   if (alive == 0) {
-    job.state = JobState::Failed;
+    set_state_locked(job, JobState::Failed, job.arrived);
     job.failure = failure + " (no surviving devices to migrate to)";
-    counter("serve.jobs_failed").increment();
+    counter<"serve.jobs_failed">().increment();
     return;
   }
   const AdmissionDecision d = requote_locked(job, alive);
@@ -603,19 +658,19 @@ void Scheduler::migrate_locked(Job& job, const std::string& failure) {
   }
   // Checkpoint-driven migration: requeue from the latest checkpoint. Not a
   // retry — the job did nothing wrong, its device did.
-  job.state = JobState::Queued;
+  set_state_locked(job, JobState::Queued, job.arrived);
   job.preempt_requested = false;
   job.predicted_seconds = d.predicted_seconds;
   job.predicted_peak_bytes = d.predicted_peak_bytes;
   job.failure = failure;
   ++job.migrations;
   ++migrate_events_;
-  counter("serve.jobs_migrated").increment();
+  counter<"serve.jobs_migrated">().increment();
   if (job.gang && job.has_checkpoint &&
       job.checkpoint.leaves > job.checkpoint.units_done) {
     // Leaf re-hosting accounting: the leaves not yet factored re-plan onto
     // the survivors when the gang resumes.
-    counter("serve.tsqr_leaves_rehosted")
+    counter<"serve.tsqr_leaves_rehosted">()
         .add(job.checkpoint.leaves - job.checkpoint.units_done);
   }
   job.ready_sim = sim_now_locked();
@@ -646,11 +701,10 @@ void Scheduler::maybe_preempt_locked() {
     // blocks it: ask every strictly-lower-priority running job (possibly a
     // running gang) to yield at its next checkpoint. Equal-or-higher
     // priority work finishes first and the drain completes naturally.
-    for (const auto& up : jobs_) {
-      Job& job = *up;
-      if (job.state != JobState::Running || job.preempt_requested) continue;
-      if (job.spec.priority >= top->spec.priority) continue;
-      job.preempt_requested = true;
+    for (Job* job : running_jobs_) {
+      if (job->spec.priority < top->spec.priority) {
+        job->preempt_requested = true;
+      }
     }
     return;
   }
@@ -661,14 +715,14 @@ void Scheduler::maybe_preempt_locked() {
   // checkpoint cannot be its last, so the yield actually happens).
   Job* victim = nullptr;
   index_t victim_remaining = 0;
-  for (const auto& up : jobs_) {
-    Job& job = *up;
-    if (job.state != JobState::Running || job.preempt_requested) continue;
-    if (job.spec.priority >= top->spec.priority) continue;
-    const index_t done = job.has_checkpoint ? job.checkpoint.columns_done : 0;
-    const index_t remaining = job.spec.n - done;
+  for (Job* job : running_jobs_) {
+    if (job->preempt_requested) continue;
+    if (job->spec.priority >= top->spec.priority) continue;
+    const index_t done =
+        job->has_checkpoint ? job->checkpoint.columns_done : 0;
+    const index_t remaining = job->spec.n - done;
     if (victim == nullptr || remaining > victim_remaining) {
-      victim = &job;
+      victim = job;
       victim_remaining = remaining;
     }
   }
@@ -715,7 +769,7 @@ void Scheduler::on_unit_completed(Dispatch& d, Job& job,
     unwind = job.preempt_requested && cp.columns_done < cp.n;
     wd = watchdog_tripped_locked(d);
   }
-  counter("serve.units_completed").increment();
+  counter<"serve.units_completed">().increment();
   // A watchdog trip outranks a preemption: the attempt must unwind as a
   // device failure, not park as resumable-by-priority.
   if (wd >= 0) throw WatchdogTrip{wd};
@@ -751,7 +805,7 @@ void Scheduler::worker(int device_index) {
       ROCQR_CHECK(job != nullptr,
                   "serve::Scheduler: an idle device's turn found no job");
       d.kind = DispatchKind::Solo;
-      d.members = {job};
+      d.members.assign(1, job);
       d.devices.assign(1, device_index);
       if (job->gang) {
         // Atomic acquisition of the surviving fleet: dispatchable_locked
@@ -766,22 +820,21 @@ void Scheduler::worker(int device_index) {
         }
       } else {
         // Batched small-QR fusion is tried before colocation.
-        d.members = claim_locked(*job, cfg_.max_fused_jobs,
-                                 [job](const Job& x) {
-                                   return job->fuses_with(x);
-                                 });
+        claim_locked(
+            *job, cfg_.max_fused_jobs,
+            [job](const Job& x) { return job->fuses_with(x); }, d.members);
         if (d.members.size() > 1) {
           d.kind = DispatchKind::Fused;
         } else {
-          d.members = claim_locked(*job, cfg_.max_colocated_jobs,
-                                   [job](const Job& x) {
-                                     return job->colocates_with(x);
-                                   });
+          claim_locked(
+              *job, cfg_.max_colocated_jobs,
+              [job](const Job& x) { return job->colocates_with(x); },
+              d.members);
           if (d.members.size() > 1) d.kind = DispatchKind::Colocated;
         }
       }
       for (Job* member : d.members) {
-        member->state = JobState::Running;
+        set_state_locked(*member, JobState::Running, member->arrived);
         member->preempt_requested = false;
         ++member->attempts;
         member->last_device = device_index;
@@ -793,9 +846,10 @@ void Scheduler::worker(int device_index) {
             std::max(0.0, device_avail_[du] - member->ready_sim);
         member->queue_wait_seconds += waited;
         queue_waits_.push_back(waited);
-        telemetry::MetricsRegistry::global()
-            .histogram("serve.queue_wait_us")
-            .observe(static_cast<std::int64_t>(waited * 1e6));
+        static telemetry::Histogram& wait_us =
+            telemetry::MetricsRegistry::global().histogram(
+                "serve.queue_wait_us");
+        wait_us.observe(static_cast<std::int64_t>(waited * 1e6));
       }
       for (const int e : d.devices) device_busy_[static_cast<size_t>(e)] = 1;
       running_ += static_cast<int>(d.devices.size());
@@ -818,16 +872,15 @@ void Scheduler::worker(int device_index) {
   }
 }
 
-std::vector<Scheduler::Job*> Scheduler::claim_locked(
-    Job& primary, int limit,
-    const std::function<bool(const Job&)>& compatible) const {
-  std::vector<Job*> members{&primary};
-  if (limit <= 1 || !compatible(primary)) return members;
+void Scheduler::claim_locked(Job& primary, int limit,
+                             const std::function<bool(const Job&)>& compatible,
+                             std::vector<Job*>& members) const {
+  members.assign(1, &primary);
+  if (limit <= 1 || !compatible(primary)) return;
   // Pack only while the ready queue outnumbers the idle devices — with a
   // free device per ready job, exclusive ownership is strictly faster. A
   // dead device is not idle capacity.
-  int surplus = 0;
-  for (const auto& up : jobs_) surplus += up->ready() ? 1 : 0;
+  auto surplus = static_cast<std::ptrdiff_t>(ready_.size());
   for (size_t e = 0; e < device_busy_.size(); ++e) {
     surplus -= device_busy_[e] == 0 && device_health_[e] != DeviceHealth::Dead
                    ? 1
@@ -837,16 +890,14 @@ std::vector<Scheduler::Job*> Scheduler::claim_locked(
       cfg_.admission_memory_fraction *
       static_cast<double>(cfg_.spec.memory_capacity));
   bytes_t used = primary.predicted_peak_bytes;
-  for (const auto& up : jobs_) {
+  for (Job* extra : ready_by_id_) {
     if (static_cast<int>(members.size()) >= limit || surplus <= 0) break;
-    Job& extra = *up;
-    if (&extra == &primary || !extra.ready() || !compatible(extra)) continue;
-    if (used + extra.predicted_peak_bytes > budget) continue;
-    used += extra.predicted_peak_bytes;
+    if (extra == &primary || !compatible(*extra)) continue;
+    if (used + extra->predicted_peak_bytes > budget) continue;
+    used += extra->predicted_peak_bytes;
     --surplus;
-    members.push_back(&extra);
+    members.push_back(extra);
   }
-  return members;
 }
 
 void Scheduler::run_dispatch(Dispatch& d) {
@@ -1064,28 +1115,28 @@ void Scheduler::record_outcome_locked(Job& job, JobState state,
   if (state == JobState::Queued && job.retries >= cfg_.max_job_retries) {
     state = JobState::Failed;
   }
-  job.state = state;
+  set_state_locked(job, state, job.arrived);
   job.preempt_requested = false;
   switch (state) {
   case JobState::Completed:
-    counter("serve.jobs_completed").increment();
+    counter<"serve.jobs_completed">().increment();
     break;
   case JobState::Preempted:
     ++job.preemptions;
     ++preempt_events_;
-    counter("serve.jobs_preempted").increment();
+    counter<"serve.jobs_preempted">().increment();
     job.ready_sim = sim_now_locked();
     break;
   case JobState::Queued: // fault retry
     ++job.retries;
     ++retry_events_;
-    counter("serve.job_retries").increment();
+    counter<"serve.job_retries">().increment();
     job.failure = failure; // latest error; cleared on completion
     job.ready_sim = sim_now_locked();
     break;
   default:
     job.failure = failure;
-    counter("serve.jobs_failed").increment();
+    counter<"serve.jobs_failed">().increment();
     break;
   }
   if (state == JobState::Completed) job.failure.clear();

@@ -232,18 +232,24 @@ class Scheduler {
   /// device, runs it to the end and hands the baton on. Captures the first
   /// exception any worker throws and ends the loop.
   void worker(int device_index);
-  /// `primary` followed by further ready jobs `compatible` with it, up to
-  /// `limit` members — only while the ready queue outnumbers the alive idle
-  /// devices and the summed predicted peaks fit the admission budget.
-  std::vector<Job*>
-  claim_locked(Job& primary, int limit,
-               const std::function<bool(const Job&)>& compatible) const;
+  /// Sets `members` to `primary` followed by further ready jobs
+  /// `compatible` with it, in submission order, up to `limit` members —
+  /// only while the ready queue outnumbers the alive idle devices and the
+  /// summed predicted peaks fit the admission budget.
+  void claim_locked(Job& primary, int limit,
+                    const std::function<bool(const Job&)>& compatible,
+                    std::vector<Job*>& members) const;
   void run_dispatch(Dispatch& d);
   void finish_dispatch(const Dispatch& d, JobState state,
                        const std::string& failure, AttemptOutcome outcome,
                        int struck_device);
   void record_outcome_locked(Job& job, JobState state,
                              const std::string& failure);
+  /// The one place a job's state or arrival gate changes after submit:
+  /// moves the job into or out of the ready index and the running set to
+  /// match. (The arrival cursor needs no update: it skips jobs that left
+  /// the queue while gated.)
+  void set_state_locked(Job& job, JobState state, bool arrived);
   void on_unit_completed(Dispatch& d, Job& job, const qr::Checkpoint& cp);
   // --- Fleet health & failover ---------------------------------------------
   int alive_devices_locked() const;
@@ -283,8 +289,11 @@ class Scheduler {
   /// Latest availability bound published by any alive device — the fleet's
   /// simulated "now" for queue-wait accounting.
   double sim_now_locked() const;
+  /// Opens every arrival gate the fleet's completed units have reached.
   void release_arrivals_locked();
+  /// Opens the earliest closed gate, if any.
   bool force_earliest_arrival_locked();
+  /// The ready job to run next: the front of the ready index.
   Job* pick_locked() const;
   Job* dispatchable_locked() const;
   void maybe_preempt_locked();
@@ -321,6 +330,19 @@ class Scheduler {
   index_t fleet_units_ = 0;
   /// Busy devices (a gang counts every device it holds).
   int running_ = 0;
+  // Decision indexes, kept in step by set_state_locked, so that no decision
+  // scans every job:
+  /// The ready index: every Job::ready() job in pick order — higher
+  /// priority first, then earliest deadline (none last), then submission.
+  std::vector<Job*> ready_;
+  /// The same jobs in submission order (claim_locked's member walk).
+  std::vector<Job*> ready_by_id_;
+  /// The arrival cursor: admitted jobs in (arrival_after_units, id) order.
+  /// Every job before next_arrival_ has passed its gate or left the queue.
+  std::vector<Job*> arrivals_;
+  size_t next_arrival_ = 0;
+  /// Running jobs in submission order.
+  std::vector<Job*> running_jobs_;
   std::int64_t preempt_events_ = 0;
   std::int64_t retry_events_ = 0;
   /// Exact simulated queue wait of every dispatch, in dispatch order

@@ -206,8 +206,9 @@ long stress_checksum(int r, index_t n) {
 }
 
 // Regression: two host threads submitting to one pool raced on tasks_ and
-// generation_; submissions now serialize, and every round still produces
-// its own checksum. 2500 back-to-back rounds per thread.
+// generation_; rounds no longer overlap (a call that finds the other
+// thread's round open runs inline), and every round still produces its
+// own checksum. 2500 back-to-back rounds per thread.
 TEST(ThreadPool, ConcurrentSubmissionsFromTwoHostThreads) {
   ThreadPool pool(4);
   std::atomic<int> bad_sums{0};

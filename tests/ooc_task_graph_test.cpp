@@ -186,8 +186,8 @@ TEST(TaskGraph, DetectsDependencyCycles) {
 
 TEST(TaskGraph, ANodeWithMoreThanTwoDepsWaitsForEveryOne) {
   // A node keeps up to two deps inline; a third (here from add_dep) moves
-  // the list to the heap. Every dep must still fence the node, count as an
-  // edge and appear in the dot dump, in order.
+  // the list to the graph's dep arena. Every dep must still fence the
+  // node, count as an edge and appear in the dot dump, in order.
   Device dev = phantom_device();
   ScopedMatrix buf(dev, 64, 64, StoragePrecision::FP32, "tg.buf");
   TaskGraph g(dev, test_options());
@@ -222,6 +222,33 @@ TEST(TaskGraph, ANodeWithMoreThanTwoDepsWaitsForEveryOne) {
   const std::string dot = g.dot();
   EXPECT_NE(dot.find("  n0 -> n3;\n  n1 -> n3 [style=dashed];\n"
                      "  n2 -> n3;\n"),
+            std::string::npos)
+      << dot;
+}
+
+TEST(TaskGraph, AddDepMovesALongDepListWhole) {
+  // Dep lists longer than two share one graph-owned arena, and add_dep
+  // moves a list that is not at the arena's end. Both moves below must
+  // keep every list whole and in order.
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  std::vector<TaskId> ins;
+  for (const char* name : {"in0", "in1", "in2", "in3"}) {
+    ins.push_back(g.add(TaskStage::MoveIn, name, {}));
+  }
+  const TaskId a = g.add(TaskStage::Compute, "a", {}, {ins[0], ins[1], ins[2]});
+  const TaskId b = g.add(TaskStage::Compute, "b", {}, {ins[1], ins[2], ins[3]});
+  g.add_dep(a, ins[3]);
+  g.add_dep(b, a);
+  g.run();
+
+  EXPECT_EQ(g.plan_description(),
+            "task-graph run: 6 node(s) (4 move-in, 2 compute, 0 move-out), "
+            "8 edge(s), 7 fence edge(s)");
+  const std::string dot = g.dot();
+  EXPECT_NE(dot.find("  n0 -> n4;\n  n1 -> n4;\n  n2 -> n4;\n  n3 -> n4;\n"
+                     "  n1 -> n5;\n  n2 -> n5;\n  n3 -> n5;\n"
+                     "  n4 -> n5 [style=dashed];\n"),
             std::string::npos)
       << dot;
 }

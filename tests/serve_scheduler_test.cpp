@@ -1136,6 +1136,135 @@ TEST(ServeScheduler, RunsRepeatExactly) {
   expect_same_bits(a.makespan_seconds, b.makespan_seconds, "makespan");
 }
 
+/// The names of the jobs the scheduler started since span `from`, one per
+/// solo dispatch, as "<name> attempt <n>".
+std::vector<std::string> solo_starts_since(size_t from) {
+  const std::vector<telemetry::SpanRecord> spans =
+      telemetry::SpanLog::global().snapshot();
+  const std::string prefix = "serve.job ";
+  std::vector<std::string> starts;
+  for (size_t i = from; i < spans.size(); ++i) {
+    if (spans[i].name.rfind(prefix, 0) == 0) {
+      starts.push_back(spans[i].name.substr(prefix.size()));
+    }
+  }
+  return starts;
+}
+
+TEST(ServeScheduler, DispatchOrderIsPriorityThenDeadlineThenSubmission) {
+  // One Phantom device, so the jobs start one at a time and the order they
+  // start in is the scheduler's pick order: higher priority first, then
+  // the earlier deadline (none last), then submission order. Every job is
+  // 4 checkpointed units long.
+  ServeConfig cfg;
+  cfg.devices = 1;
+  cfg.checkpoint_every = 1;
+  // The device's first transfer fails; "flaky", which takes no transfer
+  // retries of its own, starts first and takes it.
+  cfg.device_faults = {"h2d:transient:op=1"};
+  Scheduler sched(cfg);
+
+  struct Kind {
+    const char* name;
+    int priority;
+    double deadline;
+    index_t arrival;
+  };
+  // Two key ties, each split by jobs of other keys submitted in between:
+  // (3, 20 s) for c and e, (1, none) for a and d. Submission order breaks
+  // them.
+  const Kind kinds[] = {
+      {"a", 1, 0, 0},     {"b", 3, 50.0, 0}, {"c", 3, 20.0, 0},
+      {"d", 1, 0, 0},     {"e", 3, 20.0, 0}, {"f", 0, 0, 0},
+      {"g", 1, 20.0, 0},  {"h", 4, 0, 6},    {"flaky", 5, 0, 0},
+  };
+  for (const Kind& k : kinds) {
+    JobSpec job;
+    job.name = k.name;
+    job.algorithm = "blocking";
+    job.m = 2048;
+    job.n = 512;
+    job.blocksize = 128;
+    job.priority = k.priority;
+    job.deadline_seconds = k.deadline;
+    job.arrival_after_units = k.arrival;
+    if (job.name == "flaky") job.options.transfer_max_attempts = 1;
+    ASSERT_TRUE(sched.submit(job).admitted) << job.name;
+  }
+  const size_t spans_before = telemetry::SpanLog::global().snapshot().size();
+  const FleetReport rep = sched.run();
+
+  // flaky (priority 5) fails its first attempt and re-enters the ready set
+  // still on top. Then c: (3, 20 s) beats b's later deadline and e's later
+  // submission. h's gate opens at c's second checkpoint (fleet unit 6) and
+  // preempts it there. After h, the preempted c re-enters ahead of e (the
+  // same key, submitted later) and b. Then g, whose deadline puts it ahead
+  // of a and d, which go in submission order, and f last.
+  const std::vector<std::string> expected = {
+      "flaky attempt 1", "flaky attempt 2", "c attempt 1", "h attempt 1",
+      "c attempt 2",     "e attempt 1",     "b attempt 1", "g attempt 1",
+      "a attempt 1",     "d attempt 1",     "f attempt 1"};
+  EXPECT_EQ(solo_starts_since(spans_before), expected);
+  for (const JobReport& j : rep.jobs) {
+    EXPECT_EQ(j.state, JobState::Completed) << j.name;
+    EXPECT_EQ(j.retries, j.name == "flaky" ? 1 : 0) << j.name;
+    EXPECT_EQ(j.preemptions, j.name == "c" ? 1 : 0) << j.name;
+  }
+}
+
+TEST(ServeScheduler, RealFleetInsideAPoolRoundCompletes) {
+  // A Real fleet run from chunk 0 of a round of width 4 on the global pool.
+  // The round holds the pool while its caller runs that chunk, so the
+  // fleet's device-1 worker, a plain thread, finds a round open at its
+  // first kernel: it must run the kernel inline rather than wait for a
+  // round that waits for it. The serve tests' ctest TIMEOUT turns a hang
+  // into a failure. The bits do not depend on how a kernel is split, so
+  // every job matches a solo run.
+  constexpr index_t kM = 512;
+  constexpr index_t kN = 128;
+  constexpr index_t kB = 32;
+  constexpr unsigned kSeed = 800;
+  std::vector<la::Matrix> as;
+  std::vector<la::Matrix> rs;
+  for (unsigned i = 0; i < 3; ++i) {
+    as.push_back(la::random_normal(kM, kN, kSeed + i));
+    rs.emplace_back(kN, kN);
+  }
+  FleetReport rep;
+  ThreadPool::global().parallel_for(4, [&](index_t begin, index_t) {
+    if (begin != 0) return;
+    ServeConfig cfg;
+    cfg.devices = 2;
+    cfg.mode = ExecutionMode::Real;
+    Scheduler sched(cfg);
+    for (size_t i = 0; i < as.size(); ++i) {
+      JobSpec job;
+      job.name = "pooled" + std::to_string(i);
+      job.algorithm = "blocking";
+      job.m = kM;
+      job.n = kN;
+      job.blocksize = kB;
+      job.a = as[i].view();
+      job.r = rs[i].view();
+      EXPECT_TRUE(sched.submit(job).admitted) << job.name;
+    }
+    rep = sched.run();
+  });
+  EXPECT_EQ(rep.jobs_completed, 3);
+  EXPECT_EQ(rep.jobs_failed, 0);
+  for (unsigned i = 0; i < 3; ++i) {
+    la::Matrix q_ref = la::random_normal(kM, kN, kSeed + i);
+    la::Matrix r_ref(kN, kN);
+    Device clean(ServeConfig{}.spec, ExecutionMode::Real);
+    clean.model().install_paper_calibration();
+    qr::QrOptions opts;
+    opts.blocksize = kB;
+    run_driver("blocking", clean, q_ref.view(), r_ref.view(), opts);
+    EXPECT_TRUE(bitwise_equal(as[i], q_ref)) << i;
+    EXPECT_TRUE(bitwise_equal(rs[i], r_ref)) << i;
+  }
+}
+
 TEST(ServeScheduler, RunFromInsideAPoolBodyCompletes) {
   // run() may be called from inside a ThreadPool body, where a nested
   // round runs its bodies one after another on the calling thread. Device

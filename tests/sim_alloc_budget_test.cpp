@@ -1,11 +1,12 @@
 // Heap-allocation budget of the Phantom hot path. A Phantom factorization
 // runs no host kernel, so its host cost is the simulator, the task-graph
 // executor and the drivers; per-op heap traffic there is what the paper_sim
-// benchmark's wall time measures. This binary replaces the global
-// operator new / operator new[] with counting versions (hence its own
-// executable) and pins at most one allocation per trace event for the
+// and serve_mix benchmarks' wall times measure. This binary replaces the
+// global operator new / operator new[] with counting versions (hence its
+// own executable) and pins at most one allocation per trace event for the
 // paper's two streaming drivers at 131072^2, b = 1024, with the paper_sim
-// benchmark's options.
+// benchmark's options, and for the node programs a serve fleet runs
+// (colocated and fused batches that checkpoint as serve_mix's do).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,8 +14,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "qr/checkpoint.hpp"
 #include "qr/factorize.hpp"
+#include "qr/tiled_qr.hpp"
 #include "sim/device.hpp"
 
 namespace {
@@ -57,25 +62,56 @@ namespace {
 constexpr index_t kN = 131072;
 constexpr index_t kBlocksize = 1024;
 
-/// Heap allocations per trace event of one Phantom factorization on a
-/// paper-calibrated V100.
-double allocations_per_event(qr::Algorithm algorithm,
-                             const qr::QrOptions& opts) {
+/// Heap allocations per trace event of `run` on a fresh Phantom
+/// paper-calibrated V100, which must record at least `min_events`.
+template <typename Run>
+double allocations_per_event(size_t min_events, Run run) {
   sim::Device dev(sim::DeviceSpec::v100_32gb(), sim::ExecutionMode::Phantom);
   dev.model().install_paper_calibration();
-  const auto a = sim::HostMutRef::phantom(kN, kN);
-  const auto r = sim::HostMutRef::phantom(kN, kN);
   const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
-  qr::factorize(qr::QrProblem{{&dev}, a, r, algorithm, opts});
+  run(dev);
   const std::int64_t allocations =
       g_allocations.load(std::memory_order_relaxed) - before;
   const size_t events = dev.trace().size();
-  EXPECT_GT(events, 10000u);
+  EXPECT_GE(events, min_events);
   const double per_event =
       static_cast<double>(allocations) / static_cast<double>(events);
   std::printf("%lld allocations over %zu trace events: %.3f per event\n",
               static_cast<long long>(allocations), events, per_event);
   return per_event;
+}
+
+/// One Phantom factorization at 131072^2.
+double allocations_per_event(qr::Algorithm algorithm,
+                             const qr::QrOptions& opts) {
+  return allocations_per_event(10000, [&](sim::Device& dev) {
+    const auto a = sim::HostMutRef::phantom(kN, kN);
+    const auto r = sim::HostMutRef::phantom(kN, kN);
+    qr::factorize(qr::QrProblem{{&dev}, a, r, algorithm, opts});
+  });
+}
+
+/// A sink that drops every checkpoint: the batch runs round by round and
+/// snapshots as a serve dispatch does, at no cost of its own.
+class DiscardingSink : public qr::CheckpointSink {
+ public:
+  void write(const qr::Checkpoint&) override {}
+};
+
+/// One job of a batch, labelled and checkpointed every 4 units like a
+/// serve_mix dispatch member.
+qr::detail::BatchJob batch_job(const char* algorithm, index_t m, index_t n,
+                               index_t b, size_t id,
+                               qr::CheckpointSink& sink) {
+  qr::QrOptions opts;
+  opts.blocksize = b;
+  opts.checkpoint_sink = &sink;
+  opts.checkpoint_every = 4;
+  std::string label = "j";
+  label += std::to_string(id);
+  label += ".";
+  return {algorithm, sim::HostMutRef::phantom(m, n),
+          sim::HostMutRef::phantom(n, n), opts, std::move(label)};
 }
 
 TEST(SimAllocBudget, CountingAllocatorSeesHeapAllocations) {
@@ -103,6 +139,44 @@ TEST(SimAllocBudget, BlockingQrAllocatesAtMostOncePerTraceEvent) {
   opts.blocksize = kBlocksize;
   opts.staging_buffer = false;
   EXPECT_LE(allocations_per_event(qr::Algorithm::Blocking, opts), 1.0);
+}
+
+/// A colocated batch of `jobs`, as a serve dispatch runs it.
+double batch_allocations_per_event(
+    const std::vector<qr::detail::BatchJob>& jobs) {
+  return allocations_per_event(
+      1000, [&](sim::Device& dev) { qr::detail::run_batch(dev, jobs); });
+}
+
+TEST(SimAllocBudget, ColocatedBlockingJobsAllocateAtMostOncePerEvent) {
+  DiscardingSink sink;
+  EXPECT_LE(batch_allocations_per_event(
+                {batch_job("blocking", 16384, 8192, 512, 0, sink),
+                 batch_job("blocking", 16384, 8192, 512, 1, sink)}),
+            1.0);
+}
+
+TEST(SimAllocBudget, ColocatedTiledAndLeftJobsAllocateAtMostOncePerEvent) {
+  DiscardingSink sink;
+  EXPECT_LE(batch_allocations_per_event(
+                {batch_job("tiled", 16384, 8192, 512, 0, sink),
+                 batch_job("left", 16384, 8192, 512, 1, sink)}),
+            1.0);
+}
+
+TEST(SimAllocBudget, FusedBlockingBatchAllocatesAtMostOneAndAHalfPerEvent) {
+  // Most fused op names ("fused gemm upd 3,7") outgrow std::string's
+  // 15-character inline buffer, so each such trace event allocates its
+  // name.
+  DiscardingSink sink;
+  std::vector<qr::detail::BatchJob> jobs;
+  for (size_t k = 0; k < 8; ++k) {
+    jobs.push_back(batch_job("blocking", 4096, 2048, 128, k, sink));
+  }
+  const auto run = [&](sim::Device& dev) {
+    qr::detail::run_fused_batch(dev, jobs);
+  };
+  EXPECT_LE(allocations_per_event(500, run), 1.5);
 }
 
 } // namespace
