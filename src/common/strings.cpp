@@ -1,5 +1,6 @@
 #include "common/strings.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -71,6 +72,11 @@ std::string pad_right(const std::string& s, int width) {
   const int pad = width - static_cast<int>(s.size());
   if (pad <= 0) return s;
   return s + std::string(static_cast<size_t>(pad), ' ');
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 } // namespace rocqr

@@ -28,4 +28,7 @@ std::string pad_left(const std::string& s, int width);
 /// Right-pads a string to at least `width` columns.
 std::string pad_right(const std::string& s, int width);
 
+/// Appends `v` in decimal (std::to_string's digits) with no temporary.
+void append_int(std::string& out, std::int64_t v);
+
 } // namespace rocqr

@@ -36,7 +36,7 @@ void panel_potrf_device(Device& dev, const DeviceMatrix& block, Stream stream,
       dev.model().spec().kernel_latency_s + flops / dev.model().panel_rate(w, w);
   dev.custom_compute(stream, seconds, static_cast<flops_t>(flops),
                      sim::OpKind::Panel,
-                     "potrf " + std::to_string(w) + "x" + std::to_string(w),
+                     sim::op_name("potrf ", w, "x", w),
                      [&]() {
                        la::Matrix host_block = dev.download(block);
                        la::cholesky_upper(host_block.view());

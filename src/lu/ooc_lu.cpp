@@ -38,7 +38,7 @@ void panel_lu_device(Device& dev, const DeviceMatrix& panel, Stream stream,
       dev.model().spec().kernel_latency_s + flops / dev.model().panel_rate(m, w);
   dev.custom_compute(
       stream, seconds, static_cast<flops_t>(flops), sim::OpKind::Panel,
-      "panel_lu " + std::to_string(m) + "x" + std::to_string(w), [&]() {
+      sim::op_name("panel_lu ", m, "x", w), [&]() {
         la::Matrix host_panel = dev.download(panel);
         lu_nopiv_recursive(host_panel.view(), opts.panel_base, opts.precision);
         dev.upload(panel, host_panel.view());

@@ -97,15 +97,15 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
     const Slab kslab = kslabs[static_cast<size_t>(step % ks)];
     const Slab panel = panels[static_cast<size_t>(step / ks)];
     const size_t slot = static_cast<size_t>(step % depth);
-    const auto s = std::to_string(step % ks);
+    const index_t s = step % ks;
     ctx.h2d(sim::DeviceMatrixRef(buf_a[slot].get(), 0, 0, kslab.width, m),
             host_block(a.host(), kslab.offset, 0, kslab.width, m),
-            "h2d A[" + s + "]");
+            sim::op_name("h2d A[", s, "]"));
     ctx.h2d(sim::DeviceMatrixRef(buf_b[slot].get(), 0, 0, kslab.width,
                                  panel.width),
             host_block(b.host(), kslab.offset, panel.offset, kslab.width,
                        panel.width),
-            "h2d B[" + s + "]");
+            sim::op_name("h2d B[", s, "]"));
   };
   plan.compute = [&](ComputeCtx& ctx, index_t step) {
     const index_t s = step % ks;
@@ -122,7 +122,7 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
                                   panel.width),
              s == 0 ? 0.0f : 1.0f,
              sim::DeviceMatrixRef(cd, 0, 0, m, panel.width),
-             "gemm C+=A'B[" + std::to_string(s) + "]");
+             sim::op_name("gemm C+=A'B[", s, "]"));
   };
   // Single move-out of the accumulated panel.
   plan.move_out = [&](MoveOutCtx& ctx, index_t p) {
@@ -130,7 +130,7 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
     const DeviceMatrix& cd = buf_c[static_cast<size_t>(p % c_slots)].get();
     ctx.d2h(host_block(c, 0, panel.offset, m, panel.width),
             sim::DeviceMatrixRef(cd, 0, 0, m, panel.width),
-            "d2h C panel " + std::to_string(p));
+            sim::op_name("d2h C panel ", p));
   };
   plan.output_region = [&](index_t p) {
     const Slab panel = panels[static_cast<size_t>(p)];
@@ -217,7 +217,7 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
     const size_t slot = static_cast<size_t>(s % depth);
     ctx.h2d(sim::DeviceMatrixRef(buf_b[slot].get(), 0, 0, kk, slab.width),
             host_block(b.host(), 0, slab.offset, kk, slab.width),
-            "h2d B[" + std::to_string(s) + "]");
+            sim::op_name("h2d B[", s, "]"));
   };
   plan.compute = [&](ComputeCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
@@ -226,13 +226,13 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
              sim::DeviceMatrixRef(buf_b[slot].get(), 0, 0, kk, slab.width),
              0.0f,
              sim::DeviceMatrixRef(cd.get(), 0, slab.offset, m, slab.width),
-             "gemm C=A'B[" + std::to_string(s) + "]");
+             sim::op_name("gemm C=A'B[", s, "]"));
   };
   plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     ctx.d2h(host_block(c, 0, slab.offset, m, slab.width),
             sim::DeviceMatrixRef(cd.get(), 0, slab.offset, m, slab.width),
-            "d2h C[" + std::to_string(s) + "]");
+            sim::op_name("d2h C[", s, "]"));
   };
   plan.output_region = [&](index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];

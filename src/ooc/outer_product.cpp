@@ -115,7 +115,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
     ctx.h2d(a_slab,
             ta ? host_block(a.host(), 0, slab.offset, kk, slab.width)
                : host_block(a.host(), slab.offset, 0, slab.width, kk),
-            "h2d A[" + std::to_string(s) + "]");
+            sim::op_name("h2d A[", s, "]"));
   };
   plan.move_in_output = [&](MoveInCtx& ctx, index_t s) {
     if (opts.beta == 0.0f) return; // C is write-only, skip the move-in
@@ -124,7 +124,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
     ctx.h2d(DeviceMatrixRef(cbuf, 0, 0, slab.width, n - col0),
             host_block(c_in, slab.offset, col0, slab.width, n - col0),
-            "h2d C[" + std::to_string(s) + "]");
+            sim::op_name("h2d C[", s, "]"));
   };
   plan.compute = [&](ComputeCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
@@ -142,7 +142,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
                   : bres.ref;
     ctx.gemm(opts.outer_opa, opts.outer_opb, opts.alpha, a_slab, b_ref,
              opts.beta, DeviceMatrixRef(cbuf, 0, 0, slab.width, cw),
-             "gemm C[" + std::to_string(s) + "]");
+             sim::op_name("gemm C[", s, "]"));
   };
   plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
@@ -150,7 +150,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
     ctx.d2h(host_block(c_out, slab.offset, col0, slab.width, n - col0),
             DeviceMatrixRef(cbuf, 0, 0, slab.width, n - col0),
-            "d2h C[" + std::to_string(s) + "]");
+            sim::op_name("d2h C[", s, "]"));
   };
   plan.output_region = [&](index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
@@ -240,7 +240,7 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
     const size_t slot = static_cast<size_t>(s % depth);
     ctx.h2d(DeviceMatrixRef(buf_b[slot].get(), 0, 0, kk, slab.width),
             host_block(b.host(), 0, slab.offset, kk, slab.width),
-            "h2d B[" + std::to_string(s) + "]");
+            sim::op_name("h2d B[", s, "]"));
   };
   plan.move_in_output = [&](MoveInCtx& ctx, index_t s) {
     if (opts.beta == 0.0f) return;
@@ -248,7 +248,7 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
     ctx.h2d(DeviceMatrixRef(cbuf, 0, 0, m, slab.width),
             host_block(c_in, 0, slab.offset, m, slab.width),
-            "h2d C[" + std::to_string(s) + "]");
+            sim::op_name("h2d C[", s, "]"));
   };
   plan.compute = [&](ComputeCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
@@ -257,14 +257,14 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
     ctx.gemm(opts.outer_opa, Op::NoTrans, opts.alpha, a_ref,
              DeviceMatrixRef(buf_b[slot].get(), 0, 0, kk, slab.width),
              opts.beta, DeviceMatrixRef(cbuf, 0, 0, m, slab.width),
-             "gemm C[" + std::to_string(s) + "]");
+             sim::op_name("gemm C[", s, "]"));
   };
   plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
     ctx.d2h(host_block(c_out, 0, slab.offset, m, slab.width),
             DeviceMatrixRef(cbuf, 0, 0, m, slab.width),
-            "d2h C[" + std::to_string(s) + "]");
+            sim::op_name("d2h C[", s, "]"));
   };
   plan.output_region = [&](index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
@@ -364,7 +364,7 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(t % c_slots)].get();
     ctx.h2d(DeviceMatrixRef(cbuf, 0, 0, rt.width, ct.width),
             host_block(c_in, rt.offset, ct.offset, rt.width, ct.width),
-            "h2d C[" + std::to_string(t) + "]");
+            sim::op_name("h2d C[", t, "]"));
   };
   plan.compute = [&](ComputeCtx& ctx, index_t t) {
     const auto& [rt, ct] = tiles[static_cast<size_t>(t)];
@@ -377,14 +377,14 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
            : bres.ref.block(0, ct.offset, kk, ct.width);
     ctx.gemm(opts.outer_opa, opts.outer_opb, opts.alpha, a_tile, b_tile,
              opts.beta, DeviceMatrixRef(cbuf, 0, 0, rt.width, ct.width),
-             "gemm C[" + std::to_string(t) + "]");
+             sim::op_name("gemm C[", t, "]"));
   };
   plan.move_out = [&](MoveOutCtx& ctx, index_t t) {
     const auto& [rt, ct] = tiles[static_cast<size_t>(t)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(t % c_slots)].get();
     ctx.d2h(host_block(c_out, rt.offset, ct.offset, rt.width, ct.width),
             DeviceMatrixRef(cbuf, 0, 0, rt.width, ct.width),
-            "d2h C[" + std::to_string(t) + "]");
+            sim::op_name("d2h C[", t, "]"));
   };
   plan.output_region = [&](index_t t) {
     return std::make_optional(tiles[static_cast<size_t>(t)]);

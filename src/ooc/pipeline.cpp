@@ -1,8 +1,7 @@
 #include "ooc/pipeline.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "ooc/engine_util.hpp"
 #include "ooc/resilience.hpp"
 
@@ -16,13 +15,12 @@ SlabPipeline::SlabPipeline(sim::Device& dev, const OocGemmOptions& opts,
     : graph_(dev, opts, std::move(span_name), std::move(wait_before)) {}
 
 Event SlabPipeline::stage_resident(sim::DeviceMatrixRef dst,
-                                   sim::HostConstRef src,
-                                   const std::string& name) {
+                                   sim::HostConstRef src, sim::OpName name) {
   // Eagerly enqueued: one-shot stages must keep the legacy program order
   // relative to surrounding run()/run_task() calls, and callers may free
   // the host source right after this returns.
   const TaskId id = graph_.add(
-      TaskStage::MoveIn, "stage " + name,
+      TaskStage::MoveIn, "stage " + name.str(),
       [dst, src, name](TaskCtx& t) { t.h2d(dst, src, name); });
   graph_.run();
   return graph_.done(id);
@@ -31,42 +29,67 @@ Event SlabPipeline::stage_resident(sim::DeviceMatrixRef dst,
 namespace {
 
 std::string describe_plan(const SlabPlan& plan, const OocGemmOptions& opts) {
-  std::ostringstream os;
-  os << "slab-pipeline " << (plan.label.empty() ? "loop" : plan.label) << ": "
-     << plan.steps << " step(s)";
+  std::string s = "slab-pipeline ";
+  s += plan.label.empty() ? "loop" : plan.label;
+  s += ": ";
+  append_int(s, plan.steps);
+  s += " step(s)";
   if (plan.steps_per_group > 1) {
-    os << " in groups of " << plan.steps_per_group;
+    s += " in groups of ";
+    append_int(s, plan.steps_per_group);
   }
   if (plan.input_slots > 0) {
-    os << ", input pool " << plan.input_slots << " slot(s)";
+    s += ", input pool ";
+    append_int(s, plan.input_slots);
+    s += " slot(s)";
   } else {
-    os << ", no streamed-input pool";
+    s += ", no streamed-input pool";
   }
   switch (plan.output_fence) {
     case OutputFence::None:
-      os << ", output resident (no slot fence)";
+      s += ", output resident (no slot fence)";
       break;
     case OutputFence::MoveIn:
-      os << ", output slots " << plan.output_slots << " (move-in fence)";
+      s += ", output slots ";
+      append_int(s, plan.output_slots);
+      s += " (move-in fence)";
       break;
     case OutputFence::MoveInCounted:
-      os << ", output slots " << plan.output_slots
-         << " (move-in fence, counted)";
+      s += ", output slots ";
+      append_int(s, plan.output_slots);
+      s += " (move-in fence, counted)";
       break;
     case OutputFence::Compute:
-      os << ", output slots " << plan.output_slots << " (compute fence)";
+      s += ", output slots ";
+      append_int(s, plan.output_slots);
+      s += " (compute fence)";
       break;
   }
-  os << ", " << plan.resident_ready.size() << " resident operand(s)"
-     << ", regions " << (plan.input_region ? "on" : "off") << ", blocksize "
-     << opts.blocksize;
-  if (opts.tile_cols > 0) os << " x " << opts.tile_cols;
-  os << ", ramp "
-     << (opts.ramp_up ? "from " + std::to_string(opts.ramp_start) : "off")
-     << ", staging " << (opts.staging_buffer ? "on" : "off") << ", depth "
-     << opts.pipeline_depth << (opts.synchronous ? ", SYNCHRONOUS" : "")
-     << (opts.abft ? ", abft" : "") << "\n";
-  return os.str();
+  s += ", ";
+  append_int(s, static_cast<std::int64_t>(plan.resident_ready.size()));
+  s += " resident operand(s), regions ";
+  s += plan.input_region ? "on" : "off";
+  s += ", blocksize ";
+  append_int(s, opts.blocksize);
+  if (opts.tile_cols > 0) {
+    s += " x ";
+    append_int(s, opts.tile_cols);
+  }
+  s += ", ramp ";
+  if (opts.ramp_up) {
+    s += "from ";
+    append_int(s, opts.ramp_start);
+  } else {
+    s += "off";
+  }
+  s += ", staging ";
+  s += opts.staging_buffer ? "on" : "off";
+  s += ", depth ";
+  append_int(s, opts.pipeline_depth);
+  if (opts.synchronous) s += ", SYNCHRONOUS";
+  if (opts.abft) s += ", abft";
+  s += "\n";
+  return s;
 }
 
 } // namespace
@@ -297,8 +320,7 @@ std::string SlabPipeline::plan_description() const {
 }
 
 ResidentInput stage_operand(SlabPipeline& p, const Operand& op,
-                            const std::string& label,
-                            const std::string& copy_name) {
+                            sim::OpName label, sim::OpName copy_name) {
   ResidentInput r;
   if (op.is_resident()) {
     r.ref = op.device_ref();

@@ -58,8 +58,7 @@ class SlabPipeline;
 /// in stage vocabulary.
 class MoveInCtx {
  public:
-  void h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src,
-           const std::string& name) {
+  void h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src, sim::OpName name) {
     t_.h2d(dst, src, name);
   }
   /// Extra per-step dependency of the move-in (valid-checked).
@@ -78,11 +77,11 @@ class ComputeCtx {
  public:
   void gemm(blas::Op opa, blas::Op opb, float alpha, sim::DeviceMatrixRef a,
             sim::DeviceMatrixRef b, float beta, sim::DeviceMatrixRef c,
-            const std::string& name) {
+            sim::OpName name) {
     t_.gemm(opa, opb, alpha, a, b, beta, c, name);
   }
   void trsm(sim::Device::TrsmKind kind, sim::DeviceMatrixRef tri,
-            sim::DeviceMatrixRef b, const std::string& name) {
+            sim::DeviceMatrixRef b, sim::OpName name) {
     t_.trsm(kind, tri, b, name);
   }
   void wait(const sim::Event& e) { t_.wait(e); }
@@ -93,7 +92,7 @@ class ComputeCtx {
   /// it, and enqueues the device-to-host copy there — the "drain an
   /// intermediate while compute continues" idiom of the recursive drivers.
   sim::Event emit(sim::HostMutRef dst, sim::DeviceMatrixRef src,
-                  const std::string& name) {
+                  sim::OpName name) {
     return t_.emit(dst, src, name);
   }
 
@@ -106,8 +105,7 @@ class ComputeCtx {
 /// Move-out stage handle: device-to-host transfers on the D2H stream.
 class MoveOutCtx {
  public:
-  void d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src,
-           const std::string& name) {
+  void d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src, sim::OpName name) {
     t_.d2h(dst, src, name);
   }
   void wait(const sim::Event& e) { t_.wait(e); }
@@ -219,7 +217,7 @@ class SlabPipeline {
   /// Stages a resident operand: H2D on the move-in stream, returning the
   /// event marking its readiness (a resident_ready candidate).
   sim::Event stage_resident(sim::DeviceMatrixRef dst, sim::HostConstRef src,
-                            const std::string& name);
+                            sim::OpName name);
 
   SlabRunResult run(const SlabPlan& plan);
   TaskResult run_task(const TaskPlan& plan);
@@ -264,7 +262,6 @@ struct ResidentInput {
 /// Stages `op` unless it is already device-resident. `label` names the
 /// allocation, `copy_name` the H2D trace op.
 ResidentInput stage_operand(SlabPipeline& p, const Operand& op,
-                            const std::string& label,
-                            const std::string& copy_name);
+                            sim::OpName label, sim::OpName copy_name);
 
 } // namespace rocqr::ooc

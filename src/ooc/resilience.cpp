@@ -20,7 +20,7 @@ telemetry::Counter& abft_recomputes_counter() {
 /// Shared retry loop: `enqueue` performs one attempt (throwing TransferError
 /// on an injected transient failure).
 template <typename Enqueue>
-void retry_transfer(sim::Device& dev, const std::string& name,
+void retry_transfer(sim::Device& dev, const sim::OpName& name,
                     int max_attempts, double backoff_seconds,
                     const Enqueue& enqueue) {
   ROCQR_CHECK(max_attempts >= 1, "transfer retry: max_attempts must be >= 1");
@@ -33,12 +33,12 @@ void retry_transfer(sim::Device& dev, const std::string& name,
       if (attempt >= max_attempts) {
         throw FaultBudgetExhausted(
             "transfer retry budget exhausted (" + std::to_string(attempt) +
-            " attempts) on '" + name + "'");
+            " attempts) on '" + name.str() + "'");
       }
       transfer_retries_counter().increment();
       // The failed enqueue consumed no engine time; the backoff is the
       // modeled cost of detecting the failure and re-issuing the copy.
-      sim::TraceSpan span(dev, "transfer_retry " + name);
+      sim::TraceSpan span(dev, "transfer_retry " + name.str());
       dev.advance_host_clock(dev.now() + backoff);
       backoff *= 2.0;
     }
@@ -105,7 +105,7 @@ bool abft_check_passes(sim::Device& dev, blas::Op opa, blas::Op opb,
 
 void copy_h2d_retry(sim::Device& dev,
                     std::span<const sim::Device::H2dBatchEntry> es,
-                    sim::Stream s, const std::string& name, int max_attempts,
+                    sim::Stream s, sim::OpName name, int max_attempts,
                     double backoff_seconds) {
   retry_transfer(dev, name, max_attempts, backoff_seconds,
                  [&] { dev.copy_h2d_batched(es, s, name); });
@@ -113,7 +113,7 @@ void copy_h2d_retry(sim::Device& dev,
 
 void copy_d2h_retry(sim::Device& dev,
                     std::span<const sim::Device::D2hBatchEntry> es,
-                    sim::Stream s, const std::string& name, int max_attempts,
+                    sim::Stream s, sim::OpName name, int max_attempts,
                     double backoff_seconds) {
   retry_transfer(dev, name, max_attempts, backoff_seconds,
                  [&] { dev.copy_d2h_batched(es, s, name); });
@@ -121,7 +121,7 @@ void copy_d2h_retry(sim::Device& dev,
 
 void checked_gemm(sim::Device& dev, const OocGemmOptions& opts,
                   std::span<const sim::Device::GemmBatchEntry> es,
-                  sim::Stream s, const std::string& name) {
+                  sim::Stream s, sim::OpName name) {
   if (!opts.abft || dev.mode() != sim::ExecutionMode::Real) {
     dev.gemm_batched(es, opts.precision, s, name);
     return;
@@ -141,12 +141,12 @@ void checked_gemm(sim::Device& dev, const OocGemmOptions& opts,
                             need_restore ? &c_before : nullptr)) {
     if (attempt >= kAbftMaxAttempts) {
       throw NumericalError("abft: checksum mismatch persisted after " +
-                           std::to_string(attempt) + " attempts in '" + name +
-                           "'");
+                           std::to_string(attempt) + " attempts in '" +
+                           name.str() + "'");
     }
     ++attempt;
     abft_recomputes_counter().increment();
-    sim::TraceSpan span(dev, "abft_recompute " + name);
+    sim::TraceSpan span(dev, "abft_recompute " + name.str());
     if (need_restore) dev.upload(e.c, c_before.view());
     dev.gemm_batched(es, opts.precision, s, name);
   }

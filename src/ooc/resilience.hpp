@@ -29,19 +29,19 @@ namespace rocqr::ooc::detail {
 /// once `max_attempts` attempts all failed.
 void copy_h2d_retry(sim::Device& dev,
                     std::span<const sim::Device::H2dBatchEntry> es,
-                    sim::Stream s, const std::string& name, int max_attempts,
+                    sim::Stream s, sim::OpName name, int max_attempts,
                     double backoff_seconds);
 
 /// D2H counterpart of copy_h2d_retry.
 void copy_d2h_retry(sim::Device& dev,
                     std::span<const sim::Device::D2hBatchEntry> es,
-                    sim::Stream s, const std::string& name, int max_attempts,
+                    sim::Stream s, sim::OpName name, int max_attempts,
                     double backoff_seconds);
 
 /// One-entry forms.
 inline void copy_h2d_retry(sim::Device& dev, sim::DeviceMatrixRef dst,
                            sim::HostConstRef src, sim::Stream s,
-                           const std::string& name, int max_attempts,
+                           sim::OpName name, int max_attempts,
                            double backoff_seconds) {
   const sim::Device::H2dBatchEntry e{dst, src};
   copy_h2d_retry(dev, {&e, 1}, s, name, max_attempts, backoff_seconds);
@@ -49,7 +49,7 @@ inline void copy_h2d_retry(sim::Device& dev, sim::DeviceMatrixRef dst,
 
 inline void copy_d2h_retry(sim::Device& dev, sim::HostMutRef dst,
                            sim::DeviceMatrixRef src, sim::Stream s,
-                           const std::string& name, int max_attempts,
+                           sim::OpName name, int max_attempts,
                            double backoff_seconds) {
   const sim::Device::D2hBatchEntry e{dst, src};
   copy_d2h_retry(dev, {&e, 1}, s, name, max_attempts, backoff_seconds);
@@ -65,7 +65,7 @@ inline void copy_d2h_retry(sim::Device& dev, sim::HostMutRef dst,
 /// degenerate to a plain dev.gemm_batched call.
 void checked_gemm(sim::Device& dev, const OocGemmOptions& opts,
                   std::span<const sim::Device::GemmBatchEntry> es,
-                  sim::Stream s, const std::string& name);
+                  sim::Stream s, sim::OpName name);
 
 /// Halves the slab/tile knobs of `opts` one degradation step; returns false
 /// when already at the floor (degradation must rethrow).

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "ooc/engine_util.hpp"
 #include "ooc/resilience.hpp"
 
@@ -39,7 +40,7 @@ const char* stage_name(TaskStage s) {
 // SlabPipeline stage contexts.
 
 void TaskCtx::h2d(std::span<const sim::Device::H2dBatchEntry> es,
-                  const std::string& name) {
+                  sim::OpName name) {
   if (stage_ != TaskStage::MoveIn) wrong_stage(stage_, "h2d");
   detail::copy_h2d_retry(g_.dev_, es, g_.in_, name,
                          g_.opts_.transfer_max_attempts,
@@ -48,14 +49,14 @@ void TaskCtx::h2d(std::span<const sim::Device::H2dBatchEntry> es,
 }
 
 void TaskCtx::gemm(std::span<const sim::Device::GemmBatchEntry> es,
-                   const std::string& name) {
+                   sim::OpName name) {
   if (stage_ != TaskStage::Compute) wrong_stage(stage_, "gemm");
   detail::checked_gemm(g_.dev_, g_.opts_, es, g_.comp_, name);
   detail::sync_if(g_.dev_, g_.opts_);
 }
 
 void TaskCtx::trsm(sim::Device::TrsmKind kind, sim::DeviceMatrixRef tri,
-                   sim::DeviceMatrixRef b, const std::string& name) {
+                   sim::DeviceMatrixRef b, sim::OpName name) {
   if (stage_ != TaskStage::Compute) wrong_stage(stage_, "trsm");
   g_.dev_.trsm(kind, tri, b, g_.opts_.precision, g_.comp_, name);
   detail::sync_if(g_.dev_, g_.opts_);
@@ -67,7 +68,7 @@ sim::Stream TaskCtx::stream() const {
 }
 
 void TaskCtx::d2h(std::span<const sim::Device::D2hBatchEntry> es,
-                  const std::string& name) {
+                  sim::OpName name) {
   if (stage_ != TaskStage::MoveOut) wrong_stage(stage_, "d2h");
   detail::copy_d2h_retry(g_.dev_, es, g_.out_, name,
                          g_.opts_.transfer_max_attempts,
@@ -76,7 +77,7 @@ void TaskCtx::d2h(std::span<const sim::Device::D2hBatchEntry> es,
 }
 
 Event TaskCtx::emit(sim::HostMutRef dst, sim::DeviceMatrixRef src,
-                    const std::string& name) {
+                    sim::OpName name) {
   if (stage_ != TaskStage::Compute) wrong_stage(stage_, "emit");
   Event e = g_.dev_.create_event();
   g_.dev_.record_event(e, g_.comp_);
@@ -351,11 +352,20 @@ std::string TaskGraph::plan_description() const {
   const Counts& c = counts_;
   const index_t nodes = c.in + c.comp + c.out;
   if (nodes == 0) return {};
-  std::ostringstream os;
-  os << "task-graph run: " << nodes << " node(s) (" << c.in << " move-in, "
-     << c.comp << " compute, " << c.out << " move-out), " << c.edges
-     << " edge(s), " << c.fence_edges << " fence edge(s)";
-  return os.str();
+  std::string s = "task-graph run: ";
+  append_int(s, nodes);
+  s += " node(s) (";
+  append_int(s, c.in);
+  s += " move-in, ";
+  append_int(s, c.comp);
+  s += " compute, ";
+  append_int(s, c.out);
+  s += " move-out), ";
+  append_int(s, c.edges);
+  s += " edge(s), ";
+  append_int(s, c.fence_edges);
+  s += " fence edge(s)";
+  return s;
 }
 
 Event TaskGraph::done(TaskId id) const {

@@ -76,38 +76,33 @@ class TaskCtx {
   /// MoveIn: one host-to-device transfer of `es` with retry + sync_if
   /// applied. K > 1 entries are a fused transfer in one link occupancy (the
   /// batched serving path); one fault site, so a retry replays them all.
-  void h2d(std::span<const sim::Device::H2dBatchEntry> es,
-           const std::string& name);
+  void h2d(std::span<const sim::Device::H2dBatchEntry> es, sim::OpName name);
   /// MoveIn: the one-entry transfer.
-  void h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src,
-           const std::string& name) {
+  void h2d(sim::DeviceMatrixRef dst, sim::HostConstRef src, sim::OpName name) {
     const sim::Device::H2dBatchEntry e{dst, src};
     h2d({&e, 1}, name);
   }
   /// Compute: one GEMM launch over `es` (block-diagonal for K > 1) with the
   /// opt-in ABFT column-sum check, which covers one-entry launches (the
   /// fused serving path rejects abft jobs up front).
-  void gemm(std::span<const sim::Device::GemmBatchEntry> es,
-            const std::string& name);
+  void gemm(std::span<const sim::Device::GemmBatchEntry> es, sim::OpName name);
   /// Compute: the one-entry GEMM.
   void gemm(blas::Op opa, blas::Op opb, float alpha, sim::DeviceMatrixRef a,
             sim::DeviceMatrixRef b, float beta, sim::DeviceMatrixRef c,
-            const std::string& name) {
+            sim::OpName name) {
     const sim::Device::GemmBatchEntry e{opa, opb, alpha, a, b, beta, c};
     gemm({&e, 1}, name);
   }
   /// Compute: triangular solve.
   void trsm(sim::Device::TrsmKind kind, sim::DeviceMatrixRef tri,
-            sim::DeviceMatrixRef b, const std::string& name);
+            sim::DeviceMatrixRef b, sim::OpName name);
   /// Compute: the stream, for panel kernels (panel_qr_device & co.) that
   /// enqueue their own custom ops.
   sim::Stream stream() const;
   /// MoveOut: one device-to-host transfer of `es` (symmetric to h2d).
-  void d2h(std::span<const sim::Device::D2hBatchEntry> es,
-           const std::string& name);
+  void d2h(std::span<const sim::Device::D2hBatchEntry> es, sim::OpName name);
   /// MoveOut: the one-entry transfer.
-  void d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src,
-           const std::string& name) {
+  void d2h(sim::HostMutRef dst, sim::DeviceMatrixRef src, sim::OpName name) {
     const sim::Device::D2hBatchEntry e{dst, src};
     d2h({&e, 1}, name);
   }
@@ -116,7 +111,7 @@ class TaskCtx {
   /// an intermediate while compute continues" idiom of the recursive
   /// drivers (SlabPipeline's ComputeCtx::emit lowers onto this).
   sim::Event emit(sim::HostMutRef dst, sim::DeviceMatrixRef src,
-                  const std::string& name);
+                  sim::OpName name);
   /// Extra wait on this node's stream (valid-checked) — for events that are
   /// not graph edges, e.g. a SlabPipeline resident-stage event.
   void wait(const sim::Event& e);

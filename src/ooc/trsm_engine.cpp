@@ -69,20 +69,20 @@ Event trsm_base_impl(Device& dev, TriSolveKind kind, HostConstRef t,
     const DeviceMatrix& bbuf = buf_b[static_cast<size_t>(s % b_slots)].get();
     ctx.h2d(DeviceMatrixRef(bbuf, 0, 0, w, slab.width),
             host_block(b_in, j0, slab.offset, w, slab.width),
-            "h2d B[" + std::to_string(s) + "]");
+            sim::op_name("h2d B[", s, "]"));
   };
   plan.compute = [&](ComputeCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& bbuf = buf_b[static_cast<size_t>(s % b_slots)].get();
     ctx.trsm(device_kind, tri.get(), DeviceMatrixRef(bbuf, 0, 0, w, slab.width),
-             "trsm[" + std::to_string(s) + "]");
+             sim::op_name("trsm[", s, "]"));
   };
   plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& bbuf = buf_b[static_cast<size_t>(s % b_slots)].get();
     ctx.d2h(host_block(b_out, j0, slab.offset, w, slab.width),
             DeviceMatrixRef(bbuf, 0, 0, w, slab.width),
-            "d2h X[" + std::to_string(s) + "]");
+            sim::op_name("d2h X[", s, "]"));
   };
 
   SlabRunResult run = pipe.run(plan);

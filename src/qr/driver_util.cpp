@@ -47,7 +47,7 @@ void move_in_panel(ooc::MoveInCtx& ctx, const sim::DeviceMatrix& panel,
           const ooc::Slab rows = regions[i].rows;
           ctx.h2d(sim::DeviceMatrixRef(panel, rows.offset, 0, rows.width, w),
                   ooc::host_block(a_cols, rows.offset, 0, rows.width, w),
-                  "h2d panel rows " + std::to_string(rows.offset));
+                  sim::op_name("h2d panel rows ", rows.offset));
         }
         return;
       }

@@ -43,4 +43,13 @@ QrStats stats_from_trace(const sim::Trace& trace, size_t from,
   return s;
 }
 
+std::vector<QrStats> stats_by_prefix(const sim::Trace& trace, size_t from,
+                                     bytes_t peak_device_bytes,
+                                     std::span<const std::string_view> prefixes) {
+  std::vector<QrStats> stats = sim::engine_stats_by_prefix(
+      trace, from, static_cast<size_t>(-1), prefixes);
+  for (QrStats& s : stats) s.peak_device_bytes = peak_device_bytes;
+  return stats;
+}
+
 } // namespace rocqr::qr

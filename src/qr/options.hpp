@@ -120,4 +120,11 @@ QrStats stats_from_trace(const sim::Trace& trace, size_t from,
                          bytes_t peak_device_bytes,
                          std::string_view name_prefix = {});
 
+/// stats_from_trace for several prefixes in one pass over the window
+/// (sim::engine_stats_by_prefix): element i equals
+/// stats_from_trace(trace, from, peak_device_bytes, prefixes[i]).
+std::vector<QrStats> stats_by_prefix(const sim::Trace& trace, size_t from,
+                                     bytes_t peak_device_bytes,
+                                     std::span<const std::string_view> prefixes);
+
 } // namespace rocqr::qr

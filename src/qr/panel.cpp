@@ -7,17 +7,17 @@ namespace rocqr::qr {
 
 void panel_qr_device(sim::Device& dev, sim::DeviceMatrixRef aq,
                      sim::DeviceMatrixRef r, sim::Stream stream,
-                     const QrOptions& opts, const std::string& name_prefix) {
+                     const QrOptions& opts, std::string_view name_prefix) {
   const PanelBatchEntry e{aq, r};
-  panel_qr_device_batched(dev, {&e, 1}, stream, opts,
-                          name_prefix + "panel_qr " + std::to_string(aq.rows) +
-                              "x" + std::to_string(aq.cols));
+  panel_qr_device_batched(
+      dev, {&e, 1}, stream, opts,
+      sim::op_name(name_prefix, "panel_qr ", aq.rows, "x", aq.cols));
 }
 
 void panel_qr_device_batched(sim::Device& dev,
                              std::span<const PanelBatchEntry> entries,
                              sim::Stream stream, const QrOptions& opts,
-                             const std::string& name) {
+                             sim::OpName name) {
   ROCQR_CHECK(!entries.empty(), "panel_qr_device: empty batch");
   const index_t m = entries.front().aq.rows;
   const index_t w = entries.front().aq.cols;

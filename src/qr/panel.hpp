@@ -3,7 +3,7 @@
 #pragma once
 
 #include <span>
-#include <string>
+#include <string_view>
 
 #include "qr/options.hpp"
 #include "sim/device.hpp"
@@ -30,7 +30,7 @@ struct PanelBatchEntry {
 void panel_qr_device_batched(sim::Device& dev,
                              std::span<const PanelBatchEntry> entries,
                              sim::Stream stream, const QrOptions& opts,
-                             const std::string& name);
+                             sim::OpName name);
 
 /// The one-entry launch, named `name_prefix` + "panel_qr <m>x<w>" — the
 /// prefix is per-job attribution when several factorizations share one
@@ -38,6 +38,6 @@ void panel_qr_device_batched(sim::Device& dev,
 void panel_qr_device(sim::Device& dev, sim::DeviceMatrixRef aq,
                      sim::DeviceMatrixRef r, sim::Stream stream,
                      const QrOptions& opts,
-                     const std::string& name_prefix = "");
+                     std::string_view name_prefix = {});
 
 } // namespace rocqr::qr

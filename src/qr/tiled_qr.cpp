@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -44,13 +43,12 @@ class SlotPool {
   /// Adds a slot: one rows x cols buffer per lane, labelled `label` (plus
   /// ".<lane>" when there are several lanes).
   void add(Device& dev, size_t lanes, index_t rows, index_t cols,
-           StoragePrecision prec, const std::string& label) {
+           StoragePrecision prec, sim::OpName label) {
     std::vector<ScopedMatrix> bufs;
     bufs.reserve(lanes);
     for (size_t k = 0; k < lanes; ++k) {
       bufs.emplace_back(dev, rows, cols, prec,
-                        lanes == 1 ? label
-                                   : label + "." + std::to_string(k));
+                        lanes == 1 ? label : sim::op_name(label, ".", k));
     }
     bufs_.push_back(std::move(bufs));
     last_uses_.emplace_back();
@@ -99,14 +97,13 @@ class SlotPool {
 /// its deps are gathered in deps_ and reach the graph as a span, and its
 /// body captures `this` plus an index into args_ (16 bytes, which
 /// std::function stores inline). The body rebuilds the node's device
-/// operands and op name at enqueue, into scratch that keeps its capacity.
+/// operands at enqueue, into scratch that keeps its capacity, and formats
+/// its op name in place (sim::op_name).
 class Program {
  public:
-  Program(TaskGraph& graph, std::span<const BatchJob> lanes, std::string prefix)
-      : g_(graph),
-        lanes_(lanes),
-        job_(lanes.front()),
-        prefix_(std::move(prefix)) {}
+  Program(TaskGraph& graph, std::span<const BatchJob> lanes,
+          sim::OpName prefix)
+      : g_(graph), lanes_(lanes), job_(lanes.front()), prefix_(prefix) {}
   virtual ~Program() = default;
 
   Program(const Program&) = delete;
@@ -147,7 +144,7 @@ class Program {
   /// `head` (e.g. "j3.inB "), followed by the node's i, or i and j when
   /// `ints` is 2.
   void declare(int kind, TaskStage stage, const char* head, int ints) {
-    const std::uint32_t h = g_.label_head(prefix_ + head);
+    const std::uint32_t h = g_.label_head(prefix_.str() + head);
     kinds_.at(static_cast<size_t>(kind)) = {stage, h, ints};
   }
 
@@ -165,36 +162,23 @@ class Program {
     return id;
   }
 
-  /// prefix_ + `what` + the integers joined by ',' (TaskLabel's rendering),
-  /// built in a string that keeps its capacity. Valid until the next call.
-  const std::string& op_name(const char* what, index_t a) {
-    op_.assign(prefix_);
-    op_ += what;
-    append_int(a);
-    return op_;
+  /// prefix_ + `what` + the integers joined by ',' (TaskLabel's rendering).
+  sim::OpName op_name(const char* what, index_t a) const {
+    return sim::op_name(prefix_, what, a);
   }
-  const std::string& op_name(const char* what, index_t a, index_t b) {
-    op_name(what, a);
-    op_ += ',';
-    append_int(b);
-    return op_;
-  }
-  void append_int(index_t v) {
-    char buf[24];
-    op_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  sim::OpName op_name(const char* what, index_t a, index_t b) const {
+    return sim::op_name(prefix_, what, a, ",", b);
   }
 
   TaskGraph& g_;
   std::span<const BatchJob> lanes_;
   /// The first lane; every lane shares its shape and options.
   const BatchJob& job_;
-  /// Prefix of every node label and op name: the job label ("j3."), or
-  /// "fused " for a fused batch.
-  const std::string prefix_;
+  /// Prefix of every node label, op name and buffer label: the job label
+  /// ("j3."), or "fused " for a fused batch.
+  const sim::OpName prefix_;
   /// The deps of the node being added.
   std::vector<TaskId> deps_;
-  /// Op-name scratch (see op_name).
-  std::string op_;
 
  private:
   struct KindInfo {
@@ -238,20 +222,21 @@ class TiledProgram : public Program {
   /// Device working set: two role-swapping resident tiles, up to two
   /// streaming slots for far tiles, and a rotating pool of b x b R tiles.
   void allocate(Device& dev) override {
-    big_.add(dev, 1, m_, b_, StoragePrecision::FP32, prefix_ + "tiled tile a");
+    big_.add(dev, 1, m_, b_, StoragePrecision::FP32,
+             sim::op_name(prefix_, "tiled tile a"));
     if (tiles_ > 1) {
       big_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-               prefix_ + "tiled tile b");
+               sim::op_name(prefix_, "tiled tile b"));
     }
     const index_t far_slots = std::min<index_t>(2, tiles_ - 2);
     for (index_t s = 0; s < far_slots; ++s) {
       stream_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-                  prefix_ + "tiled stream " + std::to_string(s));
+                  sim::op_name(prefix_, "tiled stream ", s));
     }
     const index_t r_slots = std::min<index_t>(4, tiles_ + 1);
     for (index_t s = 0; s < r_slots; ++s) {
       rtiles_.add(dev, 1, b_, b_, StoragePrecision::FP32,
-                  prefix_ + "tiled r " + std::to_string(s));
+                  sim::op_name(prefix_, "tiled r ", s));
     }
   }
 
@@ -468,8 +453,8 @@ class TiledProgram : public Program {
 class BlockingProgram : public Program {
  public:
   BlockingProgram(TaskGraph& graph, std::span<const BatchJob> lanes,
-                  std::string prefix)
-      : Program(graph, lanes, std::move(prefix)) {
+                  sim::OpName prefix)
+      : Program(graph, lanes, prefix) {
     m_ = job_.a.rows;
     n_ = job_.a.cols;
     ROCQR_CHECK(m_ >= n_ && n_ >= 1, "blocking batch: need m >= n >= 1");
@@ -503,7 +488,7 @@ class BlockingProgram : public Program {
                          StoragePrecision prec, const char* role) {
       for (index_t s = 0; s < slots; ++s) {
         pool.add(dev, lanes_.size(), rows, b_, prec,
-                 prefix_ + role + std::to_string(s));
+                 sim::op_name(prefix_, role, s));
       }
     };
     const index_t trail_slots = std::min<index_t>(2, panels_ - 1);
@@ -622,22 +607,18 @@ class BlockingProgram : public Program {
       }
       c.h2d(h2d_, op_name("h2d panel ", i));
       break;
-    case Fac:
+    case Fac: {
       panel_es_.clear();
       for (size_t k = 0; k < lanes; ++k) {
         panel_es_.push_back(
             {panel_.block(a.s0, m_, w, k), rtiles_.block(a.s1, w, w, k)});
       }
-      op_name("panel_qr ", m_);
-      op_ += 'x';
-      append_int(w);
-      if (lanes > 1) {
-        op_ += " x";
-        append_int(static_cast<index_t>(lanes));
-      }
+      sim::OpName name = sim::op_name(prefix_, "panel_qr ", m_, "x", w);
+      if (lanes > 1) name = sim::op_name(name, " x", lanes);
       panel_qr_device_batched(c.device(), panel_es_, c.stream(), job_.opts,
-                              op_);
+                              name);
       break;
+    }
     case Emit:
       d2h_.clear();
       for (size_t k = 0; k < lanes; ++k) {
@@ -787,14 +768,16 @@ class LeftLookingProgram : public Program {
     const index_t panel_slots = std::min<index_t>(2, panels_);
     for (index_t s = 0; s < panel_slots; ++s) {
       panel_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-                 prefix_ + "ll panel " + std::to_string(s));
+                 sim::op_name(prefix_, "ll panel ", s));
     }
     const int depth = std::max(1, job_.opts.pipeline_depth);
     for (int s = 0; s < depth; ++s) {
-      qring_.add(dev, 1, m_, b_, q_prec, prefix_ + "ll q " + std::to_string(s));
+      qring_.add(dev, 1, m_, b_, q_prec, sim::op_name(prefix_, "ll q ", s));
     }
-    rblk_.add(dev, 1, b_, b_, StoragePrecision::FP32, prefix_ + "ll rblk");
-    rii_.add(dev, 1, b_, b_, StoragePrecision::FP32, prefix_ + "ll rii");
+    rblk_.add(dev, 1, b_, b_, StoragePrecision::FP32,
+              sim::op_name(prefix_, "ll rblk"));
+    rii_.add(dev, 1, b_, b_, StoragePrecision::FP32,
+             sim::op_name(prefix_, "ll rii"));
   }
 
   /// Resume positioning: skipped panels' Q columns are on the host already
@@ -1038,13 +1021,10 @@ std::vector<QrStats> run_batch(Device& dev,
   if (one_algorithm && algorithm == "tiled") span = "tiled_qr";
   if (one_algorithm && algorithm == "left") span = "left_looking_qr";
   const size_t window = run_programs(dev, jobs, false, std::move(span));
-  std::vector<QrStats> stats;
-  stats.reserve(jobs.size());
-  for (const BatchJob& job : jobs) {
-    stats.push_back(stats_from_trace(dev.trace(), window, dev.memory_peak(),
-                                     job.label));
-  }
-  return stats;
+  std::vector<std::string_view> labels;
+  labels.reserve(jobs.size());
+  for (const BatchJob& job : jobs) labels.push_back(job.label);
+  return stats_by_prefix(dev.trace(), window, dev.memory_peak(), labels);
 }
 
 std::vector<QrStats> run_fused_batch(Device& dev,

@@ -56,15 +56,15 @@ namespace rocqr::qr::detail {
 
 /// One factorization of a colocated batch. `algorithm` selects the node
 /// program ("tiled", "blocking", or "left" — the qr::Algorithm string tags
-/// of the single-device drivers). `label` prefixes every trace op name
-/// ("j0." ...), which is how per-job stats are attributed when several
-/// jobs share one device (serve multi-tenancy).
+/// of the single-device drivers). `label` prefixes every trace op name and
+/// device-buffer label ("j0." ...), which is how per-job stats are
+/// attributed when several jobs share one device (serve multi-tenancy).
 struct BatchJob {
   std::string algorithm;
   sim::HostMutRef a;
   sim::HostMutRef r;
   QrOptions opts;
-  std::string label;
+  sim::OpName label;
 };
 
 /// Runs `jobs` as ONE task graph on `dev`, interleaving their move-in /
@@ -72,9 +72,10 @@ struct BatchJob {
 /// job's transfers overlap another's computes. The graph-level transfer
 /// retry / ABFT configuration comes from jobs[0].opts — colocated jobs
 /// must agree on precision and fault knobs (serve builds them from one
-/// ServeConfig). Returns per-job stats (trace window filtered by each
-/// job's label). Internal entry — solo callers go through qr::factorize,
-/// which runs tiled and left-looking QR as one-job batches.
+/// ServeConfig). Returns per-job stats (the trace window filtered by each
+/// job's label, all jobs in one pass). Internal entry — solo callers go
+/// through qr::factorize, which runs tiled and left-looking QR as one-job
+/// batches.
 std::vector<QrStats> run_batch(sim::Device& dev,
                                const std::vector<BatchJob>& jobs);
 

@@ -173,7 +173,7 @@ QrStats run_tsqr(const std::vector<Device*>& devices, HostMutRef a,
         const sim::TraceEvent& e = events[i];
         end_t = std::max(end_t, e.end);
         if (e.kind == sim::OpKind::CopyD2H &&
-            e.name.rfind("d2h Q", 0) != 0) {
+            !e.name.view().starts_with("d2h Q")) {
           r_t = std::max(r_t, e.end);
         }
       }
@@ -242,7 +242,7 @@ QrStats run_tsqr(const std::vector<Device*>& devices, HostMutRef a,
       dev.custom_compute(
           s, dev.model().panel_seconds(2 * n, n),
           static_cast<flops_t>(4.0 * nf * nf * nf), sim::OpKind::Panel,
-          "tsqr pair qr " + std::to_string(2 * n) + "x" + std::to_string(n),
+          sim::op_name("tsqr pair qr ", 2 * n, "x", n),
           [&]() {
             QrFactors f = householder(dev.download(stacked).view());
             pair_q = std::move(f.q);
@@ -330,7 +330,7 @@ QrStats run_tsqr(const std::vector<Device*>& devices, HostMutRef a,
             2 * dev.model().gemm_seconds(blas::Op::NoTrans, n, n, n,
                                          blas::GemmPrecision::FP32),
             static_cast<flops_t>(4.0 * nf * nf * nf), sim::OpKind::Gemm,
-            "tsqr coef split " + std::to_string(n) + "x" + std::to_string(n));
+            sim::op_name("tsqr coef split ", n, "x", n));
         sim_time_t split_done = dev.trace().events().back().end;
         if (!overlap) {
           dev.synchronize();

@@ -130,6 +130,9 @@ void accumulate_stats(qr::QrStats& into, const qr::QrStats& s) {
 struct Scheduler::Job {
   JobSpec spec;
   int id = 0;
+  /// "j<id>.": the prefix of the job's op names and buffer labels in a
+  /// colocated dispatch, which attributes the shared trace window.
+  sim::OpName label() const { return sim::op_name("j", id, "."); }
   JobState state = JobState::Queued;
   /// Gang-scheduled: acquires the whole fleet atomically (algorithm "tsqr").
   bool gang = false;
@@ -915,7 +918,7 @@ void Scheduler::run_dispatch(Dispatch& d) {
                                : sim::HostMutRef::phantom(spec.m, spec.n),
         spec.r.data != nullptr ? spec.r
                                : sim::HostMutRef::phantom(spec.n, spec.n),
-        spec.options, "j" + std::to_string(member->id) + "."});
+        spec.options, member->label()});
     names += (names.empty() ? "" : "+") + spec.name;
   }
   // Per-member sinks: each member checkpoints (and can be preempted) under
@@ -1042,16 +1045,33 @@ void Scheduler::finish_dispatch(const Dispatch& d, JobState state,
                                 AttemptOutcome outcome, int struck_device) {
   std::lock_guard<std::mutex> lk(mutex_);
   std::vector<qr::QrStats> per_device;
-  for (size_t g = 0; g < d.devices.size(); ++g) {
-    const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[g])];
-    per_device.push_back(
-        qr::stats_from_trace(dev.trace(), d.windows[g], dev.memory_peak()));
+  // A colocated window is attributed in one pass: the device total (the
+  // empty prefix), then member i's share (its "j<id>." op-name prefix) at
+  // colocated[i + 1].
+  std::vector<qr::QrStats> colocated;
+  if (d.kind == DispatchKind::Colocated) {
+    const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[0])];
+    std::vector<sim::OpName> labels;
+    labels.reserve(d.members.size());
+    for (const Job* member : d.members) labels.push_back(member->label());
+    std::vector<std::string_view> prefixes(1);
+    prefixes.insert(prefixes.end(), labels.begin(), labels.end());
+    colocated = qr::stats_by_prefix(dev.trace(), d.windows[0],
+                                    dev.memory_peak(), prefixes);
+    per_device.push_back(colocated[0]);
+  } else {
+    for (size_t g = 0; g < d.devices.size(); ++g) {
+      const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[g])];
+      per_device.push_back(
+          qr::stats_from_trace(dev.trace(), d.windows[g], dev.memory_peak()));
+    }
   }
   // Per-member attribution: a solo job takes its whole window, a gang its
-  // per-device windows rolled up, a colocated member the shared window
-  // filtered by its "j<id>." op-name prefix, and a fused member an even
-  // 1/K split (the batched ops carry no per-job prefix).
-  for (Job* member : d.members) {
+  // per-device windows rolled up, a colocated member its share of the
+  // shared window, and a fused member an even 1/K split (the batched ops
+  // carry no per-job prefix).
+  for (size_t i = 0; i < d.members.size(); ++i) {
+    Job* member = d.members[i];
     switch (d.kind) {
     case DispatchKind::Solo:
       accumulate_stats(member->stats, per_device[0]);
@@ -1059,14 +1079,9 @@ void Scheduler::finish_dispatch(const Dispatch& d, JobState state,
     case DispatchKind::Gang:
       accumulate_stats(member->stats, qr::combine_device_stats(per_device));
       break;
-    case DispatchKind::Colocated: {
-      const sim::Device& dev = *devices_[static_cast<size_t>(d.devices[0])];
-      accumulate_stats(member->stats,
-                       qr::stats_from_trace(
-                           dev.trace(), d.windows[0], dev.memory_peak(),
-                           "j" + std::to_string(member->id) + "."));
+    case DispatchKind::Colocated:
+      accumulate_stats(member->stats, colocated[i + 1]);
       break;
-    }
     case DispatchKind::Fused:
       accumulate_stats(member->stats, qr::detail::split_fused_stats(
                                           per_device[0], d.members.size()));

@@ -71,14 +71,18 @@ void Device::ensure_alive(const char* what) const {
   }
 }
 
-void Device::die(const char* site, const std::string& name) {
+void Device::die(const char* site, std::string_view name) {
   dead_ = true;
-  throw DeviceLost(std::string("injected fault: ") + site + ":fatal on '" +
-                   name + "' — device is permanently lost");
+  std::string what = "injected fault: ";
+  what += site;
+  what += ":fatal on '";
+  what += name;
+  what += "' — device is permanently lost";
+  throw DeviceLost(what);
 }
 
 DeviceMatrix Device::allocate(index_t rows, index_t cols,
-                              StoragePrecision precision, std::string label) {
+                              StoragePrecision precision, OpName label) {
   ROCQR_CHECK(rows > 0 && cols > 0, "Device::allocate: dimensions must be positive");
   ensure_alive("Device::allocate");
   if (faults_ && faults_->fire(FaultSite::Alloc)) {
@@ -86,7 +90,7 @@ DeviceMatrix Device::allocate(index_t rows, index_t cols,
     throw DeviceOutOfMemory(
         "injected fault: alloc:oom at alloc op #" +
         std::to_string(faults_->ops_seen(FaultSite::Alloc)) +
-        (label.empty() ? "" : " ('" + label + "')"));
+        (label.empty() ? "" : " ('" + label.str() + "')"));
   }
   const bytes_t bytes = static_cast<bytes_t>(rows) * cols * element_bytes(precision);
   Buffer buf;
@@ -94,7 +98,7 @@ DeviceMatrix Device::allocate(index_t rows, index_t cols,
   buf.rows = rows;
   buf.cols = cols;
   buf.precision = precision;
-  buf.label = std::move(label);
+  buf.label = label;
   if (mode_ == ExecutionMode::Real) {
     buf.data.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f);
   }
@@ -200,7 +204,7 @@ sim_time_t Device::makespan() const {
 
 std::int64_t Device::schedule(Resource resource, OpKind kind, Stream s,
                               sim_time_t duration, bytes_t bytes, flops_t flops,
-                              std::string name) {
+                              const OpName& name) {
   validate_stream(s, "schedule");
   ROCQR_CHECK(duration >= 0, "schedule: negative duration");
   // Host transfers contend on the shared PCIe link when one is attached.
@@ -218,7 +222,7 @@ std::int64_t Device::schedule(Resource resource, OpKind kind, Stream s,
 
   TraceEvent ev;
   ev.id = next_op_id_++;
-  ev.name = std::move(name);
+  ev.name = name;
   ev.kind = kind;
   ev.resource = resource;
   ev.stream = s.id;
@@ -226,7 +230,7 @@ std::int64_t Device::schedule(Resource resource, OpKind kind, Stream s,
   ev.end = end;
   ev.bytes = bytes;
   ev.flops = flops;
-  trace_.add(std::move(ev));
+  trace_.add(ev);
   return next_op_id_ - 1;
 }
 
@@ -237,7 +241,7 @@ void Device::round_fp16_block(const DeviceMatrixRef& ref) {
 }
 
 void Device::copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
-                      std::string name) {
+                      OpName name) {
   check_ref_bounds(dst, "copy_d2d");
   check_ref_bounds(src, "copy_d2d");
   ROCQR_CHECK(dst.rows == src.rows && dst.cols == src.cols,
@@ -247,7 +251,7 @@ void Device::copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
   const bytes_t bytes = static_cast<bytes_t>(src.rows) * src.cols *
                         element_bytes(src.matrix.precision());
   schedule(Resource::Compute, OpKind::CopyD2D, s, model_.d2d_seconds(bytes),
-           bytes, 0, std::move(name));
+           bytes, 0, name);
   if (mode_ == ExecutionMode::Real) {
     const auto t0 = std::chrono::steady_clock::now();
     const Resolved sv = resolve(src, "copy_d2d");
@@ -261,7 +265,7 @@ void Device::copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
 }
 
 void Device::trsm(TrsmKind kind, DeviceMatrixRef tri, DeviceMatrixRef b,
-                  blas::GemmPrecision precision, Stream s, std::string name) {
+                  blas::GemmPrecision precision, Stream s, OpName name) {
   check_ref_bounds(tri, "trsm");
   check_ref_bounds(b, "trsm");
   ROCQR_CHECK(tri.rows == tri.cols, "trsm: triangle must be square");
@@ -273,7 +277,7 @@ void Device::trsm(TrsmKind kind, DeviceMatrixRef tri, DeviceMatrixRef b,
       static_cast<flops_t>(b.rows) * b.rows * b.cols;
   schedule(Resource::Compute, OpKind::Trsm, s,
            model_.trsm_seconds(b.rows, b.cols, precision), 0, flops,
-           std::move(name));
+           name);
   if (mode_ == ExecutionMode::Real) {
     const auto t0 = std::chrono::steady_clock::now();
     const Resolved tv = resolve(tri, "trsm");
@@ -299,10 +303,10 @@ void Device::trsm(TrsmKind kind, DeviceMatrixRef tri, DeviceMatrixRef b,
 }
 
 void Device::custom_compute(Stream s, sim_time_t seconds, flops_t flops,
-                            OpKind kind, std::string name,
+                            OpKind kind, OpName name,
                             const std::function<void()>& body) {
   ensure_alive("custom_compute");
-  schedule(Resource::Compute, kind, s, seconds, 0, flops, std::move(name));
+  schedule(Resource::Compute, kind, s, seconds, 0, flops, name);
   if (mode_ == ExecutionMode::Real && body) {
     const auto t0 = std::chrono::steady_clock::now();
     body();
@@ -315,26 +319,26 @@ void Device::custom_compute(Stream s, sim_time_t seconds, flops_t flops,
 // implementation per op kind.
 
 void Device::copy_h2d(DeviceMatrixRef dst, HostConstRef src, Stream s,
-                      std::string name) {
+                      OpName name) {
   const H2dBatchEntry e{dst, src};
-  copy_h2d_batched({&e, 1}, s, std::move(name));
+  copy_h2d_batched({&e, 1}, s, name);
 }
 
 void Device::copy_d2h(HostMutRef dst, DeviceMatrixRef src, Stream s,
-                      std::string name) {
+                      OpName name) {
   const D2hBatchEntry e{dst, src};
-  copy_d2h_batched({&e, 1}, s, std::move(name));
+  copy_d2h_batched({&e, 1}, s, name);
 }
 
 void Device::gemm(blas::Op opa, blas::Op opb, float alpha, DeviceMatrixRef a,
                   DeviceMatrixRef b, float beta, DeviceMatrixRef c,
-                  blas::GemmPrecision precision, Stream s, std::string name) {
+                  blas::GemmPrecision precision, Stream s, OpName name) {
   const GemmBatchEntry e{opa, opb, alpha, a, b, beta, c};
-  gemm_batched({&e, 1}, precision, s, std::move(name));
+  gemm_batched({&e, 1}, precision, s, name);
 }
 
 void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
-                              Stream s, std::string name) {
+                              Stream s, OpName name) {
   bytes_t bytes = 0;
   sim_time_t duration = 0;
   int live = 0;
@@ -356,7 +360,7 @@ void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
   // cost and replays every payload), and a fatal fault kills the device.
   if (faults_ && faults_->fire(FaultSite::H2D)) {
     if (faults_->last_fired_kind() == FaultKind::Fatal) die("h2d", name);
-    throw TransferError("injected fault: h2d:transient on '" + name +
+    throw TransferError("injected fault: h2d:transient on '" + name.str() +
                         "' (h2d op #" +
                         std::to_string(faults_->ops_seen(FaultSite::H2D)) +
                         ")");
@@ -367,7 +371,7 @@ void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
   const double scale =
       host_pinned_ ? 1.0 : 1.0 / model_.spec().pageable_bandwidth_factor;
   schedule(Resource::H2D, OpKind::CopyH2D, s, duration * scale, bytes, 0,
-           std::move(name));
+           name);
   if (mode_ == ExecutionMode::Real) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const H2dBatchEntry& e : entries) {
@@ -387,7 +391,7 @@ void Device::copy_h2d_batched(std::span<const H2dBatchEntry> entries,
 }
 
 void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
-                              Stream s, std::string name) {
+                              Stream s, OpName name) {
   bytes_t bytes = 0;
   sim_time_t duration = 0;
   int live = 0;
@@ -405,7 +409,7 @@ void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
   ensure_alive("copy_d2h");
   if (faults_ && faults_->fire(FaultSite::D2H)) {
     if (faults_->last_fired_kind() == FaultKind::Fatal) die("d2h", name);
-    throw TransferError("injected fault: d2h:transient on '" + name +
+    throw TransferError("injected fault: d2h:transient on '" + name.str() +
                         "' (d2h op #" +
                         std::to_string(faults_->ops_seen(FaultSite::D2H)) +
                         ")");
@@ -414,7 +418,7 @@ void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
   const double scale =
       host_pinned_ ? 1.0 : 1.0 / model_.spec().pageable_bandwidth_factor;
   schedule(Resource::D2H, OpKind::CopyD2H, s, duration * scale, bytes, 0,
-           std::move(name));
+           name);
   if (mode_ == ExecutionMode::Real) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const D2hBatchEntry& e : entries) {
@@ -433,7 +437,7 @@ void Device::copy_d2h_batched(std::span<const D2hBatchEntry> entries,
 
 void Device::gemm_batched(std::span<const GemmBatchEntry> entries,
                           blas::GemmPrecision precision, Stream s,
-                          std::string name) {
+                          OpName name) {
   sim_time_t duration = 0;
   flops_t flops = 0;
   int live = 0;
@@ -477,7 +481,7 @@ void Device::gemm_batched(std::span<const GemmBatchEntry> entries,
   duration -=
       static_cast<sim_time_t>(live - 1) * model_.spec().kernel_latency_s;
   schedule(Resource::Compute, OpKind::Gemm, s, duration, 0, flops,
-           std::move(name));
+           name);
   if (mode_ == ExecutionMode::Real) {
     const auto t0 = std::chrono::steady_clock::now();
     bool first = true;

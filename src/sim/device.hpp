@@ -205,7 +205,7 @@ class Device {
   /// Allocates a rows x cols device matrix. Throws DeviceOutOfMemory.
   DeviceMatrix allocate(index_t rows, index_t cols,
                         StoragePrecision precision = StoragePrecision::FP32,
-                        std::string label = "");
+                        OpName label = {});
   void free(DeviceMatrix& m);
 
   bytes_t memory_used() const { return allocator_.used(); }
@@ -244,22 +244,22 @@ class Device {
   /// device-side convert kernel of the paper's pipeline). A one-entry
   /// copy_h2d_batched.
   void copy_h2d(DeviceMatrixRef dst, HostConstRef src, Stream s,
-                std::string name = "h2d");
+                OpName name = "h2d");
 
   /// PCIe D2H transfer; payload is fp32 (rows*cols*4 bytes). A one-entry
   /// copy_d2h_batched.
   void copy_d2h(HostMutRef dst, DeviceMatrixRef src, Stream s,
-                std::string name = "d2h");
+                OpName name = "d2h");
 
   /// On-device copy (staging-buffer trick). Runs on the compute engine.
   void copy_d2d(DeviceMatrixRef dst, DeviceMatrixRef src, Stream s,
-                std::string name = "d2d");
+                OpName name = "d2d");
 
   /// C = alpha * op(A)*op(B) + beta * C on the compute engine. Duration from
   /// the PerfModel; numerics executed in Real mode. A one-entry gemm_batched.
   void gemm(blas::Op opa, blas::Op opb, float alpha, DeviceMatrixRef a,
             DeviceMatrixRef b, float beta, DeviceMatrixRef c,
-            blas::GemmPrecision precision, Stream s, std::string name = "gemm");
+            blas::GemmPrecision precision, Stream s, OpName name = "gemm");
 
   /// Triangular-solve kinds used by the LU / Cholesky drivers and solvers.
   enum class TrsmKind {
@@ -273,12 +273,12 @@ class Device {
   /// Precision selects the modeled rate; numerics run in fp32 (triangular
   /// solves are not TensorCore ops on real hardware either).
   void trsm(TrsmKind kind, DeviceMatrixRef tri, DeviceMatrixRef b,
-            blas::GemmPrecision precision, Stream s, std::string name = "trsm");
+            blas::GemmPrecision precision, Stream s, OpName name = "trsm");
 
   /// Generic compute-engine operation with caller-supplied cost and optional
   /// Real-mode body (used by the panel factorization in src/qr).
   void custom_compute(Stream s, sim_time_t seconds, flops_t flops, OpKind kind,
-                      std::string name, const std::function<void()>& body = {});
+                      OpName name, const std::function<void()>& body = {});
 
   // --- Batched operations ---------------------------------------------------
   //
@@ -317,11 +317,11 @@ class Device {
 
   /// Fused H2D transfer: one link occupancy, one fault site, K payloads.
   void copy_h2d_batched(std::span<const H2dBatchEntry> entries, Stream s,
-                        std::string name = "h2d_batched");
+                        OpName name = "h2d_batched");
 
   /// Fused D2H transfer (symmetric to copy_h2d_batched).
   void copy_d2h_batched(std::span<const D2hBatchEntry> entries, Stream s,
-                        std::string name = "d2h_batched");
+                        OpName name = "d2h_batched");
 
   /// Block-diagonal GEMM: K independent products in one compute-engine
   /// launch (one kernel-launch latency amortized across the batch). One
@@ -329,7 +329,7 @@ class Device {
   /// sim.gemm_flops.* counters count only products the engine runs.
   void gemm_batched(std::span<const GemmBatchEntry> entries,
                     blas::GemmPrecision precision, Stream s,
-                    std::string name = "gemm_batched");
+                    OpName name = "gemm_batched");
 
   // --- Introspection ---------------------------------------------------------
 
@@ -358,7 +358,7 @@ class Device {
     index_t cols = 0;
     StoragePrecision precision = StoragePrecision::FP32;
     std::vector<float> data; // Real mode only
-    std::string label;
+    OpName label;
   };
 
   struct Resolved {
@@ -370,7 +370,7 @@ class Device {
   /// records the trace event. Returns the op id.
   std::int64_t schedule(Resource resource, OpKind kind, Stream s,
                         sim_time_t duration, bytes_t bytes, flops_t flops,
-                        std::string name);
+                        const OpName& name);
 
   Buffer& buffer_for(const DeviceMatrix& m, const char* what);
   const Buffer& buffer_for(const DeviceMatrix& m, const char* what) const;
@@ -386,7 +386,7 @@ class Device {
   /// Throws DeviceLost if the device is dead (every enqueue entry point).
   void ensure_alive(const char* what) const;
   /// Marks the device dead and throws DeviceLost for the op that killed it.
-  [[noreturn]] void die(const char* site, const std::string& name);
+  [[noreturn]] void die(const char* site, std::string_view name);
 
   PerfModel model_;
   ExecutionMode mode_;

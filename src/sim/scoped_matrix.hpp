@@ -4,7 +4,6 @@
 // keep_c pattern).
 #pragma once
 
-#include <string>
 #include <utility>
 
 #include "common/telemetry.hpp"
@@ -17,9 +16,8 @@ class ScopedMatrix {
   ScopedMatrix() = default;
   ScopedMatrix(Device& dev, index_t rows, index_t cols,
                StoragePrecision precision = StoragePrecision::FP32,
-               std::string label = "")
-      : dev_(&dev),
-        matrix_(dev.allocate(rows, cols, precision, std::move(label))) {}
+               OpName label = {})
+      : dev_(&dev), matrix_(dev.allocate(rows, cols, precision, label)) {}
 
   /// Adopts an already-allocated matrix.
   ScopedMatrix(Device& dev, DeviceMatrix matrix)

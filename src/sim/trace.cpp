@@ -33,6 +33,34 @@ struct TraceMetrics {
   }
 };
 
+/// Where a destroyed trace leaves its event buffer for the next trace on its
+/// thread. Made by the first trace that grows on the thread; `state` is a
+/// plain thread-local, still readable after the spare itself was destroyed
+/// at thread exit, so a trace destroyed later (a static Device at process
+/// exit) frees its buffer instead of touching the dead spare.
+enum class SpareState : unsigned char { Unmade, Live, Gone };
+
+struct SpareEvents {
+  explicit SpareEvents(SpareState& s) : state(s) { state = SpareState::Live; }
+  ~SpareEvents() { state = SpareState::Gone; }
+  SpareEvents(const SpareEvents&) = delete;
+  SpareEvents& operator=(const SpareEvents&) = delete;
+
+  SpareState& state;
+  std::vector<TraceEvent> events; ///< empty; only its capacity matters
+};
+
+/// This thread's spare buffer, or null once it is gone (or, without
+/// `make`, before it was made).
+std::vector<TraceEvent>* spare_events(bool make) {
+  thread_local SpareState state = SpareState::Unmade;
+  if (state == SpareState::Gone || (!make && state == SpareState::Unmade)) {
+    return nullptr;
+  }
+  thread_local SpareEvents spare(state);
+  return &spare.events;
+}
+
 } // namespace
 
 const char* to_string(Resource r) {
@@ -57,7 +85,31 @@ const char* to_string(OpKind k) {
   return "?";
 }
 
-void Trace::add(TraceEvent event) {
+Trace::~Trace() {
+  std::vector<TraceEvent>* spare = spare_events(false);
+  if (spare != nullptr && events_.capacity() > spare->capacity()) {
+    events_.clear();
+    spare->swap(events_); // the smaller old spare is freed with events_
+  }
+}
+
+void Trace::grow() {
+  std::vector<TraceEvent>* spare = spare_events(true);
+  if (spare == nullptr) return;
+  const size_t capacity = events_.capacity();
+  const size_t spare_capacity = spare->capacity();
+  // The next doubling would allocate 2x; a spare of 2x to 4x serves it
+  // without pinning a huge buffer to a small trace.
+  if (capacity == 0 || spare_capacity < 2 * capacity ||
+      spare_capacity > 4 * capacity) {
+    return;
+  }
+  spare->assign(events_.begin(), events_.end());
+  events_.swap(*spare);
+  *spare = std::vector<TraceEvent>();
+}
+
+void Trace::add(const TraceEvent& event) {
   ROCQR_CHECK(event.end >= event.start, "Trace::add: negative duration");
   TraceMetrics& metrics = TraceMetrics::get();
   switch (event.kind) {
@@ -79,7 +131,8 @@ void Trace::add(TraceEvent event) {
   makespan_ = std::max(makespan_, event.end);
   metrics.flops.add(event.flops);
   metrics.events.increment();
-  events_.push_back(std::move(event));
+  if (events_.size() == events_.capacity()) grow();
+  events_.push_back(event);
 }
 
 void Trace::clear() {
@@ -144,54 +197,78 @@ void Trace::write_chrome_json(std::ostream& os) const {
   write_chrome_trace(os, *this, nullptr);
 }
 
+namespace {
+
+/// Adds one event to `s`; the first event (s.events == 0) opens the window.
+void accumulate(EngineStats& s, const TraceEvent& e) {
+  if (s.events == 0) {
+    s.first_start = e.start;
+    s.last_end = e.end;
+  } else {
+    s.first_start = std::min(s.first_start, e.start);
+    s.last_end = std::max(s.last_end, e.end);
+  }
+  const sim_time_t dur = e.end - e.start;
+  switch (e.resource) {
+    case Resource::H2D: s.h2d_seconds += dur; break;
+    case Resource::D2H: s.d2h_seconds += dur; break;
+    case Resource::Compute: s.compute_seconds += dur; break;
+  }
+  switch (e.kind) {
+    case OpKind::CopyH2D: s.bytes_h2d += e.bytes; break;
+    case OpKind::CopyD2H: s.bytes_d2h += e.bytes; break;
+    case OpKind::CopyD2D:
+      s.bytes_d2d += e.bytes;
+      s.d2d_seconds += dur;
+      break;
+    case OpKind::Panel:
+      s.panel_seconds += dur;
+      ++s.panels;
+      break;
+    case OpKind::Gemm:
+    case OpKind::Trsm: // triangular solves count as update work
+      s.gemm_seconds += dur;
+      break;
+    case OpKind::Custom: break;
+  }
+  s.flops += e.flops;
+  ++s.events;
+}
+
+void close_window(EngineStats& s) {
+  s.total_seconds = s.events == 0 ? 0 : s.last_end - s.first_start;
+}
+
+} // namespace
+
 EngineStats engine_stats_from_trace(const Trace& trace, size_t from,
                                     size_t to, std::string_view name_prefix) {
   const auto& events = trace.events();
   to = std::min(to, events.size());
   EngineStats s;
-  bool first = true;
   for (size_t i = from; i < to; ++i) {
     const TraceEvent& e = events[i];
-    if (!name_prefix.empty() &&
-        std::string_view(e.name).substr(0, name_prefix.size()) != name_prefix) {
-      continue;
-    }
-    if (first) {
-      s.first_start = e.start;
-      s.last_end = e.end;
-      first = false;
-    } else {
-      s.first_start = std::min(s.first_start, e.start);
-      s.last_end = std::max(s.last_end, e.end);
-    }
-    const sim_time_t dur = e.end - e.start;
-    switch (e.resource) {
-      case Resource::H2D: s.h2d_seconds += dur; break;
-      case Resource::D2H: s.d2h_seconds += dur; break;
-      case Resource::Compute: s.compute_seconds += dur; break;
-    }
-    switch (e.kind) {
-      case OpKind::CopyH2D: s.bytes_h2d += e.bytes; break;
-      case OpKind::CopyD2H: s.bytes_d2h += e.bytes; break;
-      case OpKind::CopyD2D:
-        s.bytes_d2d += e.bytes;
-        s.d2d_seconds += dur;
-        break;
-      case OpKind::Panel:
-        s.panel_seconds += dur;
-        ++s.panels;
-        break;
-      case OpKind::Gemm:
-      case OpKind::Trsm: // triangular solves count as update work
-        s.gemm_seconds += dur;
-        break;
-      case OpKind::Custom: break;
-    }
-    s.flops += e.flops;
-    ++s.events;
+    if (e.name.view().starts_with(name_prefix)) accumulate(s, e);
   }
-  s.total_seconds = first ? 0 : s.last_end - s.first_start;
+  close_window(s);
   return s;
+}
+
+std::vector<EngineStats> engine_stats_by_prefix(
+    const Trace& trace, size_t from, size_t to,
+    std::span<const std::string_view> prefixes) {
+  const auto& events = trace.events();
+  to = std::min(to, events.size());
+  std::vector<EngineStats> stats(prefixes.size());
+  for (size_t i = from; i < to; ++i) {
+    const TraceEvent& e = events[i];
+    const std::string_view name = e.name.view();
+    for (size_t p = 0; p < prefixes.size(); ++p) {
+      if (name.starts_with(prefixes[p])) accumulate(stats[p], e);
+    }
+  }
+  for (EngineStats& s : stats) close_window(s);
+  return stats;
 }
 
 void Trace::write_csv(std::ostream& os) const {

@@ -6,11 +6,14 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/op_name.hpp"
 
 namespace rocqr::sim {
 
@@ -24,7 +27,7 @@ const char* to_string(OpKind k);
 
 struct TraceEvent {
   std::int64_t id = 0;
-  std::string name;
+  OpName name;
   OpKind kind = OpKind::Custom;
   Resource resource = Resource::Compute;
   int stream = 0;
@@ -34,9 +37,27 @@ struct TraceEvent {
   flops_t flops = 0;
 };
 
+// Events are copied and moved as bytes: vector growth is a memmove, and a
+// name costs no allocation anywhere between its producer and the trace.
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+
 class Trace {
  public:
-  void add(TraceEvent event);
+  Trace() = default;
+  Trace(const Trace&) = default;
+  Trace(Trace&&) = default;
+  Trace& operator=(const Trace&) = default;
+  Trace& operator=(Trace&&) = default;
+  /// Keeps the event buffer for the next trace on this thread when it is
+  /// the largest one freed there so far (see add()).
+  ~Trace();
+
+  /// Appends an event. A trace about to outgrow its buffer first takes the
+  /// buffer a destroyed trace left on this thread, when that one holds two
+  /// to four times the current capacity: short-lived traces of one size (a
+  /// blocksize sweep's candidates, admission dry runs) then reuse one buffer
+  /// instead of faulting a fresh one in each time.
+  void add(const TraceEvent& event);
   void clear();
 
   const std::vector<TraceEvent>& events() const { return events_; }
@@ -77,6 +98,9 @@ class Trace {
   size_t size() const { return events_.size(); }
 
  private:
+  /// add()'s slow path, when events_ is full.
+  void grow();
+
   std::vector<TraceEvent> events_;
   sim_time_t makespan_ = 0;
   bytes_t bytes_h2d_ = 0;
@@ -136,6 +160,15 @@ inline EngineStats engine_stats_from_trace(const Trace& trace, size_t from = 0,
                                            size_t to = static_cast<size_t>(-1)) {
   return engine_stats_from_trace(trace, from, to, {});
 }
+
+/// engine_stats_from_trace for several prefixes in one pass over the
+/// window: element i aggregates the events whose name starts with
+/// prefixes[i] (an event counts toward every prefix it starts with; the
+/// empty prefix takes every event), bit for bit what a per-prefix call
+/// returns.
+std::vector<EngineStats> engine_stats_by_prefix(
+    const Trace& trace, size_t from, size_t to,
+    std::span<const std::string_view> prefixes);
 
 /// Historic name for the windowed aggregate; same type, same deriver.
 using TraceSummary = EngineStats;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rocqr::sim {
@@ -12,7 +13,7 @@ namespace {
 
 /// Minimal JSON string escaping (trace op names are plain ASCII, but a
 /// custom op label could contain anything).
-std::string escape_json(const std::string& s) {
+std::string escape_json(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -40,7 +41,7 @@ struct DurationEvent {
   sim_time_t dur = 0;
   int pid = 0;
   int tid = 0;
-  std::string name;
+  std::string_view name; ///< of a trace event or span record, outliving this
   std::string cat;
   std::string args; ///< rendered JSON object, may be empty
 };
@@ -50,7 +51,7 @@ constexpr int kStreamPid = 1;
 constexpr int kPhasePid = 2;
 
 void emit_metadata(std::ostream& os, bool& first, int pid, int tid,
-                   const char* what, const std::string& name) {
+                   const char* what, std::string_view name) {
   if (!first) os << ",\n";
   first = false;
   os << R"(    {"name": ")" << what << R"(", "ph": "M", "pid": )" << pid;

@@ -153,8 +153,7 @@ TEST(FusedBatch, FusionBeatsSerialSmallJobs) {
   for (int i = 0; i < k; ++i) {
     jobs.push_back(qr::detail::BatchJob{
         "blocking", sim::HostMutRef::phantom(m, n),
-        sim::HostMutRef::phantom(n, n), opts,
-        "j" + std::to_string(i) + "."});
+        sim::HostMutRef::phantom(n, n), opts, sim::op_name("j", i, ".")});
   }
   qr::detail::run_fused_batch(dev, jobs);
   dev.synchronize();
@@ -184,8 +183,7 @@ TEST(FusedBatch, OneLaneProgramIsTheColocatedProgram) {
   const std::vector<sim::TraceEvent> colocated = run(false);
   const std::vector<sim::TraceEvent> fused = run(true);
   ASSERT_EQ(colocated.size(), fused.size());
-  const auto unprefixed = [](const std::string& name,
-                             const std::string& prefix) {
+  const auto unprefixed = [](std::string_view name, std::string_view prefix) {
     EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
     return name.substr(prefix.size());
   };

@@ -10,8 +10,11 @@
 
 #include "leak_check.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -143,6 +146,68 @@ TEST(MixedBatch, ColocationDoesNotPerturbAnyJobsNumerics) {
   for (const qr::QrStats& s : stats) {
     EXPECT_GT(s.bytes_h2d, 0);
     EXPECT_GT(s.total_seconds, 0.0);
+  }
+}
+
+/// Bitwise field-by-field equality of two stats windows.
+void expect_same_stats(const qr::QrStats& a, const qr::QrStats& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.first_start), bits(b.first_start));
+  EXPECT_EQ(bits(a.last_end), bits(b.last_end));
+  EXPECT_EQ(bits(a.total_seconds), bits(b.total_seconds));
+  EXPECT_EQ(bits(a.h2d_seconds), bits(b.h2d_seconds));
+  EXPECT_EQ(bits(a.d2h_seconds), bits(b.d2h_seconds));
+  EXPECT_EQ(bits(a.compute_seconds), bits(b.compute_seconds));
+  EXPECT_EQ(bits(a.panel_seconds), bits(b.panel_seconds));
+  EXPECT_EQ(bits(a.gemm_seconds), bits(b.gemm_seconds));
+  EXPECT_EQ(bits(a.d2d_seconds), bits(b.d2d_seconds));
+  EXPECT_EQ(a.bytes_h2d, b.bytes_h2d);
+  EXPECT_EQ(a.bytes_d2h, b.bytes_d2h);
+  EXPECT_EQ(a.bytes_d2d, b.bytes_d2d);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes);
+  EXPECT_EQ(a.panels, b.panels);
+  EXPECT_EQ(a.events, b.events);
+}
+
+TEST(MixedBatch, OnePassAttributionEqualsPerLabelDerivation) {
+  // run_batch and the serve scheduler attribute a colocated window to its
+  // members in one pass over the trace. Every member's stats must equal the
+  // per-label derivation bit for bit, including when one label is a prefix
+  // of another ("a" also takes every "ab" event, as a per-label scan does).
+  const qr::QrOptions opts = base_options(256);
+  Device dev(test_spec(4LL << 30), ExecutionMode::Phantom);
+  const auto job = [&opts](const char* algorithm, index_t m, index_t n,
+                           const char* label) {
+    return qr::detail::BatchJob{algorithm, sim::HostMutRef::phantom(m, n),
+                                sim::HostMutRef::phantom(n, n), opts, label};
+  };
+  for (const auto& labels :
+       {std::vector<const char*>{"j0.", "j1.", "j2."},
+        std::vector<const char*>{"a", "ab", "j2."}}) {
+    const size_t window = dev.trace().size();
+    const std::vector<qr::QrStats> stats = qr::detail::run_batch(
+        dev, {job("tiled", 4096, 1024, labels[0]),
+              job("blocking", 4096, 2048, labels[1]),
+              job("left", 2048, 1024, labels[2])});
+    ASSERT_EQ(stats.size(), 3u);
+    std::vector<std::string_view> prefixes = {""};
+    for (size_t i = 0; i < 3; ++i) {
+      SCOPED_TRACE(labels[i]);
+      const qr::QrStats per_label = qr::stats_from_trace(
+          dev.trace(), window, dev.memory_peak(), labels[i]);
+      EXPECT_GT(per_label.events, 0);
+      expect_same_stats(stats[i], per_label);
+      prefixes.push_back(labels[i]);
+    }
+    // The scheduler's form: the device total (empty prefix) with them.
+    const std::vector<qr::QrStats> with_total = qr::stats_by_prefix(
+        dev.trace(), window, dev.memory_peak(), prefixes);
+    expect_same_stats(with_total[0], qr::stats_from_trace(dev.trace(), window,
+                                                          dev.memory_peak()));
+    for (size_t i = 0; i < 3; ++i) {
+      expect_same_stats(with_total[i + 1], stats[i]);
+    }
   }
 }
 

@@ -122,7 +122,7 @@ TEST(TiledQr, LookaheadFactorsNextPanelBeforeFarUpdatesDrain) {
     if (e.kind == sim::OpKind::Panel && ++panels_seen == 2) {
       second_panel_start = e.start;
     }
-    if (e.name.rfind("gemm upd 0,3", 0) == 0) last_far_update_end = e.end;
+    if (e.name.view().starts_with("gemm upd 0,3")) last_far_update_end = e.end;
   }
   ASSERT_GE(second_panel_start, 0.0);
   ASSERT_GE(last_far_update_end, 0.0);
@@ -178,10 +178,10 @@ TEST(TiledQr, BatchInterleavesJobsOnTheComputeEngine) {
   size_t first_j1_compute = 0, last_j0_compute = 0;
   for (size_t i = 0; i < events.size(); ++i) {
     if (events[i].resource != sim::Resource::Compute) continue;
-    if (events[i].name.rfind("j1.", 0) == 0 && first_j1_compute == 0) {
+    if (events[i].name.view().rfind("j1.", 0) == 0 && first_j1_compute == 0) {
       first_j1_compute = i;
     }
-    if (events[i].name.rfind("j0.", 0) == 0) last_j0_compute = i;
+    if (events[i].name.view().rfind("j0.", 0) == 0) last_j0_compute = i;
   }
   EXPECT_GT(first_j1_compute, 0u);
   EXPECT_LT(first_j1_compute, last_j0_compute);

@@ -1,10 +1,22 @@
-// Trace container: counters, summaries, overlap ratio, rendering, CSV.
+// Trace container: counters, summaries, overlap ratio, rendering, CSV; the
+// OpName value every op name and buffer label travels in; the per-thread
+// reuse of a destroyed trace's event buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "sim/device.hpp"
+#include "sim/op_name.hpp"
 #include "sim/trace.hpp"
 
 namespace rocqr::sim {
@@ -158,6 +170,239 @@ TEST(Trace, CsvHasHeaderAndRows) {
   EXPECT_NE(csv.find("copy_h2d"), std::string::npos);
   EXPECT_NE(csv.find("gemm"), std::string::npos);
   EXPECT_NE(csv.find("99"), std::string::npos);
+}
+
+// Trace events copy as bytes, so a name costs nothing between its producer
+// and the trace, and vector growth is a memmove.
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
+static_assert(std::is_trivially_copyable_v<OpName>);
+static_assert(sizeof(OpName) == 32);
+
+/// `n` characters of varied text (so a truncation or a shifted copy shows).
+std::string text_of_length(size_t n) {
+  std::string s;
+  for (size_t i = 0; i < n; ++i) s += static_cast<char>('a' + i % 26);
+  return s;
+}
+
+TEST(OpName, HoldsTextOfEveryLengthAroundTheInlineCapacity) {
+  for (const size_t n : {0, 15, 16, 31, 32, 200}) {
+    SCOPED_TRACE(n);
+    const std::string text = text_of_length(n);
+    const OpName from_string(text);
+    const OpName from_view(std::string_view{text});
+    const OpName from_chars(text.c_str());
+    for (const OpName& name : {from_string, from_view, from_chars}) {
+      EXPECT_EQ(name.view(), text);
+      EXPECT_EQ(name.str(), text);
+      EXPECT_EQ(name.empty(), n == 0);
+    }
+    // A byte copy is a full copy, inline or interned.
+    OpName copy;
+    std::memcpy(static_cast<void*>(&copy), &from_string, sizeof(copy));
+    EXPECT_EQ(copy.view(), text);
+    // Built piecewise, across the inline capacity when n > 31.
+    const OpName built =
+        op_name(std::string_view(text).substr(0, n / 2),
+                std::string_view(text).substr(n / 2));
+    EXPECT_EQ(built.view(), text);
+  }
+  // One interned copy per distinct long text.
+  const std::string long_text = text_of_length(200);
+  EXPECT_EQ(OpName(long_text).view().data(),
+            OpName(long_text.c_str()).view().data());
+}
+
+TEST(OpName, ComparesEqualToTextOfEveryStringType) {
+  const OpName name = op_name("gemm upd ", 3, ",", 7);
+  const std::string text = "gemm upd 3,7";
+  EXPECT_TRUE(name == "gemm upd 3,7");
+  EXPECT_TRUE("gemm upd 3,7" == name);
+  EXPECT_TRUE(name == text);
+  EXPECT_TRUE(text == name);
+  EXPECT_TRUE(name == std::string_view(text));
+  EXPECT_TRUE(std::string_view(text) == name);
+  EXPECT_TRUE(name == OpName(text));
+  EXPECT_FALSE(name == "gemm upd 3,");
+  EXPECT_FALSE(name != text);
+  EXPECT_TRUE(name != "gemm upd 3,8");
+  EXPECT_TRUE(OpName() == "");
+  const std::string long_text = text_of_length(64);
+  EXPECT_TRUE(OpName(long_text) == long_text);
+  EXPECT_FALSE(OpName(long_text) == text_of_length(63));
+}
+
+TEST(OpName, FormatsTextAndIntegersInPlace) {
+  EXPECT_EQ(op_name("h2d A[", 3, "]").view(), "h2d A[3]");
+  EXPECT_EQ(op_name("j", 12, ".", "panel_qr ", 4096, "x", 128).view(),
+            "j12.panel_qr 4096x128");
+  EXPECT_EQ(op_name("d", -5, "/", index_t{1} << 40).view(),
+            "d-5/1099511627776");
+  EXPECT_EQ(op_name(OpName("fused "), "gemm upd ", 3, ",", 7).view(),
+            "fused gemm upd 3,7");
+  // An integer that crosses the inline capacity spills the whole name.
+  const std::string head = text_of_length(29);
+  EXPECT_EQ(op_name(head, 12345, "]").view(), head + "12345]");
+  EXPECT_EQ(op_name(head, 12).view(), head + "12");
+  EXPECT_EQ(op_name(head, 12, "x").view(), head + "12x");
+  std::ostringstream os;
+  os << op_name("d2h R ", 1, ",", 2) << '|' << OpName(text_of_length(40));
+  EXPECT_EQ(os.str(), "d2h R 1,2|" + text_of_length(40));
+}
+
+TEST(OpName, InternsLongNamesFromFourThreadsAtOnce) {
+  // Every thread interns the same 300 long names (plus one of its own per
+  // round), so insertions race on the one table.
+  constexpr int kThreads = 4;
+  constexpr int kNames = 300;
+  std::vector<std::vector<OpName>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &got] {
+      for (int i = 0; i < kNames; ++i) {
+        got[static_cast<size_t>(t)].push_back(
+            op_name("an interned name longer than the inline text #", i));
+        op_name("a name only thread ", t, " interns, round ", i);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int i = 0; i < kNames; ++i) {
+    const std::string want =
+        "an interned name longer than the inline text #" + std::to_string(i);
+    for (int t = 0; t < kThreads; ++t) {
+      const OpName& name = got[static_cast<size_t>(t)][static_cast<size_t>(i)];
+      EXPECT_EQ(name.view(), want);
+      EXPECT_EQ(name.view().data(), got[0][static_cast<size_t>(i)].view().data());
+    }
+  }
+}
+
+/// Bitwise field-by-field equality of two windowed aggregates.
+void expect_same_stats(const EngineStats& a, const EngineStats& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.first_start), bits(b.first_start));
+  EXPECT_EQ(bits(a.last_end), bits(b.last_end));
+  EXPECT_EQ(bits(a.total_seconds), bits(b.total_seconds));
+  EXPECT_EQ(bits(a.h2d_seconds), bits(b.h2d_seconds));
+  EXPECT_EQ(bits(a.d2h_seconds), bits(b.d2h_seconds));
+  EXPECT_EQ(bits(a.compute_seconds), bits(b.compute_seconds));
+  EXPECT_EQ(bits(a.panel_seconds), bits(b.panel_seconds));
+  EXPECT_EQ(bits(a.gemm_seconds), bits(b.gemm_seconds));
+  EXPECT_EQ(bits(a.d2d_seconds), bits(b.d2d_seconds));
+  EXPECT_EQ(a.bytes_h2d, b.bytes_h2d);
+  EXPECT_EQ(a.bytes_d2h, b.bytes_d2h);
+  EXPECT_EQ(a.bytes_d2d, b.bytes_d2d);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes);
+  EXPECT_EQ(a.panels, b.panels);
+  EXPECT_EQ(a.events, b.events);
+}
+
+TEST(Trace, OnePassPrefixBucketsMatchPerPrefixDerivation) {
+  // "ab" events count toward both "a" and "ab"; the empty prefix takes
+  // everything, and a prefix no event has stays an empty window.
+  Trace t;
+  const char* names[] = {"a gemm", "ab h2d", "b d2h", "ab panel", "a d2d",
+                         "abc gemm", "b gemm", "a h2d"};
+  const OpKind kinds[] = {OpKind::Gemm, OpKind::CopyH2D, OpKind::CopyD2H,
+                          OpKind::Panel, OpKind::CopyD2D, OpKind::Gemm,
+                          OpKind::Trsm, OpKind::CopyH2D};
+  const Resource lanes[] = {Resource::Compute, Resource::H2D, Resource::D2H,
+                            Resource::Compute, Resource::Compute,
+                            Resource::Compute, Resource::Compute,
+                            Resource::H2D};
+  for (int i = 0; i < 8; ++i) {
+    TraceEvent e = make_event(i, kinds[i], lanes[i], 0.1 * i + 0.03,
+                              0.37 * i + 0.71, 1000 + 7 * i, 10 * i);
+    e.name = names[i];
+    t.add(e);
+  }
+  const std::vector<std::string_view> prefixes = {"", "a", "ab", "b", "zz",
+                                                  "a "};
+  for (const size_t from : {size_t{0}, size_t{3}}) {
+    const std::vector<EngineStats> buckets =
+        engine_stats_by_prefix(t, from, static_cast<size_t>(-1), prefixes);
+    ASSERT_EQ(buckets.size(), prefixes.size());
+    for (size_t p = 0; p < prefixes.size(); ++p) {
+      SCOPED_TRACE(std::string(prefixes[p]));
+      expect_same_stats(
+          buckets[p],
+          engine_stats_from_trace(t, from, static_cast<size_t>(-1),
+                                  prefixes[p]));
+    }
+  }
+  EXPECT_EQ(engine_stats_by_prefix(t, 0, 8, prefixes)[2].events, 3);
+  EXPECT_EQ(engine_stats_by_prefix(t, 0, 8, prefixes)[4].events, 0);
+}
+
+/// Appends `n` one-second compute events to `t`.
+void fill(Trace& t, int n) {
+  for (int i = 0; i < n; ++i) {
+    t.add(make_event(i, OpKind::Gemm, Resource::Compute, i, i + 1));
+  }
+}
+
+TEST(Trace, GrowsIntoTheBufferADestroyedTraceLeftOnItsThread) {
+  // On a fresh thread, so no earlier test's spare buffer is in play.
+  std::thread([] {
+    const TraceEvent* kept = nullptr;
+    {
+      Trace first;
+      fill(first, 1000); // capacity 1024
+      kept = first.events().data();
+    }
+    Trace second;
+    fill(second, 300); // took the 1024 buffer at capacity 256 (4x)
+    EXPECT_EQ(second.events().data(), kept);
+    EXPECT_EQ(second.events().capacity(), 1024u);
+    EXPECT_EQ(second.events().back().end, 300.0);
+    EXPECT_EQ(second.events().front().start, 0.0);
+    // A small trace never pins the large buffer: at 16 events it is 64x
+    // too big to take.
+    Trace small;
+    fill(small, 10);
+    EXPECT_EQ(small.events().capacity(), 16u);
+  }).join();
+}
+
+TEST(Trace, DeviceDestroyedAfterItsThreadsSpareIsGoneFreesItsOwnBuffer) {
+  // A thread_local constructed before the spare is destroyed after it at
+  // thread exit, like a static Device at process exit: its trace must free
+  // its buffer itself and not touch the dead spare, whose stale capacity
+  // (128) is below the trace's (512), so offering the buffer would swap in
+  // a freed pointer (ASan checks this).
+  std::thread([] {
+    thread_local std::optional<Device> late;
+    late.emplace(DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+    const DeviceMatrix m = late->allocate(64, 64);
+    const Stream s = late->create_stream();
+    for (int i = 0; i < 300; ++i) {
+      late->copy_h2d(m, HostConstRef::phantom(64, 64), s, op_name("h2d ", i));
+    }
+    Trace gone;
+    fill(gone, 100); // leaves the spare a buffer to free at thread exit
+  }).join();
+}
+
+/// Destroyed at process exit, after the main thread's spare.
+Device& static_device() {
+  static Device dev(DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+  return dev;
+}
+
+TEST(Trace, StaticDeviceOutlivesTheMainThreadsSpare) {
+  Device& dev = static_device();
+  const DeviceMatrix m = dev.allocate(8, 8);
+  const Stream s = dev.create_stream();
+  for (int i = 0; i < 200; ++i) {
+    dev.copy_h2d(m, HostConstRef::phantom(8, 8), s, op_name("h2d ", i));
+  }
+  {
+    Trace gone;
+    fill(gone, 40); // a spare smaller than the device's trace
+  }
+  EXPECT_EQ(dev.trace().size(), 200u);
 }
 
 TEST(Trace, EnumNames) {

@@ -252,6 +252,73 @@ void export_sample(Exported& x) {
   x.json = os.str();
 }
 
+/// Two events whose names hold a double quote and a backslash — one inline,
+/// one long enough to be interned — inside one phase span.
+struct QuotedNames {
+  Trace trace;
+  telemetry::SpanLog log;
+};
+
+void add_quoted_names(QuotedNames& x) {
+  const auto cursor = [&x] {
+    return static_cast<std::uint64_t>(x.trace.size());
+  };
+  telemetry::Span span("phase \"x\"", cursor, x.log);
+  x.trace.add(make_event(0, "h2d \"A\" \\ 1", OpKind::CopyH2D, Resource::H2D,
+                         0, 0.0, 0.25, 64));
+  x.trace.add(make_event(1, "gemm \"C\" \\ a name long enough to be interned",
+                         OpKind::Gemm, Resource::Compute, 1, 0.25, 1.5, 0,
+                         1000));
+}
+
+TEST(TraceExport, NamesWithQuotesAndBackslashesRenderAsPinned) {
+  // The bytes the std::string-named trace wrote for the same text: names
+  // render verbatim in CSV and JSON-escaped in both Chrome exporters.
+  QuotedNames x;
+  add_quoted_names(x);
+  std::ostringstream csv;
+  x.trace.write_csv(csv);
+  EXPECT_EQ(csv.str(), R"(id,name,kind,resource,stream,start,end,bytes,flops
+0,h2d "A" \ 1,copy_h2d,H2D,0,0,0.25,64,0
+1,gemm "C" \ a name long enough to be interned,gemm,Compute,1,0.25,1.5,0,1000
+)");
+
+  const std::string head = R"({
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "engines"}},
+    {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "streams"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "H2D"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {"name": "Compute"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 2, "args": {"name": "D2H"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "stream 0"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "stream 1"}},
+)";
+  const std::string h2d =
+      R"(    {"name": "h2d \"A\" \\ 1", "cat": "copy_h2d", "ph": "X", "ts": 0, "dur": 250000, "pid": 0, "tid": 0, "args": {"stream": 0, "bytes": 64, "flops": 0}},
+    {"name": "h2d \"A\" \\ 1", "cat": "copy_h2d", "ph": "X", "ts": 0, "dur": 250000, "pid": 1, "tid": 0, "args": {"stream": 0, "bytes": 64, "flops": 0}},
+)";
+  const std::string gemm =
+      R"(    {"name": "gemm \"C\" \\ a name long enough to be interned", "cat": "gemm", "ph": "X", "ts": 250000, "dur": 1250000, "pid": 0, "tid": 1, "args": {"stream": 1, "bytes": 0, "flops": 1000}},
+    {"name": "gemm \"C\" \\ a name long enough to be interned", "cat": "gemm", "ph": "X", "ts": 250000, "dur": 1250000, "pid": 1, "tid": 1, "args": {"stream": 1, "bytes": 0, "flops": 1000}}
+  ]
+}
+)";
+  std::ostringstream chrome;
+  x.trace.write_chrome_json(chrome);
+  EXPECT_EQ(chrome.str(), head + h2d + gemm);
+
+  std::ostringstream traced;
+  write_chrome_trace(traced, x.trace, &x.log);
+  EXPECT_EQ(
+      traced.str(),
+      head +
+          R"(    {"name": "process_name", "ph": "M", "pid": 2, "args": {"name": "phases"}},
+)" + h2d +
+          R"(    {"name": "phase \"x\"", "cat": "phase", "ph": "X", "ts": 0, "dur": 1500000, "pid": 2, "tid": 0, "args": {"trace_events": 2, "span_id": 0, "parent": -1}},
+)" + gemm);
+}
+
 TEST(ChromeTraceExport, OutputIsValidJson) {
   Exported x;
   export_sample(x);
