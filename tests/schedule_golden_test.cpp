@@ -387,6 +387,42 @@ TEST(ScheduleGolden, ColocatedTiledAndLeftLooking) {
   });
 }
 
+TEST(ScheduleGolden, ColocatedBlockingPair) {
+  // Two blocking jobs colocated as two one-lane programs: their panel
+  // rounds interleave on the shared engines between checkpoint syncs.
+  check_golden("colocated_blocking_x2", 256LL << 20, [](Device& dev) {
+    DiscardCheckpoints sink;
+    const rocqr::qr::QrOptions o = round_by_round_options(&sink);
+    std::vector<rocqr::qr::detail::BatchJob> jobs;
+    for (const char* label : {"j0.", "j1."}) {
+      jobs.push_back(rocqr::qr::detail::BatchJob{
+          "blocking", HostMutRef::phantom(1024, 256),
+          HostMutRef::phantom(256, 256), o, label});
+    }
+    rocqr::qr::detail::run_batch(dev, jobs);
+  });
+}
+
+TEST(ScheduleGolden, ColocatedResumedAtUnitTwo) {
+  // A tiled, a left-looking and a blocking job resumed at unit 2: tiled
+  // re-stages Q_1 before its step-1 updates, and the panel programs start
+  // at panel 2.
+  check_golden("colocated_resumed_u2", 256LL << 20, [](Device& dev) {
+    DiscardCheckpoints sink;
+    rocqr::qr::QrOptions o = round_by_round_options(&sink);
+    o.resume_units = 2;
+    std::vector<rocqr::qr::detail::BatchJob> jobs;
+    const char* algorithms[] = {"tiled", "left", "blocking"};
+    const char* labels[] = {"j0.", "j1.", "j2."};
+    for (int k = 0; k < 3; ++k) {
+      jobs.push_back(rocqr::qr::detail::BatchJob{
+          algorithms[k], HostMutRef::phantom(1024, 256),
+          HostMutRef::phantom(256, 256), o, labels[k]});
+    }
+    rocqr::qr::detail::run_batch(dev, jobs);
+  });
+}
+
 TEST(ScheduleGolden, TsqrFleetReductionTree) {
   // DAG-overlapped TSQR: a reduction-tree node fires as soon as both child
   // R factors exist instead of waiting on a full-fleet barrier, so the
