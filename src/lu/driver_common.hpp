@@ -1,8 +1,6 @@
 // Internal helpers shared by the OOC LU and Cholesky drivers.
 #pragma once
 
-#include <algorithm>
-
 #include "ooc/gemm_engines.hpp"
 #include "lu/ooc_lu.hpp"
 #include "sim/device.hpp"
@@ -22,36 +20,6 @@ inline ooc::OocGemmOptions engine_options(const FactorOptions& opts) {
 
 inline void sync_unless_overlap(sim::Device& dev, const FactorOptions& opts) {
   if (!opts.overlap) dev.synchronize();
-}
-
-/// Column-panel width for a trailing update whose resident factor is
-/// h x rest: shrink until the factor panel plus the streamed pools fit.
-/// Returns 0 for "unsplit".
-inline index_t plan_update_split(const sim::Device& dev,
-                                 const FactorOptions& opts, index_t rows,
-                                 index_t h, index_t rest) {
-  const double budget = static_cast<double>(dev.memory_capacity()) *
-                        opts.memory_budget_fraction;
-  const double in_bytes =
-      opts.precision == blas::GemmPrecision::FP16_FP32 ? 2.0 : 4.0;
-  const double bs = static_cast<double>(std::min(opts.blocksize, rows));
-  const double depth = static_cast<double>(opts.pipeline_depth);
-  const auto fits = [&](index_t np) {
-    const double b_bytes = static_cast<double>(h) * static_cast<double>(np) * in_bytes;
-    const double a_slabs = depth * bs * static_cast<double>(h) * in_bytes;
-    const double c_slabs = (opts.staging_buffer ? 2.0 : 1.0) * bs *
-                           static_cast<double>(np) * 4.0;
-    return b_bytes + a_slabs + c_slabs <= budget;
-  };
-  if (fits(rest)) return 0;
-  index_t np = rest;
-  while (np > opts.blocksize && !fits(np)) {
-    np = (np + 1) / 2;
-    np = std::min(rest, (np + opts.blocksize - 1) / opts.blocksize *
-                            opts.blocksize);
-    if (np <= opts.blocksize) break;
-  }
-  return std::min(np, rest);
 }
 
 } // namespace rocqr::lu::detail

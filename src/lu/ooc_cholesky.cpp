@@ -179,8 +179,9 @@ Event chol_recurse(RecursiveCholState& st, index_t j0, index_t w, Event prev) {
 
   // A22 -= R12ᵀ · R12, streamed row slabs (== R12 column slabs) with R12
   // resident, column-split when memory-bound.
-  const index_t n_split =
-      detail::plan_update_split(dev, st.opts, st.a.rows, h, rest);
+  const index_t n_split = ooc::plan_column_split(
+      dev, detail::engine_options(st.opts), st.opts.memory_budget_fraction,
+      st.a.rows, h, rest);
   Event update_done{};
   for (const ooc::Slab panel :
        ooc::slab_partition(rest, n_split > 0 ? n_split : rest)) {

@@ -186,7 +186,9 @@ Event lu_recurse(RecursiveLuState& st, index_t j0, index_t w, Event prev) {
   // A22 -= L21 · U12, streamed row slabs with U12 resident (column-split on
   // small-memory devices).
   const index_t below = m - j0 - h;
-  const index_t n_split = detail::plan_update_split(dev, st.opts, m, h, rest);
+  const index_t n_split = ooc::plan_column_split(
+      dev, detail::engine_options(st.opts), st.opts.memory_budget_fraction, m,
+      h, rest);
   Event update_done{};
   for (const ooc::Slab panel :
        ooc::slab_partition(rest, n_split > 0 ? n_split : rest)) {

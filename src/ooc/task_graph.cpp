@@ -179,31 +179,64 @@ TaskId TaskGraph::add(TaskStage stage, std::string label,
              deps, priority);
 }
 
-void TaskGraph::add_dep(TaskId node, TaskId dep) {
-  if (node < 0 || node >= static_cast<TaskId>(nodes_.size()) || dep < 0 ||
-      dep >= static_cast<TaskId>(nodes_.size())) {
-    throw InvalidArgument("TaskGraph::add_dep: unknown node id");
-  }
-  Node& n = nodes_[static_cast<size_t>(node)];
-  if (n.enqueued) {
-    throw InvalidArgument("TaskGraph::add_dep: node \"" +
-                          label_text(n.label) + "\" was already enqueued");
-  }
-  if (n.n_deps < 2) {
-    n.inline_deps[n.n_deps++] = dep;
-    return;
-  }
-  if (n.n_deps == 2 || n.spill_at + n.n_deps != deps_.size()) {
-    // Start the list, or move it, at the arena's end, where it can grow.
-    const size_t from = n.spill_at;
-    n.spill_at = deps_.size();
-    for (size_t k = 0; k < n.n_deps; ++k) {
-      const TaskId d = n.n_deps == 2 ? n.inline_deps[k] : deps_[from + k];
-      deps_.push_back(d);
+HazardKey TaskGraph::key(size_t count) {
+  const HazardKey first{static_cast<std::uint32_t>(hazards_.size())};
+  hazards_.resize(hazards_.size() + count);
+  return first;
+}
+
+TaskId TaskGraph::add(TaskStage stage, TaskLabel label,
+                      std::function<void(TaskCtx&)> body,
+                      std::initializer_list<Access> accesses,
+                      std::int64_t priority) {
+  derived_.clear();
+  for (const Access& a : accesses) {
+    ROCQR_CHECK(a.key.index < hazards_.size(),
+                "TaskGraph::add: unknown hazard key");
+    const Hazard& h = hazards_[a.key.index];
+    // Name each dep once: skip one an earlier access named already.
+    const size_t named = derived_.size();
+    const auto wait = [&](TaskId d) {
+      const auto end = derived_.begin() + static_cast<std::ptrdiff_t>(named);
+      if (std::find(derived_.begin(), end, d) == end) derived_.push_back(d);
+    };
+    if (a.write && h.n > 0) {
+      for (size_t r = h.at; r < h.at + h.n; ++r) wait(readers_[r]);
+    } else if (h.writer >= 0) {
+      wait(h.writer);
     }
   }
-  deps_.push_back(dep);
-  ++n.n_deps;
+  const TaskId id = add(stage, label, std::move(body), derived_, priority);
+  for (const Access& a : accesses) {
+    Hazard& h = hazards_[a.key.index];
+    if (a.write) {
+      h.writer = id;
+      h.n = 0;
+      continue;
+    }
+    // Drop the readers this node waits on directly: a write that waits this
+    // node is ordered after them already.
+    for (TaskId d : derived_) {
+      if (h.n == 0) break;
+      const auto first = readers_.begin() + static_cast<std::ptrdiff_t>(h.at);
+      const auto last = first + h.n;
+      const auto it = std::lower_bound(first, last, d);
+      if (it != last && *it == d) {
+        std::copy(it + 1, last, it);
+        --h.n;
+      }
+    }
+    if (h.n == h.cap) { // move the list to the end, with twice the room
+      const size_t at = readers_.size();
+      h.cap = std::max<std::uint32_t>(4, 2 * h.cap);
+      readers_.resize(at + h.cap);
+      std::copy_n(readers_.begin() + static_cast<std::ptrdiff_t>(h.at), h.n,
+                  readers_.begin() + static_cast<std::ptrdiff_t>(at));
+      h.at = at;
+    }
+    readers_[h.at + h.n++] = id;
+  }
+  return id;
 }
 
 void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
@@ -268,20 +301,14 @@ void TaskGraph::run() {
   // succ_[succ_begin_[k] .. succ_begin_[k + 1]).
   pending_.assign(count, 0);
   succ_begin_.assign(count + 2, 0);
-  size_t remaining = 0;
   for (size_t i = base; i < total; ++i) {
     if (nodes_[i].enqueued) continue;
-    ++remaining;
     for (TaskId d : deps_of(nodes_[i])) {
       if (!nodes_[static_cast<size_t>(d)].enqueued) {
         ++pending_[i - base];
         ++succ_begin_[static_cast<size_t>(d) - base + 2];
       }
     }
-  }
-  if (remaining == 0) {
-    run_from_ = total;
-    return;
   }
   for (size_t k = 2; k < count + 2; ++k) succ_begin_[k] += succ_begin_[k - 1];
   succ_.resize(succ_begin_[count + 1]);
@@ -304,14 +331,13 @@ void TaskGraph::run() {
     }
   }
 
-  size_t enqueued = 0;
+  // Every dep points to an earlier node, so this enqueues the whole suffix.
   while (!ready_.empty()) {
     std::pop_heap(ready_.begin(), ready_.end(), later);
     const TaskId id = ready_.back().second;
     ready_.pop_back();
     Node& node = nodes_[static_cast<size_t>(id)];
     enqueue(node);
-    ++enqueued;
     switch (node.stage) {
     case TaskStage::MoveIn:
       ++counts_.in;
@@ -330,16 +356,6 @@ void TaskGraph::run() {
       if (--pending_[static_cast<size_t>(s) - base] == 0) {
         ready_.emplace_back(nodes_[static_cast<size_t>(s)].priority, s);
         std::push_heap(ready_.begin(), ready_.end(), later);
-      }
-    }
-  }
-
-  if (enqueued != remaining) {
-    for (const Node& n : nodes_) {
-      if (!n.enqueued) {
-        throw InvalidArgument(
-            "TaskGraph::run: dependency cycle through node \"" +
-            label_text(n.label) + "\"");
       }
     }
   }

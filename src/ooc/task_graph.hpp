@@ -6,19 +6,23 @@
 // `SlabPipeline` replays one declarative loop: its input-pool fence, output
 // fence and region waits are fixed wiring patterns over consecutive steps.
 // `TaskGraph` makes the wiring explicit: every tile/slab operation is a
-// *node* pinned to one stage (and therefore one stream), and every hazard —
-// RAW (compute waits its move-in), WAR (a move-in overwriting a buffer waits
-// the computes still reading it; exactly the old output-fence taxonomy),
-// host-side ordering (a move-in re-reading a host tile waits the move-out
-// that last wrote it) — is an *edge*. The executor is a deterministic list
-// scheduler at enqueue time: a node is ready once all its dependencies are
-// enqueued, the lowest (priority, id) ready node is enqueued next, and
-// cross-stream dependencies become `wait_event` edges while same-stream
-// dependencies ride the stream's FIFO order. Because the simulator resolves
-// op start times from engine FIFOs plus event waits, enqueue order IS the
-// schedule — lookahead (Buttari-style tiled QR: factor panel k+1 while
-// panel k's trailing updates drain) falls out of giving the panel node a
-// smaller priority key than the updates behind it.
+// *node* pinned to one stage (and therefore one stream), and every hazard
+// is an *edge*. A node either names its deps, or declares the hazard keys
+// (buffers, host blocks) it reads and writes and the graph derives them
+// with one rule: a read waits the key's last writer (RAW), a write waits
+// the key's readers since that write (WAR) or, with none, the last writer
+// (WAW). So a move-in overwriting a buffer waits the computes still
+// reading it, and a move-in re-reading a host tile waits the move-out that
+// last wrote it, without either edge being wired by hand (the OmpSs-2
+// in/inout pattern). The executor is a deterministic list scheduler at
+// enqueue time: a node is ready once all its dependencies are enqueued,
+// the lowest (priority, id) ready node is enqueued next, and cross-stream
+// dependencies become `wait_event` edges while same-stream dependencies
+// ride the stream's FIFO order. Because the simulator resolves op start
+// times from engine FIFOs plus event waits, enqueue order IS the schedule —
+// lookahead (Buttari-style tiled QR: factor panel k+1 while panel k's
+// trailing updates drain) falls out of giving the panel node a smaller
+// priority key than the updates behind it.
 //
 // The cross-cutting hooks are the same single-site ones the pipeline
 // applies: transfer retry with backoff, opt-in ABFT checked GEMM, §4.2
@@ -30,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -55,7 +60,7 @@ using TaskId = index_t;
 /// "comp inner_product_recursive s" with {2} is
 /// "comp inner_product_recursive s2", head "upd " with {0, 2} is "upd 0,2".
 /// Labels are rendered only where text is needed: dot(), the DeviceLost
-/// attribution and the add / add_dep / cycle error messages.
+/// attribution and the add error message.
 struct TaskLabel {
   explicit TaskLabel(std::uint32_t h) : head(h) {}
   TaskLabel(std::uint32_t h, index_t a) : head(h), n_ints(1), ints{a, 0} {}
@@ -66,6 +71,25 @@ struct TaskLabel {
   std::uint32_t n_ints = 0;
   index_t ints[2] = {0, 0};
 };
+
+/// Names one buffer or host block whose declared accesses order the nodes
+/// that touch it (TaskGraph::key). `key + i` is the i-th of a run of keys
+/// handed out together.
+struct HazardKey {
+  std::uint32_t index = 0;
+  HazardKey operator+(size_t i) const {
+    return {index + static_cast<std::uint32_t>(i)};
+  }
+};
+
+/// One declared access of a node. A node that reads and writes a key
+/// (inout) declares the write.
+struct Access {
+  HazardKey key;
+  bool write = false;
+};
+inline Access reads(HazardKey k) { return {k, false}; }
+inline Access writes(HazardKey k) { return {k, true}; }
 
 /// Stage handle passed to a node's body. Only the operations matching the
 /// node's stage are legal — h2d on MoveIn, gemm/trsm/stream on Compute, d2h
@@ -151,8 +175,8 @@ class TaskGraph {
   /// layers add one head per node kind and per plan, not one per node.
   std::uint32_t label_head(std::string head);
 
-  /// Adds a node. `deps` are node ids that must be enqueued before this
-  /// node; `priority` orders the ready set (smaller runs earlier; ties
+  /// Adds a node. `deps` are earlier node ids that must be enqueued before
+  /// this node; `priority` orders the ready set (smaller runs earlier; ties
   /// break on id, so insertion order is the deterministic default).
   /// Returns the node's id. Up to two deps live in the node and a longer
   /// list in the graph's dep arena, so a node of any dep count allocates
@@ -162,16 +186,27 @@ class TaskGraph {
              std::function<void(TaskCtx&)> body,
              std::span<const TaskId> deps = {}, std::int64_t priority = 0);
 
+  /// Returns a fresh hazard key; with `count` > 1, the first of `count`
+  /// keys handed out together (key + i names the i-th).
+  HazardKey key(size_t count = 1);
+
+  /// Adds a node whose deps follow from its declared accesses:
+  /// - a read waits the key's last writer (RAW);
+  /// - a write waits the key's readers since that write (WAR), or, when
+  ///   there are none, the last writer (WAW).
+  /// A dep named by two accesses is passed once. A read then drops from
+  /// the key's readers every reader this node waits on directly: a later
+  /// write that waits this node is ordered after them already. Keys and
+  /// their readers persist across run()s.
+  TaskId add(TaskStage stage, TaskLabel label,
+             std::function<void(TaskCtx&)> body,
+             std::initializer_list<Access> accesses, std::int64_t priority);
+
   /// Adds a node labelled by `label` verbatim: the string becomes a label
   /// head of its own.
   TaskId add(TaskStage stage, std::string label,
              std::function<void(TaskCtx&)> body, std::vector<TaskId> deps = {},
              std::int64_t priority = 0);
-
-  /// Adds an edge dep -> node after the fact (WAR fences discovered while
-  /// building later steps). Only legal before `node` has been enqueued.
-  /// May move the node's dep list to the end of the dep arena.
-  void add_dep(TaskId node, TaskId dep);
 
   /// §4.2 region gating: declares the host rectangle a MoveIn node reads.
   /// At enqueue the node waits every intersecting
@@ -182,8 +217,8 @@ class TaskGraph {
   /// (priority, id) ready node first. Incremental: drivers may add nodes,
   /// run(), snapshot a checkpoint, add more nodes and run() again —
   /// dependencies on nodes from earlier runs resolve through their
-  /// recorded completion events. Throws InvalidArgument on a dependency
-  /// cycle.
+  /// recorded completion events. Every dep points to an earlier node, so
+  /// the graph has no cycle.
   void run();
 
   /// Completion event of an enqueued node (invalid before its run()).
@@ -218,15 +253,23 @@ class TaskGraph {
     TaskLabel label;
     std::function<void(TaskCtx&)> body;
     std::int64_t priority = 0;
-    // Deps live inline up to two; a longer list (a slot's WAR readers in
-    // the node programs, add_dep) lives in the graph's deps_ arena at
-    // spill_at.
+    // Deps live inline up to two; a longer list (a buffer's WAR readers in
+    // the node programs) lives in the graph's deps_ arena at spill_at.
     size_t n_deps = 0;
     TaskId inline_deps[2] = {0, 0};
     size_t spill_at = 0;
     std::optional<std::pair<Slab, Slab>> input_region;
     sim::Event done{};
     bool enqueued = false;
+  };
+
+  /// A hazard key's last writer (-1: none) and its readers since that
+  /// write, ascending: readers_[at, at + n), with room for `cap`.
+  struct Hazard {
+    TaskId writer = -1;
+    size_t at = 0;
+    std::uint32_t n = 0;
+    std::uint32_t cap = 0;
   };
 
   /// Node and edge counts, cumulative across runs.
@@ -254,10 +297,15 @@ class TaskGraph {
   sim::Stream comp_;
   sim::Stream out_;
   std::vector<Node> nodes_;
-  // Dep lists longer than two, each contiguous; a list grows in place only
-  // at the arena's end, so add_dep moves one that is not.
+  // Dep lists longer than two, each contiguous.
   std::vector<TaskId> deps_;
   std::vector<std::string> heads_;
+  // Hazard state per key, the reader lists it points into (a list that
+  // outgrows its room moves to the end with twice the room), and the
+  // derived deps of the node being added.
+  std::vector<Hazard> hazards_;
+  std::vector<TaskId> readers_;
+  std::vector<TaskId> derived_;
   // Every node below this index was enqueued by an earlier run(); run()
   // only has to solve the suffix.
   size_t run_from_ = 0;

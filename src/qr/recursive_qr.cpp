@@ -147,34 +147,6 @@ bool plan_keep_r12(const DriverState& st, index_t h, index_t rest,
   return r12_bytes + a_slabs + c_slabs <= budget;
 }
 
-/// Column-panel width for the outer product when the full R12 cannot stay
-/// resident next to the slab pools (small-memory devices): B streams in
-/// per-panel pieces and A is re-streamed once per panel. 0 = unsplit.
-index_t plan_outer_n_split(const DriverState& st, index_t h, index_t rest) {
-  const double budget = static_cast<double>(st.dev.memory_capacity()) *
-                        st.opts.memory_budget_fraction;
-  const double depth = static_cast<double>(st.opts.pipeline_depth);
-  const double bs = static_cast<double>(std::min(st.opts.blocksize, st.a.rows));
-  const double in_bytes =
-      st.opts.precision == blas::GemmPrecision::FP16_FP32 ? 2.0 : 4.0;
-  const auto fits = [&](index_t np) {
-    const double b_bytes = static_cast<double>(h) * static_cast<double>(np) * in_bytes;
-    const double a_slabs = depth * bs * static_cast<double>(h) * in_bytes;
-    const double c_slabs = (st.opts.staging_buffer ? 2.0 : 1.0) * bs *
-                           static_cast<double>(np) * 4.0;
-    return b_bytes + a_slabs + c_slabs <= budget;
-  };
-  if (fits(rest)) return 0;
-  index_t np = rest;
-  while (np > st.opts.blocksize && !fits(np)) {
-    np = (np + 1) / 2;
-    np = std::min(rest, (np + st.opts.blocksize - 1) / st.opts.blocksize *
-                            st.opts.blocksize);
-    if (np <= st.opts.blocksize) break;
-  }
-  return std::min(np, rest);
-}
-
 /// Whether the whole m x w subtree can be factored resident: the fp32 block
 /// plus its largest internal R12 must fit comfortably (leaving room for the
 /// neighbouring pipelines' buffers).
@@ -318,12 +290,15 @@ void recurse(DriverState& st, index_t j0, index_t w) {
     // On small-memory devices even a re-staged full R12 may not fit; then the
     // update runs over column panels, re-streaming Q1 once per panel.
     ooc::OocGemmOptions go = detail::gemm_options(st.opts);
+    const index_t n_split =
+        keep ? 0
+             : ooc::plan_column_split(dev, go, st.opts.memory_budget_fraction,
+                                      m, h, rest);
     go.blocksize = std::min(st.opts.blocksize, m);
     go.host_input_ready = merge_events(st.tracker.events_for(j0, h),
                                        st.tracker.events_for(j0 + h, rest));
     if (!keep) go.host_input_ready.push_back(inner.done);
 
-    const index_t n_split = keep ? 0 : plan_outer_n_split(st, h, rest);
     std::vector<ooc::RegionEvent> regions;
     sim::Event outer_done{};
     for (const ooc::Slab panel :

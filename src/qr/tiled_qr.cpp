@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <utility>
@@ -20,66 +21,59 @@ namespace rocqr::qr::detail {
 
 namespace {
 
+using ooc::Access;
+using ooc::HazardKey;
+using ooc::reads;
 using ooc::TaskCtx;
 using ooc::TaskGraph;
-using ooc::TaskId;
 using ooc::TaskLabel;
 using ooc::TaskStage;
+using ooc::writes;
 using sim::Device;
 using sim::DeviceMatrixRef;
-using sim::HostMutRef;
 using sim::ScopedMatrix;
 using sim::StoragePrecision;
 
-constexpr TaskId kNone = -1;
-
 /// Rotating device-buffer pool. A slot holds one buffer per lane (the jobs a
-/// program factors in lockstep acquire and release a slot together).
-/// Acquiring a slot hands back its index; the recorded `last_uses` nodes are
-/// the WAR edges the slot's next writer must depend on (the old
-/// output-fence taxonomy, now explicit graph edges).
+/// program factors in lockstep acquire and release a slot together), stored
+/// flat at slot * lanes + lane, and one hazard key that every lane shares.
 class SlotPool {
  public:
-  /// Adds a slot: one rows x cols buffer per lane, labelled `label` (plus
-  /// ".<lane>" when there are several lanes).
-  void add(Device& dev, size_t lanes, index_t rows, index_t cols,
-           StoragePrecision prec, sim::OpName label) {
-    std::vector<ScopedMatrix> bufs;
-    bufs.reserve(lanes);
-    for (size_t k = 0; k < lanes; ++k) {
-      bufs.emplace_back(dev, rows, cols, prec,
-                        lanes == 1 ? label : sim::op_name(label, ".", k));
+  /// Allocates `slots` slots of one rows x cols buffer per lane, labelled
+  /// label(s) (plus ".<lane>" when there are several lanes), and their keys.
+  template <typename Label>
+  void allocate(TaskGraph& g, Device& dev, index_t slots, size_t lanes,
+                index_t rows, index_t cols, StoragePrecision prec,
+                Label label) {
+    lanes_ = lanes;
+    bufs_.reserve(static_cast<size_t>(slots) * lanes);
+    for (index_t s = 0; s < slots; ++s) {
+      const sim::OpName name = label(s);
+      for (size_t k = 0; k < lanes; ++k) {
+        bufs_.emplace_back(dev, rows, cols, prec,
+                           lanes == 1 ? name : sim::op_name(name, ".", k));
+      }
     }
-    bufs_.push_back(std::move(bufs));
-    last_uses_.emplace_back();
+    key_ = g.key(static_cast<size_t>(slots));
   }
-  size_t size() const { return bufs_.size(); }
+  size_t size() const { return bufs_.size() / lanes_; }
   /// The top-left rows x cols block of slot s's buffer for `lane`.
   DeviceMatrixRef block(size_t s, index_t rows, index_t cols,
                         size_t lane = 0) const {
-    return DeviceMatrixRef(bufs_[s][lane].get()).block(0, 0, rows, cols);
+    return DeviceMatrixRef(bufs_[s * lanes_ + lane].get())
+        .block(0, 0, rows, cols);
   }
+  HazardKey key(size_t s) const { return key_ + s; }
   size_t acquire() {
     const size_t s = next_;
-    next_ = (next_ + 1) % bufs_.size();
+    next_ = (next_ + 1) % size();
     return s;
   }
-  /// Appends slot s's outstanding readers to `deps` — the WAR edges its
-  /// next writer takes.
-  void depend(size_t s, std::vector<TaskId>& deps) const {
-    deps.insert(deps.end(), last_uses_[s].begin(), last_uses_[s].end());
-  }
-  /// Records the nodes currently reading slot s (replacing prior uses —
-  /// the new readers already depend on the old ones transitively). The
-  /// slot's list keeps its capacity.
-  void use(size_t s, std::span<const TaskId> ids) {
-    last_uses_[s].assign(ids.begin(), ids.end());
-  }
-  void use(size_t s, TaskId id) { use(s, {&id, 1}); }
 
  private:
-  std::vector<std::vector<ScopedMatrix>> bufs_; // [slot][lane]
-  std::vector<std::vector<TaskId>> last_uses_;
+  std::vector<ScopedMatrix> bufs_; // [slot * lanes + lane]
+  size_t lanes_ = 1;
+  HazardKey key_;
   size_t next_ = 0;
 };
 
@@ -92,18 +86,35 @@ class SlotPool {
 /// unit vocabulary as the solo runs, so a job preempted from a batch resumes
 /// solo (and vice versa).
 ///
+/// A program splits A into full-height column blocks of the blocksize (its
+/// tiles or panels). Every node declares the pool slots and blocks of A it
+/// reads and writes, and the graph derives the node's deps from them
+/// (TaskGraph's hazard rule). Each block of A has one hazard key, shared by
+/// the lanes; R blocks need none, since each is written once and never read
+/// back.
+///
 /// A node costs its program no heap allocation once the scratch below has
 /// grown: its label is a TaskLabel on the head its kind registered once,
-/// its deps are gathered in deps_ and reach the graph as a span, and its
-/// body captures `this` plus an index into args_ (16 bytes, which
+/// and its body captures `this` plus an index into args_ (16 bytes, which
 /// std::function stores inline). The body rebuilds the node's device
 /// operands at enqueue, into scratch that keeps its capacity, and formats
 /// its op name in place (sim::op_name).
 class Program {
  public:
+  /// `tag` is the checkpoint driver tag ("tiled" / "blocking" / "left")
+  /// that qr::resume dispatches on.
   Program(TaskGraph& graph, std::span<const BatchJob> lanes,
-          sim::OpName prefix)
-      : g_(graph), lanes_(lanes), job_(lanes.front()), prefix_(prefix) {}
+          sim::OpName prefix, const char* tag)
+      : g_(graph), lanes_(lanes), job_(lanes.front()), prefix_(prefix),
+        m_(job_.a.rows), n_(job_.a.cols), tag_(tag) {
+    ROCQR_CHECK(m_ >= n_ && n_ >= 1,
+                std::string(tag) + " program: need m >= n >= 1");
+    ROCQR_CHECK(job_.r.rows == n_ && job_.r.cols == n_,
+                std::string(tag) + " program: R must be n x n");
+    b_ = std::min(job_.opts.blocksize, n_);
+    blocks_ = (n_ + b_ - 1) / b_;
+    a_keys_ = g_.key(static_cast<size_t>(blocks_));
+  }
   virtual ~Program() = default;
 
   Program(const Program&) = delete;
@@ -111,18 +122,23 @@ class Program {
 
   /// The jobs this program factors: one, except in a fused batch.
   std::span<const BatchJob> lanes() const { return lanes_; }
+  const char* driver_tag() const { return tag_; }
+  index_t units_done() const { return units_; }
+  index_t columns_done() const { return std::min(units_ * b_, n_); }
 
-  /// Checkpoint driver tag ("tiled" / "blocking" / "left") — what
-  /// qr::resume dispatches on.
-  virtual const char* driver_tag() const = 0;
   virtual void allocate(Device& dev) = 0;
   /// First segment (resume positioning and any staging). Returns true when
-  /// it completed a new unit (a checkpoint boundary).
-  virtual bool begin() = 0;
+  /// it completed a new unit (a checkpoint boundary). By default it only
+  /// positions at the resume unit, whose blocks' results the checkpoint
+  /// restored onto the host: nothing to stage. (Every lane shares one
+  /// resume_units: fusion only joins jobs at the same checkpoint boundary.)
+  virtual bool begin() {
+    step_ = std::min(job_.opts.resume_units, blocks_);
+    units_ = step_;
+    return false;
+  }
   /// Adds the next segment; false once the factorization is fully built.
   virtual bool add_step() = 0;
-  virtual index_t units_done() const = 0;
-  virtual index_t columns_done() const = 0;
 
  protected:
   /// What a node's body needs besides its program: the node kind, its
@@ -148,18 +164,22 @@ class Program {
     kinds_.at(static_cast<size_t>(kind)) = {stage, h, ints};
   }
 
-  /// Adds a node of kind args.kind that depends on deps_ (then cleared for
-  /// the next node) and runs run_node(args) at enqueue.
-  TaskId add_node(const NodeArgs& args, std::int64_t priority) {
+  /// Adds a node of kind args.kind whose deps follow from `accesses` and
+  /// that runs run_node(args) at enqueue.
+  void add_node(const NodeArgs& args, std::int64_t priority,
+                std::initializer_list<Access> accesses) {
     const KindInfo& k = kinds_[static_cast<size_t>(args.kind)];
     const TaskLabel label = k.ints == 1 ? TaskLabel(k.head, args.i)
                                         : TaskLabel(k.head, args.i, args.j);
     const size_t at = args_.size();
     args_.push_back(args);
     const auto body = [this, at](TaskCtx& c) { run_node(c, args_[at]); };
-    const TaskId id = g_.add(k.stage, label, body, deps_, priority);
-    deps_.clear();
-    return id;
+    g_.add(k.stage, label, body, accesses, priority);
+  }
+
+  /// Buffer labels prefix_ + `role` + slot, for SlotPool::allocate.
+  auto numbered(const char* role) const {
+    return [this, role](index_t s) { return sim::op_name(prefix_, role, s); };
   }
 
   /// prefix_ + `what` + the integers joined by ',' (TaskLabel's rendering).
@@ -170,6 +190,26 @@ class Program {
     return sim::op_name(prefix_, what, a, ",", b);
   }
 
+  index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
+  index_t offset(index_t t) const { return t * b_; }
+  /// Column block t of lane `lane`'s A.
+  sim::HostConstRef a_block_const(size_t lane, index_t t) const {
+    return ooc::host_block(sim::as_const(lanes_[lane].a), 0, offset(t), m_,
+                           width(t));
+  }
+  sim::HostMutRef a_block(size_t lane, index_t t) const {
+    return ooc::host_block(lanes_[lane].a, 0, offset(t), m_, width(t));
+  }
+  /// The hazard key of column block t of A.
+  HazardKey a_key(index_t t) const {
+    return a_keys_ + static_cast<size_t>(t);
+  }
+  /// Priority key: (block i, phase) with phases 0..3 per step, so
+  /// colocated programs interleave block by block.
+  std::int64_t prio(index_t i, std::int64_t phase) const {
+    return 4 * static_cast<std::int64_t>(i) + phase;
+  }
+
   TaskGraph& g_;
   std::span<const BatchJob> lanes_;
   /// The first lane; every lane shares its shape and options.
@@ -177,8 +217,14 @@ class Program {
   /// Prefix of every node label, op name and buffer label: the job label
   /// ("j3."), or "fused " for a fused batch.
   const sim::OpName prefix_;
-  /// The deps of the node being added.
-  std::vector<TaskId> deps_;
+  const index_t m_;
+  const index_t n_;
+  index_t b_ = 0;
+  /// Column blocks (tiles or panels) of A.
+  index_t blocks_ = 0;
+  /// The step add_step adds next.
+  index_t step_ = 0;
+  index_t units_ = 0;
 
  private:
   struct KindInfo {
@@ -186,6 +232,8 @@ class Program {
     std::uint32_t head = 0;
     int ints = 1;
   };
+  const char* tag_;
+  HazardKey a_keys_;
   /// Indexed by kind; sized for the program with the most kinds
   /// (BlockingProgram).
   std::array<KindInfo, 9> kinds_{};
@@ -198,14 +246,7 @@ class Program {
 class TiledProgram : public Program {
  public:
   TiledProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, {&job, 1}, job.label), a_(job.a), r_(job.r) {
-    m_ = a_.rows;
-    n_ = a_.cols;
-    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "tiled_qr: need m >= n >= 1");
-    ROCQR_CHECK(r_.rows == n_ && r_.cols == n_, "tiled_qr: R must be n x n");
-    b_ = std::min(job.opts.blocksize, n_);
-    tiles_ = (n_ + b_ - 1) / b_;
-    out_a_.assign(static_cast<size_t>(tiles_), kNone);
+      : Program(graph, {&job, 1}, job.label, "tiled") {
     declare(Stage, TaskStage::MoveIn, "stage ", 1);
     declare(In, TaskStage::MoveIn, "in ", 2);
     declare(Upd, TaskStage::Compute, "upd ", 2);
@@ -215,51 +256,35 @@ class TiledProgram : public Program {
     declare(OutA, TaskStage::MoveOut, "outA ", 2);
   }
 
-  const char* driver_tag() const override { return "tiled"; }
-  index_t units_done() const override { return units_; }
-  index_t columns_done() const override { return std::min(units_ * b_, n_); }
-
   /// Device working set: two role-swapping resident tiles, up to two
   /// streaming slots for far tiles, and a rotating pool of b x b R tiles.
   void allocate(Device& dev) override {
-    big_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-             sim::op_name(prefix_, "tiled tile a"));
-    if (tiles_ > 1) {
-      big_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-               sim::op_name(prefix_, "tiled tile b"));
-    }
-    const index_t far_slots = std::min<index_t>(2, tiles_ - 2);
-    for (index_t s = 0; s < far_slots; ++s) {
-      stream_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-                  sim::op_name(prefix_, "tiled stream ", s));
-    }
-    const index_t r_slots = std::min<index_t>(4, tiles_ + 1);
-    for (index_t s = 0; s < r_slots; ++s) {
-      rtiles_.add(dev, 1, b_, b_, StoragePrecision::FP32,
-                  sim::op_name(prefix_, "tiled r ", s));
-    }
+    const auto fp32 = StoragePrecision::FP32;
+    big_.allocate(g_, dev, std::min<index_t>(2, blocks_), 1, m_, b_, fp32,
+                  [this](index_t s) {
+                    return sim::op_name(prefix_, s == 0 ? "tiled tile a"
+                                                        : "tiled tile b");
+                  });
+    stream_.allocate(g_, dev, std::clamp<index_t>(blocks_ - 2, 0, 2), 1, m_,
+                     b_, fp32, numbered("tiled stream "));
+    rtiles_.allocate(g_, dev, std::min<index_t>(4, blocks_ + 1), 1, b_, b_,
+                     fp32, numbered("tiled r "));
   }
 
   /// First segment: stage the starting tile. A fresh run factors tile 0;
   /// a resume (opts.resume_units = u > 0) re-stages the already-factored
   /// Q_{u-1} and goes straight to step u-1.
   bool begin() override {
-    const index_t u = std::min(job_.opts.resume_units, tiles_);
-    k_ = u > 0 ? u - 1 : 0;
+    const index_t u = std::min(job_.opts.resume_units, blocks_);
+    step_ = u > 0 ? u - 1 : 0;
     units_ = std::max<index_t>(u, 0);
-    if (u >= tiles_) return false; // everything already factored
-    const index_t t = k_;
-    const std::int64_t p = prio(t, 0);
-    const TaskId stage = add_node({Stage, t}, p);
-    if (u > 0) {
-      // The staged tile is already Q_{u-1}: no factor, no emit. Updates of
-      // step u-1 depend on the staging transfer instead.
-      fac_ = stage;
-      emit_ = kNone;
-      return false;
-    }
-    fac_ = add_factor(t, stage, p);
-    emit_ = add_emit(t, fac_, p);
+    if (u >= blocks_) return false; // everything already factored
+    const index_t t = step_;
+    add_node({Stage, t}, prio(t, 0), {writes(tile_key(t)), reads(a_key(t))});
+    // A staged Q_{u-1} needs no factor and no emit: step u-1's updates read
+    // it as staged.
+    if (u > 0) return false;
+    add_factor(t, prio(t, 0));
     units_ = 1;
     return true;
   }
@@ -267,62 +292,39 @@ class TiledProgram : public Program {
   /// Adds step k (updates by Q_k plus the factorization of tile k+1) and
   /// advances. Returns false once every tile is factored.
   bool add_step() override {
-    if (k_ >= tiles_ - 1) return false;
-    const index_t k = k_;
-    TaskId next_fac = kNone;
-    TaskId next_emit = kNone;
-    for (index_t j = k + 1; j < tiles_; ++j) {
+    if (step_ >= blocks_ - 1) return false;
+    const index_t k = step_;
+    for (index_t j = k + 1; j < blocks_; ++j) {
       const bool resident = j == k + 1;
       const std::int64_t p = prio(k, resident ? 1 : 3);
-      const auto ju = static_cast<size_t>(j);
 
-      // Move-in of tile j. WAR edges: the resident destination held
-      // Q_{k-1}, so wait its readers; a streaming slot waits the move-out
-      // that last drained it. Host-order edge: the previous step's
-      // writeback of tile j must land before this re-read.
-      size_t far_slot = 0;
-      if (resident) {
-        deps_.assign(prev_q_readers_.begin(), prev_q_readers_.end());
-      } else {
-        far_slot = stream_.acquire();
-        stream_.depend(far_slot, deps_);
-      }
-      if (out_a_[ju] != kNone) deps_.push_back(out_a_[ju]);
-      const TaskId in = add_node({In, k, j, far_slot}, p);
+      // Move-in of tile j: into the resident buffer, which held Q_{k-1}
+      // until its readers finished, or into a streaming slot. Host tile j
+      // is re-read after the previous step's writeback of it.
+      const size_t far_slot = resident ? 0 : stream_.acquire();
+      const HazardKey dst = resident ? tile_key(j) : stream_.key(far_slot);
+      add_node({In, k, j, far_slot}, p, {writes(dst), reads(a_key(j))});
 
       // Block-MGS update: R_kj = Q_k^T A_j, then A_j -= Q_k R_kj.
       const size_t rs = rtiles_.acquire();
-      deps_.assign({in, fac_});
-      rtiles_.depend(rs, deps_);
-      const TaskId upd = add_node({Upd, k, j, far_slot, rs}, p);
-      q_readers_.push_back(upd);
+      const HazardKey r = rtiles_.key(rs);
+      add_node({Upd, k, j, far_slot, rs}, p,
+               {writes(dst), reads(tile_key(k)), writes(r)});
 
       // R row writeback.
-      deps_.push_back(upd);
-      const TaskId outr = add_node({OutR, k, j, far_slot, rs}, p);
-      rtiles_.use(rs, outr);
+      add_node({OutR, k, j, far_slot, rs}, p, {reads(r)});
 
       if (resident) {
         // The tile that just absorbed its update factors in place — the
         // lookahead: priority (k, 2) beats the far updates' (k, 3), so the
         // panel runs on the compute engine while they stream.
-        const std::int64_t pf = prio(k, 2);
-        next_fac = add_factor(j, upd, pf);
-        next_emit = add_emit(j, next_fac, pf);
+        add_factor(j, prio(k, 2));
       } else {
-        deps_.push_back(upd);
-        const TaskId outa = add_node({OutA, k, j, far_slot}, p);
-        stream_.use(far_slot, outa);
-        out_a_[ju] = outa;
+        add_node({OutA, k, j, far_slot}, p, {reads(dst), writes(a_key(j))});
       }
     }
-    std::swap(prev_q_readers_, q_readers_);
-    q_readers_.clear();
-    if (emit_ != kNone) prev_q_readers_.push_back(emit_);
-    fac_ = next_fac;
-    emit_ = next_emit;
-    ++k_;
-    units_ = k_ + 1;
+    ++step_;
+    units_ = step_ + 1;
     return true;
   }
 
@@ -336,10 +338,10 @@ class TiledProgram : public Program {
     const index_t j = a.j;
     switch (a.kind) {
     case Stage:
-      c.h2d(tile_buf(k), host_tile_const(k), op_name("h2d tile ", k));
+      c.h2d(tile_buf(k), a_block_const(0, k), op_name("h2d tile ", k));
       break;
     case In:
-      c.h2d(trailing_buf(k, j, a.s0), host_tile_const(j),
+      c.h2d(trailing_buf(k, j, a.s0), a_block_const(0, j),
             op_name("h2d tile ", j));
       break;
     case Upd: {
@@ -354,8 +356,8 @@ class TiledProgram : public Program {
     }
     case OutR: {
       const DeviceMatrixRef rt = rtiles_.block(a.s1, width(k), width(j));
-      c.d2h(ooc::host_block(r_, offset(k), offset(j), rt.rows, rt.cols), rt,
-            op_name("d2h R ", k, j));
+      c.d2h(ooc::host_block(job_.r, offset(k), offset(j), rt.rows, rt.cols),
+            rt, op_name("d2h R ", k, j));
       break;
     }
     case Fac:
@@ -365,19 +367,21 @@ class TiledProgram : public Program {
       break;
     case Emit: {
       const index_t w = width(k);
-      c.d2h(ooc::host_block(r_, offset(k), offset(k), w, w),
+      c.d2h(ooc::host_block(job_.r, offset(k), offset(k), w, w),
             rtiles_.block(a.s1, w, w), op_name("d2h R ", k, k));
-      c.d2h(host_tile(k), tile_buf(k), op_name("d2h Q ", k));
+      c.d2h(a_block(0, k), tile_buf(k), op_name("d2h Q ", k));
       break;
     }
     case OutA:
-      c.d2h(host_tile(j), trailing_buf(k, j, a.s0), op_name("d2h tile ", j));
+      c.d2h(a_block(0, j), trailing_buf(k, j, a.s0), op_name("d2h tile ", j));
       break;
     }
   }
 
-  index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
-  index_t offset(index_t t) const { return t * b_; }
+  /// Tile t lives in resident buffer t mod 2.
+  HazardKey tile_key(index_t t) const {
+    return big_.key(static_cast<size_t>(t) & 1);
+  }
   DeviceMatrixRef tile_buf(index_t t) const {
     return big_.block(static_cast<size_t>(t) & 1, m_, width(t));
   }
@@ -386,51 +390,20 @@ class TiledProgram : public Program {
   DeviceMatrixRef trailing_buf(index_t k, index_t j, size_t far_slot) const {
     return j == k + 1 ? tile_buf(j) : stream_.block(far_slot, m_, width(j));
   }
-  sim::HostConstRef host_tile_const(index_t t) const {
-    return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
-  }
-  sim::HostMutRef host_tile(index_t t) const {
-    return ooc::host_block(a_, 0, offset(t), m_, width(t));
-  }
-  /// Priority key: (step, phase) with phase 1 = the resident tile's
-  /// move-in/update, 2 = the next panel factorization, 3 = far tiles.
-  std::int64_t prio(index_t k, std::int64_t phase) const {
-    return 4 * static_cast<std::int64_t>(k) + phase;
-  }
 
-  TaskId add_factor(index_t t, TaskId dep, std::int64_t p) {
+  /// Factors tile t in place, with R_tt into the next R tile, then writes
+  /// R_tt and Q_t back.
+  void add_factor(index_t t, std::int64_t p) {
     const size_t rs = rtiles_.acquire();
-    deps_.push_back(dep);
-    rtiles_.depend(rs, deps_);
-    fac_r_slot_ = rs;
-    return add_node({Fac, t, 0, 0, rs}, p);
+    const HazardKey r = rtiles_.key(rs);
+    add_node({Fac, t, 0, 0, rs}, p, {writes(tile_key(t)), writes(r)});
+    add_node({Emit, t, 0, 0, rs}, p,
+             {reads(tile_key(t)), reads(r), writes(a_key(t))});
   }
 
-  TaskId add_emit(index_t t, TaskId fac, std::int64_t p) {
-    deps_.push_back(fac);
-    const TaskId id = add_node({Emit, t, 0, 0, fac_r_slot_}, p);
-    rtiles_.use(fac_r_slot_, id);
-    return id;
-  }
-
-  HostMutRef a_;
-  HostMutRef r_;
-  index_t m_ = 0;
-  index_t n_ = 0;
-  index_t b_ = 0;
-  index_t tiles_ = 0;
-  index_t k_ = 0;
-  index_t units_ = 0;
   SlotPool big_;
   SlotPool stream_;
   SlotPool rtiles_;
-  TaskId fac_ = kNone;
-  TaskId emit_ = kNone;
-  size_t fac_r_slot_ = 0;
-  std::vector<TaskId> prev_q_readers_;
-  std::vector<TaskId> q_readers_;
-  /// Per tile: the move-out that last wrote it back (kNone: none yet).
-  std::vector<TaskId> out_a_;
 };
 
 /// Right-looking fixed-panel CGS as a node program: factor panel i, then
@@ -454,15 +427,7 @@ class BlockingProgram : public Program {
  public:
   BlockingProgram(TaskGraph& graph, std::span<const BatchJob> lanes,
                   sim::OpName prefix)
-      : Program(graph, lanes, prefix) {
-    m_ = job_.a.rows;
-    n_ = job_.a.cols;
-    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "blocking batch: need m >= n >= 1");
-    ROCQR_CHECK(job_.r.rows == n_ && job_.r.cols == n_,
-                "blocking batch: R must be n x n");
-    b_ = std::min(job_.opts.blocksize, n_);
-    panels_ = (n_ + b_ - 1) / b_;
-    out_a_.assign(static_cast<size_t>(panels_), kNone);
+      : Program(graph, lanes, prefix, "blocking") {
     declare(InP, TaskStage::MoveIn, "inP ", 1);
     declare(Fac, TaskStage::Compute, "fac ", 1);
     declare(Emit, TaskStage::MoveOut, "emit ", 1);
@@ -474,10 +439,6 @@ class BlockingProgram : public Program {
     declare(OutA, TaskStage::MoveOut, "outA ", 2);
   }
 
-  const char* driver_tag() const override { return "blocking"; }
-  index_t units_done() const override { return units_; }
-  index_t columns_done() const override { return std::min(units_ * b_, n_); }
-
   /// Working set, per lane: a panel double buffer, streaming slots for the
   /// trailing panels' inner-product input (GEMM storage width) and
   /// outer-product accumulator (fp32), and a rotating pool of b x b R tiles.
@@ -486,99 +447,64 @@ class BlockingProgram : public Program {
         ooc::detail::input_storage(gemm_options(job_.opts));
     const auto add = [&](SlotPool& pool, index_t slots, index_t rows,
                          StoragePrecision prec, const char* role) {
-      for (index_t s = 0; s < slots; ++s) {
-        pool.add(dev, lanes_.size(), rows, b_, prec,
-                 sim::op_name(prefix_, role, s));
-      }
+      pool.allocate(g_, dev, slots, lanes_.size(), rows, b_, prec,
+                    numbered(role));
     };
-    const index_t trail_slots = std::min<index_t>(2, panels_ - 1);
-    add(panel_, std::min<index_t>(2, panels_), m_, StoragePrecision::FP32,
+    const index_t trail_slots = std::min<index_t>(2, blocks_ - 1);
+    add(panel_, std::min<index_t>(2, blocks_), m_, StoragePrecision::FP32,
         "blk panel ");
     add(bstream_, trail_slots, m_, in_prec, "blk b ");
     add(cstream_, trail_slots, m_, StoragePrecision::FP32, "blk c ");
-    add(rtiles_, std::min<index_t>(4, panels_ + 1), b_, StoragePrecision::FP32,
+    add(rtiles_, std::min<index_t>(4, blocks_ + 1), b_, StoragePrecision::FP32,
         "blk r ");
-  }
-
-  /// Resume positioning only: the skipped panels' Q columns and R rows
-  /// were restored onto the host, and right-looking trailing updates for
-  /// completed units are already applied there — nothing to stage. (Every
-  /// lane shares one resume_units: fusion only joins jobs at the same
-  /// checkpoint boundary.)
-  bool begin() override {
-    i_ = std::min(job_.opts.resume_units, panels_);
-    units_ = i_;
-    return false;
   }
 
   /// Adds panel iteration i: move-in + factor + emit, then the trailing
   /// inner/outer update pair per remaining panel.
   bool add_step() override {
-    if (i_ >= panels_) return false;
-    const index_t i = i_;
+    if (step_ >= blocks_) return false;
+    const index_t i = step_;
     const std::int64_t p = prio(i, 0);
 
-    // Panel move-in. WAR edge: this slot held panel i-2, wait its readers.
-    // Host-order edge: panel i's columns were last written by the previous
-    // iteration's trailing writeback.
+    // Panel move-in into the slot that held panel i-2, in-core panel
+    // factorization (recursive CGS on the device) with R_ii into a rotating
+    // b x b tile, then one writeback of R_ii and the Q panel.
     const size_t ps = static_cast<size_t>(i) % panel_.size();
-    panel_.depend(ps, deps_);
-    if (out_a_[static_cast<size_t>(i)] != kNone) {
-      deps_.push_back(out_a_[static_cast<size_t>(i)]);
-    }
-    const TaskId inp = add_node({InP, i, 0, ps}, p);
-
-    // In-core panel factorization (recursive CGS on the device), R_ii into
-    // a rotating b x b tile, then one writeback of R_ii and the Q panel.
+    const HazardKey panel = panel_.key(ps);
+    add_node({InP, i, 0, ps}, p, {writes(panel), reads(a_key(i))});
     const size_t rs = rtiles_.acquire();
-    deps_.push_back(inp);
-    rtiles_.depend(rs, deps_);
-    const TaskId fac = add_node({Fac, i, 0, ps, rs}, p);
-    deps_.push_back(fac);
-    const TaskId emit = add_node({Emit, i, 0, ps, rs}, p);
-    rtiles_.use(rs, emit);
-    readers_.assign(1, emit);
+    const HazardKey rii = rtiles_.key(rs);
+    add_node({Fac, i, 0, ps, rs}, p, {writes(panel), writes(rii)});
+    add_node({Emit, i, 0, ps, rs}, p,
+             {reads(panel), reads(rii), writes(a_key(i))});
 
     // Trailing updates, one panel-width column slab at a time.
-    for (index_t j = i + 1; j < panels_; ++j) {
-      const std::int64_t pt = prio(i, 1);
-      const auto ju = static_cast<size_t>(j);
-
+    const std::int64_t pt = prio(i, 1);
+    for (index_t j = i + 1; j < blocks_; ++j) {
       // Inner-product input slab (GEMM storage width — fp16 on the
       // TensorCore path, halving the streamed bytes like the solo engine).
       const size_t bs = bstream_.acquire();
-      bstream_.depend(bs, deps_);
-      if (out_a_[ju] != kNone) deps_.push_back(out_a_[ju]);
-      const TaskId inb = add_node({InB, i, j, 0, bs}, pt);
+      const HazardKey b = bstream_.key(bs);
+      add_node({InB, i, j, 0, bs}, pt, {writes(b), reads(a_key(j))});
 
       // R12 = Q^T B over the full column height (k = m).
       const size_t rs2 = rtiles_.acquire();
-      deps_.assign({inb, fac});
-      rtiles_.depend(rs2, deps_);
-      const TaskId upd1 = add_node({Inner, i, j, ps, bs, rs2}, pt);
-      bstream_.use(bs, upd1);
-      deps_.push_back(upd1);
-      const TaskId outr = add_node({OutR, i, j, 0, 0, rs2}, pt);
+      const HazardKey r12 = rtiles_.key(rs2);
+      add_node({Inner, i, j, ps, bs, rs2}, pt,
+               {reads(b), reads(panel), writes(r12)});
+      add_node({OutR, i, j, 0, 0, rs2}, pt, {reads(r12)});
 
       // Fresh fp32 read of the same slab as the beta = 1 accumulator —
       // the solo engines' double-streaming, byte for byte.
       const size_t cs = cstream_.acquire();
-      cstream_.depend(cs, deps_);
-      if (out_a_[ju] != kNone) deps_.push_back(out_a_[ju]);
-      const TaskId inc = add_node({InC, i, j, 0, cs}, pt);
-      deps_.assign({inc, upd1});
-      const TaskId upd2 = add_node({Outer, i, j, ps, cs, rs2}, pt);
-      const TaskId r_readers[] = {outr, upd2};
-      rtiles_.use(rs2, r_readers);
-      deps_.push_back(upd2);
-      const TaskId outa = add_node({OutA, i, j, 0, cs}, pt);
-      cstream_.use(cs, outa);
-      out_a_[ju] = outa;
-      readers_.push_back(upd2);
+      const HazardKey acc = cstream_.key(cs);
+      add_node({InC, i, j, 0, cs}, pt, {writes(acc), reads(a_key(j))});
+      add_node({Outer, i, j, ps, cs, rs2}, pt,
+               {writes(acc), reads(r12), reads(panel)});
+      add_node({OutA, i, j, 0, cs}, pt, {reads(acc), writes(a_key(j))});
     }
-    panel_.use(ps, readers_);
-    ++i_;
-    units_ = i_;
+    ++step_;
+    units_ = step_;
     return true;
   }
 
@@ -603,7 +529,7 @@ class BlockingProgram : public Program {
     case InP:
       h2d_.clear();
       for (size_t k = 0; k < lanes; ++k) {
-        h2d_.push_back({panel_.block(a.s0, m_, w, k), host_panel_const(k, i)});
+        h2d_.push_back({panel_.block(a.s0, m_, w, k), a_block_const(k, i)});
       }
       c.h2d(h2d_, op_name("h2d panel ", i));
       break;
@@ -625,15 +551,14 @@ class BlockingProgram : public Program {
         d2h_.push_back(
             {ooc::host_block(lanes_[k].r, offset(i), offset(i), w, w),
              rtiles_.block(a.s1, w, w, k)});
-        d2h_.push_back({host_panel(k, i), panel_.block(a.s0, m_, w, k)});
+        d2h_.push_back({a_block(k, i), panel_.block(a.s0, m_, w, k)});
       }
       c.d2h(d2h_, op_name("d2h RiiQ ", i));
       break;
     case InB:
       h2d_.clear();
       for (size_t k = 0; k < lanes; ++k) {
-        h2d_.push_back(
-            {bstream_.block(a.s1, m_, wj, k), host_panel_const(k, j)});
+        h2d_.push_back({bstream_.block(a.s1, m_, wj, k), a_block_const(k, j)});
       }
       c.h2d(h2d_, op_name("h2d b ", j));
       break;
@@ -659,8 +584,7 @@ class BlockingProgram : public Program {
     case InC:
       h2d_.clear();
       for (size_t k = 0; k < lanes; ++k) {
-        h2d_.push_back(
-            {cstream_.block(a.s1, m_, wj, k), host_panel_const(k, j)});
+        h2d_.push_back({cstream_.block(a.s1, m_, wj, k), a_block_const(k, j)});
       }
       c.h2d(h2d_, op_name("h2d c ", j));
       break;
@@ -677,42 +601,17 @@ class BlockingProgram : public Program {
     case OutA:
       d2h_.clear();
       for (size_t k = 0; k < lanes; ++k) {
-        d2h_.push_back({host_panel(k, j), cstream_.block(a.s1, m_, wj, k)});
+        d2h_.push_back({a_block(k, j), cstream_.block(a.s1, m_, wj, k)});
       }
       c.d2h(d2h_, op_name("d2h tile ", j));
       break;
     }
   }
 
-  index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
-  index_t offset(index_t t) const { return t * b_; }
-  sim::HostConstRef host_panel_const(size_t lane, index_t t) const {
-    return ooc::host_block(sim::as_const(lanes_[lane].a), 0, offset(t), m_,
-                           width(t));
-  }
-  sim::HostMutRef host_panel(size_t lane, index_t t) const {
-    return ooc::host_block(lanes_[lane].a, 0, offset(t), m_, width(t));
-  }
-  /// Priority key: (panel, phase) with phase 0 = panel move-in/factor/emit
-  /// and 1 = the trailing updates, so colocated jobs interleave per panel.
-  std::int64_t prio(index_t i, std::int64_t phase) const {
-    return 4 * static_cast<std::int64_t>(i) + phase;
-  }
-
-  index_t m_ = 0;
-  index_t n_ = 0;
-  index_t b_ = 0;
-  index_t panels_ = 0;
-  index_t i_ = 0;
-  index_t units_ = 0;
   SlotPool panel_;
   SlotPool bstream_;
   SlotPool cstream_;
   SlotPool rtiles_;
-  /// Per panel: the move-out that last wrote it back (kNone: none yet).
-  std::vector<TaskId> out_a_;
-  /// The nodes reading this step's panel slot.
-  std::vector<TaskId> readers_;
   // Per-lane operand scratch of run_node.
   std::vector<H2d> h2d_;
   std::vector<D2h> d2h_;
@@ -739,14 +638,7 @@ class BlockingProgram : public Program {
 class LeftLookingProgram : public Program {
  public:
   LeftLookingProgram(TaskGraph& graph, const BatchJob& job)
-      : Program(graph, {&job, 1}, job.label), a_(job.a), r_(job.r) {
-    m_ = a_.rows;
-    n_ = a_.cols;
-    ROCQR_CHECK(m_ >= n_ && n_ >= 1, "left_looking_qr: need m >= n >= 1");
-    ROCQR_CHECK(r_.rows == n_ && r_.cols == n_,
-                "left_looking_qr: R must be n x n");
-    b_ = std::min(job.opts.blocksize, n_);
-    panels_ = (n_ + b_ - 1) / b_;
+      : Program(graph, {&job, 1}, job.label, "left") {
     declare(InP, TaskStage::MoveIn, "inP ", 1);
     declare(InQ, TaskStage::MoveIn, "inQ ", 2);
     declare(Proj, TaskStage::Compute, "proj ", 2);
@@ -755,93 +647,64 @@ class LeftLookingProgram : public Program {
     declare(Emit, TaskStage::MoveOut, "emit ", 1);
   }
 
-  const char* driver_tag() const override { return "left"; }
-  index_t units_done() const override { return units_; }
-  index_t columns_done() const override { return std::min(units_ * b_, n_); }
-
   /// Working set: a panel double buffer, a streamed-Q ring of
   /// opts.pipeline_depth slots in GEMM storage width, and single shared
   /// R-block / R_ii scratches (the projection chain serializes on them).
   void allocate(Device& dev) override {
+    const auto fp32 = StoragePrecision::FP32;
     const StoragePrecision q_prec =
         ooc::detail::input_storage(gemm_options(job_.opts));
-    const index_t panel_slots = std::min<index_t>(2, panels_);
-    for (index_t s = 0; s < panel_slots; ++s) {
-      panel_.add(dev, 1, m_, b_, StoragePrecision::FP32,
-                 sim::op_name(prefix_, "ll panel ", s));
-    }
-    const int depth = std::max(1, job_.opts.pipeline_depth);
-    for (int s = 0; s < depth; ++s) {
-      qring_.add(dev, 1, m_, b_, q_prec, sim::op_name(prefix_, "ll q ", s));
-    }
-    rblk_.add(dev, 1, b_, b_, StoragePrecision::FP32,
-              sim::op_name(prefix_, "ll rblk"));
-    rii_.add(dev, 1, b_, b_, StoragePrecision::FP32,
-             sim::op_name(prefix_, "ll rii"));
-  }
-
-  /// Resume positioning: skipped panels' Q columns are on the host already
-  /// (restored from the checkpoint), so later projections read them with
-  /// no graph dependency.
-  bool begin() override {
-    i_ = std::min(job_.opts.resume_units, panels_);
-    units_ = i_;
-    emit_.assign(static_cast<size_t>(panels_), kNone);
-    return false;
+    panel_.allocate(g_, dev, std::min<index_t>(2, blocks_), 1, m_, b_, fp32,
+                    numbered("ll panel "));
+    qring_.allocate(g_, dev, std::max(1, job_.opts.pipeline_depth), 1, m_, b_,
+                    q_prec, numbered("ll q "));
+    rblk_.allocate(g_, dev, 1, 1, b_, b_, fp32, [this](index_t) {
+      return sim::op_name(prefix_, "ll rblk");
+    });
+    rii_.allocate(g_, dev, 1, 1, b_, b_, fp32, [this](index_t) {
+      return sim::op_name(prefix_, "ll rii");
+    });
   }
 
   /// Adds panel i: move-in, the i previous panels' projections, factor,
   /// emit.
   bool add_step() override {
-    if (i_ >= panels_) return false;
-    const index_t i = i_;
+    if (step_ >= blocks_) return false;
+    const index_t i = step_;
 
     // The panel's columns are still ORIGINAL data (left-looking writes
-    // each column block exactly once), so the move-in has no host-order
-    // edge — only the WAR edge on the double-buffer slot.
+    // each column block exactly once, at its emit), so the move-in waits
+    // no writeback — only the readers of the double-buffer slot.
     const size_t ps = static_cast<size_t>(i) % panel_.size();
-    panel_.depend(ps, deps_);
-    const TaskId inp = add_node({InP, i, 0, ps}, prio(i, 0));
+    const HazardKey panel = panel_.key(ps);
+    add_node({InP, i, 0, ps}, prio(i, 0), {writes(panel), reads(a_key(i))});
 
     // Lazy application of every previous panel's projection. The single
     // shared R scratch chains them: projection j+1's beta = 0 GEMM waits
     // for projection j's R writeback to drain.
-    TaskId last_proj = kNone;
+    const HazardKey rblk = rblk_.key(0);
     for (index_t j = 0; j < i; ++j) {
       const std::int64_t pt = prio(i, 1);
+      // Q_j must have landed on the host: its emit wrote it (a
+      // resume-restored panel was there before the graph started).
       const size_t qs = qring_.acquire();
-      qring_.depend(qs, deps_);
-      // Q_j must have landed on the host — a real graph edge from its
-      // emit. A resume-restored panel has none: its data is already there.
-      if (emit_[static_cast<size_t>(j)] != kNone) {
-        deps_.push_back(emit_[static_cast<size_t>(j)]);
-      }
-      const TaskId inq = add_node({InQ, i, j, ps, qs}, pt);
+      const HazardKey q = qring_.key(qs);
+      add_node({InQ, i, j, ps, qs}, pt, {writes(q), reads(a_key(j))});
 
       // R(j, i) = Q_j^T P ; P -= Q_j R(j, i) — the skinny GEMM pair.
-      deps_.assign({inq, inp});
-      rblk_.depend(0, deps_);
-      const TaskId proj = add_node({Proj, i, j, ps, qs}, pt);
-      qring_.use(qs, proj);
-      deps_.push_back(proj);
-      const TaskId outr = add_node({OutR, i, j}, pt);
-      rblk_.use(0, outr);
-      last_proj = proj;
+      add_node({Proj, i, j, ps, qs}, pt,
+               {reads(q), writes(panel), writes(rblk)});
+      add_node({OutR, i, j}, pt, {reads(rblk)});
     }
 
     // In-core factorization of the fully projected panel, then the Q / Rii
-    // writebacks. The shared Rii scratch's WAR edge is the previous emit.
-    deps_.push_back(inp);
-    if (last_proj != kNone) deps_.push_back(last_proj);
-    rii_.depend(0, deps_);
-    const TaskId fac = add_node({Fac, i, 0, ps}, prio(i, 2));
-    deps_.push_back(fac);
-    const TaskId emit = add_node({Emit, i, 0, ps}, prio(i, 2));
-    rii_.use(0, emit);
-    panel_.use(ps, emit);
-    emit_[static_cast<size_t>(i)] = emit;
-    ++i_;
-    units_ = i_;
+    // writebacks. The shared Rii scratch waits the previous emit.
+    const HazardKey rii = rii_.key(0);
+    add_node({Fac, i, 0, ps}, prio(i, 2), {writes(panel), writes(rii)});
+    add_node({Emit, i, 0, ps}, prio(i, 2),
+             {reads(panel), reads(rii), writes(a_key(i))});
+    ++step_;
+    units_ = step_;
     return true;
   }
 
@@ -856,11 +719,11 @@ class LeftLookingProgram : public Program {
     const index_t w = width(i);
     switch (a.kind) {
     case InP:
-      c.h2d(panel_.block(a.s0, m_, w), host_panel_const(i),
+      c.h2d(panel_.block(a.s0, m_, w), a_block_const(0, i),
             op_name("h2d panel ", i));
       break;
     case InQ:
-      c.h2d(qring_.block(a.s1, m_, width(j)), host_panel_const(j),
+      c.h2d(qring_.block(a.s1, m_, width(j)), a_block_const(0, j),
             op_name("h2d Q", j));
       break;
     case Proj: {
@@ -875,8 +738,8 @@ class LeftLookingProgram : public Program {
     }
     case OutR: {
       const DeviceMatrixRef rb = rblk_.block(0, width(j), w);
-      c.d2h(ooc::host_block(r_, offset(j), offset(i), rb.rows, rb.cols), rb,
-            op_name("d2h R block ", i, j));
+      c.d2h(ooc::host_block(job_.r, offset(j), offset(i), rb.rows, rb.cols),
+            rb, op_name("d2h R block ", i, j));
       break;
     }
     case Fac:
@@ -884,40 +747,17 @@ class LeftLookingProgram : public Program {
                       rii_.block(0, w, w), c.stream(), job_.opts, prefix_);
       break;
     case Emit:
-      c.d2h(ooc::host_block(r_, offset(i), offset(i), w, w),
+      c.d2h(ooc::host_block(job_.r, offset(i), offset(i), w, w),
             rii_.block(0, w, w), op_name("d2h Rii ", i));
-      c.d2h(host_panel(i), panel_.block(a.s0, m_, w), op_name("d2h Q ", i));
+      c.d2h(a_block(0, i), panel_.block(a.s0, m_, w), op_name("d2h Q ", i));
       break;
     }
   }
 
-  index_t width(index_t t) const { return std::min(b_, n_ - t * b_); }
-  index_t offset(index_t t) const { return t * b_; }
-  sim::HostConstRef host_panel_const(index_t t) const {
-    return ooc::host_block(sim::as_const(a_), 0, offset(t), m_, width(t));
-  }
-  sim::HostMutRef host_panel(index_t t) const {
-    return ooc::host_block(a_, 0, offset(t), m_, width(t));
-  }
-  /// Priority key: (panel, phase) with phase 0 = panel move-in, 1 = the
-  /// projection sweep, 2 = factor/emit.
-  std::int64_t prio(index_t i, std::int64_t phase) const {
-    return 4 * static_cast<std::int64_t>(i) + phase;
-  }
-
-  HostMutRef a_;
-  HostMutRef r_;
-  index_t m_ = 0;
-  index_t n_ = 0;
-  index_t b_ = 0;
-  index_t panels_ = 0;
-  index_t i_ = 0;
-  index_t units_ = 0;
   SlotPool panel_;
   SlotPool qring_;
   SlotPool rblk_;
   SlotPool rii_;
-  std::vector<TaskId> emit_;
 };
 
 std::unique_ptr<Program> make_program(TaskGraph& graph, const BatchJob& job) {

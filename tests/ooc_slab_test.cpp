@@ -1,8 +1,11 @@
-// Slab partitioning and the §4.1.3 ramp-up schedule.
+// Slab partitioning, the §4.1.3 ramp-up schedule, and the column split of
+// memory-bound trailing updates.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "ooc/gemm_engines.hpp"
 #include "ooc/slab_schedule.hpp"
+#include "sim/device.hpp"
 
 namespace rocqr::ooc {
 namespace {
@@ -131,6 +134,24 @@ TEST(SlabSchedule, SingleSlabRamp) {
   EXPECT_EQ(slabs[0].offset, 0);
   EXPECT_EQ(slabs[0].width, 2);
   expect_contiguous(slabs);
+}
+
+TEST(ColumnSplit, HalvesToABlocksizeMultipleThatFits) {
+  // 64 MiB at a 0.92 budget, b = 256, depth 2, fp16 inputs, staging on:
+  // h = 2048 rows of B leave room for panels of at most 9707 columns.
+  sim::DeviceSpec spec = sim::DeviceSpec::v100_32gb();
+  spec.memory_capacity = 64LL << 20;
+  const sim::Device dev(spec, sim::ExecutionMode::Phantom);
+  OocGemmOptions o;
+  o.blocksize = 256;
+  o.pipeline_depth = 2;
+  o.precision = blas::GemmPrecision::FP16_FP32;
+  o.staging_buffer = true;
+  EXPECT_EQ(plan_column_split(dev, o, 0.92, 4096, 2048, 8192), 0);
+  // 30000 -> 15104 (too big) -> 7680.
+  EXPECT_EQ(plan_column_split(dev, o, 0.92, 4096, 2048, 30000), 7680);
+  // Nothing fits: the split stops at one blocksize.
+  EXPECT_EQ(plan_column_split(dev, o, 0.92 / 64, 4096, 2048, 30000), 256);
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 // TaskGraph executor: deterministic list scheduling onto the three-stream
-// device, stage-typed node contexts, WAR/region edges, incremental runs,
-// and cycle detection.
+// device, stage-typed node contexts, region edges, incremental runs, and
+// the hazard rule that derives deps from declared accesses.
 #include <gtest/gtest.h>
 
 #include "leak_check.hpp"
 
+#include <initializer_list>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -175,19 +177,10 @@ TEST(TaskGraph, IncrementalRunsEnqueueOnlyNewNodes) {
   EXPECT_NE(find_event(dev, "gemm 2"), static_cast<size_t>(-1));
 }
 
-TEST(TaskGraph, DetectsDependencyCycles) {
-  Device dev = phantom_device();
-  TaskGraph g(dev, test_options());
-  const TaskId a = g.add(TaskStage::Compute, "a", nullptr);
-  const TaskId b = g.add(TaskStage::Compute, "b", nullptr, {a});
-  g.add_dep(a, b); // a -> b -> a
-  EXPECT_THROW(g.run(), InvalidArgument);
-}
-
 TEST(TaskGraph, ANodeWithMoreThanTwoDepsWaitsForEveryOne) {
-  // A node keeps up to two deps inline; a third (here from add_dep) moves
-  // the list to the graph's dep arena. Every dep must still fence the
-  // node, count as an edge and appear in the dot dump, in order.
+  // A node keeps up to two deps inline; a third moves the list to the
+  // graph's dep arena. Every dep must still fence the node, count as an
+  // edge and appear in the dot dump, in order.
   Device dev = phantom_device();
   ScopedMatrix buf(dev, 64, 64, StoragePrecision::FP32, "tg.buf");
   TaskGraph g(dev, test_options());
@@ -207,9 +200,7 @@ TEST(TaskGraph, ANodeWithMoreThanTwoDepsWaitsForEveryOne) {
         c.d2h(sim::HostMutRef::phantom(64, 64), buf.get(), "d2h out");
       },
       {mul});
-  const TaskId last =
-      g.add(TaskStage::Compute, "last", gemm("gemm last"), {in, mul});
-  g.add_dep(last, out);
+  g.add(TaskStage::Compute, "last", gemm("gemm last"), {in, mul, out});
   g.run();
   dev.synchronize();
 
@@ -222,33 +213,6 @@ TEST(TaskGraph, ANodeWithMoreThanTwoDepsWaitsForEveryOne) {
   const std::string dot = g.dot();
   EXPECT_NE(dot.find("  n0 -> n3;\n  n1 -> n3 [style=dashed];\n"
                      "  n2 -> n3;\n"),
-            std::string::npos)
-      << dot;
-}
-
-TEST(TaskGraph, AddDepMovesALongDepListWhole) {
-  // Dep lists longer than two share one graph-owned arena, and add_dep
-  // moves a list that is not at the arena's end. Both moves below must
-  // keep every list whole and in order.
-  Device dev = phantom_device();
-  TaskGraph g(dev, test_options());
-  std::vector<TaskId> ins;
-  for (const char* name : {"in0", "in1", "in2", "in3"}) {
-    ins.push_back(g.add(TaskStage::MoveIn, name, {}));
-  }
-  const TaskId a = g.add(TaskStage::Compute, "a", {}, {ins[0], ins[1], ins[2]});
-  const TaskId b = g.add(TaskStage::Compute, "b", {}, {ins[1], ins[2], ins[3]});
-  g.add_dep(a, ins[3]);
-  g.add_dep(b, a);
-  g.run();
-
-  EXPECT_EQ(g.plan_description(),
-            "task-graph run: 6 node(s) (4 move-in, 2 compute, 0 move-out), "
-            "8 edge(s), 7 fence edge(s)");
-  const std::string dot = g.dot();
-  EXPECT_NE(dot.find("  n0 -> n4;\n  n1 -> n4;\n  n2 -> n4;\n  n3 -> n4;\n"
-                     "  n1 -> n5;\n  n2 -> n5;\n  n3 -> n5;\n"
-                     "  n4 -> n5 [style=dashed];\n"),
             std::string::npos)
       << dot;
 }
@@ -267,11 +231,6 @@ TEST(TaskGraph, RejectsUnknownAndForwardDeps) {
   Device dev = phantom_device();
   TaskGraph g(dev, test_options());
   EXPECT_THROW(g.add(TaskStage::Compute, "x", nullptr, {5}), InvalidArgument);
-  const TaskId a = g.add(TaskStage::Compute, "a", nullptr);
-  EXPECT_THROW(g.add_dep(a, 99), InvalidArgument);
-  g.run();
-  // Adding a dep to an already-enqueued node cannot change its schedule.
-  EXPECT_THROW(g.add_dep(a, a), InvalidArgument);
 }
 
 TEST(TaskGraph, InputRegionGatesMoveInOnIntersectingProducers) {
@@ -337,6 +296,125 @@ TEST(TaskGraph, DoneEventsBridgeToOtherGraphs) {
   EXPECT_GE(ev[find_event(dev, "d2h consume")].start,
             ev[find_event(dev, "gemm produce")].end);
   EXPECT_THROW(g1.done(42), InvalidArgument);
+}
+
+/// Adds a bodiless compute node that declares `accesses`.
+TaskId access_node(TaskGraph& g, const char* label,
+                   std::initializer_list<Access> accesses) {
+  return g.add(TaskStage::Compute, TaskLabel(g.label_head(label)), nullptr,
+               accesses, 0);
+}
+
+/// The deps of node `id` in g.dot(), in the order the node lists them.
+std::vector<TaskId> dot_deps(const TaskGraph& g, TaskId id) {
+  std::vector<TaskId> deps;
+  std::istringstream dot(g.dot());
+  const std::string to = " -> n" + std::to_string(id);
+  std::string line;
+  while (std::getline(dot, line)) {
+    const size_t at = line.find(to);
+    const size_t end = at + to.size();
+    if (at == std::string::npos || (end < line.size() && line[end] != ';' &&
+                                    line[end] != ' ')) {
+      continue;
+    }
+    deps.push_back(std::stoll(line.substr(line.find('n') + 1)));
+  }
+  return deps;
+}
+
+TEST(TaskGraphHazards, AReadWaitsTheLastWriter) {
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key();
+  const TaskId first = access_node(g, "first read", {reads(k)});
+  const TaskId w = access_node(g, "write", {writes(k)});
+  const TaskId r = access_node(g, "read", {reads(k)});
+  EXPECT_TRUE(dot_deps(g, first).empty());
+  EXPECT_EQ(dot_deps(g, r), std::vector<TaskId>{w});
+}
+
+TEST(TaskGraphHazards, AWriteWaitsEveryReaderSinceTheLastWrite) {
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key();
+  access_node(g, "w0", {writes(k)});
+  const TaskId r1 = access_node(g, "r1", {reads(k)});
+  const TaskId r2 = access_node(g, "r2", {reads(k)});
+  const TaskId r3 = access_node(g, "r3", {reads(k)});
+  const TaskId w1 = access_node(g, "w1", {writes(k)});
+  EXPECT_EQ(dot_deps(g, w1), (std::vector<TaskId>{r1, r2, r3}));
+}
+
+TEST(TaskGraphHazards, AWriteWithNoReadersWaitsTheLastWriter) {
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key();
+  const TaskId w0 = access_node(g, "w0", {writes(k)});
+  const TaskId w1 = access_node(g, "w1", {writes(k)});
+  EXPECT_EQ(dot_deps(g, w1), std::vector<TaskId>{w0});
+}
+
+TEST(TaskGraphHazards, ADepNamedByTwoAccessesIsPassedOnce) {
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key(2);
+  const TaskId w = access_node(g, "w", {writes(k), writes(k + 1)});
+  const TaskId r = access_node(g, "r", {reads(k), reads(k + 1)});
+  g.run();
+  EXPECT_EQ(dot_deps(g, r), std::vector<TaskId>{w});
+  EXPECT_EQ(g.plan_description(),
+            "task-graph run: 2 node(s) (0 move-in, 2 compute, 0 move-out), "
+            "1 edge(s), 0 fence edge(s)");
+}
+
+TEST(TaskGraphHazards, AReaderTheNextReaderWaitsOnIsDropped) {
+  // r2 reads k and waits r1 through k2, so a write of k that waits r2 is
+  // ordered after r1 already: it carries one WAR dep, not two.
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key();
+  const HazardKey k2 = g.key();
+  const TaskId w0 = access_node(g, "w0", {writes(k)});
+  const TaskId r1 = access_node(g, "r1", {reads(k), writes(k2)});
+  const TaskId r2 = access_node(g, "r2", {reads(k), reads(k2)});
+  const TaskId w1 = access_node(g, "w1", {writes(k)});
+  EXPECT_EQ(dot_deps(g, r2), (std::vector<TaskId>{w0, r1}));
+  EXPECT_EQ(dot_deps(g, w1), std::vector<TaskId>{r2});
+}
+
+TEST(TaskGraphHazards, AWriteInALaterRunWaitsAReaderFromAnEarlierOne) {
+  // Keys and their readers persist across run(): a checkpoint round's
+  // move-in overwriting a buffer waits the compute of the previous round
+  // that still read it.
+  Device dev = phantom_device();
+  ScopedMatrix buf(dev, 64, 64, StoragePrecision::FP32, "tg.buf");
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key();
+  const auto h2d = [&buf](const char* name) {
+    return [&buf, name](TaskCtx& c) {
+      c.h2d(buf.get(), sim::HostConstRef::phantom(64, 64), name);
+    };
+  };
+  g.add(TaskStage::MoveIn, TaskLabel(g.label_head("in 1")), h2d("h2d 1"),
+        {writes(k)}, 0);
+  const TaskId use = g.add(
+      TaskStage::Compute, TaskLabel(g.label_head("use")),
+      [&buf](TaskCtx& c) {
+        c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f, buf.get(),
+               buf.get(), 0.0f, buf.get(), "gemm use");
+      },
+      {reads(k)}, 0);
+  g.run();
+  const TaskId again = g.add(TaskStage::MoveIn, TaskLabel(g.label_head("in 2")),
+                             h2d("h2d 2"), {writes(k)}, 0);
+  g.run();
+  dev.synchronize();
+
+  EXPECT_EQ(dot_deps(g, again), std::vector<TaskId>{use});
+  const auto& ev = dev.trace().events();
+  EXPECT_GE(ev[find_event(dev, "h2d 2")].start,
+            ev[find_event(dev, "gemm use")].end);
 }
 
 } // namespace
