@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.hpp"
 #include "ooc/multi_gpu.hpp"
-#include "qr/factorize.hpp"
 #include "report/table.hpp"
 
 namespace {
@@ -53,39 +52,6 @@ int main() {
   }
   std::cout << t.render();
 
-  bench::section("Multi-GPU blocking QR — 131072^2, b=16384, dedicated lanes");
-  {
-    const auto run_qr = [&](int gpus) {
-      std::vector<std::unique_ptr<sim::Device>> owned;
-      std::vector<sim::Device*> devices;
-      for (int i = 0; i < gpus; ++i) {
-        owned.push_back(std::make_unique<sim::Device>(
-            sim::DeviceSpec::v100_32gb(), sim::ExecutionMode::Phantom));
-        owned.back()->model().install_paper_calibration();
-        devices.push_back(owned.back().get());
-      }
-      qr::QrOptions opts;
-      opts.blocksize = 16384;
-      auto a = sim::HostMutRef::phantom(131072, 131072);
-      auto r = sim::HostMutRef::phantom(131072, 131072);
-      return qr::factorize(qr::QrProblem{
-          devices, a, r, qr::Algorithm::MultiGpu, opts}).total_seconds;
-    };
-    const double qr1 = run_qr(1);
-    report::Table tq("", {"GPUs", "total", "speedup"});
-    for (const int g : {1, 2, 4}) {
-      const double tgpu = run_qr(g);
-      tq.add_row({std::to_string(g), bench::secs(tgpu),
-                  format_fixed(qr1 / tgpu, 2) + "x"});
-    }
-    std::cout << tq.render();
-    std::cout << "QR scales sub-linearly: panels stay serial on device 0 and\n"
-                 "every device re-streams the panel (replication) — Amdahl\n"
-                 "plus communication, the classic multi-GPU factorization\n"
-                 "story. Punchline: ONE V100 running the paper's recursive\n"
-                 "algorithm (74.8 s, fig12_15) beats TWO V100s running the\n"
-                 "blocking algorithm — algorithm before hardware.\n";
-  }
   std::cout
       << "\nWith dedicated PCIe lanes the row-partitioned GEMM scales almost\n"
          "linearly (each device keeps its own compute-bound pipeline). On a\n"

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 
@@ -30,5 +31,10 @@ std::string pad_right(const std::string& s, int width);
 
 /// Appends `v` in decimal (std::to_string's digits) with no temporary.
 void append_int(std::string& out, std::int64_t v);
+
+/// The body of a JSON string literal holding `s`: '"' and '\' escaped,
+/// newline and tab as \n and \t, every other byte below 0x20 as \u00XX.
+/// Shared by the Chrome trace export and the serve fleet report.
+std::string escape_json(std::string_view s);
 
 } // namespace rocqr

@@ -9,10 +9,8 @@
 #include <cstdio>
 
 #include "common/error.hpp"
-#include "qr/blocking_qr.hpp"
-#include "qr/recursive_qr.hpp"
-#include "qr/tiled_qr.hpp"
-#include "qr/tsqr_ooc.hpp"
+#include "common/strings.hpp"
+#include "qr/factorize.hpp"
 
 namespace rocqr::qr {
 
@@ -67,16 +65,6 @@ std::vector<float> read_floats(std::istream& is, size_t count) {
   return v;
 }
 
-/// Copies a contiguous column-major snapshot into a strided host ref.
-void restore_block(sim::HostMutRef dst, const std::vector<float>& src) {
-  for (index_t j = 0; j < dst.cols; ++j) {
-    for (index_t i = 0; i < dst.rows; ++i) {
-      dst.data[i + j * dst.ld] =
-          src[static_cast<size_t>(i) + static_cast<size_t>(j) * dst.rows];
-    }
-  }
-}
-
 } // namespace
 
 void write_checkpoint(std::ostream& os, const Checkpoint& cp) {
@@ -99,9 +87,8 @@ Checkpoint read_checkpoint(std::istream& is) {
                   std::string(kMagic) + "')");
   Checkpoint cp;
   std::getline(is, cp.driver);
-  ROCQR_CHECK(cp.driver == "blocking" || cp.driver == "recursive" ||
-                  cp.driver == "left" || cp.driver == "tsqr" ||
-                  cp.driver == "tiled",
+  const std::optional<Algorithm> algorithm = parse_algorithm(cp.driver);
+  ROCQR_CHECK(algorithm.has_value(),
               "checkpoint: unknown driver '" + cp.driver + "'");
   size_t a_count = 0;
   size_t r_count = 0;
@@ -117,7 +104,7 @@ Checkpoint read_checkpoint(std::istream& is) {
               "checkpoint: header values out of range");
   const size_t mn = static_cast<size_t>(cp.m) * static_cast<size_t>(cp.n);
   const size_t nn = static_cast<size_t>(cp.n) * static_cast<size_t>(cp.n);
-  if (cp.driver == "tsqr") {
+  if (*algorithm == Algorithm::Tsqr) {
     // The tsqr R payload is the stacked per-leaf workspace: k * n x n for
     // some leaf count k bounded by m / n (or the caller's single n x n R in
     // a unit-0 snapshot, which is the k == 1 case of the same rule).
@@ -173,68 +160,33 @@ Checkpoint load_checkpoint_file(const std::string& path) {
   return read_checkpoint(is);
 }
 
-QrStats detail::resume_impl(const std::vector<sim::Device*>& devices,
-                            const Checkpoint& cp, sim::HostMutRef a,
-                            sim::HostMutRef r, QrOptions opts) {
-  ROCQR_CHECK(!devices.empty(), "qr::resume: no devices");
-  ROCQR_CHECK(a.rows == cp.m && a.cols == cp.n,
-              "qr::resume: A shape does not match the checkpoint");
-  ROCQR_CHECK(r.rows == cp.n && r.cols == cp.n,
-              "qr::resume: R shape does not match the checkpoint");
-  // The unit numbering is a function of the panel partition, so the resumed
-  // run must replay the exact schedule the checkpoint was cut from.
-  ROCQR_CHECK(opts.blocksize == cp.blocksize,
-              "qr::resume: blocksize differs from the checkpointed run");
-
-  if (cp.driver == "tsqr") {
-    const std::vector<float>* r_stack = nullptr;
-    if (a.data != nullptr) {
-      ROCQR_CHECK(!cp.a.empty(),
-                  "qr::resume: Real-mode resume needs a checkpoint with "
-                  "host snapshots (this one is schedule-only)");
-      restore_block(a, cp.a);
-      if (cp.units_done == 0) {
-        // Unit-0 snapshot of the pristine inputs: cp.r is the caller's R.
-        const size_t nn =
-            static_cast<size_t>(cp.n) * static_cast<size_t>(cp.n);
-        ROCQR_CHECK(cp.r.size() == nn,
-                    "qr::resume: unit-0 tsqr checkpoint must carry the "
-                    "caller's n x n R");
-        restore_block(r, cp.r);
-      } else {
-        r_stack = &cp.r; // stacked per-leaf workspace; the driver validates
-      }
+std::vector<float> snapshot_host(sim::HostMutRef src) {
+  std::vector<float> out;
+  if (src.data == nullptr) return out;
+  out.resize(static_cast<size_t>(src.rows) * static_cast<size_t>(src.cols));
+  for (index_t j = 0; j < src.cols; ++j) {
+    for (index_t i = 0; i < src.rows; ++i) {
+      out[static_cast<size_t>(i) + static_cast<size_t>(j) * src.rows] =
+          src.data[i + j * src.ld];
     }
-    opts.resume_units = cp.units_done;
-    // Pin the checkpointed leaf partition so a shrunk fleet (migration after
-    // device loss) replays the same row blocks. v1 checkpoints carry no leaf
-    // count; mid-run ones still imply it through the stacked-R workspace.
-    index_t leaves = cp.leaves;
-    if (leaves == 0 && cp.units_done > 0 && !cp.r.empty()) {
-      const size_t nn = static_cast<size_t>(cp.n) * static_cast<size_t>(cp.n);
-      leaves = static_cast<index_t>(cp.r.size() / nn);
-    }
-    return detail::run_tsqr(devices, a, r, opts, r_stack, leaves);
   }
+  return out;
+}
 
-  ROCQR_CHECK(devices.size() == 1,
-              "qr::resume: a '" + cp.driver +
-                  "' checkpoint resumes on exactly one device");
-  sim::Device& dev = *devices.front();
-  if (a.data != nullptr) {
-    ROCQR_CHECK(!cp.a.empty(),
-                "qr::resume: Real-mode resume needs a checkpoint with "
-                "host snapshots (this one is schedule-only)");
-    restore_block(a, cp.a);
-    restore_block(r, cp.r);
+void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
+  if (dst.data == nullptr) return;
+  const size_t count =
+      static_cast<size_t>(dst.rows) * static_cast<size_t>(dst.cols);
+  ROCQR_CHECK(src.size() == count,
+              "qr::restore_host: payload holds " + std::to_string(src.size()) +
+                  " floats, expected " + format_shape(dst.rows, dst.cols) +
+                  " = " + std::to_string(count));
+  for (index_t j = 0; j < dst.cols; ++j) {
+    for (index_t i = 0; i < dst.rows; ++i) {
+      dst.data[i + j * dst.ld] =
+          src[static_cast<size_t>(i) + static_cast<size_t>(j) * dst.rows];
+    }
   }
-  opts.resume_units = cp.units_done;
-  if (cp.driver == "blocking") return detail::run_blocking(dev, a, r, opts);
-  if (cp.driver == "recursive") return detail::run_recursive(dev, a, r, opts);
-  if (cp.driver == "left" || cp.driver == "tiled") {
-    return detail::run_batch(dev, {{cp.driver, a, r, opts, ""}}).front();
-  }
-  throw InvalidArgument("qr::resume: unknown driver '" + cp.driver + "'");
 }
 
 } // namespace rocqr::qr

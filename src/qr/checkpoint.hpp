@@ -1,14 +1,15 @@
 // Panel-level checkpoint/restart for the OOC QR drivers (docs/FAULTS.md).
 //
 // A checkpoint captures the factorization state after a completed "unit" of
-// work — a panel iteration in the blocking and left-looking drivers, a
-// recursion leaf (panel or resident subtree) in the recursive driver — plus
-// a full snapshot of the host A (partially factored, Q columns in place) and
-// R matrices in Real mode. Because Real-mode numerics execute eagerly and
-// deterministically at enqueue (independent of the modeled clocks), a
-// factorization resumed from a checkpoint reproduces the uninterrupted
-// result bit for bit: the driver replays its schedule, skipping the units
-// the checkpoint already covers, and continues on the restored host data.
+// work — a panel iteration in the blocking, left-looking and tiled drivers,
+// a recursion leaf (panel or resident subtree) in the recursive driver, a
+// leaf factorization in TSQR — plus a full snapshot of the host A
+// (partially factored, Q columns in place) and R matrices in Real mode.
+// Because Real-mode numerics execute eagerly and deterministically at
+// enqueue (independent of the modeled clocks), a factorization resumed from
+// a checkpoint reproduces the uninterrupted result bit for bit: the driver
+// replays its schedule, skipping the units the checkpoint already covers,
+// and continues on the restored host data.
 #pragma once
 
 #include <iosfwd>
@@ -22,9 +23,9 @@
 namespace rocqr::qr {
 
 struct Checkpoint {
-  /// Driver that wrote the checkpoint: "blocking", "recursive", "left" or
-  /// "tsqr" (the fleet-wide driver; its units are completed leaf
-  /// factorizations and its R payload is the stacked per-leaf R workspace).
+  /// The qr::to_string tag of the algorithm that wrote the checkpoint. A
+  /// "tsqr" checkpoint's units are completed leaf factorizations, and past
+  /// unit 0 its R payload is the stacked per-leaf R workspace.
   std::string driver;
   index_t m = 0;
   index_t n = 0;
@@ -52,8 +53,9 @@ struct Checkpoint {
 void write_checkpoint(std::ostream& os, const Checkpoint& cp);
 
 /// Inverse of write_checkpoint; throws rocqr::InvalidArgument on a malformed
-/// stream or a payload CRC mismatch. v1 checkpoints (no leaf count, no CRC)
-/// are still accepted with leaves = 0 and no integrity check.
+/// stream, a driver tag qr::parse_algorithm does not know, or a payload CRC
+/// mismatch. v1 checkpoints (no leaf count, no CRC) are still accepted with
+/// leaves = 0 and no integrity check.
 Checkpoint read_checkpoint(std::istream& is);
 
 /// Destination for driver checkpoints. Implementations must copy what they
@@ -98,20 +100,13 @@ class FileCheckpointSink : public CheckpointSink {
 /// Reads the checkpoint stored at `path`.
 Checkpoint load_checkpoint_file(const std::string& path);
 
-namespace detail {
+/// Contiguous column-major copy of a host ref (ld == rows, the checkpoint
+/// payload layout); empty for a phantom ref.
+std::vector<float> snapshot_host(sim::HostMutRef src);
 
-/// The one resume implementation behind qr::resume (factorize.hpp):
-/// restores the host A/R data (Real mode), then re-runs the driver named
-/// by the checkpoint's tag with opts.resume_units = cp.units_done so the
-/// completed prefix of the schedule is skipped. "tsqr" checkpoints resume
-/// the fleet-wide driver (restoring the stacked R workspace of the
-/// completed leaves); every other tag requires exactly one device. `a`/`r`
-/// must have the checkpoint's dimensions; opts.blocksize must match the
-/// checkpointed blocksize (the unit numbering depends on it).
-QrStats resume_impl(const std::vector<sim::Device*>& devices,
-                    const Checkpoint& cp, sim::HostMutRef a,
-                    sim::HostMutRef r, QrOptions opts);
-
-} // namespace detail
+/// Inverse of snapshot_host: writes a payload back into `dst` (no-op for a
+/// phantom ref). Throws rocqr::InvalidArgument when the payload does not
+/// hold exactly dst.rows x dst.cols floats.
+void restore_host(sim::HostMutRef dst, const std::vector<float>& src);
 
 } // namespace rocqr::qr

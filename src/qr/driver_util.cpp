@@ -95,20 +95,8 @@ void maybe_checkpoint(sim::Device& dev, const char* driver,
   cp.units_done = units_done;
   cp.leaves = leaves;
   if (a.data != nullptr) {
-    cp.a.resize(static_cast<size_t>(a.rows) * static_cast<size_t>(a.cols));
-    for (index_t j = 0; j < a.cols; ++j) {
-      for (index_t i = 0; i < a.rows; ++i) {
-        cp.a[static_cast<size_t>(i) + static_cast<size_t>(j) * a.rows] =
-            a.data[i + j * a.ld];
-      }
-    }
-    cp.r.resize(static_cast<size_t>(r.rows) * static_cast<size_t>(r.cols));
-    for (index_t j = 0; j < r.cols; ++j) {
-      for (index_t i = 0; i < r.rows; ++i) {
-        cp.r[static_cast<size_t>(i) + static_cast<size_t>(j) * r.rows] =
-            r.data[i + j * r.ld];
-      }
-    }
+    cp.a = snapshot_host(a);
+    cp.r = snapshot_host(r);
   }
   opts.checkpoint_sink->write(cp);
   // Resolved once: a registry lookup is a map walk under a mutex, and

@@ -1,4 +1,4 @@
-// Shared pieces of the two OOC QR drivers.
+// Shared pieces of the OOC QR drivers.
 #pragma once
 
 #include <string>

@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "qr/blocking_qr.hpp"
-#include "qr/multi_gpu_qr.hpp"
 #include "qr/recursive_qr.hpp"
 #include "qr/tiled_qr.hpp"
 #include "qr/tsqr_ooc.hpp"
@@ -17,7 +16,6 @@ const char* to_string(Algorithm a) {
     case Algorithm::Blocking: return "blocking";
     case Algorithm::LeftLooking: return "left";
     case Algorithm::Recursive: return "recursive";
-    case Algorithm::MultiGpu: return "multi_gpu";
     case Algorithm::Tsqr: return "tsqr";
     case Algorithm::Tiled: return "tiled";
   }
@@ -28,7 +26,6 @@ std::optional<Algorithm> parse_algorithm(std::string_view name) {
   if (name == "blocking") return Algorithm::Blocking;
   if (name == "left") return Algorithm::LeftLooking;
   if (name == "recursive") return Algorithm::Recursive;
-  if (name == "multi_gpu") return Algorithm::MultiGpu;
   if (name == "tsqr") return Algorithm::Tsqr;
   if (name == "tiled") return Algorithm::Tiled;
   return std::nullopt;
@@ -36,19 +33,15 @@ std::optional<Algorithm> parse_algorithm(std::string_view name) {
 
 namespace {
 
-bool fleet_algorithm(Algorithm a) {
-  return a == Algorithm::MultiGpu || a == Algorithm::Tsqr;
-}
-
-void validate_devices(const QrProblem& p) {
-  ROCQR_CHECK(!p.devices.empty(), "qr::factorize: no devices");
+/// `who` ("qr::factorize" or "qr::resume") prefixes the messages.
+void validate_devices(const QrProblem& p, const char* who) {
+  ROCQR_CHECK(!p.devices.empty(), std::string(who) + ": no devices");
   for (sim::Device* d : p.devices) {
-    ROCQR_CHECK(d != nullptr, "qr::factorize: null device in the fleet");
+    ROCQR_CHECK(d != nullptr, std::string(who) + ": null device in the fleet");
   }
-  if (!fleet_algorithm(p.algorithm)) {
+  if (p.algorithm != Algorithm::Tsqr) {
     ROCQR_CHECK(p.devices.size() == 1,
-                std::string("qr::factorize: algorithm '") +
-                    to_string(p.algorithm) +
+                std::string(who) + ": algorithm '" + to_string(p.algorithm) +
                     "' runs on exactly one device (got " +
                     std::to_string(p.devices.size()) + ")");
   }
@@ -79,7 +72,11 @@ void maybe_check_finite(const QrProblem& problem) {
   if (problem.a.data != nullptr) check_host_finite(problem.a, "Q");
 }
 
-QrStats run_driver(const QrProblem& problem) {
+/// The one dispatch behind factorize and resume. `cp` is the checkpoint a
+/// resume starts from (nullptr on a fresh run). resume has already restored
+/// the host data and set options.resume_units, so only TSQR reads the
+/// checkpoint: its stacked per-leaf R and the leaf partition it pins.
+QrStats run_driver(const QrProblem& problem, const Checkpoint* cp) {
   switch (problem.algorithm) {
     case Algorithm::Blocking:
       return detail::run_blocking(*problem.devices.front(), problem.a,
@@ -94,12 +91,27 @@ QrStats run_driver(const QrProblem& problem) {
     case Algorithm::Recursive:
       return detail::run_recursive(*problem.devices.front(), problem.a,
                                    problem.r, problem.options);
-    case Algorithm::MultiGpu:
-      return detail::run_multi_gpu(problem.devices, problem.a, problem.r,
-                                   problem.options);
-    case Algorithm::Tsqr:
+    case Algorithm::Tsqr: {
+      const std::vector<float>* r_stack = nullptr;
+      index_t leaves = 0;
+      if (cp != nullptr) {
+        // Past unit 0 the checkpoint's R is the stacked per-leaf workspace
+        // of the completed leaves.
+        if (problem.a.data != nullptr && cp->units_done > 0) r_stack = &cp->r;
+        // Pin the checkpointed leaf partition so a shrunk fleet (migration
+        // after device loss) replays the same row blocks. v1 checkpoints
+        // carry no leaf count; mid-run ones still imply it through the
+        // stacked-R workspace.
+        leaves = cp->leaves;
+        if (leaves == 0 && cp->units_done > 0 && !cp->r.empty()) {
+          const size_t nn =
+              static_cast<size_t>(cp->n) * static_cast<size_t>(cp->n);
+          leaves = static_cast<index_t>(cp->r.size() / nn);
+        }
+      }
       return detail::run_tsqr(problem.devices, problem.a, problem.r,
-                              problem.options, nullptr);
+                              problem.options, r_stack, leaves);
+    }
   }
   throw InvalidArgument("qr::factorize: unknown algorithm");
 }
@@ -107,22 +119,42 @@ QrStats run_driver(const QrProblem& problem) {
 } // namespace
 
 QrStats factorize(const QrProblem& problem) {
-  validate_devices(problem);
-  const QrStats stats = run_driver(problem);
+  validate_devices(problem, "qr::factorize");
+  const QrStats stats = run_driver(problem, nullptr);
   maybe_check_finite(problem);
   return stats;
 }
 
 QrStats resume(const QrProblem& problem, const Checkpoint& cp) {
-  ROCQR_CHECK(!problem.devices.empty(), "qr::resume: no devices");
-  for (sim::Device* d : problem.devices) {
-    ROCQR_CHECK(d != nullptr, "qr::resume: null device in the fleet");
+  const std::optional<Algorithm> algorithm = parse_algorithm(cp.driver);
+  ROCQR_CHECK(algorithm.has_value(),
+              "qr::resume: unknown driver '" + cp.driver + "'");
+  QrProblem p = problem;
+  p.algorithm = *algorithm;
+  validate_devices(p, "qr::resume");
+  ROCQR_CHECK(p.a.rows == cp.m && p.a.cols == cp.n,
+              "qr::resume: A shape does not match the checkpoint");
+  ROCQR_CHECK(p.r.rows == cp.n && p.r.cols == cp.n,
+              "qr::resume: R shape does not match the checkpoint");
+  // The unit numbering is a function of the panel partition, so the resumed
+  // run must replay the exact schedule the checkpoint was cut from.
+  if (p.options.blocksize == 0) p.options.blocksize = cp.blocksize;
+  ROCQR_CHECK(p.options.blocksize == cp.blocksize,
+              "qr::resume: blocksize differs from the checkpointed run");
+  if (p.a.data != nullptr) {
+    ROCQR_CHECK(!cp.a.empty(),
+                "qr::resume: Real-mode resume needs a checkpoint with host "
+                "snapshots (this one is schedule-only)");
+    restore_host(p.a, cp.a);
+    // Past unit 0 a tsqr checkpoint's R is the stacked per-leaf workspace,
+    // which run_driver hands to the driver instead.
+    if (p.algorithm != Algorithm::Tsqr || cp.units_done == 0) {
+      restore_host(p.r, cp.r);
+    }
   }
-  QrOptions opts = problem.options;
-  if (opts.blocksize == 0) opts.blocksize = cp.blocksize;
-  const QrStats stats = detail::resume_impl(problem.devices, cp, problem.a,
-                                            problem.r, std::move(opts));
-  maybe_check_finite(problem);
+  p.options.resume_units = cp.units_done;
+  const QrStats stats = run_driver(p, &cp);
+  maybe_check_finite(p);
   return stats;
 }
 

@@ -1,5 +1,7 @@
 #include "qr/options.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace rocqr::qr {
@@ -50,6 +52,35 @@ std::vector<QrStats> stats_by_prefix(const sim::Trace& trace, size_t from,
       trace, from, static_cast<size_t>(-1), prefixes);
   for (QrStats& s : stats) s.peak_device_bytes = peak_device_bytes;
   return stats;
+}
+
+void merge_stats(QrStats& into, const QrStats& s) {
+  const bool had_events = into.events > 0;
+  into.panel_seconds += s.panel_seconds;
+  into.gemm_seconds += s.gemm_seconds;
+  into.d2d_seconds += s.d2d_seconds;
+  into.h2d_seconds += s.h2d_seconds;
+  into.d2h_seconds += s.d2h_seconds;
+  into.compute_seconds += s.compute_seconds;
+  into.bytes_h2d += s.bytes_h2d;
+  into.bytes_d2h += s.bytes_d2h;
+  into.bytes_d2d += s.bytes_d2d;
+  into.flops += s.flops;
+  into.panels += s.panels;
+  into.events += s.events;
+  into.peak_device_bytes =
+      std::max(into.peak_device_bytes, s.peak_device_bytes);
+  if (s.events == 0) return;
+  into.first_start =
+      had_events ? std::min(into.first_start, s.first_start) : s.first_start;
+  into.last_end = had_events ? std::max(into.last_end, s.last_end) : s.last_end;
+}
+
+QrStats combine_device_stats(const std::vector<QrStats>& per_device) {
+  QrStats total;
+  for (const QrStats& s : per_device) merge_stats(total, s);
+  total.total_seconds = total.last_end - total.first_start;
+  return total;
 }
 
 } // namespace rocqr::qr

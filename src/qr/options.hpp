@@ -127,4 +127,19 @@ std::vector<QrStats> stats_by_prefix(const sim::Trace& trace, size_t from,
                                      bytes_t peak_device_bytes,
                                      std::span<const std::string_view> prefixes);
 
+/// Folds the window `s` into `into`: busy times, volumes, flops, panels and
+/// event counts sum; peak_device_bytes keeps the larger. [first_start,
+/// last_end] widens over windows that recorded at least one event — an
+/// empty window's zero-initialized extent is a default, not an interval,
+/// and must not drag first_start to 0. total_seconds is left to the caller:
+/// a fleet takes the span of the merged extent, a job's attempts sum their
+/// spans.
+void merge_stats(QrStats& into, const QrStats& s);
+
+/// Aggregates per-device trace-window stats into one fleet view:
+/// merge_stats over the windows, with total_seconds the fleet makespan
+/// last_end - first_start (zero when every window is empty). Used by TSQR
+/// and the serve::Scheduler fleet report.
+QrStats combine_device_stats(const std::vector<QrStats>& per_device);
+
 } // namespace rocqr::qr

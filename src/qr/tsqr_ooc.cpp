@@ -10,9 +10,9 @@
 #include "ooc/gemm_engines.hpp"
 #include "ooc/operand.hpp"
 #include "ooc/resilience.hpp"
+#include "qr/checkpoint.hpp"
 #include "qr/driver_util.hpp"
 #include "qr/incore.hpp"
-#include "qr/multi_gpu_qr.hpp"
 #include "qr/recursive_qr.hpp"
 
 namespace rocqr::qr {
@@ -121,20 +121,10 @@ QrStats run_tsqr(const std::vector<Device*>& devices, HostMutRef a,
     work_storage = la::Matrix(leaves * n, n);
     work = HostMutRef(work_storage.view());
     if (opts.resume_units > 0) {
-      const size_t expected = static_cast<size_t>(leaves) *
-                              static_cast<size_t>(n) * static_cast<size_t>(n);
-      ROCQR_CHECK(resume_r_stack != nullptr &&
-                      resume_r_stack->size() == expected,
+      ROCQR_CHECK(resume_r_stack != nullptr,
                   "tsqr_ooc_qr: Real-mode resume needs the checkpointed R "
                   "stack for the completed leaves");
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t i = 0; i < leaves * n; ++i) {
-          work.data[i + j * work.ld] =
-              (*resume_r_stack)[static_cast<size_t>(i) +
-                                static_cast<size_t>(j) *
-                                    static_cast<size_t>(leaves * n)];
-        }
-      }
+      restore_host(work, *resume_r_stack);
     }
   }
 

@@ -31,7 +31,7 @@ namespace rocqr::qr {
 
 namespace detail {
 
-/// Resume-capable entry used by qr::resume's "tsqr" dispatch:
+/// The Tsqr case of qr::factorize's and qr::resume's one dispatch:
 /// `resume_r_stack`, when non-null, is the checkpointed stacked R workspace
 /// (leaves*n x n column-major floats) restoring the R factors of the
 /// opts.resume_units already-completed leaves. Real-mode resumes with

@@ -16,14 +16,6 @@ namespace rocqr::serve {
 
 namespace {
 
-/// The driver a job names, if the service runs it: recursive, blocking,
-/// left, tiled or tsqr (multi_gpu has no dispatch path in the scheduler).
-std::optional<qr::Algorithm> serve_algorithm(const std::string& name) {
-  const std::optional<qr::Algorithm> alg = qr::parse_algorithm(name);
-  if (alg == qr::Algorithm::MultiGpu) return std::nullopt;
-  return alg;
-}
-
 /// The dry run mirrors the scheduler's checkpoint cadence but nobody reads
 /// the snapshots (phantom checkpoints are schedule-only anyway).
 class DiscardSink : public qr::CheckpointSink {
@@ -55,10 +47,9 @@ std::optional<QuoteKey> quote_key(const JobSpec& job,
               " (need m >= n >= 1)";
     return std::nullopt;
   }
-  const std::optional<qr::Algorithm> alg = serve_algorithm(job.algorithm);
+  const std::optional<qr::Algorithm> alg = qr::parse_algorithm(job.algorithm);
   if (!alg) {
-    *reason = "unknown algorithm '" + job.algorithm +
-              "' (expected recursive, blocking, left, tiled or tsqr)";
+    *reason = "unknown algorithm '" + job.algorithm + "'";
     return std::nullopt;
   }
   QuoteKey key;

@@ -22,8 +22,8 @@ struct JobSpec {
   std::string name;
   index_t m = 0;
   index_t n = 0;
-  /// OOC driver: "recursive", "blocking", "left", "tiled", or "tsqr"
-  /// (qr::Algorithm names). A "tsqr" job is gang-scheduled — it acquires
+  /// OOC driver, by its qr::to_string tag (admission validates it with
+  /// qr::parse_algorithm). A "tsqr" job is gang-scheduled — it acquires
   /// every device in the fleet atomically and runs the fleet-wide
   /// out-of-core TSQR. "tiled" jobs can be colocated on one device as a
   /// single task graph when ServeConfig::max_colocated_jobs > 1; same-shape

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace rocqr::serve {
 
@@ -212,20 +213,6 @@ JobSpec parse_job_object(Cursor& cur, size_t job_index) {
   return job;
 }
 
-std::string escaped(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-    case '"': out += "\\\""; break;
-    case '\\': out += "\\\\"; break;
-    case '\n': out += "\\n"; break;
-    case '\t': out += "\\t"; break;
-    default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 /// Shortest-round-trip double formatting. Streaming a double at the
 /// default ostream precision keeps only 6 significant digits — enough to
 /// corrupt every reloaded metric in the 7th digit — so every double in the
@@ -355,7 +342,7 @@ void write_fleet_report_json(std::ostream& os, const FleetReport& rep) {
   os << "],\n";
   os << "  \"device_health\": [";
   for (size_t i = 0; i < rep.device_health.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << "\"" << escaped(rep.device_health[i])
+    os << (i == 0 ? "" : ", ") << "\"" << escape_json(rep.device_health[i])
        << "\"";
   }
   os << "],\n";
@@ -365,10 +352,10 @@ void write_fleet_report_json(std::ostream& os, const FleetReport& rep) {
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\n";
     os << "      \"id\": " << j.id << ",\n";
-    os << "      \"name\": \"" << escaped(j.name) << "\",\n";
+    os << "      \"name\": \"" << escape_json(j.name) << "\",\n";
     os << "      \"state\": \"" << to_string(j.state) << "\",\n";
     os << "      \"priority\": " << j.priority << ",\n";
-    os << "      \"algorithm\": \"" << escaped(j.algorithm) << "\",\n";
+    os << "      \"algorithm\": \"" << escape_json(j.algorithm) << "\",\n";
     os << "      \"m\": " << j.m << ",\n";
     os << "      \"n\": " << j.n << ",\n";
     os << "      \"blocksize\": " << j.blocksize << ",\n";
@@ -385,7 +372,7 @@ void write_fleet_report_json(std::ostream& os, const FleetReport& rep) {
        << json_double(j.queue_wait_seconds) << ",\n";
     os << "      \"deadline_met\": " << (j.deadline_met ? "true" : "false")
        << ",\n";
-    os << "      \"failure\": \"" << escaped(j.failure) << "\",\n";
+    os << "      \"failure\": \"" << escape_json(j.failure) << "\",\n";
     os << "      \"stats\": ";
     write_stats(os, j.stats, "      ");
     os << "\n    }";

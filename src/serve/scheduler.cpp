@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "qr/factorize.hpp"
-#include "qr/multi_gpu_qr.hpp"
 #include "qr/tiled_qr.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace_export.hpp"
@@ -58,42 +57,12 @@ telemetry::Counter& counter() {
   return c;
 }
 
-/// Contiguous column-major snapshot of a host ref (the checkpoint payload
-/// layout); empty for phantom refs.
-std::vector<float> snapshot_host(sim::HostMutRef src) {
-  std::vector<float> out;
-  if (src.data == nullptr) return out;
-  out.resize(static_cast<size_t>(src.rows) * static_cast<size_t>(src.cols));
-  for (index_t j = 0; j < src.cols; ++j) {
-    for (index_t i = 0; i < src.rows; ++i) {
-      out[static_cast<size_t>(i) + static_cast<size_t>(j) * src.rows] =
-          src.data[i + j * src.ld];
-    }
-  }
-  return out;
-}
-
 /// Algorithms the colocation packer may fuse into one task graph:
-/// single-device node programs of qr::detail::run_batch. TSQR gangs and
-/// the fleet-parallel drivers keep whole-device (or whole-fleet)
-/// ownership.
+/// single-device node programs of qr::detail::run_batch. Recursive jobs
+/// keep whole-device ownership, TSQR gangs the whole fleet.
 bool colocatable_algorithm(const std::string& algorithm) {
   return algorithm == "tiled" || algorithm == "blocking" ||
          algorithm == "left";
-}
-
-/// Inverse of snapshot_host: writes a checkpoint payload back into the
-/// job's host ref (no-op for phantom refs). Colocated and fused dispatches
-/// restore here because qr::detail::run_batch and run_fused_batch — unlike
-/// qr::resume — take already-restored host data plus resume_units.
-void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
-  if (dst.data == nullptr) return;
-  for (index_t j = 0; j < dst.cols; ++j) {
-    for (index_t i = 0; i < dst.rows; ++i) {
-      dst.data[i + j * dst.ld] =
-          src[static_cast<size_t>(i) + static_cast<size_t>(j) * dst.rows];
-    }
-  }
 }
 
 /// Folds one attempt's trace window into the job's running total. The
@@ -102,27 +71,8 @@ void restore_host(sim::HostMutRef dst, const std::vector<float>& src) {
 /// than re-deriving last_end - first_start across attempts, which would
 /// count the queued gaps between them.
 void accumulate_stats(qr::QrStats& into, const qr::QrStats& s) {
-  const bool had_events = into.events > 0;
-  into.panel_seconds += s.panel_seconds;
-  into.gemm_seconds += s.gemm_seconds;
-  into.d2d_seconds += s.d2d_seconds;
-  into.h2d_seconds += s.h2d_seconds;
-  into.d2h_seconds += s.d2h_seconds;
-  into.compute_seconds += s.compute_seconds;
-  into.bytes_h2d += s.bytes_h2d;
-  into.bytes_d2h += s.bytes_d2h;
-  into.bytes_d2d += s.bytes_d2d;
-  into.flops += s.flops;
-  into.panels += s.panels;
-  into.events += s.events;
-  into.peak_device_bytes =
-      std::max(into.peak_device_bytes, s.peak_device_bytes);
+  qr::merge_stats(into, s);
   into.total_seconds += s.total_seconds;
-  if (s.events > 0) {
-    into.first_start = had_events ? std::min(into.first_start, s.first_start)
-                                  : s.first_start;
-    into.last_end = std::max(into.last_end, s.last_end);
-  }
 }
 
 } // namespace
@@ -949,14 +899,16 @@ void Scheduler::run_dispatch(Dispatch& d) {
         cp0.blocksize = job.blocksize;
         cp0.columns_done = 0;
         cp0.units_done = 0;
-        cp0.a = snapshot_host(jobs[i].a);
-        cp0.r = snapshot_host(jobs[i].r);
+        cp0.a = qr::snapshot_host(jobs[i].a);
+        cp0.r = qr::snapshot_host(jobs[i].r);
         job.checkpoint = std::move(cp0);
         job.has_checkpoint = true;
       }
       if (batched) {
-        restore_host(jobs[i].a, job.checkpoint.a);
-        restore_host(jobs[i].r, job.checkpoint.r);
+        // qr::detail::run_batch and run_fused_batch, unlike qr::resume,
+        // take already-restored host data plus resume_units.
+        qr::restore_host(jobs[i].a, job.checkpoint.a);
+        qr::restore_host(jobs[i].r, job.checkpoint.r);
       } else {
         start = job.checkpoint;
       }

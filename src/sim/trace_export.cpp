@@ -1,39 +1,16 @@
 #include "sim/trace_export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/strings.hpp"
+
 namespace rocqr::sim {
 
 namespace {
-
-/// Minimal JSON string escaping (trace op names are plain ASCII, but a
-/// custom op label could contain anything).
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// One duration ("ph":"X") event staged for sorted emission.
 struct DurationEvent {

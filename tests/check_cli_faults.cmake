@@ -12,6 +12,7 @@ function(expect_exit code what)
     message(FATAL_ERROR
             "${what}: expected exit ${code}, got '${rc}':\n${out}${err}")
   endif()
+  set(last_output "${out}" PARENT_SCOPE)
 endfunction()
 
 # 3: configuration error (rejected by QrOptions::validate).
@@ -47,3 +48,27 @@ expect_exit(0 "resume run"
   ${ROCQR_CLI} qr --algo blocking --m 8192 --n 8192 --blocksize 2048
   --resume ${ckpt})
 file(REMOVE ${ckpt})
+
+# 0: a mid-run checkpoint (unit 3, --checkpoint-every 3) of each other
+# single-device algorithm round-trips through the file and resumes through
+# qr::resume's dispatch. Both runs take the same shape options: the unit
+# numbering depends on them.
+function(round_trip algo)
+  set(ckpt_file "${WORK_DIR}/cli_faults_${algo}.ckpt")
+  file(REMOVE ${ckpt_file})
+  expect_exit(0 "${algo} checkpoint run"
+    ${ROCQR_CLI} qr --algo ${algo} ${ARGN} --checkpoint-every 3
+    --checkpoint ${ckpt_file})
+  expect_exit(0 "${algo} resume run"
+    ${ROCQR_CLI} qr --algo ${algo} ${ARGN} --resume ${ckpt_file})
+  string(FIND "${last_output}" "resuming ${algo} QR from unit 3" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "${algo} resume run did not resume from unit 3:\n${last_output}")
+  endif()
+  file(REMOVE ${ckpt_file})
+endfunction()
+
+round_trip(left --m 8192 --n 4096 --blocksize 1024)
+round_trip(tiled --m 8192 --n 4096 --blocksize 1024)
+round_trip(recursive --m 16384 --n 8192 --blocksize 512 --capacity-gib 1)

@@ -183,6 +183,14 @@ TEST(CheckpointSerialization, RejectsMalformedStreams) {
     std::stringstream ss("rocqr-checkpoint v1\nblocking\n4 4 2 2 1 16 16\n");
     EXPECT_THROW(qr::read_checkpoint(ss), InvalidArgument);
   }
+  {
+    // A well-formed v2 header with an empty payload reads under a known tag
+    // and is rejected under one that names no qr::Algorithm.
+    std::stringstream ok("rocqr-checkpoint v2\nblocking\n4 4 2 2 1 0 0 0 0\n");
+    EXPECT_NO_THROW(qr::read_checkpoint(ok));
+    std::stringstream ss("rocqr-checkpoint v2\nmulti_gpu\n4 4 2 2 1 0 0 0 0\n");
+    EXPECT_THROW(qr::read_checkpoint(ss), InvalidArgument);
+  }
 }
 
 TEST(CheckpointSerialization, DetectsFlippedPayloadByte) {
@@ -443,6 +451,38 @@ TEST(CheckpointResume, RejectsMismatchedShapeOrBlocksize) {
   cp.driver = "no-such-driver";
   EXPECT_THROW(qr::resume(qr::QrProblem{
       {&dev}, a, r, qr::Algorithm::Recursive, opts}, cp), InvalidArgument);
+}
+
+TEST(CheckpointResume, RejectsShortHostPayload) {
+  // A Real-mode resume restores the A payload into the caller's matrix; a
+  // payload one float short must throw instead of reading past its end.
+  const index_t m = 64;
+  const index_t n = 32;
+  la::Matrix a0 = la::random_normal(m, n, 47);
+  qr::MemoryCheckpointSink sink;
+  qr::QrOptions opts;
+  opts.blocksize = 16;
+  opts.checkpoint_sink = &sink;
+  {
+    la::Matrix q = la::materialize(a0.view());
+    la::Matrix r(n, n);
+    Device dev(test_spec(), ExecutionMode::Real);
+    qr::factorize(qr::QrProblem{{&dev}, q.view(), r.view(),
+                                qr::Algorithm::Blocking, opts});
+  }
+  ASSERT_TRUE(sink.has_checkpoint());
+  qr::Checkpoint cp = sink.last();
+  ASSERT_EQ(cp.a.size(), static_cast<size_t>(m * n));
+  cp.a.pop_back();
+
+  opts.checkpoint_sink = nullptr;
+  la::Matrix q = la::materialize(a0.view());
+  la::Matrix r(n, n);
+  Device dev(test_spec(), ExecutionMode::Real);
+  EXPECT_THROW(qr::resume(qr::QrProblem{{&dev}, q.view(), r.view(),
+                                        qr::Algorithm::Blocking, opts},
+                          cp),
+               InvalidArgument);
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-// Multi-GPU OOC GEMM and the shared-PCIe-link model.
+// Multi-GPU OOC GEMM, the shared-PCIe-link model and the fleet stats roll-up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +9,8 @@
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "ooc/multi_gpu.hpp"
-#include "qr/factorize.hpp"
-#include "qr/multi_gpu_qr.hpp"
 #include "ooc/operand.hpp"
+#include "qr/options.hpp"
 #include "sim/device.hpp"
 
 namespace rocqr::ooc {
@@ -188,65 +187,6 @@ TEST(MultiGpu, SharedLinkRealModeStaysCorrect) {
   }
 }
 
-TEST(MultiGpuQr, TwoDevicesMatchSingleDeviceFactorization) {
-  const index_t m = 160;
-  const index_t n = 96;
-  la::Matrix a = la::random_normal(m, n, 71);
-
-  qr::QrOptions opts;
-  opts.blocksize = 32;
-  opts.panel_base = 8;
-  opts.precision = GemmPrecision::FP32;
-
-  Device d0(test_spec(), ExecutionMode::Real);
-  Device d1(test_spec(), ExecutionMode::Real);
-  la::Matrix q2 = la::materialize(a.view());
-  la::Matrix r2(n, n);
-  const qr::QrStats stats =
-      qr::factorize(qr::QrProblem{
-          {&d0, &d1}, q2.view(), r2.view(), qr::Algorithm::MultiGpu, opts});
-
-  Device single(test_spec(), ExecutionMode::Real);
-  la::Matrix q1 = la::materialize(a.view());
-  la::Matrix r1(n, n);
-  qr::factorize(qr::QrProblem{
-      {&single}, q1.view(), r1.view(), qr::Algorithm::MultiGpu, opts});
-
-  // Same arithmetic, same results; both valid factorizations.
-  EXPECT_LT(la::relative_difference(q2.view(), q1.view()), 1e-5);
-  EXPECT_LT(la::relative_difference(r2.view(), r1.view()), 1e-5);
-  EXPECT_LT(la::qr_residual(a.view(), q2.view(), r2.view()), 1e-4);
-  EXPECT_TRUE(la::is_upper_triangular(r2.view()));
-  EXPECT_GT(stats.panels, 0);
-  EXPECT_EQ(d0.live_allocations(), 0);
-  EXPECT_EQ(d1.live_allocations(), 0);
-}
-
-TEST(MultiGpuQr, DedicatedLinksSpeedUpTheTrailingUpdates) {
-  const auto run = [&](int gpus) {
-    std::vector<std::unique_ptr<Device>> owned;
-    std::vector<Device*> devs;
-    for (int i = 0; i < gpus; ++i) {
-      owned.push_back(std::make_unique<Device>(sim::DeviceSpec::v100_32gb(),
-                                               ExecutionMode::Phantom));
-      owned.back()->model().install_paper_calibration();
-      devs.push_back(owned.back().get());
-    }
-    qr::QrOptions opts;
-    opts.blocksize = 16384;
-    auto a = sim::HostMutRef::phantom(131072, 131072);
-    auto r = sim::HostMutRef::phantom(131072, 131072);
-    return qr::factorize(
-        qr::QrProblem{devs, a, r, qr::Algorithm::MultiGpu, opts}).total_seconds;
-  };
-  const double one = run(1);
-  const double two = run(2);
-  // Panels stay serial on device 0 (Amdahl), updates halve: clearly faster
-  // but below 2x.
-  EXPECT_LT(two, 0.85 * one);
-  EXPECT_GT(two, 0.5 * one);
-}
-
 TEST(MultiGpu, CombineDeviceStatsWindows) {
   auto window = [](double first, double last, int events) {
     qr::QrStats s;
@@ -318,6 +258,32 @@ TEST(MultiGpu, CombineDeviceStatsAllEmpty) {
   EXPECT_DOUBLE_EQ(fleet.first_start, 0.0);
   EXPECT_DOUBLE_EQ(fleet.last_end, 0.0);
   EXPECT_EQ(fleet.events, 0);
+}
+
+TEST(StatsRollUp, MergeStatsRollsUpAJobsAttempts) {
+  // serve's per-attempt roll-up: merge_stats widens the extent over the
+  // attempts that recorded events, and the caller sums the attempt spans
+  // (the queued gap between attempts is not device time).
+  auto attempt = [](double first, double last, int events) {
+    qr::QrStats s;
+    s.first_start = first;
+    s.last_end = last;
+    s.total_seconds = last - first;
+    s.events = events;
+    s.flops = 10 * events;
+    return s;
+  };
+  qr::QrStats job;
+  for (const qr::QrStats& s :
+       {attempt(0.0, 0.0, 0), attempt(1.0, 3.0, 2), attempt(5.0, 6.0, 1)}) {
+    qr::merge_stats(job, s);
+    job.total_seconds += s.total_seconds;
+  }
+  EXPECT_DOUBLE_EQ(job.first_start, 1.0);
+  EXPECT_DOUBLE_EQ(job.last_end, 6.0);
+  EXPECT_DOUBLE_EQ(job.total_seconds, 3.0);
+  EXPECT_EQ(job.events, 3);
+  EXPECT_EQ(job.flops, 30);
 }
 
 TEST(MultiGpu, RejectsBadConfigurations) {

@@ -326,19 +326,11 @@ TEST(MixedBatch, ResumeUnitsSkipsTheCompletedPrefixInBatch) {
   const qr::Checkpoint& cp = sink.all.front(); // a strict prefix: 2 of 4
   ASSERT_EQ(cp.units_done, 2);
 
-  // Restore the host prefix exactly as serve::restore_host does, then
-  // hand the job to a mixed batch with resume_units.
+  // Restore the host prefix as the serve::Scheduler does, then hand the
+  // job to a mixed batch with resume_units.
   la::Matrix q0(m, n), r0(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < m; ++i) {
-      q0(i, j) = cp.a[static_cast<size_t>(i) + static_cast<size_t>(j) * m];
-    }
-  }
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      r0(i, j) = cp.r[static_cast<size_t>(i) + static_cast<size_t>(j) * n];
-    }
-  }
+  qr::restore_host(q0.view(), cp.a);
+  qr::restore_host(r0.view(), cp.r);
   qr::QrOptions res_opts = opts;
   res_opts.resume_units = cp.units_done;
   la::Matrix q1 = la::materialize(a1.view()), r1(32, 32);

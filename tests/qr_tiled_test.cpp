@@ -298,12 +298,14 @@ TEST(AlgorithmNames, RoundTripThroughParse) {
   using qr::Algorithm;
   for (Algorithm alg :
        {Algorithm::Blocking, Algorithm::LeftLooking, Algorithm::Recursive,
-        Algorithm::MultiGpu, Algorithm::Tsqr, Algorithm::Tiled}) {
+        Algorithm::Tsqr, Algorithm::Tiled}) {
     const auto back = qr::parse_algorithm(qr::to_string(alg));
     ASSERT_TRUE(back.has_value()) << qr::to_string(alg);
     EXPECT_EQ(*back, alg);
   }
   EXPECT_FALSE(qr::parse_algorithm("qrqrqr").has_value());
+  // The retired data-parallel blocking QR is no longer a name.
+  EXPECT_FALSE(qr::parse_algorithm("multi_gpu").has_value());
 }
 
 } // namespace

@@ -171,6 +171,28 @@ TEST(JobsJson, ReportCarriesFleetHealthFields) {
   EXPECT_NE(out.find("\"migrations\": 4"), std::string::npos) << out;
 }
 
+TEST(JobsJson, ReportEscapesControlCharactersInNames) {
+  // The jobs parser keeps raw control bytes inside a name; JSON forbids
+  // them unescaped, so the report writes them as \u00XX.
+  const std::vector<JobSpec> jobs =
+      parse_jobs_json("[{\"name\": \"cr\rjob\x01\", \"m\": 8, \"n\": 4}]");
+  ASSERT_EQ(jobs.size(), 1u);
+  serve::FleetReport rep;
+  serve::JobReport jr;
+  jr.name = jobs[0].name;
+  rep.jobs.push_back(jr);
+  std::ostringstream os;
+  serve::write_fleet_report_json(os, rep);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("\"name\": \"cr\\u000djob\\u0001\""), std::string::npos)
+      << out;
+  for (const char c : out) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << out;
+    }
+  }
+}
+
 TEST(JobsJson, ReportDoublesRoundTripBitExact) {
   // Regression: ostream's default 6 significant digits corrupted every
   // double in the report (0.30000000000000004 went out as "0.3", 1/3 as

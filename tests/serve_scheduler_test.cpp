@@ -135,6 +135,11 @@ TEST(ServeAdmission, RejectsInfeasibleJobs) {
   d = sched.submit(bad_algo);
   EXPECT_FALSE(d.admitted);
   EXPECT_NE(d.reason.find("unknown algorithm"), std::string::npos) << d.reason;
+  bad_algo.name = "retired";
+  bad_algo.algorithm = "multi_gpu";
+  d = sched.submit(bad_algo);
+  EXPECT_FALSE(d.admitted);
+  EXPECT_NE(d.reason.find("unknown algorithm"), std::string::npos) << d.reason;
 
   JobSpec late;
   late.name = "late";
@@ -146,7 +151,7 @@ TEST(ServeAdmission, RejectsInfeasibleJobs) {
   EXPECT_NE(d.reason.find("deadline"), std::string::npos) << d.reason;
 
   const FleetReport rep = sched.run();
-  EXPECT_EQ(rep.jobs_rejected, 3);
+  EXPECT_EQ(rep.jobs_rejected, 4);
   EXPECT_EQ(rep.jobs_admitted, 0);
   EXPECT_EQ(rep.jobs_completed, 0);
   for (const JobReport& j : rep.jobs) {

@@ -229,8 +229,7 @@ int run_factorization(const Args& args) {
     auto r = sim::HostMutRef::phantom(n, n);
     const std::string algo = args.value("algo", "recursive");
     const std::optional<qr::Algorithm> alg = qr::parse_algorithm(algo);
-    if (!alg || *alg == qr::Algorithm::MultiGpu ||
-        *alg == qr::Algorithm::Tsqr) {
+    if (!alg || *alg == qr::Algorithm::Tsqr) {
       std::cerr << "unknown --algo '" << algo
                 << "' (expected recursive, blocking, left or tiled)\n";
       return 2;
