@@ -2,7 +2,7 @@
 // in the 131072^2 factorization (inner/outer x blocking/recursive).
 //
 // --explain-plan additionally prints the plan each engine built (buffer
-// pools, fences, ramp) and its lowered task-graph form (node counts per
+// pools, output slots, ramp) and its task-graph form (node counts per
 // stage, edge and fence-edge counts) above its timeline; --explain-plan=dot
 // dumps the lowered graphs as Graphviz digraphs instead.
 #include <iostream>
@@ -23,13 +23,8 @@ int main(int argc, char** argv) {
     if (arg == "--explain-plan=dot") explain = explain_dot = true;
   }
   ooc::PlanLog plan_log;
-  const auto show_plan = [&](const ooc::OocGemmStats& stats) {
-    if (!explain) return;
-    if (explain_dot) {
-      std::cout << plan_log.dot;
-    } else {
-      std::cout << stats.plan;
-    }
+  const auto show_plan = [&] {
+    if (explain) std::cout << (explain_dot ? plan_log.dot : plan_log.text);
     plan_log = ooc::PlanLog{};
   };
 
@@ -42,12 +37,12 @@ int main(int argc, char** argv) {
     ooc::OocGemmOptions opts;
     opts.blocksize = 16384;
     opts.plan_log = &plan_log;
-    const auto stats = ooc::inner_product_blocking(
+    ooc::inner_product_blocking(
         dev, ooc::Operand::on_device(q),
         ooc::Operand::on_host(sim::HostConstRef::phantom(131072, 114688)),
         sim::HostMutRef::phantom(16384, 114688), opts);
     dev.synchronize();
-    show_plan(stats);
+    show_plan();
     std::cout << dev.trace().render_gantt(110);
   }
 
@@ -59,12 +54,12 @@ int main(int argc, char** argv) {
     ooc::OocGemmOptions opts;
     opts.blocksize = 16384;
     opts.plan_log = &plan_log;
-    const auto stats = ooc::inner_product_recursive(
+    ooc::inner_product_recursive(
         dev, ooc::Operand::on_host(sim::HostConstRef::phantom(131072, 65536)),
         ooc::Operand::on_host(sim::HostConstRef::phantom(131072, 65536)),
         sim::HostMutRef::phantom(65536, 65536), opts);
     dev.synchronize();
-    show_plan(stats);
+    show_plan();
     std::cout << dev.trace().render_gantt(110);
   }
 
@@ -80,12 +75,12 @@ int main(int argc, char** argv) {
     opts.tile_cols = 16384;
     opts.staging_buffer = false; // conventional baseline
     opts.plan_log = &plan_log;
-    const auto stats = ooc::outer_product_blocking(
+    ooc::outer_product_blocking(
         dev, ooc::Operand::on_device(a), ooc::Operand::on_device(b),
         sim::HostConstRef::phantom(131072, 114688),
         sim::HostMutRef::phantom(131072, 114688), opts);
     dev.synchronize();
-    show_plan(stats);
+    show_plan();
     std::cout << dev.trace().render_gantt(110);
   }
 
@@ -98,13 +93,13 @@ int main(int argc, char** argv) {
     ooc::OocGemmOptions opts;
     opts.blocksize = 8192;
     opts.plan_log = &plan_log;
-    const auto stats = ooc::outer_product_recursive(
+    ooc::outer_product_recursive(
         dev, ooc::Operand::on_host(sim::HostConstRef::phantom(131072, 65536)),
         ooc::Operand::on_device(b),
         sim::HostConstRef::phantom(131072, 65536),
         sim::HostMutRef::phantom(131072, 65536), opts);
     dev.synchronize();
-    show_plan(stats);
+    show_plan();
     std::cout << dev.trace().render_gantt(110);
   }
 

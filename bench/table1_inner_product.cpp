@@ -2,8 +2,8 @@
 // recursive tiling (65536 x 131072 x 65536, k-slab 16384) vs blocking
 // tiling (16384 x 131072 x 114688, n-slab 16384), synchronous vs pipelined.
 //
-// --explain-plan appends the plan each engine built, including its lowered
-// task-graph form (node counts per stage, edge and fence-edge counts);
+// --explain-plan appends the plan each engine built, then its task-graph
+// form (node counts per stage, edge and fence-edge counts);
 // --explain-plan=dot appends the lowered graphs as Graphviz digraphs.
 #include <iostream>
 #include <string>
@@ -118,10 +118,10 @@ int main(int argc, char** argv) {
               << blk_sync.plan_log.dot << blk_async.plan_log.dot;
   } else if (explain) {
     bench::section("Pipeline plans (--explain-plan)");
-    std::cout << "recursive sync:  " << rec_sync.stats.plan
-              << "recursive async: " << rec_async.stats.plan
-              << "blocking sync:   " << blk_sync.stats.plan
-              << "blocking async:  " << blk_async.stats.plan;
+    std::cout << "recursive sync:\n" << rec_sync.plan_log.text
+              << "recursive async:\n" << rec_async.plan_log.text
+              << "blocking sync:\n" << blk_sync.plan_log.text
+              << "blocking async:\n" << blk_async.plan_log.text;
   }
   return 0;
 }

@@ -3,8 +3,8 @@
 // tiling (131072 x 16384 x 114688, 16384^2 C tiles), plus the §4.1.2
 // ablation (extra C working space on/off) and the §5.1.2 ideal bound.
 //
-// --explain-plan appends the plan each engine built, including its lowered
-// task-graph form (node counts per stage, edge and fence-edge counts);
+// --explain-plan appends the plan each engine built, then its task-graph
+// form (node counts per stage, edge and fence-edge counts);
 // --explain-plan=dot appends the lowered graphs as Graphviz digraphs.
 #include <iostream>
 #include <string>
@@ -147,11 +147,11 @@ int main(int argc, char** argv) {
               << blk_async.plan_log.dot;
   } else if (explain) {
     bench::section("Pipeline plans (--explain-plan)");
-    std::cout << "recursive sync:      " << rec_sync.stats.plan
-              << "recursive async:     " << rec_async.stats.plan
-              << "recursive no-stage:  " << rec_nostage.stats.plan
-              << "blocking sync:       " << blk_sync.stats.plan
-              << "blocking async:      " << blk_async.stats.plan;
+    std::cout << "recursive sync:\n" << rec_sync.plan_log.text
+              << "recursive async:\n" << rec_async.plan_log.text
+              << "recursive no-stage:\n" << rec_nostage.plan_log.text
+              << "blocking sync:\n" << blk_sync.plan_log.text
+              << "blocking async:\n" << blk_async.plan_log.text;
   }
   return 0;
 }

@@ -50,25 +50,25 @@ struct DiagResult {
   Event on_host;
 };
 
-DiagResult factor_diag_block(ooc::SlabPipeline& pipe, HostMutRef a, index_t j0,
+DiagResult factor_diag_block(ooc::TaskGraph& graph, HostMutRef a, index_t j0,
                              index_t w, Event prev, const FactorOptions& opts) {
-  Device& dev = pipe.device();
+  Device& dev = graph.device();
   DiagResult r;
   r.block = dev.allocate(w, w, StoragePrecision::FP32, "chol.R11");
 
   ooc::TaskPlan task;
   task.move_in_waits = {prev};
-  task.move_in = [&](ooc::MoveInCtx& ctx) {
+  task.move_in = [&](ooc::TaskCtx& ctx) {
     ctx.h2d(r.block, ooc::host_block(sim::as_const(a), j0, j0, w, w),
             "h2d A11");
   };
-  task.compute = [&](ooc::ComputeCtx& ctx) {
+  task.compute = [&](ooc::TaskCtx& ctx) {
     panel_potrf_device(dev, r.block, ctx.stream(), opts);
   };
-  task.move_out = [&](ooc::MoveOutCtx& ctx) {
+  task.move_out = [&](ooc::TaskCtx& ctx) {
     ctx.d2h(ooc::host_block(a, j0, j0, w, w), r.block, "d2h R11");
   };
-  const ooc::TaskResult done = pipe.run_task(task);
+  const ooc::TaskResult done = ooc::run_task(graph, task);
   r.factored = done.computed;
   r.on_host = done.moved_out;
   return r;
@@ -82,12 +82,12 @@ FactorStats blocking_ooc_cholesky(Device& dev, HostMutRef a,
   ROCQR_CHECK(a.cols == n && n >= 1, "blocking_ooc_cholesky: matrix must be square");
   const index_t b = std::min(opts.blocksize, n);
 
-  ooc::SlabPipeline pipe(dev, detail::engine_options(opts));
+  ooc::TaskGraph graph(dev, detail::engine_options(opts));
   Event prev{};
 
   for (index_t j0 = 0; j0 < n; j0 += b) {
     const index_t w = std::min(b, n - j0);
-    DiagResult diag = factor_diag_block(pipe, a, j0, w, prev, opts);
+    DiagResult diag = factor_diag_block(graph, a, j0, w, prev, opts);
     detail::sync_unless_overlap(dev, opts);
     prev = diag.on_host;
 
@@ -98,19 +98,19 @@ FactorStats blocking_ooc_cholesky(Device& dev, HostMutRef a,
           dev.allocate(w, rest, StoragePrecision::FP32, "chol.R12");
       ooc::TaskPlan solve;
       solve.move_in_waits = {prev};
-      solve.move_in = [&](ooc::MoveInCtx& ctx) {
+      solve.move_in = [&](ooc::TaskCtx& ctx) {
         ctx.h2d(r12, ooc::host_block(sim::as_const(a), j0, j0 + w, w, rest),
                 "h2d A12");
       };
       solve.compute_waits = {diag.factored};
-      solve.compute = [&](ooc::ComputeCtx& ctx) {
+      solve.compute = [&](ooc::TaskCtx& ctx) {
         ctx.trsm(Device::TrsmKind::LeftUpperTrans, diag.block, r12,
                  "trsm R12");
       };
-      solve.move_out = [&](ooc::MoveOutCtx& ctx) {
+      solve.move_out = [&](ooc::TaskCtx& ctx) {
         ctx.d2h(ooc::host_block(a, j0, j0 + w, w, rest), r12, "d2h R12");
       };
-      const ooc::TaskResult solved = pipe.run_task(solve);
+      const ooc::TaskResult solved = ooc::run_task(graph, solve);
       detail::sync_unless_overlap(dev, opts);
 
       // A22 -= R12ᵀ · R12: the transposed outer product, C tiled. Only the
@@ -139,7 +139,7 @@ FactorStats blocking_ooc_cholesky(Device& dev, HostMutRef a,
   }
 
   dev.synchronize();
-  return qr::stats_from_trace(dev.trace(), pipe.window_begin(),
+  return qr::stats_from_trace(dev.trace(), graph.window_begin(),
                               dev.memory_peak());
 }
 
@@ -149,7 +149,7 @@ struct RecursiveCholState {
   Device& dev;
   HostMutRef a;
   const FactorOptions& opts;
-  ooc::SlabPipeline& pipe;
+  ooc::TaskGraph& graph;
 };
 
 Event chol_recurse(RecursiveCholState& st, index_t j0, index_t w, Event prev) {
@@ -157,7 +157,7 @@ Event chol_recurse(RecursiveCholState& st, index_t j0, index_t w, Event prev) {
   const index_t b = st.opts.blocksize;
   const index_t panels = (w + b - 1) / b;
   if (panels <= 1) {
-    DiagResult diag = factor_diag_block(st.pipe, st.a, j0, w, prev, st.opts);
+    DiagResult diag = factor_diag_block(st.graph, st.a, j0, w, prev, st.opts);
     detail::sync_unless_overlap(dev, st.opts);
     dev.free(diag.block);
     return diag.on_host;
@@ -220,11 +220,11 @@ FactorStats recursive_ooc_cholesky(Device& dev, HostMutRef a,
   ROCQR_CHECK(opts.blocksize >= 1,
               "recursive_ooc_cholesky: blocksize must be positive");
 
-  ooc::SlabPipeline pipe(dev, detail::engine_options(opts));
-  RecursiveCholState st{dev, a, opts, pipe};
+  ooc::TaskGraph graph(dev, detail::engine_options(opts));
+  RecursiveCholState st{dev, a, opts, graph};
   chol_recurse(st, 0, n, Event{});
   dev.synchronize();
-  return qr::stats_from_trace(dev.trace(), pipe.window_begin(),
+  return qr::stats_from_trace(dev.trace(), graph.window_begin(),
                               dev.memory_peak());
 }
 

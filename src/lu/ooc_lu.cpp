@@ -53,26 +53,26 @@ struct PanelResult {
 
 /// One panel step shared by both drivers, expressed as a one-shot
 /// move-in / factor / drain task on the driver's pipeline.
-PanelResult factor_lu_panel(ooc::SlabPipeline& pipe, HostMutRef a, index_t j0,
+PanelResult factor_lu_panel(ooc::TaskGraph& graph, HostMutRef a, index_t j0,
                             index_t w, Event prev, const FactorOptions& opts) {
-  Device& dev = pipe.device();
+  Device& dev = graph.device();
   const index_t below = a.rows - j0;
   PanelResult r;
   r.panel = dev.allocate(below, w, StoragePrecision::FP32, "lu.panel");
 
   ooc::TaskPlan task;
   task.move_in_waits = {prev};
-  task.move_in = [&](ooc::MoveInCtx& ctx) {
+  task.move_in = [&](ooc::TaskCtx& ctx) {
     ctx.h2d(r.panel, ooc::host_block(sim::as_const(a), j0, j0, below, w),
             "h2d LU panel");
   };
-  task.compute = [&](ooc::ComputeCtx& ctx) {
+  task.compute = [&](ooc::TaskCtx& ctx) {
     panel_lu_device(dev, r.panel, ctx.stream(), opts);
   };
-  task.move_out = [&](ooc::MoveOutCtx& ctx) {
+  task.move_out = [&](ooc::TaskCtx& ctx) {
     ctx.d2h(ooc::host_block(a, j0, j0, below, w), r.panel, "d2h LU panel");
   };
-  const ooc::TaskResult done = pipe.run_task(task);
+  const ooc::TaskResult done = ooc::run_task(graph, task);
   r.factored = done.computed;
   r.on_host = done.moved_out;
   return r;
@@ -87,13 +87,13 @@ FactorStats blocking_ooc_lu(Device& dev, HostMutRef a,
   ROCQR_CHECK(m >= n && n >= 1, "blocking_ooc_lu: need m >= n >= 1");
   const index_t b = std::min(opts.blocksize, n);
 
-  ooc::SlabPipeline pipe(dev, detail::engine_options(opts));
+  ooc::TaskGraph graph(dev, detail::engine_options(opts));
   Event prev{};
 
   for (index_t j0 = 0; j0 < n; j0 += b) {
     const index_t w = std::min(b, n - j0);
     const index_t below = m - j0;
-    PanelResult panel = factor_lu_panel(pipe, a, j0, w, prev, opts);
+    PanelResult panel = factor_lu_panel(graph, a, j0, w, prev, opts);
     detail::sync_unless_overlap(dev, opts);
     prev = panel.on_host;
 
@@ -105,19 +105,19 @@ FactorStats blocking_ooc_lu(Device& dev, HostMutRef a,
                                       "lu.U12");
       ooc::TaskPlan solve;
       solve.move_in_waits = {prev};
-      solve.move_in = [&](ooc::MoveInCtx& ctx) {
+      solve.move_in = [&](ooc::TaskCtx& ctx) {
         ctx.h2d(u12, ooc::host_block(sim::as_const(a), j0, j0 + w, w, rest),
                 "h2d A12");
       };
       solve.compute_waits = {panel.factored};
-      solve.compute = [&](ooc::ComputeCtx& ctx) {
+      solve.compute = [&](ooc::TaskCtx& ctx) {
         ctx.trsm(Device::TrsmKind::LeftLowerUnit,
                  DeviceMatrixRef(panel.panel, 0, 0, w, w), u12, "trsm U12");
       };
-      solve.move_out = [&](ooc::MoveOutCtx& ctx) {
+      solve.move_out = [&](ooc::TaskCtx& ctx) {
         ctx.d2h(ooc::host_block(a, j0, j0 + w, w, rest), u12, "d2h U12");
       };
-      const ooc::TaskResult solved = pipe.run_task(solve);
+      const ooc::TaskResult solved = ooc::run_task(graph, solve);
       detail::sync_unless_overlap(dev, opts);
 
       // A22 -= L21 · U12 with both factors resident, C tiled.
@@ -144,7 +144,7 @@ FactorStats blocking_ooc_lu(Device& dev, HostMutRef a,
   }
 
   dev.synchronize();
-  return qr::stats_from_trace(dev.trace(), pipe.window_begin(),
+  return qr::stats_from_trace(dev.trace(), graph.window_begin(),
                               dev.memory_peak());
 }
 
@@ -154,7 +154,7 @@ struct RecursiveLuState {
   Device& dev;
   HostMutRef a;
   const FactorOptions& opts;
-  ooc::SlabPipeline& pipe;
+  ooc::TaskGraph& graph;
 };
 
 Event lu_recurse(RecursiveLuState& st, index_t j0, index_t w, Event prev) {
@@ -162,7 +162,7 @@ Event lu_recurse(RecursiveLuState& st, index_t j0, index_t w, Event prev) {
   const index_t b = st.opts.blocksize;
   const index_t panels = (w + b - 1) / b;
   if (panels <= 1) {
-    PanelResult panel = factor_lu_panel(st.pipe, st.a, j0, w, prev, st.opts);
+    PanelResult panel = factor_lu_panel(st.graph, st.a, j0, w, prev, st.opts);
     detail::sync_unless_overlap(dev, st.opts);
     dev.free(panel.panel);
     return panel.on_host;
@@ -222,11 +222,11 @@ FactorStats recursive_ooc_lu(Device& dev, HostMutRef a,
   ROCQR_CHECK(m >= n && n >= 1, "recursive_ooc_lu: need m >= n >= 1");
   ROCQR_CHECK(opts.blocksize >= 1, "recursive_ooc_lu: blocksize must be positive");
 
-  ooc::SlabPipeline pipe(dev, detail::engine_options(opts));
-  RecursiveLuState st{dev, a, opts, pipe};
+  ooc::TaskGraph graph(dev, detail::engine_options(opts));
+  RecursiveLuState st{dev, a, opts, graph};
   lu_recurse(st, 0, n, Event{});
   dev.synchronize();
-  return qr::stats_from_trace(dev.trace(), pipe.window_begin(),
+  return qr::stats_from_trace(dev.trace(), graph.window_begin(),
                               dev.memory_peak());
 }
 

@@ -19,11 +19,14 @@
 //   outer_product_blocking   C -= A·B   A and B resident; C streamed in
 //                                        b1 x b2 tiles.
 //
-// Engines only *enqueue* asynchronous device work and return scheduling
-// statistics; they do not synchronize at the end, so a caller (the QR
-// drivers) can overlap the tail of one engine with the head of the next —
-// the paper's QR-level optimization. Callers that need the wall time of a
-// single engine synchronize the device themselves.
+// Each engine call builds one ooc::TaskGraph and runs its streaming loop on
+// it as a SlabPlan (ooc/pipeline.hpp) whose nodes declare the buffer-pool
+// slots they touch, so the graph's hazard rule derives the input-pool and
+// §4.1.2 output-slot fences. Engines only *enqueue* asynchronous device
+// work and return scheduling statistics; they do not synchronize at the
+// end, so a caller (the QR drivers) can overlap the tail of one engine with
+// the head of the next — the paper's QR-level optimization. Callers that
+// need the wall time of a single engine synchronize the device themselves.
 #pragma once
 
 #include <string>
@@ -51,9 +54,11 @@ struct RegionEvent {
 
 /// Collector for the --explain-plan tooling. When wired into
 /// OocGemmOptions::plan_log (or QrOptions::plan_log, which forwards), every
-/// TaskGraph — the single executor; SlabPipeline and all engines lower onto
-/// it — appends its node/edge summary to `text` and a Graphviz digraph to
-/// `dot` as it is torn down. Plain accumulation with no locking: wire it up
+/// slab loop appends a one-line description of its plan (buffer depths,
+/// groups, ramp) to `text` as it runs, and every TaskGraph — the single
+/// executor all engines and drivers run on — appends its node/edge summary
+/// to `text` and a Graphviz digraph to `dot` as it is torn down. Nothing is
+/// formatted without a log. Plain accumulation with no locking: wire it up
 /// for single-threaded explanation runs (benches, rocqr_cli), not serve.
 struct PlanLog {
   std::string text;
@@ -166,10 +171,6 @@ struct OocGemmStats {
   sim_time_t slab_h2d_seconds = 0;
   sim_time_t slab_gemm_seconds = 0;
   sim_time_t slab_d2h_seconds = 0;
-  /// Human-readable description of the slab-pipeline plan(s) the engine
-  /// built (buffer depths, fences, groups) — surfaced by the benches'
-  /// --explain-plan flag.
-  std::string plan;
 };
 
 /// C (m x n) = Aᵀ·B with A: k x m and B: k x n streamed from the host in

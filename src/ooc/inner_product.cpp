@@ -1,12 +1,13 @@
 // Out-of-core "inner product" engines: C = Aᵀ·B (the R12 = Q1ᵀ·A2 step).
 //
-// Both engines are expressed as SlabPlans on the slab-pipeline executor
-// (ooc/pipeline.hpp), which owns the streams, fences, retry/ABFT hooks and
-// prefetch accounting; this file keeps what is genuinely engine-specific:
-// operand shapes, buffer pools and their rotation, the beta=0-on-first-slab
-// accumulation, and the stats. OOM re-planning still wraps the whole body —
-// every device buffer is allocated before the first device-to-host write,
-// so an abandoned attempt leaks nothing and has not touched host data.
+// Both engines are SlabPlans run on a TaskGraph (ooc/pipeline.hpp), whose
+// slot keys give the pool and accumulator fences and whose graph owns the
+// streams, retry/ABFT hooks and prefetch accounting; this file keeps what
+// is genuinely engine-specific: operand shapes, buffer pools and their
+// rotation, the beta=0-on-first-slab accumulation, and the stats. OOM
+// re-planning still wraps the whole body — every device buffer is
+// allocated before the first device-to-host write, so an abandoned attempt
+// leaks nothing and has not touched host data.
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,7 +61,7 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
   const index_t max_pw = max_slab_width(panels);
   const int depth = opts.pipeline_depth;
 
-  SlabPipeline pipe(dev, opts, "inner_product_recursive");
+  TaskGraph graph(dev, opts, "inner_product_recursive");
 
   // Streamed-input buffer pool (fp16 on device, like the LATER pipeline).
   std::vector<ScopedMatrix> buf_a;
@@ -90,10 +91,9 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
   plan.steps_per_group = ks;
   plan.input_slots = depth;
   // The group's first (beta=0) GEMM overwrites the rotating accumulator
-  // slot, so it fences on the slot's previous drain on the compute stream.
-  plan.output_fence = OutputFence::Compute;
+  // slot, so it waits the slot's previous drain.
   plan.output_slots = c_slots;
-  plan.move_in = [&](MoveInCtx& ctx, index_t step) {
+  plan.move_in = [&](TaskCtx& ctx, index_t step) {
     const Slab kslab = kslabs[static_cast<size_t>(step % ks)];
     const Slab panel = panels[static_cast<size_t>(step / ks)];
     const size_t slot = static_cast<size_t>(step % depth);
@@ -107,7 +107,7 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
                        panel.width),
             sim::op_name("h2d B[", s, "]"));
   };
-  plan.compute = [&](ComputeCtx& ctx, index_t step) {
+  plan.compute = [&](TaskCtx& ctx, index_t step) {
     const index_t s = step % ks;
     const Slab kslab = kslabs[static_cast<size_t>(s)];
     const Slab panel = panels[static_cast<size_t>(step / ks)];
@@ -125,7 +125,7 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
              sim::op_name("gemm C+=A'B[", s, "]"));
   };
   // Single move-out of the accumulated panel.
-  plan.move_out = [&](MoveOutCtx& ctx, index_t p) {
+  plan.move_out = [&](TaskCtx& ctx, index_t p) {
     const Slab panel = panels[static_cast<size_t>(p)];
     const DeviceMatrix& cd = buf_c[static_cast<size_t>(p % c_slots)].get();
     ctx.d2h(host_block(c, 0, panel.offset, m, panel.width),
@@ -138,7 +138,7 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
         std::make_pair(Slab{0, m}, Slab{panel.offset, panel.width}));
   };
 
-  SlabRunResult run = pipe.run(plan);
+  SlabRunResult run = run_slab_plan(graph, plan);
 
   // Release streamed-input buffers; their last reader has been enqueued.
   for (auto& buf : buf_a) buf.reset();
@@ -150,12 +150,11 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
   }
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), pipe.window_begin());
+  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
   stats.steps = plan.steps;
   stats.output_ready = std::move(run.output_regions);
-  stats.done = run.out_done.back();
-  stats.device_result_ready = run.compute_done.back();
-  stats.plan = pipe.plan_description();
+  stats.done = run.moved_out;
+  stats.device_result_ready = run.computed;
   stats.steady_gemm_rate = dev.model().gemm_rate(
       Op::Trans, m, panel_cols, opts.blocksize, opts.precision);
   stats.slab_h2d_seconds =
@@ -186,11 +185,11 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
   const index_t max_w = max_slab_width(slabs);
   const int depth = opts.pipeline_depth;
 
-  SlabPipeline pipe(dev, opts, "inner_product_blocking");
+  TaskGraph graph(dev, opts, "inner_product_blocking");
 
   // The panel Q is resident — either it already lives on the device (QR-level
   // optimization) or it is moved in once here.
-  ResidentInput ares = stage_operand(pipe, a, "inner_blk.A", "h2d A (panel)");
+  ResidentInput ares = stage_operand(graph, a, "inner_blk.A", "h2d A (panel)");
 
   // Full C stays resident (m x n fp32): each slab's result both returns to
   // the host and remains available as the next outer product's B operand.
@@ -207,19 +206,21 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
   plan.label = "inner_product_blocking";
   plan.steps = static_cast<index_t>(slabs.size());
   plan.input_slots = depth;
+  // output_slots = 0: C stays resident and each slab writes its own
+  // column block, so no output slot is reused.
   plan.resident_ready = {ares.ready};
   plan.input_region = [&](index_t s) {
     return std::make_optional(
         std::make_pair(Slab{0, kk}, slabs[static_cast<size_t>(s)]));
   };
-  plan.move_in = [&](MoveInCtx& ctx, index_t s) {
+  plan.move_in = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const size_t slot = static_cast<size_t>(s % depth);
     ctx.h2d(sim::DeviceMatrixRef(buf_b[slot].get(), 0, 0, kk, slab.width),
             host_block(b.host(), 0, slab.offset, kk, slab.width),
             sim::op_name("h2d B[", s, "]"));
   };
-  plan.compute = [&](ComputeCtx& ctx, index_t s) {
+  plan.compute = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const size_t slot = static_cast<size_t>(s % depth);
     ctx.gemm(Op::Trans, Op::NoTrans, 1.0f, ares.ref,
@@ -228,7 +229,7 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
              sim::DeviceMatrixRef(cd.get(), 0, slab.offset, m, slab.width),
              sim::op_name("gemm C=A'B[", s, "]"));
   };
-  plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
+  plan.move_out = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     ctx.d2h(host_block(c, 0, slab.offset, m, slab.width),
             sim::DeviceMatrixRef(cd.get(), 0, slab.offset, m, slab.width),
@@ -240,7 +241,7 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
         std::make_pair(Slab{0, m}, Slab{slab.offset, slab.width}));
   };
 
-  SlabRunResult run = pipe.run(plan);
+  SlabRunResult run = run_slab_plan(graph, plan);
 
   for (auto& buf : buf_b) buf.reset();
   ares.owned.reset();
@@ -251,12 +252,11 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
   }
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), pipe.window_begin());
+  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
   stats.steps = static_cast<index_t>(slabs.size());
-  stats.done = run.output_regions.back().event;
+  stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);
-  stats.device_result_ready = run.compute_done.back();
-  stats.plan = pipe.plan_description();
+  stats.device_result_ready = run.computed;
   stats.steady_gemm_rate =
       dev.model().gemm_rate(Op::Trans, m, opts.blocksize, kk, opts.precision);
   stats.slab_h2d_seconds = dev.model().h2d_seconds(4 * kk * opts.blocksize);

@@ -1,13 +1,13 @@
 // Out-of-core "outer product" engines: C -= A·B (the trailing update
 // A2 -= Q1·R12), including the §4.1.2 staging-buffer optimization.
 //
-// Each engine is a SlabPlan on the slab-pipeline executor (ooc/pipeline.hpp):
-// the executor owns streams, the input-pool and §4.1.2 output-slot fences,
-// region waits, retry/ABFT and prefetch accounting; this file keeps the
-// operand geometry, the rotating buffer pools, and the trapezoid/triangular
-// filters. OOM re-planning wraps each body — every allocation precedes the
-// first device-to-host write, so an abandoned attempt has not touched host
-// data.
+// Each engine is a SlabPlan run on a TaskGraph (ooc/pipeline.hpp): the
+// plan's slot keys give the input-pool and §4.1.2 output-slot fences, and
+// the graph owns streams, region waits, retry/ABFT and prefetch
+// accounting; this file keeps the operand geometry, the rotating buffer
+// pools, and the trapezoid/triangular filters. OOM re-planning wraps each
+// body — every allocation precedes the first device-to-host write, so an
+// abandoned attempt has not touched host data.
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,10 +57,11 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
   const index_t max_w = max_slab_width(slabs);
   const int depth = opts.pipeline_depth;
 
-  SlabPipeline pipe(dev, opts, "outer_product_recursive");
+  TaskGraph graph(dev, opts, "outer_product_recursive");
 
   // B (the R12 factor produced by the preceding inner product) is resident.
-  ResidentInput bres = stage_operand(pipe, b, "outer_rec.B", "h2d outer_rec.B");
+  ResidentInput bres =
+      stage_operand(graph, b, "outer_rec.B", "h2d outer_rec.B");
 
   std::vector<ScopedMatrix> buf_a;
   buf_a.reserve(static_cast<size_t>(depth));
@@ -96,7 +97,6 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
   plan.label = "outer_product_recursive";
   plan.steps = static_cast<index_t>(slabs.size());
   plan.input_slots = depth;
-  plan.output_fence = OutputFence::MoveIn;
   plan.output_slots = c_slots;
   plan.resident_ready = {bres.ready};
   plan.input_region = [&](index_t s) {
@@ -106,7 +106,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
         ta ? std::make_pair(Slab{0, kk}, slab)
            : std::make_pair(slab, Slab{col0, n - col0}));
   };
-  plan.move_in = [&](MoveInCtx& ctx, index_t s) {
+  plan.move_in = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const size_t slot = static_cast<size_t>(s % depth);
     const DeviceMatrixRef a_slab =
@@ -117,7 +117,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
                : host_block(a.host(), slab.offset, 0, slab.width, kk),
             sim::op_name("h2d A[", s, "]"));
   };
-  plan.move_in_output = [&](MoveInCtx& ctx, index_t s) {
+  plan.move_in_output = [&](TaskCtx& ctx, index_t s) {
     if (opts.beta == 0.0f) return; // C is write-only, skip the move-in
     const Slab slab = slabs[static_cast<size_t>(s)];
     const index_t col0 = slab_col0(s);
@@ -126,7 +126,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
             host_block(c_in, slab.offset, col0, slab.width, n - col0),
             sim::op_name("h2d C[", s, "]"));
   };
-  plan.compute = [&](ComputeCtx& ctx, index_t s) {
+  plan.compute = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const size_t slot = static_cast<size_t>(s % depth);
     const index_t col0 = slab_col0(s);
@@ -144,7 +144,7 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
              opts.beta, DeviceMatrixRef(cbuf, 0, 0, slab.width, cw),
              sim::op_name("gemm C[", s, "]"));
   };
-  plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
+  plan.move_out = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const index_t col0 = slab_col0(s);
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
@@ -159,19 +159,18 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
                                              Slab{col0, n - col0}));
   };
 
-  SlabRunResult run = pipe.run(plan);
+  SlabRunResult run = run_slab_plan(graph, plan);
 
   for (auto& buf : buf_a) buf.reset();
   for (auto& buf : buf_c) buf.reset();
   bres.owned.reset();
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), pipe.window_begin());
+  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
   stats.steps = static_cast<index_t>(slabs.size());
-  stats.done = run.out_done.back();
+  stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);
-  stats.device_result_ready = run.compute_done.back();
-  stats.plan = pipe.plan_description();
+  stats.device_result_ready = run.computed;
   stats.steady_gemm_rate = dev.model().gemm_rate(opts.outer_opa, opts.blocksize,
                                                  n, kk, opts.precision);
   stats.slab_h2d_seconds =
@@ -205,9 +204,10 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
   const index_t max_w = max_slab_width(slabs);
   const int depth = opts.pipeline_depth;
 
-  SlabPipeline pipe(dev, opts, "outer_product_colwise");
+  TaskGraph graph(dev, opts, "outer_product_colwise");
 
-  ResidentInput ares = stage_operand(pipe, a, "outer_col.A", "h2d outer_col.A");
+  ResidentInput ares =
+      stage_operand(graph, a, "outer_col.A", "h2d outer_col.A");
   const DeviceMatrixRef a_ref = ares.ref;
 
   std::vector<ScopedMatrix> buf_b;
@@ -228,21 +228,20 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
   plan.label = "outer_product_colwise";
   plan.steps = static_cast<index_t>(slabs.size());
   plan.input_slots = depth;
-  plan.output_fence = OutputFence::MoveIn;
   plan.output_slots = c_slots;
   plan.resident_ready = {ares.ready};
   plan.input_region = [&](index_t s) {
     return std::make_optional(
         std::make_pair(Slab{0, m}, slabs[static_cast<size_t>(s)]));
   };
-  plan.move_in = [&](MoveInCtx& ctx, index_t s) {
+  plan.move_in = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const size_t slot = static_cast<size_t>(s % depth);
     ctx.h2d(DeviceMatrixRef(buf_b[slot].get(), 0, 0, kk, slab.width),
             host_block(b.host(), 0, slab.offset, kk, slab.width),
             sim::op_name("h2d B[", s, "]"));
   };
-  plan.move_in_output = [&](MoveInCtx& ctx, index_t s) {
+  plan.move_in_output = [&](TaskCtx& ctx, index_t s) {
     if (opts.beta == 0.0f) return;
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
@@ -250,7 +249,7 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
             host_block(c_in, 0, slab.offset, m, slab.width),
             sim::op_name("h2d C[", s, "]"));
   };
-  plan.compute = [&](ComputeCtx& ctx, index_t s) {
+  plan.compute = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const size_t slot = static_cast<size_t>(s % depth);
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
@@ -259,7 +258,7 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
              opts.beta, DeviceMatrixRef(cbuf, 0, 0, m, slab.width),
              sim::op_name("gemm C[", s, "]"));
   };
-  plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
+  plan.move_out = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(s % c_slots)].get();
     ctx.d2h(host_block(c_out, 0, slab.offset, m, slab.width),
@@ -272,19 +271,18 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
         std::make_pair(Slab{0, m}, Slab{slab.offset, slab.width}));
   };
 
-  SlabRunResult run = pipe.run(plan);
+  SlabRunResult run = run_slab_plan(graph, plan);
 
   for (auto& buf : buf_b) buf.reset();
   for (auto& buf : buf_c) buf.reset();
   ares.owned.reset();
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), pipe.window_begin());
+  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
   stats.steps = static_cast<index_t>(slabs.size());
-  stats.done = run.out_done.back();
+  stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);
-  stats.device_result_ready = run.compute_done.back();
-  stats.plan = pipe.plan_description();
+  stats.device_result_ready = run.computed;
   stats.steady_gemm_rate =
       dev.model().gemm_rate(opts.outer_opa, m, opts.blocksize, kk, opts.precision);
   stats.slab_h2d_seconds = dev.model().h2d_seconds(4 * opts.blocksize * kk) +
@@ -331,11 +329,13 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
   }
   ROCQR_CHECK(!tiles.empty(), "outer_product_blocking: no tiles processed");
 
-  SlabPipeline pipe(dev, opts, "outer_product_blocking");
+  TaskGraph graph(dev, opts, "outer_product_blocking");
 
   // Both inputs are tall-and-skinny and stay resident (§3.3.2).
-  ResidentInput ares = stage_operand(pipe, a, "outer_blk.A", "h2d outer_blk.A");
-  ResidentInput bres = stage_operand(pipe, b, "outer_blk.B", "h2d outer_blk.B");
+  ResidentInput ares =
+      stage_operand(graph, a, "outer_blk.A", "h2d outer_blk.A");
+  ResidentInput bres =
+      stage_operand(graph, b, "outer_blk.B", "h2d outer_blk.B");
 
   // C tile working space: a rotating pair with the §4.1.2 optimization so
   // tile t+1 prefetches while tile t computes/drains; a single buffer — the
@@ -352,13 +352,12 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
   plan.label = "outer_product_blocking";
   plan.steps = static_cast<index_t>(tiles.size());
   plan.input_slots = 0; // no streamed-input pool: A and B are resident
-  plan.output_fence = OutputFence::MoveInCounted;
   plan.output_slots = c_slots;
   plan.resident_ready = {ares.ready, bres.ready};
   plan.input_region = [&](index_t t) {
     return std::make_optional(tiles[static_cast<size_t>(t)]);
   };
-  plan.move_in_output = [&](MoveInCtx& ctx, index_t t) {
+  plan.move_in_output = [&](TaskCtx& ctx, index_t t) {
     if (opts.beta == 0.0f) return;
     const auto& [rt, ct] = tiles[static_cast<size_t>(t)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(t % c_slots)].get();
@@ -366,7 +365,7 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
             host_block(c_in, rt.offset, ct.offset, rt.width, ct.width),
             sim::op_name("h2d C[", t, "]"));
   };
-  plan.compute = [&](ComputeCtx& ctx, index_t t) {
+  plan.compute = [&](TaskCtx& ctx, index_t t) {
     const auto& [rt, ct] = tiles[static_cast<size_t>(t)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(t % c_slots)].get();
     const DeviceMatrixRef a_tile =
@@ -379,7 +378,7 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
              opts.beta, DeviceMatrixRef(cbuf, 0, 0, rt.width, ct.width),
              sim::op_name("gemm C[", t, "]"));
   };
-  plan.move_out = [&](MoveOutCtx& ctx, index_t t) {
+  plan.move_out = [&](TaskCtx& ctx, index_t t) {
     const auto& [rt, ct] = tiles[static_cast<size_t>(t)];
     const DeviceMatrix& cbuf = buf_c[static_cast<size_t>(t % c_slots)].get();
     ctx.d2h(host_block(c_out, rt.offset, ct.offset, rt.width, ct.width),
@@ -390,19 +389,18 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
     return std::make_optional(tiles[static_cast<size_t>(t)]);
   };
 
-  SlabRunResult run = pipe.run(plan);
+  SlabRunResult run = run_slab_plan(graph, plan);
 
   for (auto& buf : buf_c) buf.reset();
   ares.owned.reset();
   bres.owned.reset();
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), pipe.window_begin());
+  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
   stats.steps = static_cast<index_t>(tiles.size());
-  stats.done = run.out_done.back();
+  stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);
-  stats.device_result_ready = run.compute_done.back();
-  stats.plan = pipe.plan_description();
+  stats.device_result_ready = run.computed;
   stats.steady_gemm_rate =
       dev.model().gemm_rate(opts.outer_opa, b1, b2, kk, opts.precision);
   stats.slab_h2d_seconds = dev.model().h2d_seconds(4 * b1 * b2);

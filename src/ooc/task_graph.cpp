@@ -36,8 +36,7 @@ const char* stage_name(TaskStage s) {
 
 // ---------------------------------------------------------------------------
 // TaskCtx: thin forwards onto the graph's streams with the cross-cutting
-// hooks (retry, ABFT, sync_if) applied at the single site, mirroring the
-// SlabPipeline stage contexts.
+// hooks (retry, ABFT, sync_if) applied at the single site.
 
 void TaskCtx::h2d(std::span<const sim::Device::H2dBatchEntry> es,
                   sim::OpName name) {
@@ -190,22 +189,35 @@ TaskId TaskGraph::add(TaskStage stage, TaskLabel label,
                       std::initializer_list<Access> accesses,
                       std::int64_t priority) {
   derived_.clear();
+  implied_by_.clear();
+  bool any_implied = false;
   for (const Access& a : accesses) {
     ROCQR_CHECK(a.key.index < hazards_.size(),
                 "TaskGraph::add: unknown hazard key");
     const Hazard& h = hazards_[a.key.index];
-    // Name each dep once: skip one an earlier access named already.
+    // Name each dep once: skip one an earlier access named already, which
+    // then keeps it whatever this access would allow.
     const size_t named = derived_.size();
-    const auto wait = [&](TaskId d) {
+    const auto wait = [&](TaskId d, std::uint32_t implied_by) {
       const auto end = derived_.begin() + static_cast<std::ptrdiff_t>(named);
-      if (std::find(derived_.begin(), end, d) == end) derived_.push_back(d);
+      const auto it = std::find(derived_.begin(), end, d);
+      if (it == end) {
+        derived_.push_back(d);
+        implied_by_.push_back(implied_by);
+      } else {
+        implied_by_[static_cast<size_t>(it - derived_.begin())] = kNoKey;
+      }
     };
     if (a.write && h.n > 0) {
-      for (size_t r = h.at; r < h.at + h.n; ++r) wait(readers_[r]);
+      for (size_t r = h.at; r < h.at + h.n; ++r) wait(readers_[r], kNoKey);
     } else if (h.writer >= 0) {
-      wait(h.writer);
+      // A read of a key with current readers may find its writer implied.
+      const bool may_imply = !a.write && h.n > 0;
+      any_implied = any_implied || may_imply;
+      wait(h.writer, may_imply ? a.key.index : kNoKey);
     }
   }
+  if (any_implied) drop_implied_writers();
   const TaskId id = add(stage, label, std::move(body), derived_, priority);
   for (const Access& a : accesses) {
     Hazard& h = hazards_[a.key.index];
@@ -237,6 +249,35 @@ TaskId TaskGraph::add(TaskStage stage, TaskLabel label,
     readers_[h.at + h.n++] = id;
   }
   return id;
+}
+
+bool TaskGraph::is_reader(const Hazard& h, TaskId d) const {
+  const auto first = readers_.begin() + static_cast<std::ptrdiff_t>(h.at);
+  const auto last = first + h.n;
+  return std::binary_search(first, last, d);
+}
+
+void TaskGraph::drop_implied_writers() {
+  // A read's writer is implied when the node also waits a current reader
+  // of that key: every reader since the write waited the writer. Decide
+  // every drop against the full list before removing any: a dropped dep's
+  // justification is a reader with a larger id, so the chain ends at a
+  // kept dep. A candidate that stays tagged with its key is implied.
+  for (size_t i = 0; i < derived_.size(); ++i) {
+    if (implied_by_[i] == kNoKey) continue;
+    const Hazard& h = hazards_[implied_by_[i]];
+    const TaskId writer = derived_[i];
+    if (std::none_of(derived_.begin(), derived_.end(), [&](TaskId d) {
+          return d != writer && is_reader(h, d);
+        })) {
+      implied_by_[i] = kNoKey;
+    }
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < derived_.size(); ++i) {
+    if (implied_by_[i] == kNoKey) derived_[kept++] = derived_[i];
+  }
+  derived_.resize(kept);
 }
 
 void TaskGraph::set_input_region(TaskId node, Slab rows, Slab cols) {
@@ -283,18 +324,46 @@ void TaskGraph::enqueue(Node& node) {
   }
   node.body = nullptr; // enqueued exactly once; free the captures
   node.enqueued = true;
+  switch (node.stage) {
+  case TaskStage::MoveIn:
+    ++counts_.in;
+    break;
+  case TaskStage::Compute:
+    ++counts_.comp;
+    break;
+  case TaskStage::MoveOut:
+    ++counts_.out;
+    break;
+  }
+  counts_.edges += static_cast<index_t>(node.n_deps);
 }
 
 void TaskGraph::run() {
   // Deterministic list schedule over the not-yet-enqueued subgraph: Kahn's
   // algorithm with a (priority, id) min-heap as the ready set. Nodes below
   // run_from_ were enqueued by an earlier run(), so only the suffix is
-  // solved — a pipeline that lowers thousands of steps through incremental
+  // solved — a driver that adds thousands of nodes through incremental
   // runs stays linear in total node count, and reuses the scratch buffers.
   const size_t total = nodes_.size();
   const size_t base = run_from_;
   const size_t count = total - base;
   if (count == 0) return;
+
+  // One priority across the suffix: every dep points backward, so the
+  // ready heap would pop the smallest unenqueued id each time. Enqueue in
+  // id order without building the successor lists.
+  const std::int64_t priority = nodes_[base].priority;
+  if (std::all_of(nodes_.begin() + static_cast<std::ptrdiff_t>(base),
+                  nodes_.end(), [priority](const Node& n) {
+                    return n.priority == priority;
+                  })) {
+    for (size_t i = base; i < total; ++i) {
+      if (!nodes_[i].enqueued) enqueue(nodes_[i]);
+    }
+    run_from_ = total;
+    return;
+  }
+
   // CSR successor lists: count each suffix node's successors into
   // succ_begin_[k + 2], prefix-sum, then fill through succ_begin_[k + 1]
   // as a cursor, after which node k's successors are
@@ -336,20 +405,7 @@ void TaskGraph::run() {
     std::pop_heap(ready_.begin(), ready_.end(), later);
     const TaskId id = ready_.back().second;
     ready_.pop_back();
-    Node& node = nodes_[static_cast<size_t>(id)];
-    enqueue(node);
-    switch (node.stage) {
-    case TaskStage::MoveIn:
-      ++counts_.in;
-      break;
-    case TaskStage::Compute:
-      ++counts_.comp;
-      break;
-    case TaskStage::MoveOut:
-      ++counts_.out;
-      break;
-    }
-    counts_.edges += static_cast<index_t>(node.n_deps);
+    enqueue(nodes_[static_cast<size_t>(id)]);
     const size_t k = static_cast<size_t>(id) - base;
     for (size_t e = succ_begin_[k]; e < succ_begin_[k + 1]; ++e) {
       const TaskId s = succ_[e];
@@ -363,8 +419,8 @@ void TaskGraph::run() {
 }
 
 std::string TaskGraph::plan_description() const {
-  // One cumulative line: incremental runs (checkpoint segments, pipeline
-  // lowering one plan at a time) update it instead of appending.
+  // One cumulative line: incremental runs (checkpoint segments, slab loops
+  // and tasks added one at a time) update it instead of appending.
   const Counts& c = counts_;
   const index_t nodes = c.in + c.comp + c.out;
   if (nodes == 0) return {};

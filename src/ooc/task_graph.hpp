@@ -1,35 +1,36 @@
-// Task-DAG executor under the slab pipeline — the generalization of
-// `SlabPipeline` from one linear streaming loop to an arbitrary dependency
-// graph of move-in / compute / move-out nodes on the same three-stream
-// schedule.
+// Task-DAG executor: the one scheduler every out-of-core engine and driver
+// in this repo runs on, a dependency graph of move-in / compute / move-out
+// nodes on a three-stream schedule.
 //
-// `SlabPipeline` replays one declarative loop: its input-pool fence, output
-// fence and region waits are fixed wiring patterns over consecutive steps.
-// `TaskGraph` makes the wiring explicit: every tile/slab operation is a
-// *node* pinned to one stage (and therefore one stream), and every hazard
-// is an *edge*. A node either names its deps, or declares the hazard keys
-// (buffers, host blocks) it reads and writes and the graph derives them
-// with one rule: a read waits the key's last writer (RAW), a write waits
-// the key's readers since that write (WAR) or, with none, the last writer
-// (WAW). So a move-in overwriting a buffer waits the computes still
-// reading it, and a move-in re-reading a host tile waits the move-out that
-// last wrote it, without either edge being wired by hand (the OmpSs-2
-// in/inout pattern). The executor is a deterministic list scheduler at
-// enqueue time: a node is ready once all its dependencies are enqueued,
-// the lowest (priority, id) ready node is enqueued next, and cross-stream
+// Every tile/slab operation is a *node* pinned to one stage (and therefore
+// one stream), and every hazard is an *edge*. A node either names its
+// deps, or declares the hazard keys (buffers, host blocks, pool slots) it
+// reads and writes and the graph derives them with one rule: a read waits
+// the key's last writer (RAW), a write waits the key's readers since that
+// write (WAR) or, with none, the last writer (WAW). So a move-in
+// overwriting a buffer waits the computes still reading it, and a move-in
+// re-reading a host tile waits the move-out that last wrote it, without
+// either edge being wired by hand (the OmpSs-2 in/inout pattern). The slab
+// loops of ooc/pipeline.hpp declare their input-pool and output slots the
+// same way, so the engines' buffer-reuse fences come from this rule too.
+//
+// The executor is a deterministic list scheduler at enqueue time: a node
+// is ready once all its dependencies are enqueued, the lowest
+// (priority, id) ready node is enqueued next, and cross-stream
 // dependencies become `wait_event` edges while same-stream dependencies
 // ride the stream's FIFO order. Because the simulator resolves op start
 // times from engine FIFOs plus event waits, enqueue order IS the schedule —
 // lookahead (Buttari-style tiled QR: factor panel k+1 while panel k's
 // trailing updates drain) falls out of giving the panel node a smaller
-// priority key than the updates behind it.
+// priority key than the updates behind it. When every node run() has to
+// solve shares one priority, that order is plain id order.
 //
-// The cross-cutting hooks are the same single-site ones the pipeline
-// applies: transfer retry with backoff, opt-in ABFT checked GEMM, §4.2
-// region gating on move-ins (`set_input_region`), synchronous-mode
-// serialization, and an optional trace span around the whole graph.
-// Checkpoint hooks stay at the driver layer: drivers run the graph in
-// segments and snapshot at node-set boundaries (see qr/tiled_qr.cpp).
+// The cross-cutting hooks apply at one site each: transfer retry with
+// backoff, opt-in ABFT checked GEMM, §4.2 region gating on move-ins
+// (`set_input_region`), synchronous-mode serialization, and an optional
+// trace span around the whole graph. Checkpoint hooks stay at the driver
+// layer: drivers run the graph in segments and snapshot at node-set
+// boundaries (see qr/tiled_qr.cpp).
 #pragma once
 
 #include <cstdint>
@@ -133,11 +134,11 @@ class TaskCtx {
   /// Compute: records an event on the compute stream, fences the move-out
   /// stream on it, and enqueues the device-to-host copy there — the "drain
   /// an intermediate while compute continues" idiom of the recursive
-  /// drivers (SlabPipeline's ComputeCtx::emit lowers onto this).
+  /// drivers.
   sim::Event emit(sim::HostMutRef dst, sim::DeviceMatrixRef src,
                   sim::OpName name);
   /// Extra wait on this node's stream (valid-checked) — for events that are
-  /// not graph edges, e.g. a SlabPipeline resident-stage event.
+  /// not graph edges, e.g. a slab loop's resident-stage event.
   void wait(const sim::Event& e);
 
   sim::Device& device();
@@ -153,9 +154,9 @@ class TaskCtx {
 class TaskGraph {
  public:
   /// Creates the in/compute/out streams (in that order — stream numbering
-  /// is part of the preserved schedule convention shared with
-  /// SlabPipeline), opens an optional trace span, fences the H2D stream on
-  /// opts.host_input_ready and then on every valid `wait_before` event
+  /// is part of the preserved schedule), opens an optional trace span,
+  /// fences the H2D stream on opts.host_input_ready and then on every
+  /// valid `wait_before` event
   /// (producer hand-off, e.g. TRSM waiting the factorization that wrote
   /// its triangle). `opts` must already be validated.
   TaskGraph(sim::Device& dev, const OocGemmOptions& opts,
@@ -194,10 +195,12 @@ class TaskGraph {
   /// - a read waits the key's last writer (RAW);
   /// - a write waits the key's readers since that write (WAR), or, when
   ///   there are none, the last writer (WAW).
-  /// A dep named by two accesses is passed once. A read then drops from
-  /// the key's readers every reader this node waits on directly: a later
-  /// write that waits this node is ordered after them already. Keys and
-  /// their readers persist across run()s.
+  /// A dep named by two accesses is passed once. A read skips the writer
+  /// when the node also waits a current reader of the key (that reader
+  /// waited the writer), unless another access names the writer too. A
+  /// read then drops from the key's readers every reader this node waits
+  /// on directly: a later write that waits this node is ordered after them
+  /// already. Keys and their readers persist across run()s.
   TaskId add(TaskStage stage, TaskLabel label,
              std::function<void(TaskCtx&)> body,
              std::initializer_list<Access> accesses, std::int64_t priority);
@@ -214,7 +217,8 @@ class TaskGraph {
   void set_input_region(TaskId node, Slab rows, Slab cols);
 
   /// Enqueues every node not yet enqueued, in dependency order, lowest
-  /// (priority, id) ready node first. Incremental: drivers may add nodes,
+  /// (priority, id) ready node first (id order when they share one
+  /// priority). Incremental: drivers may add nodes,
   /// run(), snapshot a checkpoint, add more nodes and run() again —
   /// dependencies on nodes from earlier runs resolve through their
   /// recorded completion events. Every dep points to an earlier node, so
@@ -283,7 +287,13 @@ class TaskGraph {
                          : std::span<const TaskId>(deps_.data() + n.spill_at,
                                                    n.n_deps);
   }
+  /// Marks "no key" in implied_by_.
+  static constexpr std::uint32_t kNoKey = ~std::uint32_t{0};
+
   std::string label_text(const TaskLabel& label) const;
+  bool is_reader(const Hazard& h, TaskId d) const;
+  /// Removes from derived_ the read-named writers a waited reader implies.
+  void drop_implied_writers();
   sim::Stream stream_for(TaskStage stage) const;
   void enqueue(Node& node);
 
@@ -301,11 +311,14 @@ class TaskGraph {
   std::vector<TaskId> deps_;
   std::vector<std::string> heads_;
   // Hazard state per key, the reader lists it points into (a list that
-  // outgrows its room moves to the end with twice the room), and the
-  // derived deps of the node being added.
+  // outgrows its room moves to the end with twice the room), the derived
+  // deps of the node being added and, per dep, the key of the read whose
+  // writer it is when a waited reader of that key may imply it (kNoKey
+  // otherwise).
   std::vector<Hazard> hazards_;
   std::vector<TaskId> readers_;
   std::vector<TaskId> derived_;
+  std::vector<std::uint32_t> implied_by_;
   // Every node below this index was enqueued by an earlier run(); run()
   // only has to solve the suffix.
   size_t run_from_ = 0;

@@ -28,20 +28,21 @@ namespace {
 
 /// Base case: the w x w triangle is resident; B's rows [j0, j0+w) stream in
 /// column slabs through the device trsm kernel. Runs as a SlabPlan with no
-/// streamed-input pool — the counted output-slot fence (the rotating B/X
-/// working pair) is the prefetch account. Returns the completion event of
-/// the last move-out. Allocations all precede the first d2h, so an injected
-/// OOM aborts before any host row has been overwritten and the enclosing
-/// degradation wrapper may safely re-run this node.
+/// streamed-input pool: the move-in fills the rotating B/X working pair's
+/// slot directly, and that slot is the prefetch account. Returns the
+/// completion event of the last move-out. Allocations all precede the
+/// first d2h, so an injected OOM aborts before any host row has been
+/// overwritten and the enclosing degradation wrapper may safely re-run
+/// this node.
 Event trsm_base_impl(Device& dev, TriSolveKind kind, HostConstRef t,
                      HostConstRef b_in, HostMutRef b_out, index_t j0,
                      index_t w, Event prev, const OocGemmOptions& opts) {
   const index_t nrhs = b_in.cols;
-  SlabPipeline pipe(dev, opts, /*span_name=*/{}, {prev});
+  TaskGraph graph(dev, opts, /*span_name=*/{}, {prev});
 
   ScopedMatrix tri(dev, w, w, StoragePrecision::FP32, "ooc_trsm.T");
   Event tri_ready =
-      pipe.stage_resident(tri.get(), host_block(t, j0, j0, w, w), "h2d T");
+      stage_resident(graph, tri.get(), host_block(t, j0, j0, w, w), "h2d T");
 
   const auto slabs = slab_partition(nrhs, std::max<index_t>(opts.blocksize, 1));
   const index_t max_w = max_slab_width(slabs);
@@ -61,23 +62,22 @@ Event trsm_base_impl(Device& dev, TriSolveKind kind, HostConstRef t,
   plan.label = "ooc_trsm.base";
   plan.steps = static_cast<index_t>(slabs.size());
   plan.input_slots = 0; // B streams into the output working pair directly
-  plan.output_fence = OutputFence::MoveInCounted;
   plan.output_slots = b_slots;
   plan.resident_ready = {tri_ready};
-  plan.move_in = [&](MoveInCtx& ctx, index_t s) {
+  plan.move_in = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& bbuf = buf_b[static_cast<size_t>(s % b_slots)].get();
     ctx.h2d(DeviceMatrixRef(bbuf, 0, 0, w, slab.width),
             host_block(b_in, j0, slab.offset, w, slab.width),
             sim::op_name("h2d B[", s, "]"));
   };
-  plan.compute = [&](ComputeCtx& ctx, index_t s) {
+  plan.compute = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& bbuf = buf_b[static_cast<size_t>(s % b_slots)].get();
     ctx.trsm(device_kind, tri.get(), DeviceMatrixRef(bbuf, 0, 0, w, slab.width),
              sim::op_name("trsm[", s, "]"));
   };
-  plan.move_out = [&](MoveOutCtx& ctx, index_t s) {
+  plan.move_out = [&](TaskCtx& ctx, index_t s) {
     const Slab slab = slabs[static_cast<size_t>(s)];
     const DeviceMatrix& bbuf = buf_b[static_cast<size_t>(s % b_slots)].get();
     ctx.d2h(host_block(b_out, j0, slab.offset, w, slab.width),
@@ -85,11 +85,11 @@ Event trsm_base_impl(Device& dev, TriSolveKind kind, HostConstRef t,
             sim::op_name("d2h X[", s, "]"));
   };
 
-  SlabRunResult run = pipe.run(plan);
+  const Event done = run_slab_plan(graph, plan).moved_out;
 
   for (auto& buf : buf_b) buf.reset();
   tri.reset();
-  return run.out_done.back();
+  return done;
 }
 
 /// Each base-case node degrades independently on OOM (the recursion's panel

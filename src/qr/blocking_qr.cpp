@@ -37,7 +37,7 @@ QrStats detail::run_blocking(Device& dev, HostMutRef a, HostMutRef r,
   const size_t window = dev.trace().size();
   sim::TraceSpan qr_span(dev, "blocking_qr");
   detail::HostWriteTracker tracker(n);
-  ooc::SlabPipeline pipe(dev, detail::gemm_options(opts));
+  ooc::TaskGraph graph(dev, detail::gemm_options(opts));
 
   // Each panel iteration is one checkpoint/resume unit: a resumed run skips
   // the first opts.resume_units iterations entirely (their Q columns and R
@@ -55,12 +55,12 @@ QrStats detail::run_blocking(Device& dev, HostMutRef a, HostMutRef r,
     // soon as the previous trailing update's matching move-outs complete.
     ScopedMatrix panel(dev, m, w, StoragePrecision::FP32, "qr.panel");
     ooc::TaskPlan stage;
-    stage.move_in = [&](ooc::MoveInCtx& ctx) {
+    stage.move_in = [&](ooc::TaskCtx& ctx) {
       detail::move_in_panel(ctx, panel.get(),
                             ooc::host_block(sim::as_const(a), 0, j0, m, w),
                             tracker, j0, w, opts);
     };
-    const Event panel_in = pipe.run_task(stage).moved_in;
+    const Event panel_in = ooc::run_task(graph, stage).moved_in;
 
     // 2. In-core panel factorization (recursive CGS on the device), then
     // 3. move R_ii and the factored Q panel back. With the optimization on,
@@ -68,16 +68,16 @@ QrStats detail::run_blocking(Device& dev, HostMutRef a, HostMutRef r,
     ScopedMatrix r_dev(dev, w, w, StoragePrecision::FP32, "qr.Rii");
     ooc::TaskPlan factor;
     factor.compute_waits = {panel_in};
-    factor.compute = [&](ooc::ComputeCtx& ctx) {
+    factor.compute = [&](ooc::TaskCtx& ctx) {
       panel_qr_device(dev, panel.get(), r_dev.get(), ctx.stream(), opts);
     };
-    factor.move_out = [&](ooc::MoveOutCtx& ctx) {
+    factor.move_out = [&](ooc::TaskCtx& ctx) {
       ctx.d2h(ooc::host_block(r, j0, j0, w, w),
               sim::DeviceMatrixRef(r_dev.get()), "d2h Rii");
       ctx.d2h(ooc::host_block(a, 0, j0, m, w),
               sim::DeviceMatrixRef(panel.get()), "d2h Q panel");
     };
-    const ooc::TaskResult factored = pipe.run_task(factor);
+    const ooc::TaskResult factored = ooc::run_task(graph, factor);
     const Event panel_done = factored.computed;
     const Event q_out = factored.moved_out;
     tracker.record(ooc::Slab{j0, w}, q_out);

@@ -10,7 +10,7 @@
 
 namespace rocqr::qr::detail {
 
-void move_in_panel(ooc::MoveInCtx& ctx, const sim::DeviceMatrix& panel,
+void move_in_panel(ooc::TaskCtx& ctx, const sim::DeviceMatrix& panel,
                    sim::HostConstRef a_cols, const HostWriteTracker& tracker,
                    index_t j0, index_t w, const QrOptions& opts) {
   ROCQR_CHECK(panel.rows() == a_cols.rows && panel.cols() == w &&

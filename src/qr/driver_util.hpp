@@ -13,8 +13,8 @@
 namespace rocqr::qr::detail {
 
 /// Moves the host panel columns `a_cols` (m x w) into the device matrix
-/// `panel` through the pipeline's move-in stage (which supplies transfer
-/// retry per opts — docs/FAULTS.md).
+/// `panel` from a task graph's move-in node (which supplies transfer retry
+/// per opts — docs/FAULTS.md).
 ///
 /// With opts.qr_level_opt and per-row-slab completion events available from
 /// the previous trailing update, each row chunk of the panel waits only on
@@ -22,7 +22,7 @@ namespace rocqr::qr::detail {
 /// overlaps the tail of the update's move-out (§4.2, "the last move-out
 /// operation can be overlapped by moving in the first few columns of the
 /// panel"). Otherwise a coarse wait on all writers of those columns is used.
-void move_in_panel(ooc::MoveInCtx& ctx, const sim::DeviceMatrix& panel,
+void move_in_panel(ooc::TaskCtx& ctx, const sim::DeviceMatrix& panel,
                    sim::HostConstRef a_cols, const HostWriteTracker& tracker,
                    index_t j0, index_t w, const QrOptions& opts);
 

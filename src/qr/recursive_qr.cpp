@@ -33,7 +33,7 @@ struct DriverState {
   HostMutRef r;
   const QrOptions& opts;
   detail::HostWriteTracker tracker;
-  ooc::SlabPipeline& pipe;
+  ooc::TaskGraph& graph;
   // Checkpoint/resume bookkeeping. A "unit" is a recursion leaf (streamed
   // panel or resident subtree); the schedule visits leaves left to right and
   // every node-level update sits at a fixed position in that sequence, so a
@@ -63,26 +63,26 @@ void factor_panel(DriverState& st, index_t j0, index_t w) {
 
   ScopedMatrix panel(dev, m, w, StoragePrecision::FP32, "rqr.panel");
   ooc::TaskPlan stage;
-  stage.move_in = [&](ooc::MoveInCtx& ctx) {
+  stage.move_in = [&](ooc::TaskCtx& ctx) {
     detail::move_in_panel(ctx, panel.get(),
                           ooc::host_block(sim::as_const(st.a), 0, j0, m, w),
                           st.tracker, j0, w, st.opts);
   };
-  const Event panel_in = st.pipe.run_task(stage).moved_in;
+  const Event panel_in = ooc::run_task(st.graph, stage).moved_in;
 
   ScopedMatrix r_dev(dev, w, w, StoragePrecision::FP32, "rqr.Rii");
   ooc::TaskPlan factor;
   factor.compute_waits = {panel_in};
-  factor.compute = [&](ooc::ComputeCtx& ctx) {
+  factor.compute = [&](ooc::TaskCtx& ctx) {
     panel_qr_device(dev, panel.get(), r_dev.get(), ctx.stream(), st.opts);
   };
-  factor.move_out = [&](ooc::MoveOutCtx& ctx) {
+  factor.move_out = [&](ooc::TaskCtx& ctx) {
     ctx.d2h(ooc::host_block(st.r, j0, j0, w, w),
             sim::DeviceMatrixRef(r_dev.get()), "d2h Rii");
     ctx.d2h(ooc::host_block(st.a, 0, j0, m, w),
             sim::DeviceMatrixRef(panel.get()), "d2h Q panel");
   };
-  const Event q_out = st.pipe.run_task(factor).moved_out;
+  const Event q_out = ooc::run_task(st.graph, factor).moved_out;
   st.tracker.record(ooc::Slab{j0, w}, q_out);
   if (!st.opts.qr_level_opt) dev.synchronize();
 
@@ -166,7 +166,7 @@ bool plan_resident_subtree(const DriverState& st, index_t w) {
 /// On-device recursion over the resident block's columns [c0, c0+wl):
 /// panels factor in place, level GEMMs stay on the device, R blocks stream
 /// out as they are produced (ctx.emit drains them while compute continues).
-void device_recurse(DriverState& st, ooc::ComputeCtx& ctx,
+void device_recurse(DriverState& st, ooc::TaskCtx& ctx,
                     const DeviceMatrix& block, index_t j0, index_t c0,
                     index_t wl) {
   Device& dev = st.dev;
@@ -214,23 +214,23 @@ void factor_resident_subtree(DriverState& st, index_t j0, index_t w) {
   const index_t m = st.a.rows;
   ScopedMatrix block(dev, m, w, StoragePrecision::FP32, "rqr.subtree");
   ooc::TaskPlan stage;
-  stage.move_in = [&](ooc::MoveInCtx& ctx) {
+  stage.move_in = [&](ooc::TaskCtx& ctx) {
     detail::move_in_panel(ctx, block.get(),
                           ooc::host_block(sim::as_const(st.a), 0, j0, m, w),
                           st.tracker, j0, w, st.opts);
   };
-  const Event moved_in = st.pipe.run_task(stage).moved_in;
+  const Event moved_in = ooc::run_task(st.graph, stage).moved_in;
 
   ooc::TaskPlan factor;
   factor.compute_waits = {moved_in};
-  factor.compute = [&](ooc::ComputeCtx& ctx) {
+  factor.compute = [&](ooc::TaskCtx& ctx) {
     device_recurse(st, ctx, block.get(), j0, 0, w);
   };
-  factor.move_out = [&](ooc::MoveOutCtx& ctx) {
+  factor.move_out = [&](ooc::TaskCtx& ctx) {
     ctx.d2h(ooc::host_block(st.a, 0, j0, m, w),
             sim::DeviceMatrixRef(block.get()), "d2h Q subtree");
   };
-  const Event q_out = st.pipe.run_task(factor).moved_out;
+  const Event q_out = ooc::run_task(st.graph, factor).moved_out;
   st.tracker.record(ooc::Slab{j0, w}, q_out);
   block.reset();
 
@@ -345,8 +345,8 @@ QrStats detail::run_recursive(Device& dev, HostMutRef a, HostMutRef r,
 
   const size_t window = dev.trace().size();
   sim::TraceSpan qr_span(dev, "recursive_qr");
-  ooc::SlabPipeline pipe(dev, detail::gemm_options(opts));
-  DriverState st{dev, a, r, opts, detail::HostWriteTracker(n), pipe};
+  ooc::TaskGraph graph(dev, detail::gemm_options(opts));
+  DriverState st{dev, a, r, opts, detail::HostWriteTracker(n), graph};
   st.skip_units = opts.resume_units;
   recurse(st, 0, n);
   if (sync_at_end) dev.synchronize();

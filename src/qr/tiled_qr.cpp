@@ -413,7 +413,7 @@ class TiledProgram : public Program {
 /// (k = w, fixed) — exactly the solo driver's double-streaming. Because
 /// every output element comes from ONE gemm whose k-extent is independent
 /// of the panel/tile partition, and fp16 conversions are elementwise, the
-/// arithmetic is bitwise identical to the solo SlabPipeline driver: a job
+/// arithmetic is bitwise identical to the solo blocking driver: a job
 /// preempted here resumes solo (tag "blocking") bit-identically. One unit
 /// = one panel iteration (panel factored + trailing updates applied).
 ///

@@ -23,12 +23,12 @@
 // regardless of algorithm. A program wires no edge by hand: each node
 // declares the device buffers and host column blocks of A it reads and
 // writes, and the task graph derives the RAW, WAR and WAW edges from them.
-// Solo blocking QR keeps its SlabPipeline driver (the paper's Tables 3–4
-// baseline schedule); the blocking program performs bitwise the same
-// arithmetic as that driver (same GEMM operand precisions and k-extents,
-// elementwise fp16 conversions). So a job of any of the three algorithms
-// preempted from a batch resumes solo — or vice versa — with bit-identical
-// results (pinned by tests/qr_mixed_batch_test.cpp).
+// Solo blocking QR keeps its own driver over the OOC GEMM engines (the
+// paper's Tables 3–4 baseline schedule); the blocking program performs
+// bitwise the same arithmetic as that driver (same GEMM operand precisions
+// and k-extents, elementwise fp16 conversions). So a job of any of the
+// three algorithms preempted from a batch resumes solo — or vice versa —
+// with bit-identical results (pinned by tests/qr_mixed_batch_test.cpp).
 //
 // The blocking program is K lanes wide: each node issues one device op
 // over its lanes (solo device ops are one-entry batches, sim/device.hpp).

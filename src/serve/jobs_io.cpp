@@ -1,6 +1,7 @@
 #include "serve/jobs_io.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <iomanip>
 #include <limits>
 #include <ostream>
@@ -58,6 +59,74 @@ struct Cursor {
     return false;
   }
 
+  /// The four hex digits of a "u" escape, whose 'u' is already consumed.
+  std::uint32_t parse_hex4() {
+    if (pos + 4 > text.size()) {
+      throw InvalidArgument("jobs JSON: short \\u escape at offset " +
+                            std::to_string(pos));
+    }
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text[pos++];
+      v <<= 4;
+      if (h >= '0' && h <= '9') {
+        v |= static_cast<std::uint32_t>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        v |= static_cast<std::uint32_t>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        v |= static_cast<std::uint32_t>(h - 'A' + 10);
+      } else {
+        throw InvalidArgument(std::string("jobs JSON: non-hex digit '") + h +
+                              "' in \\u escape");
+      }
+    }
+    return v;
+  }
+
+  /// A "u" escape as one code point: a high surrogate must be followed by
+  /// a "u" escape of a low surrogate, and a low surrogate may not come
+  /// first.
+  std::uint32_t parse_code_point() {
+    const std::uint32_t hi = parse_hex4();
+    if (hi >= 0xDC00 && hi <= 0xDFFF) {
+      throw InvalidArgument("jobs JSON: unpaired low surrogate \\u" +
+                            text.substr(pos - 4, 4));
+    }
+    if (hi < 0xD800 || hi > 0xDBFF) return hi;
+    if (text.compare(pos, 2, "\\u") != 0) {
+      throw InvalidArgument("jobs JSON: unpaired high surrogate \\u" +
+                            text.substr(pos - 4, 4));
+    }
+    pos += 2;
+    const std::uint32_t lo = parse_hex4();
+    if (lo < 0xDC00 || lo > 0xDFFF) {
+      throw InvalidArgument("jobs JSON: high surrogate \\u" +
+                            text.substr(pos - 10, 4) +
+                            " not followed by a low surrogate");
+    }
+    return 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+  }
+
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
+  }
+
+  /// A JSON string with the standard escapes, "u" escapes written out as
+  /// UTF-8. Raw control bytes are kept as they are.
   std::string parse_string() {
     expect('"');
     std::string out;
@@ -69,9 +138,13 @@ struct Cursor {
         switch (esc) {
         case 'n': out.push_back('\n'); break;
         case 't': out.push_back('\t'); break;
+        case 'r': out.push_back('\r'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
         case '"': out.push_back('"'); break;
         case '\\': out.push_back('\\'); break;
         case '/': out.push_back('/'); break;
+        case 'u': append_utf8(out, parse_code_point()); break;
         default:
           throw InvalidArgument(
               std::string("jobs JSON: unsupported escape \\") + esc);

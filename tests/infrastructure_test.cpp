@@ -114,13 +114,13 @@ TEST(MoveInPanel, ChunksByRowRegionsWhenCovered) {
   auto panel = dev.allocate(m, w);
   qr::QrOptions fine;
   fine.qr_level_opt = true; // fine-grained chunking by tracked row regions
-  ooc::SlabPipeline pipe(dev, qr::detail::gemm_options(fine));
+  ooc::TaskGraph graph(dev, qr::detail::gemm_options(fine));
   ooc::TaskPlan stage;
-  stage.move_in = [&](ooc::MoveInCtx& ctx) {
+  stage.move_in = [&](ooc::TaskCtx& ctx) {
     qr::detail::move_in_panel(ctx, panel, sim::HostConstRef::phantom(m, w),
                               tracker, 0, w, fine);
   };
-  pipe.run_task(stage);
+  ooc::run_task(graph, stage);
   dev.synchronize();
   // Two chunked copies; the first starts right after the early event (t=1),
   // well before the late event (t=10).
@@ -147,13 +147,13 @@ TEST(MoveInPanel, ChunksByRowRegionsWhenCovered) {
   auto panel2 = dev2.allocate(m, w);
   qr::QrOptions coarse;
   coarse.qr_level_opt = false; // coarse: one copy waiting on everything
-  ooc::SlabPipeline pipe2(dev2, qr::detail::gemm_options(coarse));
+  ooc::TaskGraph graph2(dev2, qr::detail::gemm_options(coarse));
   ooc::TaskPlan stage2;
-  stage2.move_in = [&](ooc::MoveInCtx& ctx) {
+  stage2.move_in = [&](ooc::TaskCtx& ctx) {
     qr::detail::move_in_panel(ctx, panel2, sim::HostConstRef::phantom(m, w),
                               tracker2, 0, w, coarse);
   };
-  pipe2.run_task(stage2);
+  ooc::run_task(graph2, stage2);
   for (const auto& e : dev2.trace().events()) {
     if (e.kind == sim::OpKind::CopyH2D) {
       EXPECT_GE(e.start, 5.0);

@@ -1,10 +1,10 @@
-// SlabPipeline is a lowering layer: a declarative SlabPlan compiles into
-// TaskGraph nodes and fence edges, and the executor replays the legacy
-// three-stream schedule. This suite pins the lowering contract directly —
-// a slab loop produces the *same device timeline* as the hand-built task
-// graph it documents itself as compiling to, the fence taxonomy lands on
-// the right nodes, and every graph reports its lowered form through
-// PlanLog (--explain-plan's single chokepoint).
+// A declarative SlabPlan lowers onto a caller's TaskGraph: run_slab_plan
+// adds each step's nodes with the pool slots they touch declared as hazard
+// keys, and the graph derives every edge. This suite pins the lowering
+// contract directly — a slab loop produces the *same device timeline* as
+// the hand-built task graph it documents itself as compiling to, the slot
+// keys put the fences on the right nodes, and every graph reports its form
+// through PlanLog (--explain-plan's single chokepoint).
 #include <gtest/gtest.h>
 
 #include "leak_check.hpp"
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "ooc/pipeline.hpp"
 #include "ooc/task_graph.hpp"
 #include "qr/factorize.hpp"
@@ -53,32 +52,34 @@ struct LoopBuffers {
   }
 };
 
+/// The shared loop as a SlabPlan over `b`: a depth-2 input pool and a
+/// resident output (each group its own key).
+ooc::SlabPlan loop_plan(LoopBuffers& b) {
+  ooc::SlabPlan plan;
+  plan.label = "eq";
+  plan.steps = kSteps;
+  plan.input_slots = 2;
+  plan.move_in = [&b](ooc::TaskCtx& c, index_t s) {
+    c.h2d(sim::DeviceMatrixRef(b.pool[s % 2]), b.in,
+          "h2d " + std::to_string(s));
+  };
+  plan.compute = [&b](ooc::TaskCtx& c, index_t s) {
+    c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
+           sim::DeviceMatrixRef(b.pool[s % 2]),
+           sim::DeviceMatrixRef(b.pool[s % 2]), 0.0f,
+           sim::DeviceMatrixRef(b.acc), "gemm " + std::to_string(s));
+  };
+  plan.move_out = [&b](ooc::TaskCtx& c, index_t g) {
+    c.d2h(b.out, sim::DeviceMatrixRef(b.acc), "d2h " + std::to_string(g));
+  };
+  return plan;
+}
+
 std::vector<sim::TraceEvent> run_via_pipeline(Device& dev) {
   LoopBuffers b(dev);
   {
-    ooc::SlabPipeline pipe(dev, small_options());
-    ooc::SlabPlan plan;
-    plan.label = "eq";
-    plan.steps = kSteps;
-    plan.input_slots = 2;
-    plan.move_in = [&](ooc::MoveInCtx& c, index_t s) {
-      c.h2d(sim::DeviceMatrixRef(b.pool[s % 2]), b.in,
-            "h2d " + std::to_string(s));
-    };
-    plan.compute = [&](ooc::ComputeCtx& c, index_t s) {
-      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
-             sim::DeviceMatrixRef(b.pool[s % 2]),
-             sim::DeviceMatrixRef(b.pool[s % 2]), 0.0f,
-             sim::DeviceMatrixRef(b.acc), "gemm " + std::to_string(s));
-    };
-    plan.move_out = [&](ooc::MoveOutCtx& c, index_t g) {
-      c.d2h(b.out, sim::DeviceMatrixRef(b.acc), "d2h " + std::to_string(g));
-    };
-    pipe.run(plan);
-    EXPECT_NE(pipe.plan_description().find("slab-pipeline eq: 4 step(s)"),
-              std::string::npos);
-    EXPECT_NE(pipe.plan_description().find("task-graph run:"),
-              std::string::npos);
+    ooc::TaskGraph g(dev, small_options());
+    ooc::run_slab_plan(g, loop_plan(b));
   }
   dev.synchronize();
   b.release(dev);
@@ -171,25 +172,8 @@ TEST(SlabPipelineLowering, SynchronousModeSerializesTheLoop) {
   {
     ooc::OocGemmOptions opts = small_options();
     opts.synchronous = true;
-    ooc::SlabPipeline pipe(sync_dev, opts);
-    ooc::SlabPlan plan;
-    plan.label = "eq";
-    plan.steps = kSteps;
-    plan.input_slots = 2;
-    plan.move_in = [&](ooc::MoveInCtx& c, index_t s) {
-      c.h2d(sim::DeviceMatrixRef(b.pool[s % 2]), b.in,
-            "h2d " + std::to_string(s));
-    };
-    plan.compute = [&](ooc::ComputeCtx& c, index_t s) {
-      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
-             sim::DeviceMatrixRef(b.pool[s % 2]),
-             sim::DeviceMatrixRef(b.pool[s % 2]), 0.0f,
-             sim::DeviceMatrixRef(b.acc), "gemm " + std::to_string(s));
-    };
-    plan.move_out = [&](ooc::MoveOutCtx& c, index_t g) {
-      c.d2h(b.out, sim::DeviceMatrixRef(b.acc), "d2h " + std::to_string(g));
-    };
-    pipe.run(plan);
+    ooc::TaskGraph g(sync_dev, opts);
+    ooc::run_slab_plan(g, loop_plan(b));
   }
   sync_dev.synchronize();
   b.release(sync_dev);
@@ -202,29 +186,27 @@ TEST(SlabPipelineLowering, MoveOutWaitsTheGroupsLastCompute) {
   Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
   LoopBuffers b(dev);
   {
-    ooc::SlabPipeline pipe(dev, small_options());
+    ooc::TaskGraph graph(dev, small_options());
     ooc::SlabPlan plan;
     plan.label = "grp";
     plan.steps = kSteps;
     plan.steps_per_group = 2;
     plan.input_slots = 2;
-    plan.move_in = [&](ooc::MoveInCtx& c, index_t s) {
+    plan.move_in = [&](ooc::TaskCtx& c, index_t s) {
       c.h2d(sim::DeviceMatrixRef(b.pool[s % 2]), b.in,
             "h2d " + std::to_string(s));
     };
-    plan.compute = [&](ooc::ComputeCtx& c, index_t s) {
+    plan.compute = [&](ooc::TaskCtx& c, index_t s) {
       c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
              sim::DeviceMatrixRef(b.pool[s % 2]),
              sim::DeviceMatrixRef(b.pool[s % 2]),
              s % 2 == 0 ? 0.0f : 1.0f, sim::DeviceMatrixRef(b.acc),
              "gemm " + std::to_string(s));
     };
-    plan.move_out = [&](ooc::MoveOutCtx& c, index_t g) {
+    plan.move_out = [&](ooc::TaskCtx& c, index_t g) {
       c.d2h(b.out, sim::DeviceMatrixRef(b.acc), "d2h g" + std::to_string(g));
     };
-    const ooc::SlabRunResult r = pipe.run(plan);
-    EXPECT_EQ(r.compute_done.size(), 4u);
-    EXPECT_EQ(r.out_done.size(), 2u);
+    ooc::run_slab_plan(graph, plan);
   }
   dev.synchronize();
   b.release(dev);
@@ -243,21 +225,21 @@ TEST(SlabPipelineLowering, RunTaskChainsPresentStages) {
   Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
   LoopBuffers b(dev);
   {
-    ooc::SlabPipeline pipe(dev, small_options());
+    ooc::TaskGraph graph(dev, small_options());
     ooc::TaskPlan task;
     task.label = "panel";
-    task.move_in = [&](ooc::MoveInCtx& c) {
+    task.move_in = [&](ooc::TaskCtx& c) {
       c.h2d(sim::DeviceMatrixRef(b.pool[0]), b.in, "h2d panel");
     };
-    task.compute = [&](ooc::ComputeCtx& c) {
+    task.compute = [&](ooc::TaskCtx& c) {
       c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
              sim::DeviceMatrixRef(b.pool[0]), sim::DeviceMatrixRef(b.pool[0]),
              0.0f, sim::DeviceMatrixRef(b.acc), "gemm panel");
     };
-    task.move_out = [&](ooc::MoveOutCtx& c) {
+    task.move_out = [&](ooc::TaskCtx& c) {
       c.d2h(b.out, sim::DeviceMatrixRef(b.acc), "d2h panel");
     };
-    const ooc::TaskResult r = pipe.run_task(task);
+    const ooc::TaskResult r = ooc::run_task(graph, task);
     EXPECT_TRUE(r.moved_in.valid());
     EXPECT_TRUE(r.computed.valid());
     EXPECT_TRUE(r.moved_out.valid());
@@ -283,28 +265,19 @@ TEST(SlabPipelineLowering, PlanLogCapturesEveryGraphOnTeardown) {
   {
     ooc::OocGemmOptions opts = small_options();
     opts.plan_log = &log;
-    ooc::SlabPipeline pipe(dev, opts, "eq-span");
-    ooc::SlabPlan plan;
-    plan.label = "eq";
-    plan.steps = kSteps;
-    plan.input_slots = 2;
-    plan.move_in = [&](ooc::MoveInCtx& c, index_t s) {
-      c.h2d(sim::DeviceMatrixRef(b.pool[s % 2]), b.in,
-            "h2d " + std::to_string(s));
-    };
-    plan.compute = [&](ooc::ComputeCtx& c, index_t s) {
-      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
-             sim::DeviceMatrixRef(b.pool[s % 2]),
-             sim::DeviceMatrixRef(b.pool[s % 2]), 0.0f,
-             sim::DeviceMatrixRef(b.acc), "gemm " + std::to_string(s));
-    };
-    pipe.run(plan);
+    ooc::TaskGraph g(dev, opts, "eq-span");
+    ooc::SlabPlan plan = loop_plan(b);
+    plan.move_out = nullptr;
+    ooc::run_slab_plan(g, plan);
   }
   dev.synchronize();
   b.release(dev);
 
-  // The flush names the graph, counts its nodes and carries the Graphviz
-  // dump with the node labels.
+  // The loop describes its plan as it runs; the flush names the graph,
+  // counts its nodes and carries the Graphviz dump with the node labels.
+  EXPECT_NE(log.text.find("slab-plan eq: 4 step(s), input pool 2 slot(s)"),
+            std::string::npos)
+      << log.text;
   EXPECT_NE(log.text.find("eq-span: task-graph run: 8 node(s)"),
             std::string::npos)
       << log.text;
@@ -334,40 +307,11 @@ TEST(SlabPipelineLowering, PlanLogCapturesEveryGraphOnTeardown) {
   EXPECT_TRUE(empty_log.dot.empty());
 }
 
-TEST(SlabPipelineLowering, OutputFenceWithoutMoveOutIsRejected) {
-  // Every output-slot fence waits a group's move-out, so a fenced plan
-  // without one has nothing to fence on: it is a plan error, not an
-  // out-of-range read of the move-out list.
-  Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
-  LoopBuffers b(dev);
-  for (const ooc::OutputFence fence :
-       {ooc::OutputFence::MoveIn, ooc::OutputFence::MoveInCounted,
-        ooc::OutputFence::Compute}) {
-    ooc::SlabPipeline pipe(dev, small_options());
-    ooc::SlabPlan plan;
-    plan.label = "fenced";
-    plan.steps = 3;
-    plan.output_fence = fence;
-    plan.output_slots = 1;
-    plan.move_in = [&](ooc::MoveInCtx& c, index_t) {
-      c.h2d(sim::DeviceMatrixRef(b.pool[0]), b.in, "h2d");
-    };
-    plan.compute = [&](ooc::ComputeCtx& c, index_t) {
-      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f,
-             sim::DeviceMatrixRef(b.pool[0]), sim::DeviceMatrixRef(b.pool[0]),
-             0.0f, sim::DeviceMatrixRef(b.acc), "gemm");
-    };
-    EXPECT_THROW(pipe.run(plan), InvalidArgument)
-        << "fence " << static_cast<int>(fence);
-  }
-  dev.synchronize();
-  b.release(dev);
-}
-
 TEST(SlabPipelineLowering, DotRendersEveryLoweredNodeLabel) {
   // Node labels are rendered only where text is needed; pin the exact dot
   // lines of every kind a streaming recursive QR lowers — the four slab-step
-  // labels and the run_task stages — and the edges of a two-dep node.
+  // labels and the run_task stages — and the slot-key edges of an outer
+  // product step.
   ooc::PlanLog log;
   Device dev(sim::DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
   qr::QrOptions opts;
@@ -386,9 +330,10 @@ TEST(SlabPipelineLowering, DotRendersEveryLoweredNodeLabel) {
       R"dot(n16 [label="out inner_product_recursive g0\n(move-out)", shape=box, fillcolor=lightsalmon];)dot",
       R"dot(n1 [label="in-out outer_product_recursive s0\n(move-in)", shape=box, fillcolor=lightblue];)dot",
       R"dot(n11 [label="out outer_product_recursive g2\n(move-out)", shape=box, fillcolor=lightsalmon];)dot",
-      // in-out s2's two deps, in order: its move-in (same stream) and
-      // the staging-pair fence on group 0's move-out.
-      "  n8 -> n9 [style=dashed];\n  n3 -> n9;\n",
+      // in-out s2 writes C slot 0, so it waits group 0's move-out (the
+      // staging-pair fence) and nothing else; comp s2 reads A slot 0 and
+      // writes C slot 0, so it waits both move-ins of its step.
+      "  n3 -> n9;\n  n8 -> n10;\n  n9 -> n10;\n",
   };
   for (const char* line : lines) {
     EXPECT_NE(log.dot.find(line), std::string::npos) << line;

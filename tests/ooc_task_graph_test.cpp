@@ -117,6 +117,37 @@ TEST(TaskGraph, ReadyNodesEnqueueInPriorityOrder) {
   EXPECT_LT(find_event(dev, "gemm p2"), find_event(dev, "gemm p3"));
 }
 
+TEST(TaskGraph, AOnePrioritySegmentAfterAMixedRunEnqueuesInIdOrder) {
+  // The first run mixes priorities, so the ready heap orders it. The
+  // segment added after it shares one priority and enqueues in id order,
+  // its dep on the first run resolved through the recorded done event.
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  ScopedMatrix buf(dev, 8, 8, StoragePrecision::FP32, "tg.buf");
+  const auto gemm = [&buf](std::string name) {
+    return [&buf, name](TaskCtx& c) {
+      c.gemm(blas::Op::NoTrans, blas::Op::NoTrans, 1.0f, buf.get(), buf.get(),
+             0.0f, buf.get(), name);
+    };
+  };
+  const TaskId late =
+      g.add(TaskStage::Compute, "late", gemm("gemm late"), {}, 2);
+  g.add(TaskStage::Compute, "early", gemm("gemm early"), {}, 1);
+  g.run();
+  g.add(TaskStage::Compute, "s0", gemm("gemm s0"), {}, 5);
+  g.add(TaskStage::Compute, "s1", gemm("gemm s1"), {late}, 5);
+  g.add(TaskStage::Compute, "s2", gemm("gemm s2"), {}, 5);
+  g.run();
+  dev.synchronize();
+  EXPECT_LT(find_event(dev, "gemm early"), find_event(dev, "gemm late"));
+  EXPECT_LT(find_event(dev, "gemm late"), find_event(dev, "gemm s0"));
+  EXPECT_LT(find_event(dev, "gemm s0"), find_event(dev, "gemm s1"));
+  EXPECT_LT(find_event(dev, "gemm s1"), find_event(dev, "gemm s2"));
+  EXPECT_EQ(g.plan_description(),
+            "task-graph run: 5 node(s) (0 move-in, 5 compute, 0 move-out), "
+            "1 edge(s), 0 fence edge(s)");
+}
+
 TEST(TaskGraph, CrossStreamDependencyOrdersSimulatedTime) {
   // The compute must start at or after the move-in's end (event edge), and
   // the move-out after the compute — even though each runs on its own
@@ -369,18 +400,35 @@ TEST(TaskGraphHazards, ADepNamedByTwoAccessesIsPassedOnce) {
 }
 
 TEST(TaskGraphHazards, AReaderTheNextReaderWaitsOnIsDropped) {
-  // r2 reads k and waits r1 through k2, so a write of k that waits r2 is
-  // ordered after r1 already: it carries one WAR dep, not two.
+  // r2 reads k and waits r1 through k2. r1 is a current reader of k, so it
+  // waited k's writer w0 already: r2 skips that RAW dep. And a write of k
+  // that waits r2 is ordered after r1 already: it carries one WAR dep, not
+  // two.
   Device dev = phantom_device();
   TaskGraph g(dev, test_options());
   const HazardKey k = g.key();
   const HazardKey k2 = g.key();
-  const TaskId w0 = access_node(g, "w0", {writes(k)});
+  access_node(g, "w0", {writes(k)});
   const TaskId r1 = access_node(g, "r1", {reads(k), writes(k2)});
   const TaskId r2 = access_node(g, "r2", {reads(k), reads(k2)});
   const TaskId w1 = access_node(g, "w1", {writes(k)});
-  EXPECT_EQ(dot_deps(g, r2), (std::vector<TaskId>{w0, r1}));
+  EXPECT_EQ(dot_deps(g, r2), std::vector<TaskId>{r1});
   EXPECT_EQ(dot_deps(g, w1), std::vector<TaskId>{r2});
+}
+
+TEST(TaskGraphHazards, AWriterAnotherAccessNamesIsKept) {
+  // As above, r2's read of k finds w0 implied through r1; but r2 also
+  // overwrites k3, whose last writer is w0 with no reader since, and that
+  // WAW dep stays.
+  Device dev = phantom_device();
+  TaskGraph g(dev, test_options());
+  const HazardKey k = g.key();
+  const HazardKey k2 = g.key();
+  const HazardKey k3 = g.key();
+  const TaskId w0 = access_node(g, "w0", {writes(k), writes(k3)});
+  const TaskId r1 = access_node(g, "r1", {reads(k), writes(k2)});
+  const TaskId r2 = access_node(g, "r2", {reads(k), reads(k2), writes(k3)});
+  EXPECT_EQ(dot_deps(g, r2), (std::vector<TaskId>{w0, r1}));
 }
 
 TEST(TaskGraphHazards, AWriteInALaterRunWaitsAReaderFromAnEarlierOne) {

@@ -2,7 +2,7 @@
 // Blocking and LeftLooking jobs fused into one per-device task graph.
 // Pins the batch-vs-solo bitwise numerics contract for every algorithm
 // (solo tiled and left-looking runs are one-job batches themselves; only
-// blocking is bitwise the same as its separate solo SlabPipeline driver),
+// blocking is bitwise the same as its separate solo engine-call driver),
 // the colocated-makespan win over serial execution, per-job stats
 // attribution, and checkpoint-boundary preemption with bit-identical
 // resume through qr::resume.

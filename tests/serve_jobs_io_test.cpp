@@ -1,8 +1,9 @@
 // Jobs-JSON parser hardening: numbers must be consumed whole (no silent
 // prefix parsing), out-of-range values must be rejected before any cast
 // (the old code hit undefined behavior casting 1e30 to index_t), the
-// documented job fields round-trip, and the schema_version envelope is
-// enforced (legacy bare arrays parse; newer majors are rejected).
+// documented job fields round-trip, the schema_version envelope is
+// enforced (legacy bare arrays parse; newer majors are rejected), and
+// strings take the standard JSON escapes.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "serve/job.hpp"
 #include "serve/jobs_io.hpp"
 
@@ -191,6 +193,39 @@ TEST(JobsJson, ReportEscapesControlCharactersInNames) {
       EXPECT_GE(static_cast<unsigned char>(c), 0x20) << out;
     }
   }
+}
+
+TEST(JobsJson, EscapedNamesRoundTripThroughTheParser) {
+  // A name written with escape_json (control bytes as u-escapes, UTF-8 as
+  // raw bytes) into a jobs document parses back to the same bytes.
+  const std::string name =
+      "cr\r bs\b ff\f caf\xC3\xA9 smile\xF0\x9F\x98\x80";
+  const std::vector<JobSpec> jobs = parse_jobs_json(
+      "[{\"name\": \"" + escape_json(name) + "\", \"m\": 8, \"n\": 4}]");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].name, name);
+}
+
+TEST(JobsJson, ParsesStandardEscapes) {
+  // The two-character escapes, and u-escapes written out as UTF-8 with a
+  // surrogate pair combined into one code point.
+  const std::vector<JobSpec> jobs = parse_jobs_json(
+      R"([{"name": "a\rb\bc\fd\u00e9\ud83d\ude00\u0041", "m": 8, "n": 4}])");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].name, "a\rb\bc\fd\xC3\xA9\xF0\x9F\x98\x80"
+                          "A");
+}
+
+TEST(JobsJson, RejectsMalformedUnicodeEscapes) {
+  // A lone or reversed surrogate, a high surrogate followed by a non-low
+  // one, a non-hex digit, and a u-escape cut short by the end of input.
+  for (const char* bad : {R"(\ud83d)", R"(\ud83dx)", R"(\ude00\ud83d)",
+                          R"(\ud83d\u0041)", R"(\u00g9)", R"(\u00e)"}) {
+    const std::string doc =
+        std::string(R"([{"name": "x)") + bad + R"(", "m": 8, "n": 4}])";
+    EXPECT_THROW(parse_jobs_json(doc), InvalidArgument) << bad;
+  }
+  EXPECT_THROW(parse_jobs_json(R"([{"name": "\u00)"), InvalidArgument);
 }
 
 TEST(JobsJson, ReportDoublesRoundTripBitExact) {

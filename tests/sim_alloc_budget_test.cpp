@@ -145,19 +145,23 @@ TEST(SimAllocBudget, CountingAllocatorSeesHeapAllocations) {
 
 TEST(SimAllocBudget, RecursiveQrAllocatesAtMostOncePerTraceEvent) {
   // Op names and buffer labels allocate nothing (sim::OpName), so what is
-  // left is per-recursion-node setup (spans, plans, buffers) and array
-  // growth: 0.24 per event, where std::string names cost 0.54.
+  // left is per-recursion-node setup (spans, graphs, buffers) and array
+  // growth: 0.188 per event (0.238 while each engine call also formatted
+  // its plan text and kept per-step event vectors; 0.54 with std::string
+  // names).
   EXPECT_LE(allocations_per_event(qr::Algorithm::Recursive,
                                   recursive_options(kBlocksize)),
-            0.3);
+            0.2);
 }
 
 TEST(SimAllocBudget, BlockingQrAllocatesAtMostOncePerTraceEvent) {
-  // paper_sim's blocking baseline: no staging buffer.
+  // paper_sim's blocking baseline: no staging buffer. Each of its ~256
+  // engine calls still builds its own graph and buffers: 0.631 per event
+  // (0.851 with per-call plan text and per-step event vectors).
   qr::QrOptions opts;
   opts.blocksize = kBlocksize;
   opts.staging_buffer = false;
-  EXPECT_LE(allocations_per_event(qr::Algorithm::Blocking, opts), 1.0);
+  EXPECT_LE(allocations_per_event(qr::Algorithm::Blocking, opts), 0.65);
 }
 
 /// A colocated batch of `jobs`, as a serve dispatch runs it.
