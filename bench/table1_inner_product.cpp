@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
         sim::HostMutRef::phantom(65536, 65536), opts);
     dev.synchronize();
     r.total_s = dev.makespan();
-    r.rate = static_cast<double>(r.stats.summary.flops) / r.total_s;
+    const sim::TraceSummary window =
+        sim::summarize(dev.trace(), r.stats.trace_begin, r.stats.trace_end);
+    r.rate = static_cast<double>(window.flops) / r.total_s;
     return r;
   };
 
@@ -68,7 +70,9 @@ int main(int argc, char** argv) {
         sim::HostMutRef::phantom(16384, 114688), opts);
     dev.synchronize();
     r.total_s = dev.makespan();
-    r.rate = static_cast<double>(r.stats.summary.flops) / r.total_s;
+    const sim::TraceSummary window =
+        sim::summarize(dev.trace(), r.stats.trace_begin, r.stats.trace_end);
+    r.rate = static_cast<double>(window.flops) / r.total_s;
     dev.free(q);
     return r;
   };

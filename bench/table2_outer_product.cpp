@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
         sim::HostMutRef::phantom(131072, 65536), opts);
     dev.synchronize();
     r.total_s = dev.makespan();
-    r.rate = static_cast<double>(r.stats.summary.flops) / r.total_s;
+    const sim::TraceSummary window =
+        sim::summarize(dev.trace(), r.stats.trace_begin, r.stats.trace_end);
+    r.rate = static_cast<double>(window.flops) / r.total_s;
     dev.free(b);
     return r;
   };
@@ -76,7 +78,9 @@ int main(int argc, char** argv) {
         sim::HostMutRef::phantom(131072, 114688), opts);
     dev.synchronize();
     r.total_s = dev.makespan();
-    r.rate = static_cast<double>(r.stats.summary.flops) / r.total_s;
+    const sim::TraceSummary window =
+        sim::summarize(dev.trace(), r.stats.trace_begin, r.stats.trace_end);
+    r.rate = static_cast<double>(window.flops) / r.total_s;
     dev.free(a);
     dev.free(b);
     return r;

@@ -154,8 +154,12 @@ struct OocGemmOptions {
 };
 
 struct OocGemmStats {
-  sim::TraceSummary summary; ///< aggregate over this engine's trace window
-  index_t steps = 0;         ///< number of streamed slabs/tiles
+  /// This engine's trace window: events [trace_begin, trace_end) of
+  /// dev.trace(), which sim::summarize aggregates for a caller that wants
+  /// the engine's volumes and busy times.
+  size_t trace_begin = 0;
+  size_t trace_end = 0;
+  index_t steps = 0; ///< number of streamed slabs/tiles
   /// Per-region completion of this engine's host writes (see RegionEvent).
   std::vector<RegionEvent> output_ready;
   /// Completes when every operation this engine enqueued has finished.

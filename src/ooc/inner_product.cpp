@@ -150,7 +150,8 @@ OocGemmStats inner_product_recursive_impl(Device& dev, const Operand& a,
   }
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
+  stats.trace_begin = graph.window_begin();
+  stats.trace_end = dev.trace().size();
   stats.steps = plan.steps;
   stats.output_ready = std::move(run.output_regions);
   stats.done = run.moved_out;
@@ -252,7 +253,8 @@ OocGemmStats inner_product_blocking_impl(Device& dev, const Operand& a,
   }
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
+  stats.trace_begin = graph.window_begin();
+  stats.trace_end = dev.trace().size();
   stats.steps = static_cast<index_t>(slabs.size());
   stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);

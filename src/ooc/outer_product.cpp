@@ -166,7 +166,8 @@ OocGemmStats outer_product_recursive_impl(Device& dev, const Operand& a,
   bres.owned.reset();
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
+  stats.trace_begin = graph.window_begin();
+  stats.trace_end = dev.trace().size();
   stats.steps = static_cast<index_t>(slabs.size());
   stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);
@@ -278,7 +279,8 @@ OocGemmStats outer_product_colwise_impl(Device& dev, const Operand& a,
   ares.owned.reset();
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
+  stats.trace_begin = graph.window_begin();
+  stats.trace_end = dev.trace().size();
   stats.steps = static_cast<index_t>(slabs.size());
   stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);
@@ -396,7 +398,8 @@ OocGemmStats outer_product_blocking_impl(Device& dev, const Operand& a,
   bres.owned.reset();
 
   OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), graph.window_begin());
+  stats.trace_begin = graph.window_begin();
+  stats.trace_end = dev.trace().size();
   stats.steps = static_cast<index_t>(tiles.size());
   stats.done = run.moved_out;
   stats.output_ready = std::move(run.output_regions);

@@ -90,6 +90,11 @@ SlabRunResult run_slab_plan(TaskGraph& g, const SlabPlan& plan) {
   const HazardKey in = pool ? g.key(static_cast<size_t>(plan.input_slots))
                             : HazardKey{};
   const HazardKey out = g.key(static_cast<size_t>(out_keys));
+  // Room for every node of the loop up front: growing by doubling would
+  // move each node, std::function and all, once per doubling.
+  const index_t nodes = plan.steps * (plan.move_in_output ? 3 : 2) +
+                        (plan.move_out ? groups : 0);
+  g.reserve_nodes(static_cast<size_t>(nodes));
 
   SlabRunResult r;
   // Move-out nodes whose group has an output region, in region order.

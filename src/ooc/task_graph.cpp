@@ -184,6 +184,13 @@ HazardKey TaskGraph::key(size_t count) {
   return first;
 }
 
+void TaskGraph::reserve_nodes(size_t count) {
+  const size_t needed = nodes_.size() + count;
+  if (needed <= nodes_.capacity()) return;
+  nodes_.reserve(nodes_.empty() ? needed
+                                : std::max(needed, 2 * nodes_.capacity()));
+}
+
 TaskId TaskGraph::add(TaskStage stage, TaskLabel label,
                       std::function<void(TaskCtx&)> body,
                       std::initializer_list<Access> accesses,

@@ -191,6 +191,12 @@ class TaskGraph {
   /// keys handed out together (key + i names the i-th).
   HazardKey key(size_t count = 1);
 
+  /// Makes room for `count` more nodes, so adding them moves no node. A
+  /// graph that already holds nodes grows to at least twice its capacity,
+  /// so a long-lived graph that reserves once per plan still reallocates
+  /// only geometrically often.
+  void reserve_nodes(size_t count);
+
   /// Adds a node whose deps follow from its declared accesses:
   /// - a read waits the key's last writer (RAW);
   /// - a write waits the key's readers since that write (WAR), or, when

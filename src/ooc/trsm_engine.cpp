@@ -179,13 +179,13 @@ OocGemmStats ooc_trsm(Device& dev, TriSolveKind kind, HostConstRef t,
         "ooc_trsm: b_in and b_out must alias (in-place solve)");
   }
 
-  const size_t window_begin = dev.trace().size();
+  OocGemmStats stats;
+  stats.trace_begin = dev.trace().size();
   sim::TraceSpan span(dev, "ooc_trsm");
   Event done = trsm_recurse(dev, kind, t, b_in, b_out, 0, t.rows, Event{},
                             opts);
 
-  OocGemmStats stats;
-  stats.summary = sim::summarize(dev.trace(), window_begin);
+  stats.trace_end = dev.trace().size();
   stats.done = done;
   stats.device_result_ready = done;
   stats.steps = (t.rows + opts.blocksize - 1) / std::max<index_t>(opts.blocksize, 1);

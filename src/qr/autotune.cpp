@@ -33,7 +33,8 @@ TuneResult tune_blocksize(const sim::DeviceSpec& spec, index_t m, index_t n,
   for (const index_t b : candidates) {
     TunePoint point;
     point.blocksize = b;
-    sim::Device dev(spec, sim::ExecutionMode::Phantom);
+    sim::Device dev(spec, sim::ExecutionMode::Phantom, nullptr,
+                    sim::Recording::Totals);
     dev.model().install_paper_calibration();
     try {
       auto a = sim::HostMutRef::phantom(m, n);

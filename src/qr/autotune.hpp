@@ -5,6 +5,10 @@
 // argmin" — no measurement noise, no hardware time. This is the practical
 // payoff of the simulator for a library user: ask the model which blocksize
 // to use for a given device and problem before touching real data.
+//
+// Each candidate runs on a fresh Phantom device that records totals, not
+// events (sim::Recording::Totals): the sweep reads only the makespan and
+// the peak, so it stores no event and opens no phase span.
 #pragma once
 
 #include <vector>

@@ -245,7 +245,7 @@ QrStats run_tsqr(const std::vector<Device*>& devices, HostMutRef a,
                                   opts.transfer_backoff_seconds);
       // The merged R is host-visible at the d2h's end; that timestamp is
       // the parent node's ready edge (no per-pair barrier in overlap mode).
-      sim_time_t merged_ready = dev.trace().events().back().end;
+      sim_time_t merged_ready = dev.trace().last_event_end();
       dev.free(stacked);
       dev.free(merged);
       if (!overlap) {
@@ -321,7 +321,7 @@ QrStats run_tsqr(const std::vector<Device*>& devices, HostMutRef a,
                                          blas::GemmPrecision::FP32),
             static_cast<flops_t>(4.0 * nf * nf * nf), sim::OpKind::Gemm,
             sim::op_name("tsqr coef split ", n, "x", n));
-        sim_time_t split_done = dev.trace().events().back().end;
+        sim_time_t split_done = dev.trace().last_event_end();
         if (!overlap) {
           dev.synchronize();
           devices[c1.dev]->advance_host_clock(dev.now());

@@ -108,7 +108,8 @@ Quote dry_run(const QuoteKey& key, const AdmissionConfig& cfg) {
       std::vector<sim::Device*> ptrs;
       for (int i = 0; i < key.devices; ++i) {
         fleet.push_back(std::make_unique<sim::Device>(
-            cfg.spec, sim::ExecutionMode::Phantom, link));
+            cfg.spec, sim::ExecutionMode::Phantom, link,
+            sim::Recording::Totals));
         if (cfg.paper_calibration) {
           fleet.back()->model().install_paper_calibration();
         }
@@ -122,7 +123,8 @@ Quote dry_run(const QuoteKey& key, const AdmissionConfig& cfg) {
         q.budget_peak_bytes = std::max(q.budget_peak_bytes, dev->memory_peak());
       }
     } else {
-      sim::Device dev(cfg.spec, sim::ExecutionMode::Phantom);
+      sim::Device dev(cfg.spec, sim::ExecutionMode::Phantom, nullptr,
+                      sim::Recording::Totals);
       if (cfg.paper_calibration) dev.model().install_paper_calibration();
       const qr::QrStats stats =
           qr::factorize(qr::QrProblem{{&dev}, a, r, key.algorithm, opts});

@@ -13,7 +13,9 @@
 // comes in two halves: dry_run() turns a key into a Quote, which
 // serve::Scheduler memoizes so each distinct key is simulated once, and
 // decide() applies the per-job checks (admission budget, deadline) to it.
-// admit_job() is the two halves with no memo.
+// admit_job() is the two halves with no memo. The phantom devices record
+// totals, not events (sim::Recording::Totals): a quote reads only the
+// makespan, the peaks and the whole-run QrStats.
 #pragma once
 
 #include <cstddef>

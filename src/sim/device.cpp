@@ -55,9 +55,10 @@ telemetry::Counter& gemm_flops_counter(const GemmDims& d) {
 } // namespace
 
 Device::Device(DeviceSpec spec, ExecutionMode mode,
-               std::shared_ptr<SharedHostLink> shared_link)
+               std::shared_ptr<SharedHostLink> shared_link,
+               Recording recording)
     : model_(std::move(spec)), mode_(mode),
-      allocator_(model_.spec().memory_capacity),
+      allocator_(model_.spec().memory_capacity), trace_(recording),
       shared_link_(std::move(shared_link)) {}
 
 void Device::install_faults(const FaultPlan& plan) {

@@ -172,8 +172,11 @@ struct SharedHostLink {
 
 class Device {
  public:
+  /// `recording` chooses what trace() keeps (sim/trace.hpp): every event,
+  /// or only the totals a dry run reads.
   Device(DeviceSpec spec, ExecutionMode mode,
-         std::shared_ptr<SharedHostLink> shared_link = nullptr);
+         std::shared_ptr<SharedHostLink> shared_link = nullptr,
+         Recording recording = Recording::Events);
 
   const DeviceSpec& spec() const { return model_.spec(); }
   ExecutionMode mode() const { return mode_; }

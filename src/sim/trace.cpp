@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -31,173 +32,19 @@ struct TraceMetrics {
         reg.counter("sim.trace_events")};
     return *m;
   }
-};
 
-/// Where a destroyed trace leaves its event buffer for the next trace on its
-/// thread. Made by the first trace that grows on the thread; `state` is a
-/// plain thread-local, still readable after the spare itself was destroyed
-/// at thread exit, so a trace destroyed later (a static Device at process
-/// exit) frees its buffer instead of touching the dead spare.
-enum class SpareState : unsigned char { Unmade, Live, Gone };
-
-struct SpareEvents {
-  explicit SpareEvents(SpareState& s) : state(s) { state = SpareState::Live; }
-  ~SpareEvents() { state = SpareState::Gone; }
-  SpareEvents(const SpareEvents&) = delete;
-  SpareEvents& operator=(const SpareEvents&) = delete;
-
-  SpareState& state;
-  std::vector<TraceEvent> events; ///< empty; only its capacity matters
-};
-
-/// This thread's spare buffer, or null once it is gone (or, without
-/// `make`, before it was made).
-std::vector<TraceEvent>* spare_events(bool make) {
-  thread_local SpareState state = SpareState::Unmade;
-  if (state == SpareState::Gone || (!make && state == SpareState::Unmade)) {
-    return nullptr;
-  }
-  thread_local SpareEvents spare(state);
-  return &spare.events;
-}
-
-} // namespace
-
-const char* to_string(Resource r) {
-  switch (r) {
-    case Resource::H2D: return "H2D";
-    case Resource::Compute: return "Compute";
-    case Resource::D2H: return "D2H";
-  }
-  return "?";
-}
-
-const char* to_string(OpKind k) {
-  switch (k) {
-    case OpKind::CopyH2D: return "copy_h2d";
-    case OpKind::CopyD2H: return "copy_d2h";
-    case OpKind::CopyD2D: return "copy_d2d";
-    case OpKind::Gemm: return "gemm";
-    case OpKind::Trsm: return "trsm";
-    case OpKind::Panel: return "panel_qr";
-    case OpKind::Custom: return "custom";
-  }
-  return "?";
-}
-
-Trace::~Trace() {
-  std::vector<TraceEvent>* spare = spare_events(false);
-  if (spare != nullptr && events_.capacity() > spare->capacity()) {
-    events_.clear();
-    spare->swap(events_); // the smaller old spare is freed with events_
-  }
-}
-
-void Trace::grow() {
-  std::vector<TraceEvent>* spare = spare_events(true);
-  if (spare == nullptr) return;
-  const size_t capacity = events_.capacity();
-  const size_t spare_capacity = spare->capacity();
-  // The next doubling would allocate 2x; a spare of 2x to 4x serves it
-  // without pinning a huge buffer to a small trace.
-  if (capacity == 0 || spare_capacity < 2 * capacity ||
-      spare_capacity > 4 * capacity) {
-    return;
-  }
-  spare->assign(events_.begin(), events_.end());
-  events_.swap(*spare);
-  *spare = std::vector<TraceEvent>();
-}
-
-void Trace::add(const TraceEvent& event) {
-  ROCQR_CHECK(event.end >= event.start, "Trace::add: negative duration");
-  TraceMetrics& metrics = TraceMetrics::get();
-  switch (event.kind) {
-    case OpKind::CopyH2D:
-      bytes_h2d_ += event.bytes;
-      metrics.bytes_h2d.add(event.bytes);
-      break;
-    case OpKind::CopyD2H:
-      bytes_d2h_ += event.bytes;
-      metrics.bytes_d2h.add(event.bytes);
-      break;
-    case OpKind::CopyD2D:
-      bytes_d2d_ += event.bytes;
-      metrics.bytes_d2d.add(event.bytes);
-      break;
-    default: break;
-  }
-  flops_ += event.flops;
-  makespan_ = std::max(makespan_, event.end);
-  metrics.flops.add(event.flops);
-  metrics.events.increment();
-  if (events_.size() == events_.capacity()) grow();
-  events_.push_back(event);
-}
-
-void Trace::clear() {
-  events_.clear();
-  makespan_ = 0;
-  bytes_h2d_ = bytes_d2h_ = bytes_d2d_ = 0;
-  flops_ = 0;
-}
-
-sim_time_t Trace::busy_seconds(Resource r) const {
-  sim_time_t total = 0;
-  for (const auto& e : events_) {
-    if (e.resource == r) total += e.end - e.start;
-  }
-  return total;
-}
-
-double Trace::overlap_ratio() const {
-  const double copy_time = busy_seconds(Resource::H2D) + busy_seconds(Resource::D2H);
-  if (copy_time <= 0) return 1.0;
-  const double exposed = makespan() - busy_seconds(Resource::Compute);
-  return std::clamp(1.0 - exposed / copy_time, 0.0, 1.0);
-}
-
-std::string Trace::render_gantt(int width) const {
-  ROCQR_CHECK(width >= 10, "render_gantt: width too small");
-  const sim_time_t total = makespan();
-  std::ostringstream os;
-  if (total <= 0 || events_.empty()) {
-    os << "(empty trace)\n";
-    return os.str();
-  }
-  const char kind_char[] = {'h', 'd', 'x', 'G', 'T', 'P', 'c'};
-  const Resource lanes[] = {Resource::H2D, Resource::Compute, Resource::D2H};
-  for (Resource lane : lanes) {
-    std::string row(static_cast<size_t>(width), '.');
-    for (const auto& e : events_) {
-      if (e.resource != lane) continue;
-      int c0 = static_cast<int>(std::floor(e.start / total * width));
-      int c1 = static_cast<int>(std::ceil(e.end / total * width));
-      c0 = std::clamp(c0, 0, width - 1);
-      c1 = std::clamp(c1, c0 + 1, width);
-      const char ch = kind_char[static_cast<int>(e.kind)];
-      for (int c = c0; c < c1; ++c) row[static_cast<size_t>(c)] = ch;
+  /// Counts one event of an Events trace as it is added.
+  void count(const TraceEvent& e) {
+    switch (e.kind) {
+      case OpKind::CopyH2D: bytes_h2d.add(e.bytes); break;
+      case OpKind::CopyD2H: bytes_d2h.add(e.bytes); break;
+      case OpKind::CopyD2D: bytes_d2d.add(e.bytes); break;
+      default: break;
     }
-    os << pad_right(to_string(lane), 8) << "|" << row << "|\n";
+    flops.add(e.flops);
+    events.increment();
   }
-  os << pad_right("", 8) << " 0" << pad_left(format_seconds(total), width - 2)
-     << "\n";
-  os << "  h=move-in  G=gemm  T=trsm  P=panel  x=device copy  d=move-out\n";
-  os << "  makespan " << format_seconds(total) << ", compute busy "
-     << format_seconds(busy_seconds(Resource::Compute)) << ", H2D busy "
-     << format_seconds(busy_seconds(Resource::H2D)) << ", D2H busy "
-     << format_seconds(busy_seconds(Resource::D2H)) << ", overlap "
-     << format_fixed(100.0 * overlap_ratio(), 1) << "%\n";
-  return os.str();
-}
-
-void Trace::write_chrome_json(std::ostream& os) const {
-  // Full exporter (engine + stream tracks, span tree) lives in
-  // sim/trace_export.cpp; this member is the spanless convenience form.
-  write_chrome_trace(os, *this, nullptr);
-}
-
-namespace {
+};
 
 /// Adds one event to `s`; the first event (s.events == 0) opens the window.
 void accumulate(EngineStats& s, const TraceEvent& e) {
@@ -241,8 +88,157 @@ void close_window(EngineStats& s) {
 
 } // namespace
 
+const char* to_string(Resource r) {
+  switch (r) {
+    case Resource::H2D: return "H2D";
+    case Resource::Compute: return "Compute";
+    case Resource::D2H: return "D2H";
+  }
+  return "?";
+}
+
+const char* to_string(OpKind k) {
+  switch (k) {
+    case OpKind::CopyH2D: return "copy_h2d";
+    case OpKind::CopyD2H: return "copy_d2h";
+    case OpKind::CopyD2D: return "copy_d2d";
+    case OpKind::Gemm: return "gemm";
+    case OpKind::Trsm: return "trsm";
+    case OpKind::Panel: return "panel_qr";
+    case OpKind::Custom: return "custom";
+  }
+  return "?";
+}
+
+Trace::~Trace() { flush_counters(); }
+
+Trace::Trace(Trace&& other) noexcept : recording_(other.recording_) {
+  *this = std::move(other);
+}
+
+Trace& Trace::operator=(Trace&& other) noexcept {
+  if (this != &other) {
+    flush_counters();
+    recording_ = other.recording_;
+    events_ = std::move(other.events_);
+    other.events_.clear();
+    run_ = std::exchange(other.run_, Running{});
+  }
+  return *this;
+}
+
+void Trace::flush_counters() const {
+  if (recording_ != Recording::Totals || run_.count == 0) return;
+  TraceMetrics& metrics = TraceMetrics::get();
+  metrics.bytes_h2d.add(run_.bytes_h2d);
+  metrics.bytes_d2h.add(run_.bytes_d2h);
+  metrics.bytes_d2d.add(run_.bytes_d2d);
+  metrics.flops.add(run_.flops);
+  metrics.events.add(static_cast<std::int64_t>(run_.count));
+}
+
+void Trace::add(const TraceEvent& event) {
+  ROCQR_CHECK(event.end >= event.start, "Trace::add: negative duration");
+  switch (event.kind) {
+    case OpKind::CopyH2D: run_.bytes_h2d += event.bytes; break;
+    case OpKind::CopyD2H: run_.bytes_d2h += event.bytes; break;
+    case OpKind::CopyD2D: run_.bytes_d2d += event.bytes; break;
+    default: break;
+  }
+  run_.flops += event.flops;
+  run_.makespan = std::max(run_.makespan, event.end);
+  run_.last_event_end = event.end;
+  ++run_.count;
+  if (recording_ == Recording::Totals) {
+    accumulate(run_.totals, event);
+  } else {
+    TraceMetrics::get().count(event);
+    events_.push_back(event);
+  }
+}
+
+void Trace::clear() {
+  flush_counters();
+  events_.clear();
+  run_ = Running{};
+}
+
+const std::vector<TraceEvent>& Trace::events() const {
+  ROCQR_CHECK(recording_ == Recording::Events,
+              "Trace::events: a Totals trace keeps no events");
+  return events_;
+}
+
+EngineStats Trace::whole_totals(size_t from, size_t to,
+                                std::string_view name_prefix) const {
+  ROCQR_CHECK(from == 0 && to >= run_.count && name_prefix.empty(),
+              "engine_stats_from_trace: a Totals trace answers only the "
+              "whole trace with no name prefix");
+  EngineStats s = run_.totals;
+  close_window(s);
+  return s;
+}
+
+sim_time_t Trace::busy_seconds(Resource r) const {
+  sim_time_t total = 0;
+  for (const auto& e : events()) {
+    if (e.resource == r) total += e.end - e.start;
+  }
+  return total;
+}
+
+double Trace::overlap_ratio() const {
+  const double copy_time = busy_seconds(Resource::H2D) + busy_seconds(Resource::D2H);
+  if (copy_time <= 0) return 1.0;
+  const double exposed = makespan() - busy_seconds(Resource::Compute);
+  return std::clamp(1.0 - exposed / copy_time, 0.0, 1.0);
+}
+
+std::string Trace::render_gantt(int width) const {
+  ROCQR_CHECK(width >= 10, "render_gantt: width too small");
+  const sim_time_t total = makespan();
+  std::ostringstream os;
+  if (total <= 0 || events().empty()) {
+    os << "(empty trace)\n";
+    return os.str();
+  }
+  const char kind_char[] = {'h', 'd', 'x', 'G', 'T', 'P', 'c'};
+  const Resource lanes[] = {Resource::H2D, Resource::Compute, Resource::D2H};
+  for (Resource lane : lanes) {
+    std::string row(static_cast<size_t>(width), '.');
+    for (const auto& e : events_) {
+      if (e.resource != lane) continue;
+      int c0 = static_cast<int>(std::floor(e.start / total * width));
+      int c1 = static_cast<int>(std::ceil(e.end / total * width));
+      c0 = std::clamp(c0, 0, width - 1);
+      c1 = std::clamp(c1, c0 + 1, width);
+      const char ch = kind_char[static_cast<int>(e.kind)];
+      for (int c = c0; c < c1; ++c) row[static_cast<size_t>(c)] = ch;
+    }
+    os << pad_right(to_string(lane), 8) << "|" << row << "|\n";
+  }
+  os << pad_right("", 8) << " 0" << pad_left(format_seconds(total), width - 2)
+     << "\n";
+  os << "  h=move-in  G=gemm  T=trsm  P=panel  x=device copy  d=move-out\n";
+  os << "  makespan " << format_seconds(total) << ", compute busy "
+     << format_seconds(busy_seconds(Resource::Compute)) << ", H2D busy "
+     << format_seconds(busy_seconds(Resource::H2D)) << ", D2H busy "
+     << format_seconds(busy_seconds(Resource::D2H)) << ", overlap "
+     << format_fixed(100.0 * overlap_ratio(), 1) << "%\n";
+  return os.str();
+}
+
+void Trace::write_chrome_json(std::ostream& os) const {
+  // Full exporter (engine + stream tracks, span tree) lives in
+  // sim/trace_export.cpp; this member is the spanless convenience form.
+  write_chrome_trace(os, *this, nullptr);
+}
+
 EngineStats engine_stats_from_trace(const Trace& trace, size_t from,
                                     size_t to, std::string_view name_prefix) {
+  if (trace.recording() == Recording::Totals) {
+    return trace.whole_totals(from, to, name_prefix);
+  }
   const auto& events = trace.events();
   to = std::min(to, events.size());
   EngineStats s;
@@ -257,9 +253,15 @@ EngineStats engine_stats_from_trace(const Trace& trace, size_t from,
 std::vector<EngineStats> engine_stats_by_prefix(
     const Trace& trace, size_t from, size_t to,
     std::span<const std::string_view> prefixes) {
+  std::vector<EngineStats> stats(prefixes.size());
+  if (trace.recording() == Recording::Totals) {
+    for (size_t p = 0; p < prefixes.size(); ++p) {
+      stats[p] = trace.whole_totals(from, to, prefixes[p]);
+    }
+    return stats;
+  }
   const auto& events = trace.events();
   to = std::min(to, events.size());
-  std::vector<EngineStats> stats(prefixes.size());
   for (size_t i = from; i < to; ++i) {
     const TraceEvent& e = events[i];
     const std::string_view name = e.name.view();
@@ -273,7 +275,7 @@ std::vector<EngineStats> engine_stats_by_prefix(
 
 void Trace::write_csv(std::ostream& os) const {
   os << "id,name,kind,resource,stream,start,end,bytes,flops\n";
-  for (const auto& e : events_) {
+  for (const auto& e : events()) {
     os << e.id << "," << e.name << "," << to_string(e.kind) << ","
        << to_string(e.resource) << "," << e.stream << "," << e.start << ","
        << e.end << "," << e.bytes << "," << e.flops << "\n";

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 
 #include "common/telemetry.hpp"
 #include "sim/device.hpp"
@@ -33,14 +34,20 @@ void write_chrome_trace(std::ostream& os, const Trace& trace,
 ///   { TraceSpan span(dev, "qr.panel"); ... enqueue panel ops ... }
 ///
 /// Spans land in telemetry::SpanLog::global(); nesting follows C++ scope.
+/// Over a Totals trace the span records nothing: its window would index
+/// events the trace does not keep.
 class TraceSpan {
  public:
-  TraceSpan(const Device& dev, std::string name)
-      : span_(std::move(name),
-              [&dev] { return static_cast<std::uint64_t>(dev.trace().size()); }) {}
+  TraceSpan(const Device& dev, std::string name) {
+    if (dev.trace().recording() == Recording::Events) {
+      span_.emplace(std::move(name), [&dev] {
+        return static_cast<std::uint64_t>(dev.trace().size());
+      });
+    }
+  }
 
  private:
-  telemetry::Span span_;
+  std::optional<telemetry::Span> span_;
 };
 
 } // namespace rocqr::sim

@@ -62,8 +62,10 @@ TEST(OuterColwise, MatchesHostGemm) {
              a.ld(), b.data(), b.ld(), 1.0f, expected.data(), expected.ld());
   EXPECT_LT(la::relative_difference(c.view(), expected.view()), 1e-4);
   // A once; B and C column slabs once each.
-  EXPECT_EQ(stats.summary.bytes_h2d, (m * k + k * n + m * n) * 4);
-  EXPECT_EQ(stats.summary.bytes_d2h, m * n * 4);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_h2d, (m * k + k * n + m * n) * 4);
+  EXPECT_EQ(window.bytes_d2h, m * n * 4);
   EXPECT_EQ(dev.live_allocations(), 0);
 }
 
@@ -477,7 +479,9 @@ TEST(OuterRecursive, UpperTrapezoidSlabs) {
   EXPECT_FLOAT_EQ(c(n - 1, 0), c0(n - 1, 0)); // lower triangle untouched
   // C traffic is the trapezoid ((96+64+32)*32 columns-by-rows), not n^2.
   const bytes_t trapezoid = (96 + 64 + 32) * 32 * 4;
-  EXPECT_EQ(stats.summary.bytes_d2h, trapezoid);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_d2h, trapezoid);
   // Rectangular C must be rejected in this mode.
   la::Matrix rect(n, n + 8);
   EXPECT_THROW(ooc::outer_product_recursive(

@@ -80,8 +80,10 @@ TEST_P(InnerRecursiveTest, MatchesHostGemm) {
   la::Matrix expected = host_inner_reference(a, b, prec);
   EXPECT_LT(la::relative_difference(c.view(), expected.view()),
             tolerance(prec, k));
-  EXPECT_EQ(stats.summary.bytes_h2d, (k * m + k * n) * 4);
-  EXPECT_EQ(stats.summary.bytes_d2h, m * n * 4);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_h2d, (k * m + k * n) * 4);
+  EXPECT_EQ(window.bytes_d2h, m * n * 4);
   EXPECT_GT(stats.steps, 0);
   EXPECT_EQ(dev.live_allocations(), 0); // engine cleaned up
 }
@@ -135,7 +137,9 @@ TEST(InnerRecursive, CPanelSplitMatchesAndRestreamsA) {
   la::Matrix expected = host_inner_reference(a, b, GemmPrecision::FP32);
   EXPECT_LT(la::relative_difference(c.view(), expected.view()), 1e-4);
   // A re-streamed once per C panel; B exactly once.
-  EXPECT_EQ(stats.summary.bytes_h2d, (4 * k * m + k * n) * 4);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_h2d, (4 * k * m + k * n) * 4);
   EXPECT_EQ(stats.output_ready.size(), 4u);
   // keep_c is incompatible with a split accumulator.
   DeviceMatrix kept;
@@ -230,8 +234,10 @@ TEST_P(InnerBlockingTest, MatchesHostGemm) {
             tolerance(prec, k));
   // B streamed once; A moved only when not resident.
   const bytes_t expected_h2d = (k * n + (resident ? 0 : k * m)) * 4;
-  EXPECT_EQ(stats.summary.bytes_h2d, expected_h2d);
-  EXPECT_EQ(stats.summary.bytes_d2h, m * n * 4);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_h2d, expected_h2d);
+  EXPECT_EQ(window.bytes_d2h, m * n * 4);
   if (resident) dev.free(a_dev);
   EXPECT_EQ(dev.live_allocations(), 0);
 }
@@ -312,11 +318,13 @@ TEST_P(OuterRecursiveTest, MatchesHostGemm) {
             tolerance(prec, k));
   // A and C stream once each in; B only when not resident; C streams out.
   const bytes_t expected_h2d = (m * k + m * n + (resident ? 0 : k * n)) * 4;
-  EXPECT_EQ(stats.summary.bytes_h2d, expected_h2d);
-  EXPECT_EQ(stats.summary.bytes_d2h, m * n * 4);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_h2d, expected_h2d);
+  EXPECT_EQ(window.bytes_d2h, m * n * 4);
   // The staging optimization is pure buffer rotation: no PCIe or on-device
   // copies beyond the one-in/one-out minimum in either mode.
-  EXPECT_EQ(stats.summary.bytes_d2d, 0);
+  EXPECT_EQ(window.bytes_d2d, 0);
   // Row-slab region events tile the full height.
   index_t covered = 0;
   for (const auto& re : stats.output_ready) {
@@ -406,8 +414,10 @@ TEST_P(OuterBlockingTest, MatchesHostGemm) {
   EXPECT_LT(la::relative_difference(c.view(), expected.view()),
             tolerance(prec, k));
   // A, B in once; C tiles in and out exactly once.
-  EXPECT_EQ(stats.summary.bytes_h2d, (m * k + k * n + m * n) * 4);
-  EXPECT_EQ(stats.summary.bytes_d2h, m * n * 4);
+  const sim::TraceSummary window =
+      sim::summarize(dev.trace(), stats.trace_begin, stats.trace_end);
+  EXPECT_EQ(window.bytes_h2d, (m * k + k * n + m * n) * 4);
+  EXPECT_EQ(window.bytes_d2h, m * n * 4);
   const index_t row_tiles = (m + b1 - 1) / b1;
   const index_t col_tiles = (n + b2 - 1) / b2;
   EXPECT_EQ(stats.steps, row_tiles * col_tiles);

@@ -1,16 +1,27 @@
-// Blocksize autotuning (phantom dry runs) and mixed-precision iterative
+// Blocksize autotuning (phantom dry runs), the Totals recording the dry
+// runs use against the Events one, and mixed-precision iterative
 // refinement.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "la/generate.hpp"
 #include "la/norms.hpp"
 #include "qr/autotune.hpp"
+#include "qr/blocking_qr.hpp"
+#include "qr/checkpoint.hpp"
+#include "qr/factorize.hpp"
+#include "qr/recursive_qr.hpp"
 #include "qr/refine.hpp"
 #include "sim/device.hpp"
+#include "stats_equal.hpp"
 
 namespace rocqr::qr {
 namespace {
@@ -114,6 +125,118 @@ TEST(Autotune, RejectsBadArguments) {
   EXPECT_THROW(tune_blocksize(sim::DeviceSpec::v100_32gb(), 64, 64, true,
                               QrOptions{}, 128, 64),
                InvalidArgument);
+}
+
+using rocqr::testing::expect_same_stats;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Drops every checkpoint, as admission's dry runs do.
+class DiscardingSink : public CheckpointSink {
+ public:
+  void write(const Checkpoint&) override {}
+};
+
+/// A Phantom run of `algorithm` at 32768x8192, b = 1024, on `devices`
+/// fresh paper-calibrated V100s that record `recording`.
+struct DryRun {
+  QrStats stats;
+  std::vector<bytes_t> peaks;
+  std::vector<size_t> events;
+};
+
+DryRun dry_run(sim::Recording recording, Algorithm algorithm, int devices) {
+  std::vector<std::unique_ptr<sim::Device>> fleet;
+  std::vector<sim::Device*> ptrs;
+  for (int d = 0; d < devices; ++d) {
+    fleet.push_back(std::make_unique<sim::Device>(
+        sim::DeviceSpec::v100_32gb(), sim::ExecutionMode::Phantom, nullptr,
+        recording));
+    fleet.back()->model().install_paper_calibration();
+    ptrs.push_back(fleet.back().get());
+  }
+  DiscardingSink sink;
+  QrOptions opts;
+  opts.blocksize = 1024;
+  if (algorithm == Algorithm::Tsqr) opts.checkpoint_sink = &sink;
+  DryRun run;
+  run.stats = factorize(QrProblem{ptrs, sim::HostMutRef::phantom(32768, 8192),
+                                  sim::HostMutRef::phantom(8192, 8192),
+                                  algorithm, opts});
+  for (const auto& dev : fleet) {
+    run.peaks.push_back(dev->memory_peak());
+    run.events.push_back(dev->trace().size());
+  }
+  return run;
+}
+
+TEST(DryRunRecording, TotalsDevicesGiveEveryDriversStatsBitForBit) {
+  const struct {
+    Algorithm algorithm;
+    int devices;
+  } cases[] = {{Algorithm::Recursive, 1},
+               {Algorithm::Blocking, 1},
+               {Algorithm::LeftLooking, 1},
+               {Algorithm::Tiled, 1},
+               {Algorithm::Tsqr, 2}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(to_string(c.algorithm));
+    const DryRun events =
+        dry_run(sim::Recording::Events, c.algorithm, c.devices);
+    const DryRun totals =
+        dry_run(sim::Recording::Totals, c.algorithm, c.devices);
+    EXPECT_GT(events.stats.events, 100);
+    expect_same_stats(totals.stats, events.stats);
+    EXPECT_EQ(totals.peaks, events.peaks);
+    EXPECT_EQ(totals.events, events.events);
+  }
+}
+
+TEST(DryRunRecording, TuneSweepEqualsTheSweepRunOnEventDevices) {
+  // The sweep runs on Totals devices; by hand, every candidate runs on an
+  // Events device: same seconds (bit for bit), fits and peaks.
+  const sim::DeviceSpec spec = sim::DeviceSpec::v100_32gb();
+  for (const bool recursive : {true, false}) {
+    SCOPED_TRACE(recursive ? "recursive" : "blocking");
+    const TuneResult tuned = tune_blocksize(spec, 131072, 131072, recursive);
+    ASSERT_EQ(tuned.sweep.size(), 7u); // b = 1024 ... 65536
+    index_t b = 1024;
+    for (const TunePoint& p : tuned.sweep) {
+      SCOPED_TRACE(b);
+      EXPECT_EQ(p.blocksize, b);
+      sim::Device dev(spec, sim::ExecutionMode::Phantom);
+      dev.model().install_paper_calibration();
+      QrOptions opts;
+      opts.blocksize = b;
+      const auto a = sim::HostMutRef::phantom(131072, 131072);
+      const auto r = sim::HostMutRef::phantom(131072, 131072);
+      try {
+        const QrStats stats = recursive ? detail::run_recursive(dev, a, r, opts)
+                                        : detail::run_blocking(dev, a, r, opts);
+        EXPECT_TRUE(p.fits);
+        EXPECT_EQ(bits(p.seconds), bits(stats.total_seconds));
+        EXPECT_EQ(p.peak_bytes, stats.peak_device_bytes);
+      } catch (const DeviceOutOfMemory&) {
+        EXPECT_FALSE(p.fits);
+        EXPECT_EQ(p.peak_bytes, dev.memory_peak());
+      }
+      b *= 2;
+    }
+  }
+}
+
+TEST(DryRunRecording, TuneSweepOpensNoSpans) {
+  // A factorization on an Events device opens phase spans; the sweep's
+  // Totals devices open none.
+  auto& log = telemetry::SpanLog::global();
+  const size_t before = log.snapshot().size();
+  dry_run(sim::Recording::Events, Algorithm::Recursive, 1);
+  EXPECT_GT(log.snapshot().size(), before);
+  const size_t after_events = log.snapshot().size();
+  const TuneResult r =
+      tune_blocksize(sim::DeviceSpec::v100_32gb(), 32768, 8192, true);
+  EXPECT_EQ(r.sweep.size(), 4u);
+  EXPECT_EQ(log.snapshot().size(), after_events);
 }
 
 TEST(Refine, RecoversFp32AccuracyFromFp16Factorization) {

@@ -10,7 +10,6 @@
 
 #include "leak_check.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -26,10 +25,12 @@
 #include "qr/tiled_qr.hpp"
 #include "sim/device.hpp"
 #include "sim/faults.hpp"
+#include "stats_equal.hpp"
 
 namespace rocqr {
 namespace {
 
+using rocqr::testing::expect_same_stats;
 using sim::Device;
 using sim::ExecutionMode;
 
@@ -147,27 +148,6 @@ TEST(MixedBatch, ColocationDoesNotPerturbAnyJobsNumerics) {
     EXPECT_GT(s.bytes_h2d, 0);
     EXPECT_GT(s.total_seconds, 0.0);
   }
-}
-
-/// Bitwise field-by-field equality of two stats windows.
-void expect_same_stats(const qr::QrStats& a, const qr::QrStats& b) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  EXPECT_EQ(bits(a.first_start), bits(b.first_start));
-  EXPECT_EQ(bits(a.last_end), bits(b.last_end));
-  EXPECT_EQ(bits(a.total_seconds), bits(b.total_seconds));
-  EXPECT_EQ(bits(a.h2d_seconds), bits(b.h2d_seconds));
-  EXPECT_EQ(bits(a.d2h_seconds), bits(b.d2h_seconds));
-  EXPECT_EQ(bits(a.compute_seconds), bits(b.compute_seconds));
-  EXPECT_EQ(bits(a.panel_seconds), bits(b.panel_seconds));
-  EXPECT_EQ(bits(a.gemm_seconds), bits(b.gemm_seconds));
-  EXPECT_EQ(bits(a.d2d_seconds), bits(b.d2d_seconds));
-  EXPECT_EQ(a.bytes_h2d, b.bytes_h2d);
-  EXPECT_EQ(a.bytes_d2h, b.bytes_d2h);
-  EXPECT_EQ(a.bytes_d2d, b.bytes_d2d);
-  EXPECT_EQ(a.flops, b.flops);
-  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes);
-  EXPECT_EQ(a.panels, b.panels);
-  EXPECT_EQ(a.events, b.events);
 }
 
 TEST(MixedBatch, OnePassAttributionEqualsPerLabelDerivation) {

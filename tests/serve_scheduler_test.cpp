@@ -24,10 +24,12 @@
 #include "qr/tiled_qr.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/device.hpp"
+#include "stats_equal.hpp"
 
 namespace rocqr {
 namespace {
 
+using rocqr::testing::expect_same_stats;
 using serve::AdmissionDecision;
 using serve::FleetReport;
 using serve::JobReport;
@@ -190,6 +192,24 @@ TEST(ServeAdmission, DryRunLeavesThePlanLogEmpty) {
   }
   EXPECT_TRUE(log.text.empty()) << log.text;
   EXPECT_TRUE(log.dot.empty());
+}
+
+TEST(ServeAdmission, DryRunsOpenNoSpans) {
+  // Admission's phantom devices keep totals only, so a serve process keeps
+  // no span of any quote, autotuned or tsqr.
+  serve::AdmissionConfig cfg;
+  cfg.spec = sim::DeviceSpec::v100_32gb();
+  cfg.devices = 2;
+  auto& log = telemetry::SpanLog::global();
+  const size_t before = log.snapshot().size();
+  const JobSpec jobs[] = {memo_job("recursive", 16384, 4096, 0),
+                          memo_job("tiled", 8192, 4096, 0),
+                          memo_job("tsqr", 65536, 2048, 0)};
+  for (const JobSpec& job : jobs) {
+    const AdmissionDecision d = serve::admit_job(job, cfg);
+    EXPECT_TRUE(d.admitted) << job.algorithm << ": " << d.reason;
+  }
+  EXPECT_EQ(log.snapshot().size(), before);
 }
 
 TEST(ServeAdmissionMemo, DecisionsMatchFreshDryRuns) {
@@ -982,25 +1002,6 @@ TEST(ServeQueueWait, SimulatedWaitsAreExactDeterministicAndUnduplicated) {
 void expect_same_bits(double a, double b, const std::string& what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
       << what << ": " << a << " vs " << b;
-}
-
-void expect_same_stats(const qr::QrStats& a, const qr::QrStats& b,
-                       const std::string& what) {
-  for (double qr::QrStats::*seconds :
-       {&qr::QrStats::first_start, &qr::QrStats::last_end,
-        &qr::QrStats::total_seconds, &qr::QrStats::h2d_seconds,
-        &qr::QrStats::d2h_seconds, &qr::QrStats::compute_seconds,
-        &qr::QrStats::panel_seconds, &qr::QrStats::gemm_seconds,
-        &qr::QrStats::d2d_seconds}) {
-    expect_same_bits(a.*seconds, b.*seconds, what);
-  }
-  EXPECT_EQ(a.bytes_h2d, b.bytes_h2d) << what;
-  EXPECT_EQ(a.bytes_d2h, b.bytes_d2h) << what;
-  EXPECT_EQ(a.bytes_d2d, b.bytes_d2d) << what;
-  EXPECT_EQ(a.flops, b.flops) << what;
-  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes) << what;
-  EXPECT_EQ(a.panels, b.panels) << what;
-  EXPECT_EQ(a.events, b.events) << what;
 }
 
 /// Spans the scheduler opened since `from` whose name starts with `prefix`

@@ -1,12 +1,15 @@
 // Trace container: counters, summaries, overlap ratio, rendering, CSV; the
-// OpName value every op name and buffer label travels in; the per-thread
-// reuse of a destroyed trace's event buffer.
+// OpName value every op name and buffer label travels in; the Totals
+// recording against the Events one, bit for bit, and the process counters
+// a Totals trace adds when it is destroyed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -15,12 +18,16 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "sim/device.hpp"
 #include "sim/op_name.hpp"
 #include "sim/trace.hpp"
+#include "stats_equal.hpp"
 
 namespace rocqr::sim {
 namespace {
+
+using rocqr::testing::expect_same_stats;
 
 TraceEvent make_event(std::int64_t id, OpKind kind, Resource res,
                       sim_time_t start, sim_time_t end, bytes_t bytes = 0,
@@ -278,27 +285,6 @@ TEST(OpName, InternsLongNamesFromFourThreadsAtOnce) {
   }
 }
 
-/// Bitwise field-by-field equality of two windowed aggregates.
-void expect_same_stats(const EngineStats& a, const EngineStats& b) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  EXPECT_EQ(bits(a.first_start), bits(b.first_start));
-  EXPECT_EQ(bits(a.last_end), bits(b.last_end));
-  EXPECT_EQ(bits(a.total_seconds), bits(b.total_seconds));
-  EXPECT_EQ(bits(a.h2d_seconds), bits(b.h2d_seconds));
-  EXPECT_EQ(bits(a.d2h_seconds), bits(b.d2h_seconds));
-  EXPECT_EQ(bits(a.compute_seconds), bits(b.compute_seconds));
-  EXPECT_EQ(bits(a.panel_seconds), bits(b.panel_seconds));
-  EXPECT_EQ(bits(a.gemm_seconds), bits(b.gemm_seconds));
-  EXPECT_EQ(bits(a.d2d_seconds), bits(b.d2d_seconds));
-  EXPECT_EQ(a.bytes_h2d, b.bytes_h2d);
-  EXPECT_EQ(a.bytes_d2h, b.bytes_d2h);
-  EXPECT_EQ(a.bytes_d2d, b.bytes_d2d);
-  EXPECT_EQ(a.flops, b.flops);
-  EXPECT_EQ(a.peak_device_bytes, b.peak_device_bytes);
-  EXPECT_EQ(a.panels, b.panels);
-  EXPECT_EQ(a.events, b.events);
-}
-
 TEST(Trace, OnePassPrefixBucketsMatchPerPrefixDerivation) {
   // "ab" events count toward both "a" and "ab"; the empty prefix takes
   // everything, and a prefix no event has stays an empty window.
@@ -336,73 +322,178 @@ TEST(Trace, OnePassPrefixBucketsMatchPerPrefixDerivation) {
   EXPECT_EQ(engine_stats_by_prefix(t, 0, 8, prefixes)[4].events, 0);
 }
 
-/// Appends `n` one-second compute events to `t`.
-void fill(Trace& t, int n) {
+/// The value of the process counter `name`.
+std::int64_t counter(const char* name) {
+  return telemetry::MetricsRegistry::global().counter(name).value();
+}
+
+/// The sim.* counters a trace adds to.
+struct TraceCounters {
+  std::int64_t bytes_h2d = 0, bytes_d2h = 0, bytes_d2d = 0, flops = 0,
+               events = 0;
+
+  static TraceCounters now() {
+    return {counter("sim.bytes_h2d"), counter("sim.bytes_d2h"),
+            counter("sim.bytes_d2d"), counter("sim.flops"),
+            counter("sim.trace_events")};
+  }
+  TraceCounters operator-(const TraceCounters& o) const {
+    return {bytes_h2d - o.bytes_h2d, bytes_d2h - o.bytes_d2h,
+            bytes_d2d - o.bytes_d2d, flops - o.flops, events - o.events};
+  }
+  TraceCounters times(std::int64_t k) const {
+    return {k * bytes_h2d, k * bytes_d2h, k * bytes_d2d, k * flops,
+            k * events};
+  }
+  bool operator==(const TraceCounters&) const = default;
+};
+
+/// `n` seeded events of every kind and engine, added out of end order and
+/// with durations that do not sum exactly in floating point.
+std::vector<TraceEvent> random_events(std::uint64_t seed, int n) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const OpKind kinds[] = {OpKind::CopyH2D, OpKind::CopyD2H, OpKind::CopyD2D,
+                          OpKind::Gemm,    OpKind::Trsm,    OpKind::Panel,
+                          OpKind::Custom};
+  const Resource lanes[] = {Resource::H2D, Resource::D2H, Resource::Compute,
+                            Resource::Compute, Resource::Compute,
+                            Resource::Compute, Resource::Compute};
+  std::vector<TraceEvent> events;
   for (int i = 0; i < n; ++i) {
-    t.add(make_event(i, OpKind::Gemm, Resource::Compute, i, i + 1));
+    const size_t k = rng() % 7;
+    const double start = 100.0 * unit(rng);
+    events.push_back(make_event(i, kinds[k], lanes[k], start,
+                                start + 0.37 * unit(rng),
+                                static_cast<bytes_t>(rng() % 100000),
+                                static_cast<flops_t>(rng() % 10000000)));
+  }
+  return events;
+}
+
+TEST(Trace, TotalsRecordingMatchesEventsBitForBit) {
+  const std::vector<TraceEvent> added = random_events(20261020, 5000);
+  Trace events;
+  const TraceCounters before = TraceCounters::now();
+  for (const TraceEvent& e : added) events.add(e);
+  const TraceCounters by_events = TraceCounters::now() - before;
+  EXPECT_EQ(by_events.events, 5000);
+
+  std::optional<Trace> totals(std::in_place, Recording::Totals);
+  for (const TraceEvent& e : added) totals->add(e);
+  // Nothing reaches the process counters until the trace is destroyed.
+  EXPECT_TRUE(TraceCounters::now() - before == by_events);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(totals->recording(), Recording::Totals);
+  EXPECT_EQ(totals->size(), events.size());
+  EXPECT_EQ(bits(totals->makespan()), bits(events.makespan()));
+  EXPECT_EQ(bits(totals->last_event_end()), bits(events.events().back().end));
+  EXPECT_EQ(bits(events.last_event_end()), bits(events.events().back().end));
+  EXPECT_EQ(totals->bytes_h2d(), events.bytes_h2d());
+  EXPECT_EQ(totals->bytes_d2h(), events.bytes_d2h());
+  EXPECT_EQ(totals->bytes_d2d(), events.bytes_d2d());
+  EXPECT_EQ(totals->total_flops(), events.total_flops());
+  expect_same_stats(engine_stats_from_trace(*totals, 0),
+                    engine_stats_from_trace(events, 0));
+  expect_same_stats(engine_stats_from_trace(*totals, 0, totals->size()),
+                    engine_stats_from_trace(events, 0));
+  const std::vector<std::string_view> whole = {"", ""};
+  const std::vector<EngineStats> buckets =
+      engine_stats_by_prefix(*totals, 0, static_cast<size_t>(-1), whole);
+  ASSERT_EQ(buckets.size(), 2u);
+  for (const EngineStats& b : buckets) {
+    expect_same_stats(b, engine_stats_from_trace(events, 0));
+  }
+
+  // What a Totals trace cannot answer fails loudly.
+  EXPECT_THROW(totals->events(), InvalidArgument);
+  EXPECT_THROW(engine_stats_from_trace(*totals, 1), InvalidArgument);
+  EXPECT_THROW(engine_stats_from_trace(*totals, 0, 4999), InvalidArgument);
+  EXPECT_THROW(engine_stats_from_trace(*totals, 0, static_cast<size_t>(-1),
+                                       "op1"),
+               InvalidArgument);
+  const std::vector<std::string_view> named = {"", "op"};
+  EXPECT_THROW(
+      engine_stats_by_prefix(*totals, 0, static_cast<size_t>(-1), named),
+      InvalidArgument);
+  EXPECT_THROW(totals->busy_seconds(Resource::H2D), InvalidArgument);
+  EXPECT_THROW(totals->render_gantt(), InvalidArgument);
+  std::ostringstream csv;
+  EXPECT_THROW(totals->write_csv(csv), InvalidArgument);
+
+  // Destroyed, it adds exactly what the Events trace added event by event.
+  totals.reset();
+  EXPECT_TRUE(TraceCounters::now() - before == by_events.times(2));
+}
+
+TEST(Trace, TotalsCountsReachTheCountersOnceAcrossMovesAndClears) {
+  const std::vector<TraceEvent> added = random_events(7, 40);
+  TraceCounters one;
+  {
+    const TraceCounters before = TraceCounters::now();
+    Trace events;
+    for (const TraceEvent& e : added) events.add(e);
+    one = TraceCounters::now() - before;
+  }
+  const TraceCounters before = TraceCounters::now();
+  {
+    Trace a(Recording::Totals);
+    for (const TraceEvent& e : added) a.add(e);
+    Trace b(std::move(a)); // a is empty now, b holds the counts
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(b.size(), 40u);
+    Trace c(Recording::Totals);
+    for (const TraceEvent& e : added) c.add(e);
+    c = std::move(b); // c's own counts go to the counters first
+    EXPECT_TRUE(TraceCounters::now() - before == one);
+    Trace d(Recording::Totals);
+    for (const TraceEvent& e : added) d.add(e);
+    d.clear(); // flushes, then starts over
+    EXPECT_EQ(d.size(), 0u);
+    EXPECT_DOUBLE_EQ(d.makespan(), 0.0);
+    EXPECT_EQ(engine_stats_from_trace(d).events, 0);
+    EXPECT_TRUE(TraceCounters::now() - before == one.times(2));
+  }
+  EXPECT_TRUE(TraceCounters::now() - before == one.times(3));
+}
+
+/// Enqueues `n` phantom 64x64 H2D copies on `dev`.
+void enqueue_copies(Device& dev, int n) {
+  const DeviceMatrix m = dev.allocate(64, 64);
+  const Stream s = dev.create_stream();
+  for (int i = 0; i < n; ++i) {
+    dev.copy_h2d(m, HostConstRef::phantom(64, 64), s, op_name("h2d ", i));
   }
 }
 
-TEST(Trace, GrowsIntoTheBufferADestroyedTraceLeftOnItsThread) {
-  // On a fresh thread, so no earlier test's spare buffer is in play.
-  std::thread([] {
-    const TraceEvent* kept = nullptr;
-    {
-      Trace first;
-      fill(first, 1000); // capacity 1024
-      kept = first.events().data();
-    }
-    Trace second;
-    fill(second, 300); // took the 1024 buffer at capacity 256 (4x)
-    EXPECT_EQ(second.events().data(), kept);
-    EXPECT_EQ(second.events().capacity(), 1024u);
-    EXPECT_EQ(second.events().back().end, 300.0);
-    EXPECT_EQ(second.events().front().start, 0.0);
-    // A small trace never pins the large buffer: at 16 events it is 64x
-    // too big to take.
-    Trace small;
-    fill(small, 10);
-    EXPECT_EQ(small.events().capacity(), 16u);
-  }).join();
-}
-
-TEST(Trace, DeviceDestroyedAfterItsThreadsSpareIsGoneFreesItsOwnBuffer) {
-  // A thread_local constructed before the spare is destroyed after it at
-  // thread exit, like a static Device at process exit: its trace must free
-  // its buffer itself and not touch the dead spare, whose stale capacity
-  // (128) is below the trace's (512), so offering the buffer would swap in
-  // a freed pointer (ASan checks this).
+TEST(Trace, TotalsDeviceDestroyedAtThreadExitAddsItsCounts) {
+  // A thread_local device is destroyed at thread exit, after the thread's
+  // other locals: its trace still adds its counts to the counters.
+  const std::int64_t before = counter("sim.trace_events");
   std::thread([] {
     thread_local std::optional<Device> late;
-    late.emplace(DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
-    const DeviceMatrix m = late->allocate(64, 64);
-    const Stream s = late->create_stream();
-    for (int i = 0; i < 300; ++i) {
-      late->copy_h2d(m, HostConstRef::phantom(64, 64), s, op_name("h2d ", i));
-    }
-    Trace gone;
-    fill(gone, 100); // leaves the spare a buffer to free at thread exit
+    late.emplace(DeviceSpec::v100_32gb(), ExecutionMode::Phantom, nullptr,
+                 Recording::Totals);
+    enqueue_copies(*late, 300);
   }).join();
+  EXPECT_EQ(counter("sim.trace_events") - before, 300);
 }
 
-/// Destroyed at process exit, after the main thread's spare.
+/// Destroyed at process exit, after every test.
 Device& static_device() {
-  static Device dev(DeviceSpec::v100_32gb(), ExecutionMode::Phantom);
+  static Device dev(DeviceSpec::v100_32gb(), ExecutionMode::Phantom, nullptr,
+                    Recording::Totals);
   return dev;
 }
 
-TEST(Trace, StaticDeviceOutlivesTheMainThreadsSpare) {
+TEST(Trace, StaticTotalsDeviceIsDestroyedAtProcessExit) {
+  // Its counts reach the process counters at exit (ASan checks the
+  // counters are still there then).
   Device& dev = static_device();
-  const DeviceMatrix m = dev.allocate(8, 8);
-  const Stream s = dev.create_stream();
-  for (int i = 0; i < 200; ++i) {
-    dev.copy_h2d(m, HostConstRef::phantom(8, 8), s, op_name("h2d ", i));
-  }
-  {
-    Trace gone;
-    fill(gone, 40); // a spare smaller than the device's trace
-  }
+  enqueue_copies(dev, 200);
   EXPECT_EQ(dev.trace().size(), 200u);
+  EXPECT_EQ(dev.trace().bytes_h2d(), 200 * 64 * 64 * 4);
 }
 
 TEST(Trace, EnumNames) {
